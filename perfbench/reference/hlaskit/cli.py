@@ -1,0 +1,462 @@
+"""Command-line front end.
+
+Subcommands cover the full pipeline: ``score`` (validation -> factors ->
+aggregation -> report bundle), ``hee`` (single-pair envelope mask),
+``analyze`` (log analyses), ``validate-prereg``, ``synth`` (known-answer
+generators), ``example`` (the bundled worked example with golden check),
+and ``atlas show``.
+
+Exit codes: 0 success, 2 validation error, 3 data error, 4 golden
+mismatch.  Configuration comes only from files and flags; environment
+variables are never consulted, for reproducibility.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from dataclasses import replace
+from datetime import datetime, timezone
+from pathlib import Path
+
+from . import __version__
+from .atlas import describe_joint
+from .config_io import (
+    AnalysisArtifacts,
+    build_pairs,
+    canonical_json,
+    emit_report,
+    load_measurements,
+    load_preregistration_file,
+    read_bands,
+    read_capability_map,
+    read_log,
+    sha256_file,
+    verify_prereg_binding,
+    write_capability_map,
+    write_log,
+)
+from .envelope import hee_coverage, margin_report
+from .errors import DataError, GoldenMismatch, HlasError, ValidationError
+from .example import (
+    ALPHA_ALT,
+    gated_example,
+    run_and_check_example,
+    run_example,
+)
+from .scoring import gated_hlas, hlas
+from .signals import (
+    compute_frf,
+    detect_plateau,
+    find_crossover,
+    fit_friction,
+    loaded_bandwidth_check,
+    power_balance_check,
+    steady_trend,
+)
+from .synthetic import (
+    DutyProfile,
+    SyntheticActuator,
+    generate_backdrive_log,
+    generate_capability_map,
+    generate_sweep_log,
+    generate_thermal_duty_log,
+)
+from .bands import build_band_grid
+
+EXIT_OK = 0
+EXIT_VALIDATION = 2
+EXIT_DATA = 3
+EXIT_GOLDEN = 4
+
+
+def _write_manifest(out_dir: Path, args_list: list[str],
+                    inputs: list[Path], outputs: list[Path],
+                    seed: int | None = None) -> None:
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    content = {
+        "command": args_list,
+        "toolkit_version": __version__,
+        "seed": seed,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "inputs": [
+            {"path": str(p), "sha256": sha256_file(p)}
+            for p in inputs if Path(p).is_file()
+        ],
+        "outputs": [
+            {"path": str(p), "sha256": sha256_file(p)}
+            for p in outputs if Path(p).is_file()
+        ],
+    }
+    (out_dir / "run_manifest.json").write_text(canonical_json(content))
+
+
+def _apply_scheme_flags(scheme, args):
+    updates = {}
+    if getattr(args, "delta", None) is not None:
+        updates["headroom_delta"] = args.delta
+    if getattr(args, "h_min", None) is not None:
+        updates["breadth_floor"] = args.h_min
+    if getattr(args, "gate", None):
+        updates["critical_tasks"] = frozenset(args.gate)
+    if getattr(args, "margin_method", None):
+        updates["margin_method"] = args.margin_method
+    if getattr(args, "rate_margin", False):
+        updates["use_rate_margin"] = True
+    return replace(scheme, **updates) if updates else scheme
+
+
+def cmd_score(args) -> int:
+    prereg = load_preregistration_file(Path(args.prereg))
+    scheme = _apply_scheme_flags(prereg.scheme, args)
+    measurements = load_measurements(Path(args.data), prereg)
+    pairs = build_pairs(replace(prereg, scheme=scheme), measurements)
+    breakdown = hlas(pairs, scheme)
+
+    analyses = AnalysisArtifacts(
+        hee={
+            (p.task, p.joint): hee_coverage(p.band, p.capability,
+                                            scheme.headroom_delta)
+            for p in pairs
+        },
+        rom_overlays=[
+            (p.task, p.joint, axis,
+             p.functional_rom[axis].lo, p.functional_rom[axis].hi,
+             p.robot_rom[axis].lo, p.robot_rom[axis].hi)
+            for p in pairs for axis in sorted(p.required_axes)
+        ],
+    )
+    out_dir = Path(args.out)
+    bundle = emit_report(breakdown, analyses, out_dir, scheme)
+    outputs = [bundle.summary, bundle.task_table, bundle.feature_table,
+               bundle.contributions, bundle.guardrail_flags,
+               bundle.rom_overlays, bundle.manifest]
+    outputs += list(bundle.hee_masks.values())
+    _write_manifest(out_dir, sys.argv[1:],
+                    [Path(args.prereg), *measurements.files], outputs)
+
+    print(f"HLAS {breakdown.hlas:.3f}")
+    for task in scheme.task_weights:
+        print(f"  task {task}: {breakdown.task_scores[task]:.3f}")
+    if scheme.critical_tasks:
+        gated = gated_hlas(breakdown, scheme.critical_tasks)
+        print(f"  gated ({', '.join(sorted(scheme.critical_tasks))}): "
+              f"{gated:.3f}")
+    for flag in breakdown.guardrail_flags:
+        print(f"  flag: {flag}")
+    if args.strict_gates and breakdown.guardrail_flags:
+        print("strict gates: guardrail violations are fatal", file=sys.stderr)
+        return EXIT_VALIDATION
+    return EXIT_OK
+
+
+def cmd_hee(args) -> int:
+    bands = read_bands(Path(args.band))
+    key = (args.task, args.joint)
+    if key not in bands:
+        raise DataError(
+            f"band file has no ({args.task}, {args.joint}) pair; "
+            f"available: {sorted(bands)}"
+        )
+    cap = read_capability_map(Path(args.map))
+    result = hee_coverage(bands[key], cap, args.delta)
+    print(f"coverage {result.coverage:.3f} (delta {args.delta:g})")
+    lines = ["q_deg,omega_rad_s,weight,torque_ok,power_ok,pass"]
+    lines += [
+        f"{r.q!r},{r.omega!r},{r.weight!r},"
+        f"{str(r.torque_ok).lower()},{str(r.power_ok).lower()},"
+        f"{str(r.passed).lower()}"
+        for r in result.per_sample
+    ]
+    print("\n".join(lines))
+    if args.out:
+        Path(args.out).write_text("\n".join(lines) + "\n")
+    if args.margins:
+        rep = margin_report(bands[key], cap, args.omega_max, args.omega_req,
+                            args.margin_method)
+        print(f"torque_margin {rep.torque_margin:.4f} "
+              f"power_margin {rep.power_margin:.4f} "
+              f"rate_margin {rep.rate_margin:.4f} ({rep.method})")
+    return EXIT_OK
+
+
+def cmd_analyze(args) -> int:
+    log = read_log(Path(args.log))
+    if args.kind == "frf":
+        freqs = [float(f) for f in args.freqs.split(",")]
+        frf = compute_frf(log, freqs)
+        crossover = find_crossover(frf)
+        bound = {"<=": "<= ", ">=": ">= "}.get(crossover.bound, "")
+        print(f"f_c = {bound}{crossover.f_crossover:.2f} Hz "
+              f"(phase margin {crossover.phase_margin_deg:.1f} deg)")
+        if args.out:
+            out = Path(args.out)
+            with out.open("w") as fh:
+                fh.write(
+                    f"# crossover_hz: {bound.strip()}"
+                    f"{crossover.f_crossover!r}, phase_margin_deg: "
+                    f"{crossover.phase_margin_deg!r}\n"
+                )
+                fh.write("freq_hz,magnitude,phase_deg\n")
+                for p in frf:
+                    fh.write(f"{p.freq!r},{p.magnitude!r},{p.phase!r}\n")
+            _write_manifest(out.parent, sys.argv[1:], [Path(args.log)],
+                            [out])
+    elif args.kind == "friction":
+        fit = fit_friction(log)
+        print(f"j_ref = {fit.j_ref:.6g} kg m^2")
+        print(f"b_visc = {fit.b_visc:.6g} Nm s/rad")
+        print(f"f_coulomb = {fit.f_coulomb:.6g} Nm")
+        print(f"backdrive_p95 = {fit.backdrive_p95:.6g} Nm")
+        print(f"residual_rms = {fit.residual_rms:.3g} Nm")
+    elif args.kind == "thermal":
+        result = detect_plateau(log, args.slope_limit, args.window)
+        print(f"plateau torque = {result.torque_cont:.3f} Nm")
+        derate = ("none" if result.time_to_derate is None
+                  else f"{result.time_to_derate:.3f} s")
+        print(f"time to derate = {derate}")
+        print(f"final temps: motor {result.final_temp_motor:.1f} C, "
+              f"gear {result.final_temp_gear:.1f} C")
+        steady, slope = steady_trend(log)
+        print(f"steady trend at end of test: "
+              f"{'yes' if steady else 'NO'} ({slope:.3f} C/min)")
+    elif args.kind == "efficiency":
+        balance = power_balance_check(log)
+        if balance.elec_energy_j <= 0:
+            raise DataError("log has no electrical energy")
+        eta = balance.mech_energy_j / balance.elec_energy_j
+        print(f"overall efficiency = {eta:.4f} "
+              f"(positive mechanical {balance.mech_energy_j:.1f} J / "
+              f"electrical {balance.elec_energy_j:.1f} J)")
+    elif args.kind == "qc":
+        balance = power_balance_check(log)
+        verdict = "pass" if balance.passed else "FAIL"
+        print(f"power balance: {verdict} "
+              f"(mech {balance.mech_energy_j:.2f} J, "
+              f"elec {balance.elec_energy_j:.2f} J)")
+        if args.f_loaded is not None and args.f_noload is not None:
+            ok = loaded_bandwidth_check(args.f_loaded, args.f_noload)
+            print(f"loaded-bandwidth inflation: {'pass' if ok else 'FAIL'}")
+        if not balance.passed:
+            return EXIT_DATA
+    return EXIT_OK
+
+
+def cmd_validate_prereg(args) -> int:
+    prereg = load_preregistration_file(Path(args.prereg))
+    files = sorted(
+        p for p in Path(args.data).iterdir()
+        if p.is_file() and p.suffix == ".csv"
+    )
+    report = verify_prereg_binding(prereg, files)
+    print(f"pre-registration digest: {prereg.digest}")
+    print(f"binding: {'pass' if report.passed else 'FAIL'}")
+    for finding in report.findings:
+        print(f"  {finding}")
+    print(f"note: {report.note}")
+    return EXIT_OK if report.passed else EXIT_VALIDATION
+
+
+def _actuator_from(args) -> SyntheticActuator:
+    return SyntheticActuator(
+        stall_torque=args.stall, torque_speed_slope=args.slope,
+        crossover_true=args.pole, j_ref=args.j_ref, b_visc=args.b_visc,
+        f_coulomb=args.f_coulomb,
+        thermal_resistance=args.thermal_resistance,
+        thermal_time_constant=args.thermal_tau,
+        copper_loss_coeff=args.copper_loss,
+    )
+
+
+def cmd_synth(args) -> int:
+    act = _actuator_from(args)
+    out = Path(args.out)
+    if args.kind == "map":
+        grid = build_band_grid((args.q_lo, args.q_hi),
+                               (args.omega_lo, args.omega_hi),
+                               args.n_q, args.n_omega)
+        cap = generate_capability_map(act, grid, joint=args.joint,
+                                      axis=args.axis)
+        write_capability_map(cap, out)
+    elif args.kind == "sweep":
+        freqs = [float(f) for f in args.freqs.split(",")]
+        log = generate_sweep_log(act, freqs, args.amplitude,
+                                 noise_std=args.noise, seed=args.seed)
+        write_log(log, out)
+    elif args.kind == "thermal":
+        duty = DutyProfile(duration_s=args.duration,
+                           temp_limit_c=args.temp_limit)
+        log = generate_thermal_duty_log(act, duty, args.torque)
+        write_log(log, out)
+    elif args.kind == "backdrive":
+        log = generate_backdrive_log(act, duration=args.duration,
+                                     noise_std=args.noise, seed=args.seed)
+        write_log(log, out)
+    print(f"wrote {out}")
+    _write_manifest(out.parent, sys.argv[1:], [], [out],
+                    seed=getattr(args, "seed", None))
+    return EXIT_OK
+
+
+def cmd_example(args) -> int:
+    out_dir = Path(args.out)
+    if args.delta is not None or args.alpha_alt or args.gate:
+        run = run_example()
+        if args.delta is not None:
+            scored = hlas(run.pairs,
+                          replace(run.scheme, headroom_delta=args.delta))
+            print(f"HLAS {scored.hlas:.3f} (delta {args.delta:g})")
+        if args.alpha_alt:
+            scored = hlas(run.pairs,
+                          replace(run.scheme, feature_weights=ALPHA_ALT))
+            print(f"HLAS {scored.hlas:.3f} (alternative feature weights)")
+        if args.gate:
+            gated = gated_example(run, set(args.gate))
+            print(f"HLAS {gated:.3f} "
+                  f"(gated on {', '.join(sorted(args.gate))})")
+        return EXIT_OK
+    run = run_and_check_example(out_dir)
+    _write_manifest(out_dir, sys.argv[1:], [],
+                    sorted(p for p in out_dir.rglob("*.csv")))
+    print(f"HLAS {run.breakdown.hlas:.3f}")
+    for task in run.scheme.task_weights:
+        print(f"  task {task}: {run.breakdown.task_scores[task]:.3f}")
+    print(f"  sensitivity: delta 0.10 -> {run.hlas_headroom:.3f}, "
+          f"alt feature weights -> {run.hlas_alpha_alt:.3f}")
+    print(f"golden tables match ({out_dir})")
+    return EXIT_OK
+
+
+def cmd_atlas(args) -> int:
+    print(describe_joint(args.joint))
+    return EXIT_OK
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hlas",
+        description="Human-level actuation benchmarking toolkit",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("score", help="full evaluation from prereg + data dir")
+    p.add_argument("--prereg", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--delta", type=float, default=None,
+                   help="override the demand headroom factor")
+    p.add_argument("--h-min", type=float, default=None,
+                   help="override the envelope-coverage breadth floor")
+    p.add_argument("--gate", action="append", default=None,
+                   help="critical task for multiplicative gating (repeatable)")
+    p.add_argument("--margin-method", choices=["min", "quantile10"],
+                   default=None)
+    p.add_argument("--rate-margin", action="store_true",
+                   help="score the bandwidth slot with the rate margin")
+    p.add_argument("--strict-gates", action="store_true",
+                   help="treat guardrail flags as failures")
+    p.set_defaults(func=cmd_score)
+
+    p = sub.add_parser("hee", help="envelope mask for one joint-task pair")
+    p.add_argument("--band", required=True)
+    p.add_argument("--task", required=True)
+    p.add_argument("--joint", required=True)
+    p.add_argument("--map", required=True)
+    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--out", default=None,
+                   help="also write the mask table to a file")
+    p.add_argument("--margins", action="store_true")
+    p.add_argument("--omega-max", type=float, default=1.0)
+    p.add_argument("--omega-req", type=float, default=1.0)
+    p.add_argument("--margin-method", choices=["min", "quantile10"],
+                   default="min")
+    p.set_defaults(func=cmd_hee)
+
+    p = sub.add_parser("analyze", help="run one log analysis")
+    p.add_argument("kind",
+                   choices=["frf", "friction", "thermal", "efficiency", "qc"])
+    p.add_argument("log")
+    p.add_argument("--freqs", default="1,2,5,10,20,30",
+                   help="comma-separated probe frequencies in Hz (frf)")
+    p.add_argument("--out", default=None)
+    p.add_argument("--slope-limit", type=float, default=0.5)
+    p.add_argument("--window", type=float, default=10.0)
+    p.add_argument("--f-loaded", type=float, default=None)
+    p.add_argument("--f-noload", type=float, default=None)
+    p.set_defaults(func=cmd_analyze)
+
+    p = sub.add_parser("validate-prereg",
+                       help="check measurement binding to a registration")
+    p.add_argument("--prereg", required=True)
+    p.add_argument("--data", required=True)
+    p.set_defaults(func=cmd_validate_prereg)
+
+    p = sub.add_parser("synth", help="generate synthetic known-answer data")
+    p.add_argument("kind", choices=["map", "sweep", "thermal", "backdrive"])
+    p.add_argument("--out", required=True)
+    p.add_argument("--stall", type=float, default=44.0)
+    p.add_argument("--slope", type=float, default=1.0)
+    p.add_argument("--pole", type=float, default=10.0)
+    p.add_argument("--j-ref", type=float, default=0.05)
+    p.add_argument("--b-visc", type=float, default=0.8)
+    p.add_argument("--f-coulomb", type=float, default=1.2)
+    p.add_argument("--thermal-resistance", type=float, default=0.5)
+    p.add_argument("--thermal-tau", type=float, default=60.0)
+    p.add_argument("--copper-loss", type=float, default=0.02)
+    p.add_argument("--joint", default="synthetic")
+    p.add_argument("--axis", default="flexion")
+    p.add_argument("--q-lo", type=float, default=0.0)
+    p.add_argument("--q-hi", type=float, default=0.0)
+    p.add_argument("--n-q", type=int, default=1)
+    p.add_argument("--omega-lo", type=float, default=8.0)
+    p.add_argument("--omega-hi", type=float, default=12.0)
+    p.add_argument("--n-omega", type=int, default=5)
+    p.add_argument("--freqs", default="1,2,5,10,20,30")
+    p.add_argument("--amplitude", type=float, default=4.0)
+    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--duration", type=float, default=60.0)
+    p.add_argument("--torque", type=float, default=30.0)
+    p.add_argument("--temp-limit", type=float, default=100.0)
+    p.set_defaults(func=cmd_synth)
+
+    p = sub.add_parser("example",
+                       help="run the bundled worked example end to end")
+    p.add_argument("--out", default="hlas_example_out")
+    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--alpha-alt", action="store_true")
+    p.add_argument("--gate", action="append", default=None)
+    p.set_defaults(func=cmd_example)
+
+    p = sub.add_parser("atlas", help="inspect the joint atlas")
+    atlas_sub = p.add_subparsers(dest="atlas_command", required=True)
+    p_show = atlas_sub.add_parser("show")
+    p_show.add_argument("joint")
+    p_show.set_defaults(func=cmd_atlas)
+
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except GoldenMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GOLDEN
+    except ValidationError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (DataError, FileNotFoundError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except HlasError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DATA
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,915 @@
+"""Pre-registration documents, measurement file formats, and report output.
+
+The pre-registration document declares, before any measurement: the task
+set and weights, joint sets and weights, feature weights, operating-band
+files (with content digests), and the bandwidth/efficiency/thermal targets.
+Its canonical serialization (sorted keys, 12 significant digits) is hashed
+so that any later change to a weight, target, or band is detectable.
+
+Timestamps are advisory: the tool verifies that measurement files do not
+predate the registration, but it cannot prove provenance.  That is stated
+plainly in every binding report.
+
+All file formats here are toolkit plumbing - delimited text with ``#``
+comment headers - designed for diffability and spreadsheet import, not
+interchange with any external standard.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import json
+from dataclasses import dataclass, field
+from datetime import datetime, timezone
+from pathlib import Path
+
+import numpy as np
+import yaml
+
+from .atlas import AxisActuationReport, AxisSpec, RomInterval, functional_interval
+from .bands import DemandSample, OperatingBand, normalize_weights
+from .envelope import CapabilityMap, CapabilitySample, HeeResult
+from .errors import (
+    DataError,
+    IncompleteAnalyses,
+    MissingSection,
+    NegativeWeight,
+    ConfigIncomplete,
+)
+from .scoring import (
+    FEATURE_NAMES,
+    PairInputs,
+    ScoreBreakdown,
+    WeightScheme,
+)
+from .signals import CrossoverResult, FrfPoint, TimeSeriesLog
+
+CANONICAL_SIG_DIGITS = 12
+
+REQUIRED_SECTIONS = (
+    "tasks",
+    "joint_weights",
+    "feature_weights",
+    "bands",
+    "bandwidth_targets_hz",
+    "efficiency_targets",
+    "thermal_req_nm",
+)
+
+LOG_COLUMNS = (
+    "t_s", "q_deg", "omega_rad_s", "torque_nm", "torque_cmd_nm",
+    "v_bus_v", "i_bus_a", "temp_motor_c", "temp_gear_c",
+)
+
+
+# ---------------------------------------------------------------------------
+# small helpers
+# ---------------------------------------------------------------------------
+
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def sha256_file(path: Path) -> str:
+    return sha256_hex(Path(path).read_bytes())
+
+
+def fmt(value) -> str:
+    """Cell formatting that round-trips floats bit-identically."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def parse_timestamp(text: str) -> datetime:
+    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt
+
+
+def _quantize(obj):
+    """Recursively round floats to 12 significant digits for canonical form."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.{CANONICAL_SIG_DIGITS}g}")
+    if isinstance(obj, dict):
+        return {str(k): _quantize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_quantize(v) for v in obj]
+    return obj
+
+
+def canonical_json(content) -> str:
+    return json.dumps(_quantize(content), sort_keys=True, indent=2,
+                      ensure_ascii=True) + "\n"
+
+
+def _read_rows(
+    path: Path, required_columns: tuple[str, ...] = (),
+) -> tuple[dict[str, str], list[dict[str, str]]]:
+    """Parse a CSV with a ``# key: value`` comment header block."""
+    header: dict[str, str] = {}
+    body_lines = []
+    for line in Path(path).read_text().splitlines():
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            meta = stripped.lstrip("#").strip()
+            if ":" in meta:
+                key, _, value = meta.partition(":")
+                header[key.strip()] = value.strip()
+            continue
+        body_lines.append(line)
+    reader = csv.DictReader(body_lines)
+    missing = set(required_columns) - set(reader.fieldnames or ())
+    if missing:
+        raise DataError(
+            f"{path}: missing column(s) {sorted(missing)}; expected "
+            f"{list(required_columns)}"
+        )
+    return header, list(reader)
+
+
+# ---------------------------------------------------------------------------
+# measurement file formats
+# ---------------------------------------------------------------------------
+
+def read_bands(path: Path) -> dict[tuple[str, str], OperatingBand]:
+    """Band file: ``task,joint,q_deg,omega_rad_s,torque_hum_nm,power_hum_w``.
+
+    Weights are computed at load (proportional to positive power per pair),
+    in file row order.
+    """
+    _, rows = _read_rows(path, ("task", "joint", "q_deg", "omega_rad_s",
+                                "torque_hum_nm", "power_hum_w"))
+    grouped: dict[tuple[str, str], list[DemandSample]] = {}
+    for row in rows:
+        key = (row["task"], row["joint"])
+        grouped.setdefault(key, []).append(DemandSample(
+            q=float(row["q_deg"]),
+            omega=float(row["omega_rad_s"]),
+            torque_hum=float(row["torque_hum_nm"]),
+            power_hum=float(row["power_hum_w"]),
+        ))
+    if not grouped:
+        raise DataError(f"band file {path} has no data rows")
+    return {
+        (task, joint): OperatingBand(
+            joint, task, tuple(normalize_weights(samples))
+        )
+        for (task, joint), samples in grouped.items()
+    }
+
+
+def write_bands(bands: list[OperatingBand], path: Path) -> None:
+    with Path(path).open("w", newline="") as fh:
+        fh.write("task,joint,q_deg,omega_rad_s,torque_hum_nm,power_hum_w\n")
+        for band in bands:
+            for s in band.samples:
+                fh.write(",".join([
+                    band.task, band.joint, fmt(s.q), fmt(s.omega),
+                    fmt(s.torque_hum), fmt(s.power_hum),
+                ]) + "\n")
+
+
+def read_phase_trajectory(path: Path):
+    """Phase trajectory file: ``phase,q_deg,omega_rad_s,power_w``."""
+    from .bands import PhaseTrajectory
+
+    _, rows = _read_rows(path, ("phase", "q_deg", "omega_rad_s", "power_w"))
+    if not rows:
+        raise DataError(f"phase trajectory file {path} has no data rows")
+    return PhaseTrajectory(
+        phase=tuple(float(r["phase"]) for r in rows),
+        q=tuple(float(r["q_deg"]) for r in rows),
+        omega=tuple(float(r["omega_rad_s"]) for r in rows),
+        power=tuple(float(r["power_w"]) for r in rows),
+    )
+
+
+def read_capability_map(path: Path) -> CapabilityMap:
+    """Capability file: ``joint,axis,q_deg,omega_rad_s,torque_nm`` with the
+    measurement conditions carried in the comment header."""
+    header, rows = _read_rows(path, ("joint", "axis", "q_deg",
+                                     "omega_rad_s", "torque_nm"))
+    conditions = header.get("conditions", "")
+    if not rows:
+        raise DataError(f"capability file {path} has no data rows")
+    joints = {(r["joint"], r["axis"]) for r in rows}
+    if len(joints) != 1:
+        raise DataError(
+            f"capability file {path} mixes joints/axes {sorted(joints)}"
+        )
+    (joint, axis), = joints
+    samples = tuple(
+        CapabilitySample(float(r["q_deg"]), float(r["omega_rad_s"]),
+                         float(r["torque_nm"]))
+        for r in rows
+    )
+    return CapabilityMap(joint, axis, samples, conditions)
+
+
+def write_capability_map(cap: CapabilityMap, path: Path,
+                         extra_header: dict[str, str] | None = None) -> None:
+    with Path(path).open("w", newline="") as fh:
+        fh.write(f"# conditions: {cap.conditions}\n")
+        for key, value in (extra_header or {}).items():
+            fh.write(f"# {key}: {value}\n")
+        fh.write("joint,axis,q_deg,omega_rad_s,torque_nm\n")
+        for s in cap.samples:
+            fh.write(",".join([
+                cap.joint, cap.axis, fmt(s.q), fmt(s.omega), fmt(s.torque_rob),
+            ]) + "\n")
+
+
+def read_rom_file(path: Path) -> dict[tuple[str, str], RomInterval]:
+    _, rows = _read_rows(path, ("joint", "axis", "lo_deg", "hi_deg"))
+    return {
+        (r["joint"], r["axis"]): RomInterval(float(r["lo_deg"]),
+                                             float(r["hi_deg"]))
+        for r in rows
+    }
+
+
+def read_dof_file(path: Path) -> dict[str, list[AxisActuationReport]]:
+    _, rows = _read_rows(path, ("joint", "axis", "implemented",
+                                "coupling_rms_fraction"))
+    out: dict[str, list[AxisActuationReport]] = {}
+    for r in rows:
+        report = AxisActuationReport(
+            axis=AxisSpec(r["joint"], r["axis"]),
+            implemented=r["implemented"].strip().lower() in ("true", "1", "yes"),
+            coupling_rms_fraction=float(r["coupling_rms_fraction"]),
+        )
+        out.setdefault(r["joint"], []).append(report)
+    return out
+
+
+def read_bandwidth_file(path: Path) -> dict[str, dict[str, float]]:
+    """Per-joint crossover frequency and (optional) max safe rate."""
+    _, rows = _read_rows(path, ("joint", "f_crossover_hz"))
+    out = {}
+    for r in rows:
+        entry = {"f_crossover_hz": float(r["f_crossover_hz"])}
+        if r.get("omega_max_rad_s") not in (None, ""):
+            entry["omega_max_rad_s"] = float(r["omega_max_rad_s"])
+        out[r["joint"]] = entry
+    return out
+
+
+def read_efficiency_file(
+    path: Path,
+) -> dict[str, dict[tuple[float, float], float]]:
+    _, rows = _read_rows(path, ("joint", "q_deg", "omega_rad_s", "eta"))
+    out: dict[str, dict[tuple[float, float], float]] = {}
+    for r in rows:
+        point = (float(r["q_deg"]), float(r["omega_rad_s"]))
+        out.setdefault(r["joint"], {})[point] = float(r["eta"])
+    return out
+
+
+def read_thermal_file(path: Path) -> dict[tuple[str, str], float]:
+    _, rows = _read_rows(path, ("task", "joint", "torque_cont_nm"))
+    return {
+        (r["task"], r["joint"]): float(r["torque_cont_nm"])
+        for r in rows
+    }
+
+
+def write_log(log: TimeSeriesLog, path: Path,
+              extra_header: dict[str, str] | None = None) -> None:
+    with Path(path).open("w", newline="") as fh:
+        fh.write(f"# sample_rate_hz: {fmt(float(log.sample_rate))}\n")
+        fh.write(f"# conditions: {log.conditions}\n")
+        if log.seed is not None:
+            fh.write(f"# seed: {log.seed}\n")
+        for key, value in (extra_header or {}).items():
+            fh.write(f"# {key}: {value}\n")
+        fh.write(",".join(LOG_COLUMNS) + "\n")
+        cols = (log.t, log.q, log.omega, log.torque, log.torque_cmd,
+                log.v_bus, log.i_bus, log.temp_motor, log.temp_gear)
+        for values in zip(*cols):
+            fh.write(",".join(repr(float(v)) for v in values) + "\n")
+
+
+def read_log(path: Path) -> TimeSeriesLog:
+    header, _ = _read_rows(path)
+    if "sample_rate_hz" not in header:
+        raise DataError(f"log {path} is missing the sample_rate_hz header")
+    raw = [
+        line for line in Path(path).read_text().splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    data = np.array([[float(v) for v in line.split(",")] for line in raw[1:]])
+    seed = header.get("seed")
+    return TimeSeriesLog(
+        t=data[:, 0], q=data[:, 1], omega=data[:, 2], torque=data[:, 3],
+        torque_cmd=data[:, 4], v_bus=data[:, 5], i_bus=data[:, 6],
+        temp_motor=data[:, 7], temp_gear=data[:, 8],
+        sample_rate=float(header["sample_rate_hz"]),
+        conditions=header.get("conditions", ""),
+        seed=int(seed) if seed is not None else None,
+    )
+
+
+# ---------------------------------------------------------------------------
+# pre-registration
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BandRef:
+    file: str
+    sha256: str
+
+
+@dataclass(frozen=True)
+class Preregistration:
+    scheme: WeightScheme
+    bands: tuple[BandRef, ...]
+    thermal_req: dict[tuple[str, str], float]
+    required_axes: dict[tuple[str, str], frozenset[str]]
+    functional_rom: dict[tuple[str, str], dict[str, RomInterval]]
+    rate_req: dict[tuple[str, str], float]
+    created: str
+    digest: str
+
+    def created_at(self) -> datetime:
+        return parse_timestamp(self.created)
+
+
+def _nested_float_map(section, name: str) -> dict[str, dict[str, float]]:
+    if not isinstance(section, dict):
+        raise MissingSection(f"section {name!r} must map tasks to joints")
+    out: dict[str, dict[str, float]] = {}
+    for task, joints in section.items():
+        if not isinstance(joints, dict):
+            raise MissingSection(
+                f"section {name!r} entry {task!r} must map joints to values"
+            )
+        out[str(task)] = {str(j): float(v) for j, v in joints.items()}
+    return out
+
+
+def _prereg_content(
+    scheme: WeightScheme,
+    bands: tuple[BandRef, ...],
+    thermal_req, required_axes, functional_rom, rate_req,
+    created: str,
+) -> dict:
+    """Canonical content dictionary; the digest is the hash of its
+    canonical JSON serialization."""
+    def unkey(d, f=lambda v: v):
+        out: dict[str, dict] = {}
+        for (task, joint), v in d.items():
+            out.setdefault(task, {})[joint] = f(v)
+        return out
+
+    content = {
+        "tasks": scheme.task_weights,
+        "joint_weights": scheme.joint_weights,
+        "feature_weights": scheme.feature_weights,
+        "bandwidth_targets_hz": scheme.bandwidth_targets,
+        "efficiency_targets": scheme.efficiency_targets,
+        "thermal_req_nm": unkey(thermal_req),
+        "required_axes": unkey(required_axes, lambda v: sorted(v)),
+        "functional_rom_deg": unkey(
+            functional_rom,
+            lambda axes: {a: [iv.lo, iv.hi] for a, iv in sorted(axes.items())},
+        ),
+        "headroom_delta": scheme.headroom_delta,
+        "breadth_floor": scheme.breadth_floor,
+        "critical_tasks": sorted(scheme.critical_tasks),
+        "task_gate_min": scheme.task_gate_min,
+        "margin_method": scheme.margin_method,
+        "use_rate_margin": scheme.use_rate_margin,
+        "score_as_zero": sorted(list(p) for p in scheme.score_as_zero),
+        "bands": [{"file": b.file, "sha256": b.sha256} for b in bands],
+        "created": created,
+    }
+    if rate_req:
+        content["rate_req_rad_s"] = unkey(rate_req)
+    return content
+
+
+def load_preregistration(text: str) -> Preregistration:
+    """Parse and validate a pre-registration document (YAML or JSON text).
+
+    All five declaration groups must be present: tasks and weights, joint
+    sets and weights, feature weights, band references, and the
+    bandwidth/efficiency/thermal targets.
+    """
+    doc = yaml.safe_load(text)
+    if not isinstance(doc, dict):
+        raise MissingSection("pre-registration document is not a mapping")
+    for section in REQUIRED_SECTIONS:
+        if section not in doc or doc[section] is None:
+            raise MissingSection(f"missing required section {section!r}")
+    if "required_axes" not in doc or doc["required_axes"] is None:
+        raise MissingSection("missing required section 'required_axes'")
+
+    tasks = {str(k): float(v) for k, v in doc["tasks"].items()}
+    for name, w in tasks.items():
+        if w < 0:
+            raise NegativeWeight(f"task weight for {name!r} is negative")
+
+    def rekey(nested: dict[str, dict[str, float]]):
+        return {
+            (task, joint): value
+            for task, joints in nested.items()
+            for joint, value in joints.items()
+        }
+
+    scheme = WeightScheme(
+        task_weights=tasks,
+        joint_weights=_nested_float_map(doc["joint_weights"], "joint_weights"),
+        feature_weights={
+            str(k): float(v) for k, v in doc["feature_weights"].items()
+        },
+        bandwidth_targets=_nested_float_map(
+            doc["bandwidth_targets_hz"], "bandwidth_targets_hz"),
+        efficiency_targets=_nested_float_map(
+            doc["efficiency_targets"], "efficiency_targets"),
+        headroom_delta=float(doc.get("headroom_delta", 0.0)),
+        breadth_floor=(None if doc.get("breadth_floor") is None
+                       else float(doc["breadth_floor"])),
+        critical_tasks=frozenset(doc.get("critical_tasks") or ()),
+        task_gate_min=(None if doc.get("task_gate_min") is None
+                       else float(doc["task_gate_min"])),
+        margin_method=str(doc.get("margin_method", "min")),
+        use_rate_margin=bool(doc.get("use_rate_margin", False)),
+        score_as_zero=frozenset(
+            (str(t), str(j)) for t, j in (doc.get("score_as_zero") or ())
+        ),
+    )
+    scheme.validate()
+
+    thermal_req = rekey(_nested_float_map(doc["thermal_req_nm"],
+                                          "thermal_req_nm"))
+    rate_req = rekey(_nested_float_map(doc["rate_req_rad_s"],
+                                       "rate_req_rad_s")) \
+        if doc.get("rate_req_rad_s") else {}
+
+    required_axes = {
+        (str(task), str(joint)): frozenset(str(a) for a in axes)
+        for task, joints in doc["required_axes"].items()
+        for joint, axes in joints.items()
+    }
+
+    functional_rom: dict[tuple[str, str], dict[str, RomInterval]] = {}
+    for task, joints in (doc.get("functional_rom_deg") or {}).items():
+        for joint, axes in joints.items():
+            functional_rom[(str(task), str(joint))] = {
+                str(axis): RomInterval(float(lo), float(hi))
+                for axis, (lo, hi) in axes.items()
+            }
+
+    bands = tuple(
+        BandRef(str(b["file"]), str(b["sha256"])) for b in doc["bands"]
+    )
+    created = str(doc.get("created", "1970-01-01T00:00:00Z"))
+    content = _prereg_content(scheme, bands, thermal_req, required_axes,
+                              functional_rom, rate_req, created)
+    digest = sha256_hex(canonical_json(content).encode())
+    return Preregistration(
+        scheme=scheme, bands=bands, thermal_req=thermal_req,
+        required_axes=required_axes, functional_rom=functional_rom,
+        rate_req=rate_req, created=created, digest=digest,
+    )
+
+
+def load_preregistration_file(path: Path) -> Preregistration:
+    return load_preregistration(Path(path).read_text())
+
+
+def serialize_preregistration(prereg: Preregistration) -> str:
+    """Canonical serialization: JSON, keys sorted, floats at 12 significant
+    digits.  load(serialize(load(x))) is a fixed point."""
+    content = _prereg_content(
+        prereg.scheme, prereg.bands, prereg.thermal_req,
+        prereg.required_axes, prereg.functional_rom, prereg.rate_req,
+        prereg.created,
+    )
+    return canonical_json(content)
+
+
+@dataclass(frozen=True)
+class BindingReport:
+    passed: bool
+    findings: tuple[str, ...]
+    note: str = ("timestamps are advisory: ordering is verified, "
+                 "provenance cannot be proven")
+
+
+def verify_prereg_binding(
+    prereg: Preregistration, measurement_files: list[Path]
+) -> BindingReport:
+    """Check that measurements postdate the registration and that any
+    embedded registration digests match.
+
+    Registered band files are exempt from the ordering check: they are part
+    of the declaration (bound by digest instead), so they may predate it.
+    Violations are report content, not exceptions: the report is the
+    product.
+    """
+    created = prereg.created_at()
+    registered = {ref.file for ref in prereg.bands}
+    findings = []
+    for path in measurement_files:
+        path = Path(path)
+        header, _ = _read_rows(path)
+        if "created_utc" in header:
+            stamp = parse_timestamp(header["created_utc"])
+        else:
+            stamp = datetime.fromtimestamp(path.stat().st_mtime, timezone.utc)
+        if path.name not in registered and stamp < created:
+            findings.append(
+                f"{path.name}: measurement timestamp {stamp.isoformat()} "
+                f"predates pre-registration {created.isoformat()}"
+            )
+        declared = header.get("prereg_sha256")
+        if declared is not None and declared != prereg.digest:
+            findings.append(
+                f"{path.name}: embedded registration digest {declared} does "
+                f"not match {prereg.digest}"
+            )
+    return BindingReport(passed=not findings, findings=tuple(findings))
+
+
+# ---------------------------------------------------------------------------
+# measurement-set assembly
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MeasurementSet:
+    bands: dict[tuple[str, str], OperatingBand]
+    capabilities: dict[str, CapabilityMap]
+    robot_rom: dict[tuple[str, str], RomInterval]
+    dof_reports: dict[str, list[AxisActuationReport]]
+    bandwidth: dict[str, dict[str, float]]
+    efficiency: dict[str, dict[tuple[float, float], float]]
+    thermal_cont: dict[tuple[str, str], float]
+    files: tuple[Path, ...]
+
+
+def load_measurements(data_dir: Path, prereg: Preregistration) -> MeasurementSet:
+    """Load every measurement file of a data directory, verifying band
+    digests against the registration."""
+    data_dir = Path(data_dir)
+    bands: dict[tuple[str, str], OperatingBand] = {}
+    files: list[Path] = []
+    for ref in prereg.bands:
+        path = data_dir / ref.file
+        if not path.exists():
+            raise DataError(f"registered band file {ref.file} not found")
+        actual = sha256_file(path)
+        if actual != ref.sha256:
+            raise DataError(
+                f"band file {ref.file} digest {actual} does not match "
+                f"registered {ref.sha256}"
+            )
+        bands.update(read_bands(path))
+        files.append(path)
+
+    capabilities: dict[str, CapabilityMap] = {}
+    for path in sorted(data_dir.glob("capability_*.csv")):
+        cap = read_capability_map(path)
+        capabilities[cap.joint] = cap
+        files.append(path)
+
+    def _required(name: str) -> Path:
+        path = data_dir / name
+        if not path.exists():
+            raise DataError(f"measurement file {name} not found in {data_dir}")
+        files.append(path)
+        return path
+
+    robot_rom = read_rom_file(_required("rom_robot.csv"))
+    dof_reports = read_dof_file(_required("dof_report.csv"))
+    bandwidth = read_bandwidth_file(_required("bandwidth.csv"))
+    efficiency = read_efficiency_file(_required("efficiency.csv"))
+    thermal_cont = read_thermal_file(_required("thermal.csv"))
+    return MeasurementSet(
+        bands=bands, capabilities=capabilities, robot_rom=robot_rom,
+        dof_reports=dof_reports, bandwidth=bandwidth, efficiency=efficiency,
+        thermal_cont=thermal_cont, files=tuple(files),
+    )
+
+
+def build_pairs(
+    prereg: Preregistration, measurements: MeasurementSet
+) -> list[PairInputs]:
+    """Join registration and measurements into scoring inputs.
+
+    Functional ROM comes from the registration's per-task overrides, falling
+    back to the atlas norms for axes without an override.
+    """
+    pairs = []
+    for task, joint in prereg.scheme.pairs():
+        key = (task, joint)
+        if key in prereg.scheme.score_as_zero:
+            continue
+        if key not in measurements.bands:
+            raise ConfigIncomplete(f"no band for declared pair {key}")
+        if joint not in measurements.capabilities:
+            raise ConfigIncomplete(f"no capability map for joint {joint!r}")
+        if key not in prereg.required_axes:
+            raise ConfigIncomplete(f"no required axes declared for {key}")
+        axes = prereg.required_axes[key]
+
+        functional: dict[str, RomInterval] = {}
+        override = prereg.functional_rom.get(key, {})
+        for axis in axes:
+            if axis in override:
+                functional[axis] = override[axis]
+            else:
+                fallback = functional_interval(joint, axis)
+                if fallback is None:
+                    raise ConfigIncomplete(
+                        f"no functional interval for axis {axis!r} of {key}; "
+                        f"the atlas norm is qualitative, declare an override"
+                    )
+                functional[axis] = fallback
+
+        robot_rom = {
+            axis: iv
+            for (j, axis), iv in measurements.robot_rom.items()
+            if j == joint
+        }
+        if joint not in measurements.bandwidth:
+            raise ConfigIncomplete(f"no bandwidth measurement for {joint!r}")
+        if key not in measurements.thermal_cont:
+            raise ConfigIncomplete(f"no thermal plateau measurement for {key}")
+        if key not in prereg.thermal_req:
+            raise ConfigIncomplete(f"no thermal requirement for {key}")
+        band = OperatingBand(
+            joint=joint, task=task,
+            samples=measurements.bands[key].samples,
+            axes=axes,
+        )
+        pairs.append(PairInputs(
+            task=task, joint=joint, band=band,
+            capability=measurements.capabilities[joint],
+            robot_rom=robot_rom, functional_rom=functional,
+            required_axes=axes,
+            dof_reports=measurements.dof_reports.get(joint, []),
+            f_crossover_hz=measurements.bandwidth[joint]["f_crossover_hz"],
+            efficiency_samples=measurements.efficiency.get(joint, {}),
+            torque_cont_nm=measurements.thermal_cont[key],
+            torque_req_nm=prereg.thermal_req[key],
+            omega_max_rad_s=measurements.bandwidth[joint].get(
+                "omega_max_rad_s"),
+            omega_req_rad_s=prereg.rate_req.get(key),
+        ))
+    return pairs
+
+
+# ---------------------------------------------------------------------------
+# report bundle
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AnalysisArtifacts:
+    """Per-pair envelope masks (mandatory) plus optional log analyses."""
+
+    hee: dict[tuple[str, str], HeeResult]
+    rom_overlays: list[tuple] = field(default_factory=list)
+    frf_tables: dict[str, tuple[list[FrfPoint], CrossoverResult]] = field(
+        default_factory=dict)
+    thermal_traces: dict[str, TimeSeriesLog] = field(default_factory=dict)
+
+
+# Whole-robot task trials (gait, lift-and-carry, reach, hand dexterity)
+# need an integrated robot and are not computed here; the bundle ships
+# header-only stubs in these formats so trial results can be filed
+# alongside the joint-level score.
+TASK_TRIAL_COLUMNS: dict[str, tuple[str, ...]] = {
+    "gait": (
+        "trial", "speed_m_s", "ankle_positive_work_j_per_stride",
+        "ankle_peak_power_w", "pushoff_rate_rad_s", "knee_peak_moment_nm",
+        "hip_peak_moment_nm", "support_torque_duty_fraction", "duty_factor",
+        "stride_frequency_hz", "stride_length_m", "stance_efficiency",
+        "peak_vertical_grf_n", "missed_steps", "end_temp_motor_c", "derated",
+    ),
+    "lift": (
+        "trial", "box_mass_kg", "knee_torque_duty_fraction",
+        "hip_torque_duty_fraction", "peak_knee_torque_nm",
+        "peak_hip_torque_nm", "end_continuous_torque_nm", "cop_margin_m",
+        "foot_slips", "success_rate",
+    ),
+    "reach": (
+        "trial", "payload_kg", "peak_shoulder_torque_nm",
+        "peak_elbow_torque_nm", "rms_position_error_m",
+        "p95_position_error_m", "settle_time_s", "overshoot_fraction",
+        "mean_mech_power_w", "mean_elec_power_w", "success_rate",
+    ),
+    "hand": (
+        "trial", "grasp_type", "force_bandwidth_hz",
+        "min_controllable_force_n", "breakaway_force_n", "hysteresis_n",
+        "peak_force_sd_n", "success_rate_at_6hz",
+    ),
+}
+
+
+def write_task_trial_stubs(out_dir: Path) -> dict[str, Path]:
+    """Header-only templates for whole-robot trial results."""
+    trial_dir = Path(out_dir) / "task_trials"
+    trial_dir.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for name, columns in TASK_TRIAL_COLUMNS.items():
+        path = trial_dir / f"{name}.csv"
+        path.write_text(
+            "# whole-robot trial results; requires an integrated robot and "
+            "is not computed by this toolkit\n"
+            + ",".join(columns) + "\n"
+        )
+        paths[name] = path
+    return paths
+
+
+@dataclass(frozen=True)
+class ReportBundle:
+    out_dir: Path
+    summary: Path
+    task_table: Path
+    feature_table: Path
+    contributions: Path
+    guardrail_flags: Path
+    rom_overlays: Path
+    hee_masks: dict[tuple[str, str], Path]
+    frf_tables: dict[str, Path]
+    thermal_traces: dict[str, Path]
+    manifest: Path
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+def read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Generic reader for every tabular artifact (header + string cells)."""
+    lines = [
+        line for line in Path(path).read_text().splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    header = lines[0].split(",")
+    return header, [line.split(",") for line in lines[1:]]
+
+
+def mask_name(task: str, joint: str) -> str:
+    return f"{task}__{joint}.csv"
+
+
+def emit_report(
+    breakdown: ScoreBreakdown,
+    analyses: AnalysisArtifacts,
+    out_dir: Path,
+    scheme: WeightScheme,
+) -> ReportBundle:
+    """Write the full artifact bundle with a digest manifest.
+
+    Every scored pair must have an envelope mask; FRF tables and thermal
+    traces are optional and their absence is flagged in the manifest.
+    """
+    pairs = list(breakdown.feature_vectors)
+    missing = [p for p in pairs if p not in analyses.hee]
+    if missing:
+        raise IncompleteAnalyses(
+            f"no envelope mask for scored pair(s) {missing}"
+        )
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "hee_masks").mkdir(exist_ok=True)
+
+    summary = out_dir / "summary.csv"
+    rows = [["hlas", breakdown.hlas]]
+    for task in scheme.task_weights:
+        rows.append([f"task_score:{task}", breakdown.task_scores[task]])
+    rows.append(["guardrail_flag_count", len(breakdown.guardrail_flags)])
+    _write_csv(summary, ["metric", "value"], rows)
+
+    task_table = out_dir / "task_table.csv"
+    _write_csv(
+        task_table,
+        ["task", "task_weight", "score"],
+        [[t, scheme.task_weights[t], breakdown.task_scores[t]]
+         for t in scheme.task_weights],
+    )
+
+    feature_table = out_dir / "feature_table.csv"
+    _write_csv(
+        feature_table,
+        ["task", "joint", *FEATURE_NAMES, "score"],
+        [
+            [task, joint,
+             *[getattr(breakdown.feature_vectors[(task, joint)], n)
+               for n in FEATURE_NAMES],
+             breakdown.joint_task_scores[(task, joint)]]
+            for task, joint in pairs
+        ],
+    )
+
+    contributions = out_dir / "contributions.csv"
+    _write_csv(
+        contributions,
+        ["task", "joint", "score", "joint_weight", "task_weight",
+         "contribution"],
+        [
+            [task, joint, breakdown.joint_task_scores[(task, joint)],
+             scheme.joint_weights[task][joint], scheme.task_weights[task],
+             breakdown.contributions[(task, joint)]]
+            for task, joint in pairs
+        ],
+    )
+
+    flags_path = out_dir / "guardrail_flags.txt"
+    flags_path.write_text(
+        "".join(flag + "\n" for flag in breakdown.guardrail_flags)
+    )
+
+    rom_path = out_dir / "rom_overlays.csv"
+    _write_csv(
+        rom_path,
+        ["task", "joint", "axis", "functional_lo_deg", "functional_hi_deg",
+         "robot_lo_deg", "robot_hi_deg"],
+        [list(row) for row in analyses.rom_overlays],
+    )
+
+    hee_paths = {}
+    for (task, joint), result in analyses.hee.items():
+        path = out_dir / "hee_masks" / mask_name(task, joint)
+        _write_csv(
+            path,
+            ["q_deg", "omega_rad_s", "weight", "torque_ok", "power_ok",
+             "pass"],
+            [[r.q, r.omega, r.weight, r.torque_ok, r.power_ok, r.passed]
+             for r in result.per_sample],
+        )
+        hee_paths[(task, joint)] = path
+
+    frf_paths = {}
+    if analyses.frf_tables:
+        (out_dir / "frf_tables").mkdir(exist_ok=True)
+        for name, (points, crossover) in analyses.frf_tables.items():
+            path = out_dir / "frf_tables" / f"{name}.csv"
+            with path.open("w", newline="") as fh:
+                bound = crossover.bound or "="
+                fh.write(
+                    f"# crossover_hz: {bound}{fmt(crossover.f_crossover)}, "
+                    f"phase_margin_deg: {fmt(crossover.phase_margin_deg)}\n"
+                )
+                fh.write("freq_hz,magnitude,phase_deg\n")
+                for p in points:
+                    fh.write(f"{fmt(p.freq)},{fmt(p.magnitude)},"
+                             f"{fmt(p.phase)}\n")
+            frf_paths[name] = path
+
+    thermal_paths = {}
+    if analyses.thermal_traces:
+        (out_dir / "thermal_traces").mkdir(exist_ok=True)
+        for name, log in analyses.thermal_traces.items():
+            path = out_dir / "thermal_traces" / f"{name}.csv"
+            write_log(log, path)
+            thermal_paths[name] = path
+
+    trial_stubs = write_task_trial_stubs(out_dir)
+
+    artifacts = [summary, task_table, feature_table, contributions,
+                 flags_path, rom_path]
+    artifacts += list(hee_paths.values())
+    artifacts += list(frf_paths.values())
+    artifacts += list(thermal_paths.values())
+    artifacts += list(trial_stubs.values())
+
+    manifest = out_dir / "manifest.json"
+    manifest_content = {
+        "artifacts": [
+            {"path": str(p.relative_to(out_dir)), "sha256": sha256_file(p)}
+            for p in artifacts
+        ],
+        "notes": [
+            *([] if analyses.frf_tables else
+              ["frf_tables: none provided (optional)"]),
+            *([] if analyses.thermal_traces else
+              ["thermal_traces: none provided (optional)"]),
+            "task_trials: header-only stubs (whole-robot trials are not "
+            "computed by this toolkit)",
+        ],
+    }
+    manifest.write_text(canonical_json(manifest_content))
+    return ReportBundle(
+        out_dir=out_dir, summary=summary, task_table=task_table,
+        feature_table=feature_table, contributions=contributions,
+        guardrail_flags=flags_path, rom_overlays=rom_path,
+        hee_masks=hee_paths, frf_tables=frf_paths,
+        thermal_traces=thermal_paths, manifest=manifest,
+    )

@@ -1,0 +1,138 @@
+"""Exception hierarchy for the toolkit.
+
+Validation errors (bad weights, missing config sections) are distinct from
+data errors (missing samples, degenerate inputs) so the CLI can map them to
+different exit codes.
+"""
+
+from __future__ import annotations
+
+
+class HlasError(Exception):
+    """Base class for all toolkit errors."""
+
+
+class ValidationError(HlasError):
+    """A pre-registration document or weight scheme violates its contract."""
+
+
+class DataError(HlasError):
+    """Measurement or reference data is missing, malformed, or degenerate."""
+
+
+# --- validation ---------------------------------------------------------
+
+class WeightSumViolation(ValidationError):
+    pass
+
+
+class NegativeWeight(ValidationError):
+    pass
+
+
+class MissingSection(ValidationError):
+    pass
+
+
+class ConfigIncomplete(ValidationError):
+    pass
+
+
+class EmptyCriticalSet(ValidationError):
+    pass
+
+
+class ZeroTarget(ValidationError):
+    pass
+
+
+class ZeroRequirement(ValidationError):
+    pass
+
+
+# --- data ---------------------------------------------------------------
+
+class EmptyAxisSet(DataError):
+    pass
+
+
+class DegenerateInterval(DataError):
+    pass
+
+
+class EmptyBand(DataError):
+    pass
+
+
+class DegenerateBand(DataError):
+    pass
+
+
+class ZeroRate(DataError):
+    pass
+
+
+class ZeroDemand(DataError):
+    pass
+
+
+class EmptyGrid(DataError):
+    pass
+
+
+class EmptyTrajectory(DataError):
+    pass
+
+
+class InvalidRange(DataError):
+    pass
+
+
+class SampleMismatch(DataError):
+    pass
+
+
+class MissingJoint(DataError):
+    pass
+
+
+class InsufficientCycles(DataError):
+    pass
+
+
+class AliasedFrequency(DataError):
+    pass
+
+
+class InsufficientExcitation(DataError):
+    pass
+
+
+class RankDeficient(DataError):
+    pass
+
+
+class WindowTooLong(DataError):
+    pass
+
+
+class NonpositiveElectrical(DataError):
+    pass
+
+
+class IncompleteAnalyses(DataError):
+    pass
+
+
+class GoldenMismatch(HlasError):
+    """A regenerated worked-example artifact diverged from its golden copy."""
+
+
+# --- warnings -----------------------------------------------------------
+
+class NotMonotoneWarning(UserWarning):
+    """FRF magnitude crossed the -3 dB line more than once."""
+
+
+class ZeroDemandWarning(UserWarning):
+    """A margin ratio was skipped because the human demand was not positive."""
