@@ -46,7 +46,6 @@ from .scoring import (
     gated_hlas,
     hlas,
     joint_task_score,
-    sensitivity_weights,
     task_score,
     thermal_factor,
 )
@@ -61,7 +60,6 @@ from .signals import (
     find_crossover,
     fit_friction,
     loaded_bandwidth_check,
-    point_efficiency,
     power_balance_check,
     task_weighted_efficiency,
 )

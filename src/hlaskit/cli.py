@@ -22,12 +22,12 @@ from pathlib import Path
 from . import __version__
 from .atlas import describe_joint
 from .config_io import (
-    AnalysisArtifacts,
     build_pairs,
     canonical_json,
     emit_report,
     load_measurements,
     load_preregistration_file,
+    mask_csv,
     read_bands,
     read_capability_map,
     read_log,
@@ -38,12 +38,7 @@ from .config_io import (
 )
 from .envelope import hee_coverage, margin_report
 from .errors import DataError, GoldenMismatch, HlasError, ValidationError
-from .example import (
-    ALPHA_ALT,
-    gated_example,
-    run_and_check_example,
-    run_example,
-)
+from .example import ALPHA_ALT, load_example, run_and_check_example
 from .scoring import gated_hlas, hlas
 from .signals import (
     compute_frf,
@@ -94,17 +89,21 @@ def _write_manifest(out_dir: Path, args_list: list[str],
 
 def _apply_scheme_flags(scheme, args):
     updates = {}
-    if getattr(args, "delta", None) is not None:
+    if args.delta is not None:
         updates["headroom_delta"] = args.delta
-    if getattr(args, "h_min", None) is not None:
+    if args.h_min is not None:
         updates["breadth_floor"] = args.h_min
-    if getattr(args, "gate", None):
+    if args.gate:
         updates["critical_tasks"] = frozenset(args.gate)
-    if getattr(args, "margin_method", None):
-        updates["margin_method"] = args.margin_method
-    if getattr(args, "rate_margin", False):
+    if args.rate_margin:
         updates["use_rate_margin"] = True
     return replace(scheme, **updates) if updates else scheme
+
+
+def _print_headline(breakdown, scheme) -> None:
+    print(f"HLAS {breakdown.hlas:.3f}")
+    for task in scheme.task_weights:
+        print(f"  task {task}: {breakdown.task_scores[task]:.3f}")
 
 
 def cmd_score(args) -> int:
@@ -114,21 +113,8 @@ def cmd_score(args) -> int:
     pairs = build_pairs(replace(prereg, scheme=scheme), measurements)
     breakdown = hlas(pairs, scheme)
 
-    analyses = AnalysisArtifacts(
-        hee={
-            (p.task, p.joint): hee_coverage(p.band, p.capability,
-                                            scheme.headroom_delta)
-            for p in pairs
-        },
-        rom_overlays=[
-            (p.task, p.joint, axis,
-             p.functional_rom[axis].lo, p.functional_rom[axis].hi,
-             p.robot_rom[axis].lo, p.robot_rom[axis].hi)
-            for p in pairs for axis in sorted(p.required_axes)
-        ],
-    )
     out_dir = Path(args.out)
-    bundle = emit_report(breakdown, analyses, out_dir, scheme)
+    bundle = emit_report(breakdown, pairs, out_dir, scheme)
     outputs = [bundle.summary, bundle.task_table, bundle.feature_table,
                bundle.contributions, bundle.guardrail_flags,
                bundle.rom_overlays, bundle.manifest]
@@ -136,9 +122,7 @@ def cmd_score(args) -> int:
     _write_manifest(out_dir, sys.argv[1:],
                     [Path(args.prereg), *measurements.files], outputs)
 
-    print(f"HLAS {breakdown.hlas:.3f}")
-    for task in scheme.task_weights:
-        print(f"  task {task}: {breakdown.task_scores[task]:.3f}")
+    _print_headline(breakdown, scheme)
     if scheme.critical_tasks:
         gated = gated_hlas(breakdown, scheme.critical_tasks)
         print(f"  gated ({', '.join(sorted(scheme.critical_tasks))}): "
@@ -162,16 +146,10 @@ def cmd_hee(args) -> int:
     cap = read_capability_map(Path(args.map))
     result = hee_coverage(bands[key], cap, args.delta)
     print(f"coverage {result.coverage:.3f} (delta {args.delta:g})")
-    lines = ["q_deg,omega_rad_s,weight,torque_ok,power_ok,pass"]
-    lines += [
-        f"{r.q!r},{r.omega!r},{r.weight!r},"
-        f"{str(r.torque_ok).lower()},{str(r.power_ok).lower()},"
-        f"{str(r.passed).lower()}"
-        for r in result.per_sample
-    ]
-    print("\n".join(lines))
+    mask = mask_csv(result)
+    print(mask, end="")
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        Path(args.out).write_text(mask, newline="")
     if args.margins:
         rep = margin_report(bands[key], cap, args.omega_max, args.omega_req,
                             args.margin_method)
@@ -302,26 +280,23 @@ def cmd_synth(args) -> int:
 def cmd_example(args) -> int:
     out_dir = Path(args.out)
     if args.delta is not None or args.alpha_alt or args.gate:
-        run = run_example()
+        prereg, _, pairs = load_example()
+        scheme = prereg.scheme
         if args.delta is not None:
-            scored = hlas(run.pairs,
-                          replace(run.scheme, headroom_delta=args.delta))
+            scored = hlas(pairs, replace(scheme, headroom_delta=args.delta))
             print(f"HLAS {scored.hlas:.3f} (delta {args.delta:g})")
         if args.alpha_alt:
-            scored = hlas(run.pairs,
-                          replace(run.scheme, feature_weights=ALPHA_ALT))
+            scored = hlas(pairs, replace(scheme, feature_weights=ALPHA_ALT))
             print(f"HLAS {scored.hlas:.3f} (alternative feature weights)")
         if args.gate:
-            gated = gated_example(run, set(args.gate))
+            gated = gated_hlas(hlas(pairs, scheme), set(args.gate))
             print(f"HLAS {gated:.3f} "
                   f"(gated on {', '.join(sorted(args.gate))})")
         return EXIT_OK
     run = run_and_check_example(out_dir)
     _write_manifest(out_dir, sys.argv[1:], [],
                     sorted(p for p in out_dir.rglob("*.csv")))
-    print(f"HLAS {run.breakdown.hlas:.3f}")
-    for task in run.scheme.task_weights:
-        print(f"  task {task}: {run.breakdown.task_scores[task]:.3f}")
+    _print_headline(run.breakdown, run.scheme)
     print(f"  sensitivity: delta 0.10 -> {run.hlas_headroom:.3f}, "
           f"alt feature weights -> {run.hlas_alpha_alt:.3f}")
     print(f"golden tables match ({out_dir})")
@@ -351,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the envelope-coverage breadth floor")
     p.add_argument("--gate", action="append", default=None,
                    help="critical task for multiplicative gating (repeatable)")
-    p.add_argument("--margin-method", choices=["min", "quantile10"],
-                   default=None)
     p.add_argument("--rate-margin", action="store_true",
                    help="score the bandwidth slot with the rate margin")
     p.add_argument("--strict-gates", action="store_true",

@@ -20,7 +20,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,7 +30,12 @@ import yaml
 
 from .atlas import AxisActuationReport, AxisSpec, RomInterval, functional_interval
 from .bands import DemandSample, OperatingBand, normalize_weights
-from .envelope import CapabilityMap, CapabilitySample, HeeResult
+from .envelope import (
+    CapabilityMap,
+    CapabilitySample,
+    HeeResult,
+    hee_coverage,
+)
 from .errors import (
     DataError,
     IncompleteAnalyses,
@@ -43,7 +49,7 @@ from .scoring import (
     ScoreBreakdown,
     WeightScheme,
 )
-from .signals import CrossoverResult, FrfPoint, TimeSeriesLog
+from .signals import TimeSeriesLog
 
 CANONICAL_SIG_DIGITS = 12
 
@@ -109,31 +115,102 @@ def canonical_json(content) -> str:
                       ensure_ascii=True) + "\n"
 
 
-def _read_rows(
-    path: Path, required_columns: tuple[str, ...] = (),
-) -> tuple[dict[str, str], list[dict[str, str]]]:
-    """Parse a CSV with a ``# key: value`` comment header block."""
-    header: dict[str, str] = {}
-    body_lines = []
-    for line in Path(path).read_text().splitlines():
+def _table_lines(
+    path: Path, header_only: bool = False,
+) -> tuple[dict[str, str], list[tuple[int, str]]]:
+    """The ``key: value`` pairs of every ``#`` line, and the 1-based number
+    and text of the header line and (unless ``header_only``) the data
+    lines.  Blank lines are skipped."""
+    meta: dict[str, str] = {}
+    lines: list[tuple[int, str]] = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         stripped = line.strip()
-        if not stripped:
-            continue
         if stripped.startswith("#"):
-            meta = stripped.lstrip("#").strip()
-            if ":" in meta:
-                key, _, value = meta.partition(":")
-                header[key.strip()] = value.strip()
-            continue
-        body_lines.append(line)
-    reader = csv.DictReader(body_lines)
-    missing = set(required_columns) - set(reader.fieldnames or ())
+            key, sep, value = stripped.lstrip("#").strip().partition(":")
+            if sep:
+                meta[key.strip()] = value.strip()
+        elif stripped and not (header_only and lines):
+            lines.append((number, line))
+    return meta, lines
+
+
+def read_table(
+    path: Path, required_columns: tuple[str, ...] = (),
+    header_only: bool = False,
+) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    """Read a delimited-text file with ``# key: value`` metadata lines.
+
+    Returns ``(meta, header, rows)``: the metadata of every ``#`` line
+    wherever it appears, the header cells, and each data row's string
+    cells.  ``header_only`` still collects all metadata but builds no rows.
+    A missing required column or a row whose field count differs from the
+    header raises ``DataError``.
+    """
+    meta, lines = _table_lines(path, header_only)
+    table = list(csv.reader(text for _, text in lines))
+    if len(table) != len(lines):
+        raise DataError(f"{path}: a quoted field runs past the end of a line")
+    header, rows = (table[0], table[1:]) if table else ([], [])
+    missing = set(required_columns) - set(header)
     if missing:
         raise DataError(
             f"{path}: missing column(s) {sorted(missing)}; expected "
             f"{list(required_columns)}"
         )
-    return header, list(reader)
+    for (number, _), row in zip(lines[1:], rows):
+        if len(row) != len(header):
+            raise DataError(f"{path}: line {number}: {len(row)} fields, "
+                            f"header has {len(header)}")
+    return meta, header, rows
+
+
+def _cell_float(path: Path, row_index: int, column: str, cell: str) -> float:
+    """One numeric cell of data row ``row_index``; a non-numeric or
+    non-finite cell raises ``DataError`` naming its file line."""
+    try:
+        value = float(cell)
+    except ValueError:
+        problem = "is not a number"
+    else:
+        if math.isfinite(value):
+            return value
+        problem = "is not finite"
+    number = _table_lines(path)[1][row_index + 1][0]
+    raise DataError(f"{path}: line {number}: {column} {cell!r} {problem}")
+
+
+def _numeric(path: Path, rows: list[list[str]],
+             columns: tuple[str, ...]) -> np.ndarray:
+    """String cells of the named columns as a finite float array; the first
+    non-numeric or non-finite cell raises ``DataError``."""
+    try:
+        data = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+        if np.isfinite(data).all():
+            return data
+    except ValueError:
+        pass
+    # bad input only: find the offending cell one by one
+    return np.array([
+        [_cell_float(path, i, column, cell)
+         for column, cell in zip(columns, row)]
+        for i, row in enumerate(rows)
+    ]).reshape(len(rows), len(columns))
+
+
+def _read_columns(
+    path: Path, text_columns: tuple[str, ...],
+    float_columns: tuple[str, ...],
+) -> tuple[dict[str, str], list[list[str]], list[list[float]]]:
+    """Metadata, then per data row the named text cells and the named
+    numeric cells as floats."""
+    meta, header, rows = read_table(path, (*text_columns, *float_columns))
+    index = {name: i for i, name in enumerate(header)}
+    text = [[row[index[c]] for c in text_columns] for row in rows]
+    numbers = _numeric(
+        path, [[row[index[c]] for c in float_columns] for row in rows],
+        float_columns,
+    )
+    return meta, text, numbers.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +223,13 @@ def read_bands(path: Path) -> dict[tuple[str, str], OperatingBand]:
     Weights are computed at load (proportional to positive power per pair),
     in file row order.
     """
-    _, rows = _read_rows(path, ("task", "joint", "q_deg", "omega_rad_s",
-                                "torque_hum_nm", "power_hum_w"))
+    _, keys, values = _read_columns(
+        path, ("task", "joint"),
+        ("q_deg", "omega_rad_s", "torque_hum_nm", "power_hum_w"))
     grouped: dict[tuple[str, str], list[DemandSample]] = {}
-    for row in rows:
-        key = (row["task"], row["joint"])
-        grouped.setdefault(key, []).append(DemandSample(
-            q=float(row["q_deg"]),
-            omega=float(row["omega_rad_s"]),
-            torque_hum=float(row["torque_hum_nm"]),
-            power_hum=float(row["power_hum_w"]),
-        ))
+    for (task, joint), (q, omega, torque, power) in zip(keys, values):
+        grouped.setdefault((task, joint), []).append(
+            DemandSample(q=q, omega=omega, torque_hum=torque, power_hum=power))
     if not grouped:
         raise DataError(f"band file {path} has no data rows")
     return {
@@ -167,51 +240,34 @@ def read_bands(path: Path) -> dict[tuple[str, str], OperatingBand]:
     }
 
 
-def write_bands(bands: list[OperatingBand], path: Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        fh.write("task,joint,q_deg,omega_rad_s,torque_hum_nm,power_hum_w\n")
-        for band in bands:
-            for s in band.samples:
-                fh.write(",".join([
-                    band.task, band.joint, fmt(s.q), fmt(s.omega),
-                    fmt(s.torque_hum), fmt(s.power_hum),
-                ]) + "\n")
-
-
 def read_phase_trajectory(path: Path):
     """Phase trajectory file: ``phase,q_deg,omega_rad_s,power_w``."""
     from .bands import PhaseTrajectory
 
-    _, rows = _read_rows(path, ("phase", "q_deg", "omega_rad_s", "power_w"))
-    if not rows:
+    _, _, values = _read_columns(
+        path, (), ("phase", "q_deg", "omega_rad_s", "power_w"))
+    if not values:
         raise DataError(f"phase trajectory file {path} has no data rows")
-    return PhaseTrajectory(
-        phase=tuple(float(r["phase"]) for r in rows),
-        q=tuple(float(r["q_deg"]) for r in rows),
-        omega=tuple(float(r["omega_rad_s"]) for r in rows),
-        power=tuple(float(r["power_w"]) for r in rows),
-    )
+    phase, q, omega, power = zip(*values)
+    return PhaseTrajectory(phase=phase, q=q, omega=omega, power=power)
 
 
 def read_capability_map(path: Path) -> CapabilityMap:
     """Capability file: ``joint,axis,q_deg,omega_rad_s,torque_nm`` with the
     measurement conditions carried in the comment header."""
-    header, rows = _read_rows(path, ("joint", "axis", "q_deg",
-                                     "omega_rad_s", "torque_nm"))
-    conditions = header.get("conditions", "")
-    if not rows:
+    meta, keys, values = _read_columns(
+        path, ("joint", "axis"), ("q_deg", "omega_rad_s", "torque_nm"))
+    conditions = meta.get("conditions", "")
+    if not keys:
         raise DataError(f"capability file {path} has no data rows")
-    joints = {(r["joint"], r["axis"]) for r in rows}
+    joints = {tuple(k) for k in keys}
     if len(joints) != 1:
         raise DataError(
             f"capability file {path} mixes joints/axes {sorted(joints)}"
         )
     (joint, axis), = joints
-    samples = tuple(
-        CapabilitySample(float(r["q_deg"]), float(r["omega_rad_s"]),
-                         float(r["torque_nm"]))
-        for r in rows
-    )
+    samples = tuple(CapabilitySample(q, omega, torque)
+                    for q, omega, torque in values)
     return CapabilityMap(joint, axis, samples, conditions)
 
 
@@ -229,57 +285,56 @@ def write_capability_map(cap: CapabilityMap, path: Path,
 
 
 def read_rom_file(path: Path) -> dict[tuple[str, str], RomInterval]:
-    _, rows = _read_rows(path, ("joint", "axis", "lo_deg", "hi_deg"))
-    return {
-        (r["joint"], r["axis"]): RomInterval(float(r["lo_deg"]),
-                                             float(r["hi_deg"]))
-        for r in rows
-    }
+    _, keys, values = _read_columns(path, ("joint", "axis"),
+                                    ("lo_deg", "hi_deg"))
+    return {(joint, axis): RomInterval(lo, hi)
+            for (joint, axis), (lo, hi) in zip(keys, values)}
 
 
 def read_dof_file(path: Path) -> dict[str, list[AxisActuationReport]]:
-    _, rows = _read_rows(path, ("joint", "axis", "implemented",
-                                "coupling_rms_fraction"))
+    _, keys, values = _read_columns(path, ("joint", "axis", "implemented"),
+                                    ("coupling_rms_fraction",))
     out: dict[str, list[AxisActuationReport]] = {}
-    for r in rows:
-        report = AxisActuationReport(
-            axis=AxisSpec(r["joint"], r["axis"]),
-            implemented=r["implemented"].strip().lower() in ("true", "1", "yes"),
-            coupling_rms_fraction=float(r["coupling_rms_fraction"]),
-        )
-        out.setdefault(r["joint"], []).append(report)
+    for (joint, axis, implemented), (coupling,) in zip(keys, values):
+        out.setdefault(joint, []).append(AxisActuationReport(
+            axis=AxisSpec(joint, axis),
+            implemented=implemented.strip().lower() in ("true", "1", "yes"),
+            coupling_rms_fraction=coupling,
+        ))
     return out
 
 
 def read_bandwidth_file(path: Path) -> dict[str, dict[str, float]]:
     """Per-joint crossover frequency and (optional) max safe rate."""
-    _, rows = _read_rows(path, ("joint", "f_crossover_hz"))
+    _, header, rows = read_table(path, ("joint", "f_crossover_hz"))
     out = {}
-    for r in rows:
-        entry = {"f_crossover_hz": float(r["f_crossover_hz"])}
-        if r.get("omega_max_rad_s") not in (None, ""):
-            entry["omega_max_rad_s"] = float(r["omega_max_rad_s"])
-        out[r["joint"]] = entry
+    for i, row in enumerate(rows):
+        cells = dict(zip(header, row))
+        entry = {"f_crossover_hz": _cell_float(
+            path, i, "f_crossover_hz", cells["f_crossover_hz"])}
+        if cells.get("omega_max_rad_s", "") != "":
+            entry["omega_max_rad_s"] = _cell_float(
+                path, i, "omega_max_rad_s", cells["omega_max_rad_s"])
+        out[cells["joint"]] = entry
     return out
 
 
 def read_efficiency_file(
     path: Path,
 ) -> dict[str, dict[tuple[float, float], float]]:
-    _, rows = _read_rows(path, ("joint", "q_deg", "omega_rad_s", "eta"))
+    _, keys, values = _read_columns(path, ("joint",),
+                                    ("q_deg", "omega_rad_s", "eta"))
     out: dict[str, dict[tuple[float, float], float]] = {}
-    for r in rows:
-        point = (float(r["q_deg"]), float(r["omega_rad_s"]))
-        out.setdefault(r["joint"], {})[point] = float(r["eta"])
+    for (joint,), (q, omega, eta) in zip(keys, values):
+        out.setdefault(joint, {})[(q, omega)] = eta
     return out
 
 
 def read_thermal_file(path: Path) -> dict[tuple[str, str], float]:
-    _, rows = _read_rows(path, ("task", "joint", "torque_cont_nm"))
-    return {
-        (r["task"], r["joint"]): float(r["torque_cont_nm"])
-        for r in rows
-    }
+    _, keys, values = _read_columns(path, ("task", "joint"),
+                                    ("torque_cont_nm",))
+    return {(task, joint): torque
+            for (task, joint), (torque,) in zip(keys, values)}
 
 
 def write_log(log: TimeSeriesLog, path: Path,
@@ -299,21 +354,18 @@ def write_log(log: TimeSeriesLog, path: Path,
 
 
 def read_log(path: Path) -> TimeSeriesLog:
-    header, _ = _read_rows(path)
-    if "sample_rate_hz" not in header:
+    meta, header, rows = read_table(path, LOG_COLUMNS)
+    if "sample_rate_hz" not in meta:
         raise DataError(f"log {path} is missing the sample_rate_hz header")
-    raw = [
-        line for line in Path(path).read_text().splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    data = np.array([[float(v) for v in line.split(",")] for line in raw[1:]])
-    seed = header.get("seed")
+    data = _numeric(path, rows, tuple(header))
+    t, q, omega, torque, torque_cmd, v_bus, i_bus, temp_motor, temp_gear = (
+        data[:, header.index(name)] for name in LOG_COLUMNS)
+    seed = meta.get("seed")
     return TimeSeriesLog(
-        t=data[:, 0], q=data[:, 1], omega=data[:, 2], torque=data[:, 3],
-        torque_cmd=data[:, 4], v_bus=data[:, 5], i_bus=data[:, 6],
-        temp_motor=data[:, 7], temp_gear=data[:, 8],
-        sample_rate=float(header["sample_rate_hz"]),
-        conditions=header.get("conditions", ""),
+        t=t, q=q, omega=omega, torque=torque, torque_cmd=torque_cmd,
+        v_bus=v_bus, i_bus=i_bus, temp_motor=temp_motor, temp_gear=temp_gear,
+        sample_rate=float(meta["sample_rate_hz"]),
+        conditions=meta.get("conditions", ""),
         seed=int(seed) if seed is not None else None,
     )
 
@@ -522,9 +574,9 @@ def verify_prereg_binding(
     findings = []
     for path in measurement_files:
         path = Path(path)
-        header, _ = _read_rows(path)
-        if "created_utc" in header:
-            stamp = parse_timestamp(header["created_utc"])
+        meta, _, _ = read_table(path, header_only=True)
+        if "created_utc" in meta:
+            stamp = parse_timestamp(meta["created_utc"])
         else:
             stamp = datetime.fromtimestamp(path.stat().st_mtime, timezone.utc)
         if path.name not in registered and stamp < created:
@@ -532,7 +584,7 @@ def verify_prereg_binding(
                 f"{path.name}: measurement timestamp {stamp.isoformat()} "
                 f"predates pre-registration {created.isoformat()}"
             )
-        declared = header.get("prereg_sha256")
+        declared = meta.get("prereg_sha256")
         if declared is not None and declared != prereg.digest:
             findings.append(
                 f"{path.name}: embedded registration digest {declared} does "
@@ -577,9 +629,16 @@ def load_measurements(data_dir: Path, prereg: Preregistration) -> MeasurementSet
         files.append(path)
 
     capabilities: dict[str, CapabilityMap] = {}
+    sources: dict[str, Path] = {}
     for path in sorted(data_dir.glob("capability_*.csv")):
         cap = read_capability_map(path)
+        if cap.joint in sources:
+            raise DataError(
+                f"capability maps {sources[cap.joint].name} and {path.name} "
+                f"both describe joint {cap.joint!r}"
+            )
         capabilities[cap.joint] = cap
+        sources[cap.joint] = path
         files.append(path)
 
     def _required(name: str) -> Path:
@@ -673,17 +732,6 @@ def build_pairs(
 # report bundle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnalysisArtifacts:
-    """Per-pair envelope masks (mandatory) plus optional log analyses."""
-
-    hee: dict[tuple[str, str], HeeResult]
-    rom_overlays: list[tuple] = field(default_factory=list)
-    frf_tables: dict[str, tuple[list[FrfPoint], CrossoverResult]] = field(
-        default_factory=dict)
-    thermal_traces: dict[str, TimeSeriesLog] = field(default_factory=dict)
-
-
 # Whole-robot task trials (gait, lift-and-carry, reach, hand dexterity)
 # need an integrated robot and are not computed here; the bundle ships
 # header-only stubs in these formats so trial results can be filed
@@ -742,45 +790,50 @@ class ReportBundle:
     guardrail_flags: Path
     rom_overlays: Path
     hee_masks: dict[tuple[str, str], Path]
-    frf_tables: dict[str, Path]
-    thermal_traces: dict[str, Path]
     manifest: Path
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+MASK_COLUMNS = ("q_deg", "omega_rad_s", "weight", "torque_ok", "power_ok",
+                "pass")
 
 
-def read_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    """Generic reader for every tabular artifact (header + string cells)."""
-    lines = [
-        line for line in Path(path).read_text().splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+def _csv_text(header, rows) -> str:
+    return "".join(",".join(fmt(v) for v in row) + "\n"
+                   for row in (header, *rows))
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    path.write_text(_csv_text(header, rows), newline="")
 
 
 def mask_name(task: str, joint: str) -> str:
     return f"{task}__{joint}.csv"
 
 
+def mask_csv(result: HeeResult) -> str:
+    """One pair's envelope mask as CSV text, a row per band sample."""
+    return _csv_text(MASK_COLUMNS, [
+        [r.q, r.omega, r.weight, r.torque_ok, r.power_ok, r.passed]
+        for r in result.per_sample
+    ])
+
+
 def emit_report(
     breakdown: ScoreBreakdown,
-    analyses: AnalysisArtifacts,
+    pairs: list[PairInputs],
     out_dir: Path,
     scheme: WeightScheme,
 ) -> ReportBundle:
     """Write the full artifact bundle with a digest manifest.
 
-    Every scored pair must have an envelope mask; FRF tables and thermal
-    traces are optional and their absence is flagged in the manifest.
+    The envelope masks (at the scheme's headroom) and the ROM overlays are
+    built from ``pairs``, which must hold every scored pair that the scheme
+    does not declare in ``score_as_zero``.
     """
-    pairs = list(breakdown.feature_vectors)
-    missing = [p for p in pairs if p not in analyses.hee]
+    scored = list(breakdown.feature_vectors)
+    given = {(p.task, p.joint) for p in pairs}
+    missing = [key for key in scored
+               if key not in given and key not in scheme.score_as_zero]
     if missing:
         raise IncompleteAnalyses(
             f"no envelope mask for scored pair(s) {missing}"
@@ -814,7 +867,7 @@ def emit_report(
              *[getattr(breakdown.feature_vectors[(task, joint)], n)
                for n in FEATURE_NAMES],
              breakdown.joint_task_scores[(task, joint)]]
-            for task, joint in pairs
+            for task, joint in scored
         ],
     )
 
@@ -827,7 +880,7 @@ def emit_report(
             [task, joint, breakdown.joint_task_scores[(task, joint)],
              scheme.joint_weights[task][joint], scheme.task_weights[task],
              breakdown.contributions[(task, joint)]]
-            for task, joint in pairs
+            for task, joint in scored
         ],
     )
 
@@ -841,53 +894,24 @@ def emit_report(
         rom_path,
         ["task", "joint", "axis", "functional_lo_deg", "functional_hi_deg",
          "robot_lo_deg", "robot_hi_deg"],
-        [list(row) for row in analyses.rom_overlays],
+        [[p.task, p.joint, axis,
+          p.functional_rom[axis].lo, p.functional_rom[axis].hi,
+          p.robot_rom[axis].lo, p.robot_rom[axis].hi]
+         for p in pairs for axis in sorted(p.required_axes)],
     )
 
     hee_paths = {}
-    for (task, joint), result in analyses.hee.items():
-        path = out_dir / "hee_masks" / mask_name(task, joint)
-        _write_csv(
-            path,
-            ["q_deg", "omega_rad_s", "weight", "torque_ok", "power_ok",
-             "pass"],
-            [[r.q, r.omega, r.weight, r.torque_ok, r.power_ok, r.passed]
-             for r in result.per_sample],
-        )
-        hee_paths[(task, joint)] = path
-
-    frf_paths = {}
-    if analyses.frf_tables:
-        (out_dir / "frf_tables").mkdir(exist_ok=True)
-        for name, (points, crossover) in analyses.frf_tables.items():
-            path = out_dir / "frf_tables" / f"{name}.csv"
-            with path.open("w", newline="") as fh:
-                bound = crossover.bound or "="
-                fh.write(
-                    f"# crossover_hz: {bound}{fmt(crossover.f_crossover)}, "
-                    f"phase_margin_deg: {fmt(crossover.phase_margin_deg)}\n"
-                )
-                fh.write("freq_hz,magnitude,phase_deg\n")
-                for p in points:
-                    fh.write(f"{fmt(p.freq)},{fmt(p.magnitude)},"
-                             f"{fmt(p.phase)}\n")
-            frf_paths[name] = path
-
-    thermal_paths = {}
-    if analyses.thermal_traces:
-        (out_dir / "thermal_traces").mkdir(exist_ok=True)
-        for name, log in analyses.thermal_traces.items():
-            path = out_dir / "thermal_traces" / f"{name}.csv"
-            write_log(log, path)
-            thermal_paths[name] = path
+    for p in pairs:
+        path = out_dir / "hee_masks" / mask_name(p.task, p.joint)
+        result = hee_coverage(p.band, p.capability, scheme.headroom_delta)
+        path.write_text(mask_csv(result), newline="")
+        hee_paths[(p.task, p.joint)] = path
 
     trial_stubs = write_task_trial_stubs(out_dir)
 
     artifacts = [summary, task_table, feature_table, contributions,
                  flags_path, rom_path]
     artifacts += list(hee_paths.values())
-    artifacts += list(frf_paths.values())
-    artifacts += list(thermal_paths.values())
     artifacts += list(trial_stubs.values())
 
     manifest = out_dir / "manifest.json"
@@ -896,11 +920,11 @@ def emit_report(
             {"path": str(p.relative_to(out_dir)), "sha256": sha256_file(p)}
             for p in artifacts
         ],
+        # FRF tables come from ``hlas analyze frf --out`` and thermal traces
+        # are never bundled; both notes stay because the manifest is hashed
         "notes": [
-            *([] if analyses.frf_tables else
-              ["frf_tables: none provided (optional)"]),
-            *([] if analyses.thermal_traces else
-              ["thermal_traces: none provided (optional)"]),
+            "frf_tables: none provided (optional)",
+            "thermal_traces: none provided (optional)",
             "task_trials: header-only stubs (whole-robot trials are not "
             "computed by this toolkit)",
         ],
@@ -910,6 +934,5 @@ def emit_report(
         out_dir=out_dir, summary=summary, task_table=task_table,
         feature_table=feature_table, contributions=contributions,
         guardrail_flags=flags_path, rom_overlays=rom_path,
-        hee_masks=hee_paths, frf_tables=frf_paths,
-        thermal_traces=thermal_paths, manifest=manifest,
+        hee_masks=hee_paths, manifest=manifest,
     )

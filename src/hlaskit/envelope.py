@@ -174,6 +174,24 @@ def _margin(ratios: list[float], method: str) -> float:
     return _quantile10(clipped)
 
 
+def _ratio_margin(band: OperatingBand, quantity: str, method: str,
+                  robot_human: list[tuple[float, float]]) -> float:
+    """Margin over the (robot, human) pairs of one quantity; pairs with
+    nonpositive human demand are excluded with a warning."""
+    ratios = [robot / human for robot, human in robot_human if human > 0]
+    skipped = len(robot_human) - len(ratios)
+    if skipped:
+        warnings.warn(
+            f"{skipped} sample(s) with nonpositive {quantity} demand excluded "
+            f"from the {quantity} margin of {band.task}/{band.joint}",
+            ZeroDemandWarning,
+            stacklevel=3,
+        )
+    if not ratios:
+        raise ZeroDemand(f"no samples with positive {quantity} demand")
+    return _margin(ratios, method)
+
+
 def torque_margin(
     band: OperatingBand, cap: CapabilityMap, method: str = "min"
 ) -> float:
@@ -184,23 +202,9 @@ def torque_margin(
     with a warning; their HEE weight is already zero, so nothing is lost.
     """
     torques = _match_torque(band, cap)
-    ratios = []
-    skipped = 0
-    for s, t_rob in zip(band.samples, torques):
-        if s.torque_hum <= 0:
-            skipped += 1
-            continue
-        ratios.append(t_rob / s.torque_hum)
-    if skipped:
-        warnings.warn(
-            f"{skipped} sample(s) with nonpositive torque demand excluded "
-            f"from the torque margin of {band.task}/{band.joint}",
-            ZeroDemandWarning,
-            stacklevel=2,
-        )
-    if not ratios:
-        raise ZeroDemand("no samples with positive torque demand")
-    return _margin(ratios, method)
+    return _ratio_margin(band, "torque", method, [
+        (t_rob, s.torque_hum) for s, t_rob in zip(band.samples, torques)
+    ])
 
 
 def power_margin(
@@ -208,23 +212,10 @@ def power_margin(
 ) -> float:
     """As torque_margin, with ratios (torque_rob * omega) / power_hum."""
     torques = _match_torque(band, cap)
-    ratios = []
-    skipped = 0
-    for s, t_rob in zip(band.samples, torques):
-        if s.power_hum <= 0:
-            skipped += 1
-            continue
-        ratios.append(t_rob * s.omega / s.power_hum)
-    if skipped:
-        warnings.warn(
-            f"{skipped} sample(s) with nonpositive power demand excluded "
-            f"from the power margin of {band.task}/{band.joint}",
-            ZeroDemandWarning,
-            stacklevel=2,
-        )
-    if not ratios:
-        raise ZeroDemand("no samples with positive power demand")
-    return _margin(ratios, method)
+    return _ratio_margin(band, "power", method, [
+        (t_rob * s.omega, s.power_hum)
+        for s, t_rob in zip(band.samples, torques)
+    ])
 
 
 def rate_margin(omega_max: float, omega_req: float) -> float:

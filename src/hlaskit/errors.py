@@ -116,10 +116,6 @@ class WindowTooLong(DataError):
     pass
 
 
-class NonpositiveElectrical(DataError):
-    pass
-
-
 class IncompleteAnalyses(DataError):
     pass
 

@@ -15,7 +15,6 @@ from importlib import resources
 from pathlib import Path
 
 from .config_io import (
-    AnalysisArtifacts,
     MeasurementSet,
     Preregistration,
     build_pairs,
@@ -24,15 +23,8 @@ from .config_io import (
     load_preregistration_file,
     read_table,
 )
-from .envelope import hee_coverage
 from .errors import GoldenMismatch
-from .scoring import (
-    PairInputs,
-    ScoreBreakdown,
-    WeightScheme,
-    gated_hlas,
-    hlas,
-)
+from .scoring import PairInputs, ScoreBreakdown, WeightScheme, hlas
 
 ALPHA_ALT = {
     "rom": 0.10, "dof": 0.10, "hee": 0.40,
@@ -87,20 +79,7 @@ def run_example() -> ExampleRun:
 
 def emit_example(run: ExampleRun, out_dir: Path):
     """Write the example's full report bundle plus the sensitivity table."""
-    analyses = AnalysisArtifacts(
-        hee={
-            (p.task, p.joint): hee_coverage(
-                p.band, p.capability, run.scheme.headroom_delta)
-            for p in run.pairs
-        },
-        rom_overlays=[
-            (p.task, p.joint, axis,
-             p.functional_rom[axis].lo, p.functional_rom[axis].hi,
-             p.robot_rom[axis].lo, p.robot_rom[axis].hi)
-            for p in run.pairs for axis in sorted(p.required_axes)
-        ],
-    )
-    bundle = emit_report(run.breakdown, analyses, out_dir, run.scheme)
+    bundle = emit_report(run.breakdown, run.pairs, out_dir, run.scheme)
     sensitivity = Path(out_dir) / "sensitivity.csv"
     rows = [
         ("baseline", run.breakdown.hlas),
@@ -120,8 +99,8 @@ def compare_to_golden(out_dir: Path) -> list[str]:
     golden_dir = example_data_dir() / "golden"
     divergent = []
     for name in GOLDEN_TABLES:
-        got_header, got_rows = read_table(Path(out_dir) / name)
-        want_header, want_rows = read_table(golden_dir / name)
+        _, got_header, got_rows = read_table(Path(out_dir) / name)
+        _, want_header, want_rows = read_table(golden_dir / name)
         if got_header != want_header:
             divergent.append(f"{name}: header {got_header} != {want_header}")
             continue
@@ -156,7 +135,3 @@ def run_and_check_example(out_dir: Path) -> ExampleRun:
             + "\n  ".join(divergent)
         )
     return run
-
-
-def gated_example(run: ExampleRun, critical_tasks: set[str]) -> float:
-    return gated_hlas(run.breakdown, critical_tasks)

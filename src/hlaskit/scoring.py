@@ -350,10 +350,3 @@ def gated_hlas(breakdown: ScoreBreakdown,
         return 0.0
     return product ** (1.0 / len(critical_tasks)) * breakdown.hlas
 
-
-def sensitivity_weights(
-    pairs: list[PairInputs], schemes: dict[str, WeightScheme]
-) -> dict[str, float]:
-    """Score under multiple schemes, re-deriving the target-dependent
-    factors per scheme while reusing the raw measurements."""
-    return {name: hlas(pairs, scheme).hlas for name, scheme in schemes.items()}

@@ -23,7 +23,6 @@ from .errors import (
     DegenerateBand,
     InsufficientCycles,
     InsufficientExcitation,
-    NonpositiveElectrical,
     NotMonotoneWarning,
     RankDeficient,
     SampleMismatch,
@@ -413,20 +412,6 @@ def steady_trend(
     y = np.asarray(log.temp_motor, float)[-w:]
     slope_per_min = float(np.polyfit(t, y, 1)[0]) * 60.0
     return slope_per_min < limit_c_per_min, slope_per_min
-
-
-def point_efficiency(p_mech: float, p_elec: float) -> float | None:
-    """Mechanical-over-electrical power ratio at one operating point.
-
-    Returns None ("excluded") when mechanical power is nonpositive:
-    negative work is never credited as regeneration unless energy return is
-    demonstrated, which no log format here can show.
-    """
-    if p_elec <= 0:
-        raise NonpositiveElectrical("electrical power must be positive")
-    if p_mech <= 0:
-        return None
-    return p_mech / p_elec
 
 
 def task_weighted_efficiency(

@@ -6,7 +6,21 @@ import sys
 import pytest
 
 from hlaskit.cli import main
+from hlaskit.config_io import (
+    build_pairs,
+    load_measurements,
+    load_preregistration_file,
+    read_bands,
+    read_capability_map,
+    read_efficiency_file,
+    read_log,
+    read_table,
+    write_log,
+)
+from hlaskit.errors import DataError
 from hlaskit.example import example_data_dir
+from hlaskit.scoring import hlas
+from hlaskit.synthetic import SyntheticActuator, generate_backdrive_log
 
 
 def run_cli(*args):
@@ -87,6 +101,24 @@ class TestScore:
         assert result.returncode == 2
         assert "breadth_floor" in result.stdout
 
+    def test_score_as_zero_pair_is_reported_without_a_mask(self, data_dir,
+                                                           tmp_path):
+        prereg = data_dir / "prereg.yaml"
+        prereg.write_text(prereg.read_text()
+                          + "score_as_zero: [[Walk, ankle]]\n")
+        out = tmp_path / "r"
+        assert main(["score", "--prereg", str(prereg),
+                     "--data", str(data_dir), "--out", str(out)]) == 0
+        flags = (out / "guardrail_flags.txt").read_text().splitlines()
+        assert any(f.startswith("declared_deficit") for f in flags)
+        assert not (out / "hee_masks" / "Walk__ankle.csv").exists()
+        registration = load_preregistration_file(prereg)
+        pairs = build_pairs(registration,
+                            load_measurements(data_dir, registration))
+        _, _, rows = read_table(out / "summary.csv")
+        assert rows[0][0] == "hlas"
+        assert float(rows[0][1]) == hlas(pairs, registration.scheme).hlas
+
     def test_determinism(self, data_dir, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -122,6 +154,69 @@ class TestHee:
         lines = out.read_text().splitlines()
         assert lines[0] == "q_deg,omega_rad_s,weight,torque_ok,power_ok,pass"
         assert sum(l.endswith(",true") for l in lines[1:]) == 1
+
+
+def _backdrive_log(directory):
+    path = directory / "backdrive.csv"
+    write_log(generate_backdrive_log(SyntheticActuator(), duration=1.0,
+                                     seed=2), path)
+    return path
+
+
+# file kind -> (file in the data dir or a log, reader, hlas command)
+MALFORMED_FILES = {
+    "band": ("bands.csv", read_bands, "hee"),
+    "capability": ("capability_ankle.csv", read_capability_map, "hee"),
+    "efficiency": ("efficiency.csv", read_efficiency_file, "score"),
+    "log": (None, read_log, "analyze"),
+}
+
+
+@pytest.mark.parametrize("defect", ["missing field", "text", "nan"])
+@pytest.mark.parametrize("kind", list(MALFORMED_FILES))
+def test_malformed_cell_is_a_data_error_naming_the_line(kind, defect,
+                                                        data_dir, tmp_path,
+                                                        capsys):
+    name, reader, command = MALFORMED_FILES[kind]
+    path = data_dir / name if name else _backdrive_log(tmp_path)
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line[0] != "#")
+    number = header + 4                        # the third data row, 1-based
+    cells = lines[number - 1].split(",")
+    cells[-1:] = {"missing field": [], "text": ["abc"], "nan": ["nan"]}[defect]
+    lines[number - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+    with pytest.raises(DataError, match=rf"{path.name}: line {number}:"):
+        reader(path)
+    argv = {
+        "hee": ["hee", "--band", str(data_dir / "bands.csv"),
+                "--task", "Walk", "--joint", "ankle",
+                "--map", str(data_dir / "capability_ankle.csv")],
+        "score": ["score", "--prereg", str(data_dir / "prereg.yaml"),
+                  "--data", str(data_dir), "--out", str(tmp_path / "r")],
+        "analyze": ["analyze", "qc", str(path)],
+    }[command]
+    assert main(argv) == 3
+    assert f"line {number}" in capsys.readouterr().err
+
+
+class TestSharedPipeline:
+    def test_score_and_example_write_the_same_bundle(self, tmp_path, capsys):
+        data = example_data_dir()
+        assert main(["score", "--prereg", str(data / "prereg.yaml"),
+                     "--data", str(data), "--out", str(tmp_path / "A")]) == 0
+        assert main(["example", "--out", str(tmp_path / "B")]) == 0
+        assert ((tmp_path / "A" / "manifest.json").read_bytes()
+                == (tmp_path / "B" / "manifest.json").read_bytes())
+
+        mask = tmp_path / "M"
+        assert main(["hee", "--band", str(data / "bands.csv"),
+                     "--task", "Walk", "--joint", "ankle",
+                     "--map", str(data / "capability_ankle.csv"),
+                     "--out", str(mask)]) == 0
+        assert mask.read_bytes() == (
+            tmp_path / "B" / "hee_masks" / "Walk__ankle.csv").read_bytes()
 
 
 class TestAnalyze:

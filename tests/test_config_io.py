@@ -1,11 +1,15 @@
 import shutil
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlaskit.config_io import (
-    AnalysisArtifacts,
     emit_report,
     load_measurements,
     load_preregistration,
@@ -15,13 +19,13 @@ from hlaskit.config_io import (
     read_capability_map,
     read_log,
     read_table,
+    read_thermal_file,
     serialize_preregistration,
     sha256_file,
     verify_prereg_binding,
     write_capability_map,
     write_log,
 )
-from hlaskit.envelope import hee_coverage
 from hlaskit.errors import (
     DataError,
     IncompleteAnalyses,
@@ -151,6 +155,18 @@ class TestMeasurementLoading:
         with pytest.raises(DataError, match="thermal.csv"):
             load_measurements(tmp_path, prereg)
 
+    def test_duplicate_capability_maps_rejected(self, example_dir, tmp_path):
+        for f in example_dir.glob("*.csv"):
+            shutil.copy(f, tmp_path / f.name)
+        knee = read_capability_map(example_dir / "capability_knee.csv")
+        half = replace(knee, samples=tuple(
+            replace(s, torque_rob=s.torque_rob / 2) for s in knee.samples))
+        write_capability_map(half, tmp_path / "capability_knee_half.csv")
+        prereg = load_preregistration_file(example_dir / "prereg.yaml")
+        with pytest.raises(DataError, match=r"capability_knee\.csv and "
+                           r"capability_knee_half\.csv.*'knee'"):
+            load_measurements(tmp_path, prereg)
+
     def test_capability_conditions_required(self, tmp_path):
         path = tmp_path / "capability_x.csv"
         path.write_text(
@@ -188,6 +204,21 @@ class TestFileRoundTrips:
         with pytest.raises(DataError):
             read_phase_trajectory(empty)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map("{:.6e}".format),
+        st.integers(-10**30, 10**30).map(str),
+    ), min_size=1, max_size=20))
+    def test_numeric_cells_parse_exactly_like_float(self, cells):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "thermal.csv"
+            path.write_text("task,joint,torque_cont_nm\n" + "".join(
+                f"t{i},knee,{cell}\n" for i, cell in enumerate(cells)))
+            got = read_thermal_file(path)
+        assert [got[(f"t{i}", "knee")].hex() for i in range(len(cells))] \
+            == [float(cell).hex() for cell in cells]
+
     def test_capability_map_round_trip(self, tmp_path):
         path = example_data_dir() / "capability_wrist.csv"
         cap = read_capability_map(path)
@@ -221,38 +252,26 @@ class TestEmitReport:
     @pytest.fixture
     def emitted(self, tmp_path, example_pairs, example_scheme):
         breakdown = hlas(example_pairs, example_scheme)
-        analyses = AnalysisArtifacts(
-            hee={
-                (p.task, p.joint): hee_coverage(p.band, p.capability, 0.0)
-                for p in example_pairs
-            },
-            rom_overlays=[
-                (p.task, p.joint, a,
-                 p.functional_rom[a].lo, p.functional_rom[a].hi,
-                 p.robot_rom[a].lo, p.robot_rom[a].hi)
-                for p in example_pairs for a in sorted(p.required_axes)
-            ],
-        )
-        bundle = emit_report(breakdown, analyses, tmp_path / "out",
+        bundle = emit_report(breakdown, example_pairs, tmp_path / "out",
                              example_scheme)
         return breakdown, bundle
 
     def test_feature_table_has_all_pairs(self, emitted):
         breakdown, bundle = emitted
-        header, rows = read_table(bundle.feature_table)
+        _, header, rows = read_table(bundle.feature_table)
         assert len(rows) == 9
         assert header[:2] == ["task", "joint"]
 
     def test_contributions_total_matches(self, emitted):
         breakdown, bundle = emitted
-        header, rows = read_table(bundle.contributions)
+        _, header, rows = read_table(bundle.contributions)
         total = sum(float(r[header.index("contribution")]) for r in rows)
         assert total == pytest.approx(breakdown.hlas, abs=1e-9)
 
     def test_hee_masks_cover_every_pair(self, emitted):
         breakdown, bundle = emitted
         assert set(bundle.hee_masks) == set(breakdown.feature_vectors)
-        header, rows = read_table(
+        _, header, rows = read_table(
             bundle.hee_masks[("Walk", "ankle")])
         assert header == ["q_deg", "omega_rad_s", "weight", "torque_ok",
                           "power_ok", "pass"]
@@ -265,7 +284,7 @@ class TestEmitReport:
                      bundle.task_table, bundle.summary,
                      bundle.rom_overlays,
                      bundle.hee_masks[("Stairs", "knee")]):
-            header, rows = read_table(path)
+            _, header, rows = read_table(path)
             rewritten = tmp_path / ("rt_" + path.name)
             with rewritten.open("w", newline="") as fh:
                 fh.write(",".join(header) + "\n")
@@ -288,8 +307,7 @@ class TestEmitReport:
                                            example_scheme):
         breakdown = hlas(example_pairs, example_scheme)
         with pytest.raises(IncompleteAnalyses):
-            emit_report(breakdown, AnalysisArtifacts(hee={}),
-                        tmp_path / "out", example_scheme)
+            emit_report(breakdown, [], tmp_path / "out", example_scheme)
 
     def test_mask_name_is_stable(self):
         assert mask_name("Walk", "ankle") == "Walk__ankle.csv"
@@ -300,6 +318,6 @@ class TestEmitReport:
         _, bundle = emitted
         for name, columns in TASK_TRIAL_COLUMNS.items():
             stub = bundle.out_dir / "task_trials" / f"{name}.csv"
-            header, rows = read_table(stub)
+            _, header, rows = read_table(stub)
             assert header == list(columns)
             assert rows == []  # whole-robot trials are never computed here

@@ -23,7 +23,6 @@ from hlaskit.scoring import (
     gated_hlas,
     hlas,
     joint_task_score,
-    sensitivity_weights,
     task_score,
     thermal_factor,
 )
@@ -247,19 +246,15 @@ class _FakeBreakdown:
 class TestSensitivityWeights:
     def test_identical_scheme_is_bit_identical(self, example_pairs,
                                                example_scheme):
-        out = sensitivity_weights(
-            example_pairs,
-            {"a": example_scheme, "b": example_scheme},
-        )
-        assert out["a"] == out["b"]
+        first = hlas(example_pairs, example_scheme).hlas
+        assert hlas(example_pairs, example_scheme).hlas == first
 
     def test_all_weight_on_hee(self, example_pairs, example_scheme):
         alpha = {name: 0.0 for name in FEATURE_NAMES}
         alpha["hee"] = 1.0
-        scored = sensitivity_weights(
-            example_pairs,
-            {"hee_only": replace(example_scheme, feature_weights=alpha)},
-        )["hee_only"]
+        scored = hlas(
+            example_pairs, replace(example_scheme, feature_weights=alpha)
+        ).hlas
         # oracle: weight the published envelope column by u and w
         hee = {
             ("Walk", "ankle"): 0.546, ("Walk", "knee"): 0.284,

@@ -8,7 +8,6 @@ from hlaskit.errors import (
     AliasedFrequency,
     DegenerateBand,
     InsufficientCycles,
-    NonpositiveElectrical,
     NotMonotoneWarning,
     RankDeficient,
     SampleMismatch,
@@ -22,7 +21,6 @@ from hlaskit.signals import (
     find_crossover,
     fit_friction,
     loaded_bandwidth_check,
-    point_efficiency,
     power_balance_check,
     task_weighted_efficiency,
 )
@@ -323,17 +321,6 @@ class TestEfficiency:
         samples = [DemandSample(q, float(i + 1), 1.0, p)
                    for i, p in enumerate(weights_powers)]
         return OperatingBand("j", "t", tuple(normalize_weights(samples)))
-
-    def test_point_efficiency(self):
-        assert point_efficiency(190, 250) == pytest.approx(0.76)
-
-    def test_negative_and_zero_work_excluded(self):
-        assert point_efficiency(-30, 100) is None
-        assert point_efficiency(0, 100) is None
-
-    def test_nonpositive_electrical(self):
-        with pytest.raises(NonpositiveElectrical):
-            point_efficiency(10, 0)
 
     def test_uniform_field_returns_constant(self):
         band = self.band([240, 288, 340, 363, 360])
