@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import fsum
 
-from .errors import DegenerateInterval, EmptyAxisSet
+from .errors import DegenerateInterval, EmptyAxisSet, InvalidRecord
 
 ROM_CATEGORIES = ("active", "passive", "functional")
 
@@ -89,7 +89,9 @@ class AxisActuationReport:
 
     def __post_init__(self) -> None:
         if self.coupling_rms_fraction < 0:
-            raise ValueError("coupling_rms_fraction must be >= 0")
+            raise InvalidRecord(
+                f"coupling_rms_fraction {self.coupling_rms_fraction!r} "
+                f"must be >= 0")
 
     def passes(self, coupling_threshold: float = DEFAULT_COUPLING_THRESHOLD) -> bool:
         return self.implemented and self.coupling_rms_fraction < coupling_threshold
@@ -260,16 +262,12 @@ def inventory_totals(
     return rot, trans
 
 
-def _iv(lo: float, hi: float, category: str) -> RomInterval:
-    return RomInterval(lo, hi, category)
-
-
 def _norm(active, passive, functional):
     """Build the {category: interval-or-None} map for one motion."""
     out: dict[str, RomInterval | None] = {}
     for cat, bounds in (("active", active), ("passive", passive),
                         ("functional", functional)):
-        out[cat] = None if bounds is None else _iv(bounds[0], bounds[1], cat)
+        out[cat] = None if bounds is None else RomInterval(*bounds, cat)
     return out
 
 
@@ -348,27 +346,6 @@ def joint_record(joint: str) -> JointDofRecord:
         if rec.joint == joint:
             return rec
     raise KeyError(f"joint {joint!r} is not in the atlas")
-
-
-def load_rom_overrides(path) -> dict[tuple[str, str, str], RomInterval]:
-    """Read an interval override file.
-
-    Delimited text with columns ``joint,axis,category,lo_deg,hi_deg``;
-    blank lines and ``#`` comments ignored.  Returns a map keyed by
-    (joint, axis, category).
-    """
-    import csv
-    from pathlib import Path
-
-    overrides: dict[tuple[str, str, str], RomInterval] = {}
-    with Path(path).open(newline="") as fh:
-        rows = (r for r in fh if r.strip() and not r.lstrip().startswith("#"))
-        for row in csv.DictReader(rows):
-            key = (row["joint"], row["axis"], row["category"])
-            overrides[key] = RomInterval(
-                float(row["lo_deg"]), float(row["hi_deg"]), row["category"]
-            )
-    return overrides
 
 
 def describe_joint(joint: str) -> str:

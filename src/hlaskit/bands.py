@@ -9,15 +9,22 @@ averages emphasize the points where humans do the most work.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from math import fsum, hypot
 
-from .errors import EmptyBand, EmptyGrid, EmptyTrajectory, InvalidRange, ZeroRate
+from .errors import (
+    DuplicateKey,
+    EmptyBand,
+    EmptyGrid,
+    EmptyTrajectory,
+    InvalidRange,
+    SampleMismatch,
+    ZeroRate,
+)
 
 DEFAULT_BODY_MASS_KG = 75.0
 DEFAULT_BODY_HEIGHT_M = 1.75
-
-WEIGHT_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,11 +65,14 @@ class OperatingBand:
     joint: str
     task: str
     samples: tuple[DemandSample, ...]
-    axes: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if not self.samples:
             raise EmptyBand(f"band {self.task}/{self.joint} has no samples")
+        if len({s.point for s in self.samples}) != len(self.samples):
+            raise DuplicateKey(
+                f"band {self.task}/{self.joint} repeats a (q, omega) sample"
+            )
 
     @property
     def degenerate(self) -> bool:
@@ -71,6 +81,25 @@ class OperatingBand:
 
     def total_weight(self) -> float:
         return fsum(s.weight for s in self.samples)
+
+
+def measured_at(
+    band: OperatingBand, measured: dict[tuple[float, float], float],
+    quantity: str, samples: Sequence[DemandSample] | None = None,
+) -> list[float]:
+    """The value measured at each band sample's exact (q, omega) point, in
+    sample order (``samples`` narrows the band's samples).  A point without
+    a measurement raises ``SampleMismatch``: nothing is interpolated."""
+    samples = band.samples if samples is None else samples
+    try:
+        return [measured[s.point] for s in samples]
+    except KeyError:
+        s = next(s for s in samples if s.point not in measured)
+        raise SampleMismatch(
+            f"no {quantity} measurement at (q={s.q} deg, omega={s.omega} "
+            f"rad/s) for {band.task}/{band.joint}; measurements are never "
+            f"interpolated"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from . import __version__
 from .atlas import describe_joint
 from .config_io import (
     build_pairs,
+    bundle_files,
     canonical_json,
     emit_report,
     load_measurements,
@@ -68,23 +69,18 @@ EXIT_GOLDEN = 4
 def _write_manifest(out_dir: Path, args_list: list[str],
                     inputs: list[Path], outputs: list[Path],
                     seed: int | None = None) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    def digests(paths: list[Path]) -> list[dict[str, str]]:
+        return [{"path": str(p), "sha256": sha256_file(p)} for p in paths]
+
     content = {
         "command": args_list,
         "toolkit_version": __version__,
         "seed": seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "inputs": [
-            {"path": str(p), "sha256": sha256_file(p)}
-            for p in inputs if Path(p).is_file()
-        ],
-        "outputs": [
-            {"path": str(p), "sha256": sha256_file(p)}
-            for p in outputs if Path(p).is_file()
-        ],
+        "inputs": digests(inputs),
+        "outputs": digests(outputs),
     }
-    (out_dir / "run_manifest.json").write_text(canonical_json(content))
+    (Path(out_dir) / "run_manifest.json").write_text(canonical_json(content))
 
 
 def _apply_scheme_flags(scheme, args):
@@ -114,13 +110,10 @@ def cmd_score(args) -> int:
     breakdown = hlas(pairs, scheme)
 
     out_dir = Path(args.out)
-    bundle = emit_report(breakdown, pairs, out_dir, scheme)
-    outputs = [bundle.summary, bundle.task_table, bundle.feature_table,
-               bundle.contributions, bundle.guardrail_flags,
-               bundle.rom_overlays, bundle.manifest]
-    outputs += list(bundle.hee_masks.values())
+    emit_report(breakdown, pairs, out_dir, scheme)
     _write_manifest(out_dir, sys.argv[1:],
-                    [Path(args.prereg), *measurements.files], outputs)
+                    [Path(args.prereg), *measurements.files],
+                    bundle_files(out_dir))
 
     _print_headline(breakdown, scheme)
     if scheme.critical_tasks:
@@ -295,7 +288,7 @@ def cmd_example(args) -> int:
         return EXIT_OK
     run = run_and_check_example(out_dir)
     _write_manifest(out_dir, sys.argv[1:], [],
-                    sorted(p for p in out_dir.rglob("*.csv")))
+                    [*bundle_files(out_dir), out_dir / "sensitivity.csv"])
     _print_headline(run.breakdown, run.scheme)
     print(f"  sensitivity: delta 0.10 -> {run.hlas_headroom:.3f}, "
           f"alt feature weights -> {run.hlas_alpha_alt:.3f}")

@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from .atlas import AxisActuationReport, AxisSpec, RomInterval, functional_interval
-from .bands import DemandSample, OperatingBand, normalize_weights
+from .bands import DemandSample, OperatingBand, PhaseTrajectory, normalize_weights
 from .envelope import (
     CapabilityMap,
     CapabilitySample,
@@ -38,9 +38,10 @@ from .envelope import (
 )
 from .errors import (
     DataError,
+    DuplicateKey,
     IncompleteAnalyses,
+    InvalidRecord,
     MissingSection,
-    NegativeWeight,
     ConfigIncomplete,
 )
 from .scoring import (
@@ -61,6 +62,7 @@ REQUIRED_SECTIONS = (
     "bandwidth_targets_hz",
     "efficiency_targets",
     "thermal_req_nm",
+    "required_axes",
 )
 
 LOG_COLUMNS = (
@@ -164,6 +166,17 @@ def read_table(
     return meta, header, rows
 
 
+def _line(path: Path, row: int) -> int:
+    """1-based file line of data row ``row``; re-reads the file."""
+    return _table_lines(path)[1][row + 1][0]
+
+
+def _located(path: Path, exc: DataError, row: int | None) -> DataError:
+    """``exc`` again, naming ``path`` and, for data row ``row``, its line."""
+    where = path if row is None else f"{path}: line {_line(path, row)}"
+    return type(exc)(f"{where}: {exc}")
+
+
 def _cell_float(path: Path, row_index: int, column: str, cell: str) -> float:
     """One numeric cell of data row ``row_index``; a non-numeric or
     non-finite cell raises ``DataError`` naming its file line."""
@@ -175,8 +188,7 @@ def _cell_float(path: Path, row_index: int, column: str, cell: str) -> float:
         if math.isfinite(value):
             return value
         problem = "is not finite"
-    number = _table_lines(path)[1][row_index + 1][0]
-    raise DataError(f"{path}: line {number}: {column} {cell!r} {problem}")
+    raise _located(path, DataError(f"{column} {cell!r} {problem}"), row_index)
 
 
 def _numeric(path: Path, rows: list[list[str]],
@@ -199,18 +211,57 @@ def _numeric(path: Path, rows: list[list[str]],
 
 def _read_columns(
     path: Path, text_columns: tuple[str, ...],
-    float_columns: tuple[str, ...],
-) -> tuple[dict[str, str], list[list[str]], list[list[float]]]:
-    """Metadata, then per data row the named text cells and the named
-    numeric cells as floats."""
+    float_columns: tuple[str, ...], key: tuple[str, ...], make,
+    optional: tuple[str, ...] = (),
+) -> tuple[dict[str, str], list]:
+    """Metadata, and ``make(*text cells, *floats, *optional floats)`` for
+    each data row; an ``optional`` column may be absent or empty (None).
+
+    ``key`` names the columns that identify a measurement: a repeated key
+    raises ``DuplicateKey`` naming both lines, comparing numeric cells as
+    floats (``10`` and ``10.0`` are one point).  A ``DataError`` from
+    ``make`` is raised again naming the row's line.
+    """
     meta, header, rows = read_table(path, (*text_columns, *float_columns))
     index = {name: i for i, name in enumerate(header)}
-    text = [[row[index[c]] for c in text_columns] for row in rows]
+    columns = {c: [row[index[c]] for row in rows] for c in text_columns}
     numbers = _numeric(
         path, [[row[index[c]] for c in float_columns] for row in rows],
         float_columns,
     )
-    return meta, text, numbers.tolist()
+    columns.update(zip(float_columns, numbers.T.tolist()))
+    for c in optional:
+        cells = [row[index[c]] if c in index else "" for row in rows]
+        columns[c] = [_cell_float(path, i, c, cell) if cell else None
+                      for i, cell in enumerate(cells)]
+    del rows, numbers                   # parsed: free the cells before keys
+    _refuse_repeats(path, key, zip(*(columns[c] for c in key)))
+    records: list = []
+    try:
+        for row in zip(*columns.values()):
+            records.append(make(*row))
+    except DataError as exc:
+        raise _located(path, exc, len(records)) from None
+    return meta, records
+
+
+def _refuse_repeats(path: Path, key: tuple[str, ...], keys) -> None:
+    """``DuplicateKey`` naming both lines of the first repeated key."""
+    first: dict = {}
+    for i, k in enumerate(keys):
+        earlier = first.setdefault(k, i)
+        if earlier != i:
+            raise _located(path, DuplicateKey(
+                f"({', '.join(key)}) = {k!r} repeats line "
+                f"{_line(path, earlier)}"), i)
+
+
+def _grouped(items) -> dict:
+    """``(group, value)`` items as ``group -> [values]``, in file order."""
+    out: dict = {}
+    for group, value in items:
+        out.setdefault(group, []).append(value)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +274,12 @@ def read_bands(path: Path) -> dict[tuple[str, str], OperatingBand]:
     Weights are computed at load (proportional to positive power per pair),
     in file row order.
     """
-    _, keys, values = _read_columns(
+    _, rows = _read_columns(
         path, ("task", "joint"),
-        ("q_deg", "omega_rad_s", "torque_hum_nm", "power_hum_w"))
-    grouped: dict[tuple[str, str], list[DemandSample]] = {}
-    for (task, joint), (q, omega, torque, power) in zip(keys, values):
-        grouped.setdefault((task, joint), []).append(
-            DemandSample(q=q, omega=omega, torque_hum=torque, power_hum=power))
+        ("q_deg", "omega_rad_s", "torque_hum_nm", "power_hum_w"),
+        ("task", "joint", "q_deg", "omega_rad_s"),
+        lambda task, joint, *demand: ((task, joint), DemandSample(*demand)))
+    grouped = _grouped(rows)
     if not grouped:
         raise DataError(f"band file {path} has no data rows")
     return {
@@ -240,12 +290,11 @@ def read_bands(path: Path) -> dict[tuple[str, str], OperatingBand]:
     }
 
 
-def read_phase_trajectory(path: Path):
+def read_phase_trajectory(path: Path) -> PhaseTrajectory:
     """Phase trajectory file: ``phase,q_deg,omega_rad_s,power_w``."""
-    from .bands import PhaseTrajectory
-
-    _, _, values = _read_columns(
-        path, (), ("phase", "q_deg", "omega_rad_s", "power_w"))
+    _, values = _read_columns(
+        path, (), ("phase", "q_deg", "omega_rad_s", "power_w"), ("phase",),
+        lambda *row: row)
     if not values:
         raise DataError(f"phase trajectory file {path} has no data rows")
     phase, q, omega, power = zip(*values)
@@ -255,28 +304,25 @@ def read_phase_trajectory(path: Path):
 def read_capability_map(path: Path) -> CapabilityMap:
     """Capability file: ``joint,axis,q_deg,omega_rad_s,torque_nm`` with the
     measurement conditions carried in the comment header."""
-    meta, keys, values = _read_columns(
-        path, ("joint", "axis"), ("q_deg", "omega_rad_s", "torque_nm"))
-    conditions = meta.get("conditions", "")
-    if not keys:
-        raise DataError(f"capability file {path} has no data rows")
-    joints = {tuple(k) for k in keys}
+    meta, rows = _read_columns(
+        path, ("joint", "axis"), ("q_deg", "omega_rad_s", "torque_nm"),
+        ("q_deg", "omega_rad_s"),
+        lambda joint, axis, *point: ((joint, axis), CapabilitySample(*point)))
+    joints = {axis for axis, _ in rows}
     if len(joints) != 1:
-        raise DataError(
-            f"capability file {path} mixes joints/axes {sorted(joints)}"
-        )
+        raise DataError(f"capability file {path} must give one joint/axis, "
+                        f"not {sorted(joints)}")
     (joint, axis), = joints
-    samples = tuple(CapabilitySample(q, omega, torque)
-                    for q, omega, torque in values)
-    return CapabilityMap(joint, axis, samples, conditions)
+    try:
+        return CapabilityMap(joint, axis, tuple(s for _, s in rows),
+                             meta.get("conditions", ""))
+    except DataError as exc:
+        raise _located(path, exc, None) from None
 
 
-def write_capability_map(cap: CapabilityMap, path: Path,
-                         extra_header: dict[str, str] | None = None) -> None:
+def write_capability_map(cap: CapabilityMap, path: Path) -> None:
     with Path(path).open("w", newline="") as fh:
         fh.write(f"# conditions: {cap.conditions}\n")
-        for key, value in (extra_header or {}).items():
-            fh.write(f"# {key}: {value}\n")
         fh.write("joint,axis,q_deg,omega_rad_s,torque_nm\n")
         for s in cap.samples:
             fh.write(",".join([
@@ -284,68 +330,58 @@ def write_capability_map(cap: CapabilityMap, path: Path,
             ]) + "\n")
 
 
-def read_rom_file(path: Path) -> dict[tuple[str, str], RomInterval]:
-    _, keys, values = _read_columns(path, ("joint", "axis"),
-                                    ("lo_deg", "hi_deg"))
-    return {(joint, axis): RomInterval(lo, hi)
-            for (joint, axis), (lo, hi) in zip(keys, values)}
+def read_rom_file(path: Path) -> dict[str, dict[str, RomInterval]]:
+    """Robot ROM per joint and axis: ``joint,axis,lo_deg,hi_deg``."""
+    _, rows = _read_columns(
+        path, ("joint", "axis"), ("lo_deg", "hi_deg"), ("joint", "axis"),
+        lambda joint, axis, lo, hi: (joint, (axis, RomInterval(lo, hi))))
+    return {joint: dict(axes) for joint, axes in _grouped(rows).items()}
 
 
 def read_dof_file(path: Path) -> dict[str, list[AxisActuationReport]]:
-    _, keys, values = _read_columns(path, ("joint", "axis", "implemented"),
-                                    ("coupling_rms_fraction",))
-    out: dict[str, list[AxisActuationReport]] = {}
-    for (joint, axis, implemented), (coupling,) in zip(keys, values):
-        out.setdefault(joint, []).append(AxisActuationReport(
-            axis=AxisSpec(joint, axis),
-            implemented=implemented.strip().lower() in ("true", "1", "yes"),
-            coupling_rms_fraction=coupling,
-        ))
-    return out
+    """DoF report: ``joint,axis,implemented,coupling_rms_fraction``."""
+    _, rows = _read_columns(
+        path, ("joint", "axis", "implemented"), ("coupling_rms_fraction",),
+        ("joint", "axis"),
+        lambda joint, axis, implemented, coupling: (joint, AxisActuationReport(
+            AxisSpec(joint, axis),
+            implemented.strip().lower() in ("true", "1", "yes"), coupling)))
+    return _grouped(rows)
 
 
-def read_bandwidth_file(path: Path) -> dict[str, dict[str, float]]:
-    """Per-joint crossover frequency and (optional) max safe rate."""
-    _, header, rows = read_table(path, ("joint", "f_crossover_hz"))
-    out = {}
-    for i, row in enumerate(rows):
-        cells = dict(zip(header, row))
-        entry = {"f_crossover_hz": _cell_float(
-            path, i, "f_crossover_hz", cells["f_crossover_hz"])}
-        if cells.get("omega_max_rad_s", "") != "":
-            entry["omega_max_rad_s"] = _cell_float(
-                path, i, "omega_max_rad_s", cells["omega_max_rad_s"])
-        out[cells["joint"]] = entry
-    return out
+def read_bandwidth_file(path: Path) -> dict[str, tuple[float, float | None]]:
+    """Per joint: ``f_crossover_hz`` and the optional ``omega_max_rad_s``."""
+    _, rows = _read_columns(path, ("joint",), ("f_crossover_hz",), ("joint",),
+                            lambda joint, *rates: (joint, rates),
+                            optional=("omega_max_rad_s",))
+    return dict(rows)
 
 
 def read_efficiency_file(
     path: Path,
 ) -> dict[str, dict[tuple[float, float], float]]:
-    _, keys, values = _read_columns(path, ("joint",),
-                                    ("q_deg", "omega_rad_s", "eta"))
-    out: dict[str, dict[tuple[float, float], float]] = {}
-    for (joint,), (q, omega, eta) in zip(keys, values):
-        out.setdefault(joint, {})[(q, omega)] = eta
-    return out
+    """Point efficiency: ``joint,q_deg,omega_rad_s,eta``."""
+    _, rows = _read_columns(
+        path, ("joint",), ("q_deg", "omega_rad_s", "eta"),
+        ("joint", "q_deg", "omega_rad_s"),
+        lambda joint, q, omega, eta: (joint, ((q, omega), eta)))
+    return {joint: dict(points) for joint, points in _grouped(rows).items()}
 
 
 def read_thermal_file(path: Path) -> dict[tuple[str, str], float]:
-    _, keys, values = _read_columns(path, ("task", "joint"),
-                                    ("torque_cont_nm",))
-    return {(task, joint): torque
-            for (task, joint), (torque,) in zip(keys, values)}
+    """Plateau torques: ``task,joint,torque_cont_nm``."""
+    _, rows = _read_columns(
+        path, ("task", "joint"), ("torque_cont_nm",), ("task", "joint"),
+        lambda task, joint, torque: ((task, joint), torque))
+    return dict(rows)
 
 
-def write_log(log: TimeSeriesLog, path: Path,
-              extra_header: dict[str, str] | None = None) -> None:
+def write_log(log: TimeSeriesLog, path: Path) -> None:
     with Path(path).open("w", newline="") as fh:
         fh.write(f"# sample_rate_hz: {fmt(float(log.sample_rate))}\n")
         fh.write(f"# conditions: {log.conditions}\n")
         if log.seed is not None:
             fh.write(f"# seed: {log.seed}\n")
-        for key, value in (extra_header or {}).items():
-            fh.write(f"# {key}: {value}\n")
         fh.write(",".join(LOG_COLUMNS) + "\n")
         cols = (log.t, log.q, log.omega, log.torque, log.torque_cmd,
                 log.v_bus, log.i_bus, log.temp_motor, log.temp_gear)
@@ -358,16 +394,15 @@ def read_log(path: Path) -> TimeSeriesLog:
     if "sample_rate_hz" not in meta:
         raise DataError(f"log {path} is missing the sample_rate_hz header")
     data = _numeric(path, rows, tuple(header))
-    t, q, omega, torque, torque_cmd, v_bus, i_bus, temp_motor, temp_gear = (
-        data[:, header.index(name)] for name in LOG_COLUMNS)
-    seed = meta.get("seed")
-    return TimeSeriesLog(
-        t=t, q=q, omega=omega, torque=torque, torque_cmd=torque_cmd,
-        v_bus=v_bus, i_bus=i_bus, temp_motor=temp_motor, temp_gear=temp_gear,
-        sample_rate=float(meta["sample_rate_hz"]),
-        conditions=meta.get("conditions", ""),
-        seed=int(seed) if seed is not None else None,
-    )
+    try:
+        return TimeSeriesLog(      # LOG_COLUMNS are its channels, in order
+            *(data[:, header.index(name)] for name in LOG_COLUMNS),
+            sample_rate=float(meta["sample_rate_hz"]),
+            conditions=meta.get("conditions", ""),
+            seed=int(meta["seed"]) if "seed" in meta else None,
+        )
+    except InvalidRecord as exc:
+        raise _located(path, exc, exc.row) from None
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +425,6 @@ class Preregistration:
     rate_req: dict[tuple[str, str], float]
     created: str
     digest: str
-
-    def created_at(self) -> datetime:
-        return parse_timestamp(self.created)
 
 
 def _nested_float_map(section, name: str) -> dict[str, dict[str, float]]:
@@ -462,13 +494,8 @@ def load_preregistration(text: str) -> Preregistration:
     for section in REQUIRED_SECTIONS:
         if section not in doc or doc[section] is None:
             raise MissingSection(f"missing required section {section!r}")
-    if "required_axes" not in doc or doc["required_axes"] is None:
-        raise MissingSection("missing required section 'required_axes'")
 
     tasks = {str(k): float(v) for k, v in doc["tasks"].items()}
-    for name, w in tasks.items():
-        if w < 0:
-            raise NegativeWeight(f"task weight for {name!r} is negative")
 
     def rekey(nested: dict[str, dict[str, float]]):
         return {
@@ -569,7 +596,7 @@ def verify_prereg_binding(
     Violations are report content, not exceptions: the report is the
     product.
     """
-    created = prereg.created_at()
+    created = parse_timestamp(prereg.created)
     registered = {ref.file for ref in prereg.bands}
     findings = []
     for path in measurement_files:
@@ -601,9 +628,9 @@ def verify_prereg_binding(
 class MeasurementSet:
     bands: dict[tuple[str, str], OperatingBand]
     capabilities: dict[str, CapabilityMap]
-    robot_rom: dict[tuple[str, str], RomInterval]
+    robot_rom: dict[str, dict[str, RomInterval]]
     dof_reports: dict[str, list[AxisActuationReport]]
-    bandwidth: dict[str, dict[str, float]]
+    bandwidth: dict[str, tuple[float, float | None]]
     efficiency: dict[str, dict[tuple[float, float], float]]
     thermal_cont: dict[tuple[str, str], float]
     files: tuple[Path, ...]
@@ -613,6 +640,15 @@ def load_measurements(data_dir: Path, prereg: Preregistration) -> MeasurementSet
     """Load every measurement file of a data directory, verifying band
     digests against the registration."""
     data_dir = Path(data_dir)
+    sources: dict[tuple[str, str], Path] = {}
+
+    def claim(kind: str, subject: str, path: Path) -> None:
+        """Refuse a subject that another file of the same kind gave."""
+        earlier = sources.setdefault((kind, subject), path)
+        if earlier != path:
+            raise DuplicateKey(f"{kind} {earlier.name} and {path.name} both "
+                               f"describe {subject}")
+
     bands: dict[tuple[str, str], OperatingBand] = {}
     files: list[Path] = []
     for ref in prereg.bands:
@@ -625,20 +661,16 @@ def load_measurements(data_dir: Path, prereg: Preregistration) -> MeasurementSet
                 f"band file {ref.file} digest {actual} does not match "
                 f"registered {ref.sha256}"
             )
-        bands.update(read_bands(path))
+        for pair, band in read_bands(path).items():
+            claim("band files", f"pair {pair}", path)
+            bands[pair] = band
         files.append(path)
 
     capabilities: dict[str, CapabilityMap] = {}
-    sources: dict[str, Path] = {}
     for path in sorted(data_dir.glob("capability_*.csv")):
         cap = read_capability_map(path)
-        if cap.joint in sources:
-            raise DataError(
-                f"capability maps {sources[cap.joint].name} and {path.name} "
-                f"both describe joint {cap.joint!r}"
-            )
+        claim("capability maps", f"joint {cap.joint!r}", path)
         capabilities[cap.joint] = cap
-        sources[cap.joint] = path
         files.append(path)
 
     def _required(name: str) -> Path:
@@ -648,15 +680,14 @@ def load_measurements(data_dir: Path, prereg: Preregistration) -> MeasurementSet
         files.append(path)
         return path
 
-    robot_rom = read_rom_file(_required("rom_robot.csv"))
-    dof_reports = read_dof_file(_required("dof_report.csv"))
-    bandwidth = read_bandwidth_file(_required("bandwidth.csv"))
-    efficiency = read_efficiency_file(_required("efficiency.csv"))
-    thermal_cont = read_thermal_file(_required("thermal.csv"))
     return MeasurementSet(
-        bands=bands, capabilities=capabilities, robot_rom=robot_rom,
-        dof_reports=dof_reports, bandwidth=bandwidth, efficiency=efficiency,
-        thermal_cont=thermal_cont, files=tuple(files),
+        bands=bands, capabilities=capabilities,
+        robot_rom=read_rom_file(_required("rom_robot.csv")),
+        dof_reports=read_dof_file(_required("dof_report.csv")),
+        bandwidth=read_bandwidth_file(_required("bandwidth.csv")),
+        efficiency=read_efficiency_file(_required("efficiency.csv")),
+        thermal_cont=read_thermal_file(_required("thermal.csv")),
+        files=tuple(files),
     )
 
 
@@ -681,48 +712,34 @@ def build_pairs(
             raise ConfigIncomplete(f"no required axes declared for {key}")
         axes = prereg.required_axes[key]
 
-        functional: dict[str, RomInterval] = {}
         override = prereg.functional_rom.get(key, {})
-        for axis in axes:
-            if axis in override:
-                functional[axis] = override[axis]
-            else:
-                fallback = functional_interval(joint, axis)
-                if fallback is None:
-                    raise ConfigIncomplete(
-                        f"no functional interval for axis {axis!r} of {key}; "
-                        f"the atlas norm is qualitative, declare an override"
-                    )
-                functional[axis] = fallback
-
-        robot_rom = {
-            axis: iv
-            for (j, axis), iv in measurements.robot_rom.items()
-            if j == joint
-        }
+        functional = {axis: override.get(axis) or functional_interval(
+            joint, axis) for axis in axes}
+        qualitative = sorted(a for a, iv in functional.items() if iv is None)
+        if qualitative:
+            raise ConfigIncomplete(
+                f"no functional interval for axis {qualitative[0]!r} of "
+                f"{key}; the atlas norm is qualitative, declare an override"
+            )
         if joint not in measurements.bandwidth:
             raise ConfigIncomplete(f"no bandwidth measurement for {joint!r}")
         if key not in measurements.thermal_cont:
             raise ConfigIncomplete(f"no thermal plateau measurement for {key}")
         if key not in prereg.thermal_req:
             raise ConfigIncomplete(f"no thermal requirement for {key}")
-        band = OperatingBand(
-            joint=joint, task=task,
-            samples=measurements.bands[key].samples,
-            axes=axes,
-        )
+        f_crossover, omega_max = measurements.bandwidth[joint]
         pairs.append(PairInputs(
-            task=task, joint=joint, band=band,
+            task=task, joint=joint, band=measurements.bands[key],
             capability=measurements.capabilities[joint],
-            robot_rom=robot_rom, functional_rom=functional,
+            robot_rom=measurements.robot_rom.get(joint, {}),
+            functional_rom=functional,
             required_axes=axes,
             dof_reports=measurements.dof_reports.get(joint, []),
-            f_crossover_hz=measurements.bandwidth[joint]["f_crossover_hz"],
+            f_crossover_hz=f_crossover,
             efficiency_samples=measurements.efficiency.get(joint, {}),
             torque_cont_nm=measurements.thermal_cont[key],
             torque_req_nm=prereg.thermal_req[key],
-            omega_max_rad_s=measurements.bandwidth[joint].get(
-                "omega_max_rad_s"),
+            omega_max_rad_s=omega_max,
             omega_req_rad_s=prereg.rate_req.get(key),
         ))
     return pairs
@@ -764,19 +781,17 @@ TASK_TRIAL_COLUMNS: dict[str, tuple[str, ...]] = {
 }
 
 
-def write_task_trial_stubs(out_dir: Path) -> dict[str, Path]:
+def write_task_trial_stubs(out_dir: Path) -> list[Path]:
     """Header-only templates for whole-robot trial results."""
     trial_dir = Path(out_dir) / "task_trials"
     trial_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for name, columns in TASK_TRIAL_COLUMNS.items():
-        path = trial_dir / f"{name}.csv"
+    paths = [trial_dir / f"{name}.csv" for name in TASK_TRIAL_COLUMNS]
+    for path, columns in zip(paths, TASK_TRIAL_COLUMNS.values()):
         path.write_text(
             "# whole-robot trial results; requires an integrated robot and "
             "is not computed by this toolkit\n"
             + ",".join(columns) + "\n"
         )
-        paths[name] = path
     return paths
 
 
@@ -802,7 +817,7 @@ def _csv_text(header, rows) -> str:
                    for row in (header, *rows))
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def write_csv(path: Path, header, rows) -> None:
     path.write_text(_csv_text(header, rows), newline="")
 
 
@@ -816,6 +831,13 @@ def mask_csv(result: HeeResult) -> str:
         [r.q, r.omega, r.weight, r.torque_ok, r.power_ok, r.passed]
         for r in result.per_sample
     ])
+
+
+def bundle_files(out_dir: Path) -> list[Path]:
+    """The artifacts a bundle's ``manifest.json`` lists, then the manifest."""
+    manifest = Path(out_dir) / "manifest.json"
+    listed = json.loads(manifest.read_text())["artifacts"]
+    return [Path(out_dir) / a["path"] for a in listed] + [manifest]
 
 
 def emit_report(
@@ -848,10 +870,10 @@ def emit_report(
     for task in scheme.task_weights:
         rows.append([f"task_score:{task}", breakdown.task_scores[task]])
     rows.append(["guardrail_flag_count", len(breakdown.guardrail_flags)])
-    _write_csv(summary, ["metric", "value"], rows)
+    write_csv(summary, ["metric", "value"], rows)
 
     task_table = out_dir / "task_table.csv"
-    _write_csv(
+    write_csv(
         task_table,
         ["task", "task_weight", "score"],
         [[t, scheme.task_weights[t], breakdown.task_scores[t]]
@@ -859,7 +881,7 @@ def emit_report(
     )
 
     feature_table = out_dir / "feature_table.csv"
-    _write_csv(
+    write_csv(
         feature_table,
         ["task", "joint", *FEATURE_NAMES, "score"],
         [
@@ -872,7 +894,7 @@ def emit_report(
     )
 
     contributions = out_dir / "contributions.csv"
-    _write_csv(
+    write_csv(
         contributions,
         ["task", "joint", "score", "joint_weight", "task_weight",
          "contribution"],
@@ -890,7 +912,7 @@ def emit_report(
     )
 
     rom_path = out_dir / "rom_overlays.csv"
-    _write_csv(
+    write_csv(
         rom_path,
         ["task", "joint", "axis", "functional_lo_deg", "functional_hi_deg",
          "robot_lo_deg", "robot_hi_deg"],
@@ -907,12 +929,9 @@ def emit_report(
         path.write_text(mask_csv(result), newline="")
         hee_paths[(p.task, p.joint)] = path
 
-    trial_stubs = write_task_trial_stubs(out_dir)
-
     artifacts = [summary, task_table, feature_table, contributions,
-                 flags_path, rom_path]
-    artifacts += list(hee_paths.values())
-    artifacts += list(trial_stubs.values())
+                 flags_path, rom_path, *hee_paths.values(),
+                 *write_task_trial_stubs(out_dir)]
 
     manifest = out_dir / "manifest.json"
     manifest_content = {

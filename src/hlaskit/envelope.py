@@ -16,13 +16,14 @@ interpolating would invent capability that was never measured.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import fsum
 
-from .bands import OperatingBand
+from .bands import OperatingBand, measured_at
 from .errors import (
     DegenerateBand,
-    SampleMismatch,
+    DuplicateKey,
+    InvalidRecord,
     ZeroDemand,
     ZeroDemandWarning,
     ZeroRequirement,
@@ -45,13 +46,8 @@ class CapabilitySample:
 
     def __post_init__(self) -> None:
         if self.torque_rob < 0:
-            raise ValueError("continuous-safe torque must be >= 0")
-
-    @property
-    def power_rob(self) -> float:
-        """Mechanical power is always derived, never stored, so torque and
-        power claims cannot disagree."""
-        return self.torque_rob * self.omega
+            raise InvalidRecord(
+                f"continuous-safe torque {self.torque_rob!r} must be >= 0")
 
     @property
     def point(self) -> tuple[float, float]:
@@ -71,16 +67,18 @@ class CapabilityMap:
     axis: str
     samples: tuple[CapabilitySample, ...]
     conditions: str
+    torque_at: dict[tuple[float, float], float] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.conditions.strip():
-            raise ValueError("capability map requires a conditions description")
-        points = [s.point for s in self.samples]
-        if len(set(points)) != len(points):
-            raise ValueError("capability map has duplicate (q, omega) samples")
-
-    def lookup(self) -> dict[tuple[float, float], float]:
-        return {s.point: s.torque_rob for s in self.samples}
+            raise InvalidRecord("capability map requires a conditions "
+                                "description (a '# conditions:' header)")
+        torque_at = {s.point: s.torque_rob for s in self.samples}
+        if len(torque_at) != len(self.samples):
+            raise DuplicateKey(f"capability map {self.joint}/{self.axis} "
+                               f"repeats a (q, omega) sample")
+        object.__setattr__(self, "torque_at", torque_at)
 
 
 @dataclass(frozen=True)
@@ -106,22 +104,6 @@ class HeeResult:
         return [r.omega for r in self.per_sample if r.passed]
 
 
-def _match_torque(
-    band: OperatingBand, cap: CapabilityMap
-) -> list[float]:
-    lookup = cap.lookup()
-    torques = []
-    for s in band.samples:
-        if s.point not in lookup:
-            raise SampleMismatch(
-                f"no capability measurement at (q={s.q} deg, omega={s.omega} "
-                f"rad/s) for {band.task}/{band.joint}; capability maps are "
-                f"never interpolated"
-            )
-        torques.append(lookup[s.point])
-    return torques
-
-
 def hee_coverage(
     band: OperatingBand,
     cap: CapabilityMap,
@@ -141,7 +123,7 @@ def hee_coverage(
         raise DegenerateBand(
             f"band {band.task}/{band.joint} has no positive-power samples"
         )
-    torques = _match_torque(band, cap)
+    torques = measured_at(band, cap.torque_at, "capability")
     scale = 1.0 + headroom_delta
     rows = []
     for s, t_rob in zip(band.samples, torques):
@@ -201,7 +183,7 @@ def torque_margin(
     Samples with nonpositive human torque are excluded from the ratio set
     with a warning; their HEE weight is already zero, so nothing is lost.
     """
-    torques = _match_torque(band, cap)
+    torques = measured_at(band, cap.torque_at, "capability")
     return _ratio_margin(band, "torque", method, [
         (t_rob, s.torque_hum) for s, t_rob in zip(band.samples, torques)
     ])
@@ -211,7 +193,7 @@ def power_margin(
     band: OperatingBand, cap: CapabilityMap, method: str = "min"
 ) -> float:
     """As torque_margin, with ratios (torque_rob * omega) / power_hum."""
-    torques = _match_torque(band, cap)
+    torques = measured_at(band, cap.torque_at, "capability")
     return _ratio_margin(band, "power", method, [
         (t_rob * s.omega, s.power_hum)
         for s, t_rob in zip(band.samples, torques)

@@ -120,6 +120,19 @@ class IncompleteAnalyses(DataError):
     pass
 
 
+class InvalidRecord(DataError, ValueError):
+    """A measured record breaks its own contract; ``row`` is the 0-based
+    sample at fault, if one is.  Also a ``ValueError`` for direct callers."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+class DuplicateKey(DataError):
+    """Two rows, samples or files give the same measured key."""
+
+
 class GoldenMismatch(HlasError):
     """A regenerated worked-example artifact diverged from its golden copy."""
 

@@ -22,6 +22,7 @@ from .config_io import (
     load_measurements,
     load_preregistration_file,
     read_table,
+    write_csv,
 )
 from .errors import GoldenMismatch
 from .scoring import PairInputs, ScoreBreakdown, WeightScheme, hlas
@@ -57,7 +58,6 @@ class ExampleRun:
     hlas_alpha_alt: float     # with the alternative feature weights
     scheme: WeightScheme
     pairs: list[PairInputs]
-    prereg: Preregistration
 
 
 def run_example() -> ExampleRun:
@@ -74,24 +74,17 @@ def run_example() -> ExampleRun:
         hlas_alpha_alt=with_alpha_alt.hlas,
         scheme=scheme,
         pairs=pairs,
-        prereg=prereg,
     )
 
 
-def emit_example(run: ExampleRun, out_dir: Path):
+def emit_example(run: ExampleRun, out_dir: Path) -> None:
     """Write the example's full report bundle plus the sensitivity table."""
-    bundle = emit_report(run.breakdown, run.pairs, out_dir, run.scheme)
-    sensitivity = Path(out_dir) / "sensitivity.csv"
-    rows = [
-        ("baseline", run.breakdown.hlas),
-        (f"headroom_delta_{HEADROOM_SENSITIVITY_DELTA:g}", run.hlas_headroom),
-        ("alpha_alt", run.hlas_alpha_alt),
-    ]
-    with sensitivity.open("w", newline="") as fh:
-        fh.write("variant,hlas\n")
-        for name, value in rows:
-            fh.write(f"{name},{value!r}\n")
-    return bundle, sensitivity
+    emit_report(run.breakdown, run.pairs, out_dir, run.scheme)
+    write_csv(Path(out_dir) / "sensitivity.csv", ["variant", "hlas"], [
+        ["baseline", run.breakdown.hlas],
+        [f"headroom_delta_{HEADROOM_SENSITIVITY_DELTA:g}", run.hlas_headroom],
+        ["alpha_alt", run.hlas_alpha_alt],
+    ])
 
 
 def compare_to_golden(out_dir: Path) -> list[str]:

@@ -17,15 +17,15 @@ from math import atan2, degrees, fsum, log, sqrt
 
 import numpy as np
 
-from .bands import OperatingBand
+from .bands import OperatingBand, measured_at
 from .errors import (
     AliasedFrequency,
     DegenerateBand,
     InsufficientCycles,
     InsufficientExcitation,
+    InvalidRecord,
     NotMonotoneWarning,
     RankDeficient,
-    SampleMismatch,
     WindowTooLong,
 )
 
@@ -70,16 +70,18 @@ class TimeSeriesLog:
         channels = (self.q, self.omega, self.torque, self.torque_cmd,
                     self.v_bus, self.i_bus, self.temp_motor, self.temp_gear)
         if any(len(c) != n for c in channels):
-            raise ValueError("all log channels must have equal length")
+            raise InvalidRecord("all log channels must have equal length")
         if n < 2:
-            raise ValueError("log must contain at least two samples")
+            raise InvalidRecord("log must contain at least two samples")
         if self.sample_rate < MIN_SAMPLE_RATE_HZ:
-            raise ValueError(
+            raise InvalidRecord(
                 f"sample rate {self.sample_rate} Hz is below the "
                 f"{MIN_SAMPLE_RATE_HZ:g} Hz logging requirement"
             )
-        if np.any(np.diff(self.t) <= 0):
-            raise ValueError("time channel must be strictly increasing")
+        late = np.flatnonzero(np.diff(self.t) <= 0)
+        if late.size:
+            raise InvalidRecord("time channel must be strictly increasing",
+                                row=int(late[0]) + 1)
 
     @property
     def duration(self) -> float:
@@ -424,23 +426,14 @@ def task_weighted_efficiency(
     efficiency at the identical (q, omega) point; the weighting then mirrors
     the envelope weighting so efficiency is judged where work happens.
     """
-    num, den = [], []
-    for s in band.samples:
-        if s.power_hum <= 0:
-            continue
-        if s.point not in eff_samples:
-            raise SampleMismatch(
-                f"no efficiency measurement at (q={s.q} deg, omega={s.omega} "
-                f"rad/s) for {band.task}/{band.joint}"
-            )
-        num.append(s.weight * eff_samples[s.point])
-        den.append(s.weight)
-    total = fsum(den)
-    if not den or total <= 0:
+    positive = [s for s in band.samples if s.power_hum > 0]
+    etas = measured_at(band, eff_samples, "efficiency", positive)
+    total = fsum(s.weight for s in positive)
+    if not positive or total <= 0:
         raise DegenerateBand(
             f"band {band.task}/{band.joint} has no positive-power samples"
         )
-    return fsum(num) / total
+    return fsum(s.weight * eta for s, eta in zip(positive, etas)) / total
 
 
 def power_balance_check(log: TimeSeriesLog) -> PowerBalanceResult:

@@ -11,7 +11,6 @@ from hlaskit.atlas import (
     functional_interval,
     inventory_totals,
     joint_record,
-    load_rom_overrides,
     rom_coverage,
 )
 from hlaskit.errors import DegenerateInterval, EmptyAxisSet
@@ -168,15 +167,3 @@ class TestShippedInventory:
         with pytest.raises(KeyError):
             joint_record("tail")
 
-
-def test_rom_override_file(tmp_path):
-    path = tmp_path / "overrides.csv"
-    path.write_text(
-        "# per-task overrides\n"
-        "joint,axis,category,lo_deg,hi_deg\n"
-        "ankle,plantarflexion,functional,0,25\n"
-        "wrist,flexion,functional,-15,15\n"
-    )
-    overrides = load_rom_overrides(path)
-    assert overrides[("ankle", "plantarflexion", "functional")].hi == 25
-    assert len(overrides) == 2

@@ -14,7 +14,13 @@ from hlaskit.bands import (
     scale_to_absolute,
     torque_from_power,
 )
-from hlaskit.errors import EmptyBand, EmptyGrid, InvalidRange, ZeroRate
+from hlaskit.errors import (
+    DuplicateKey,
+    EmptyBand,
+    EmptyGrid,
+    InvalidRange,
+    ZeroRate,
+)
 
 
 class TestScaleToAbsolute:
@@ -62,8 +68,8 @@ class TestTorqueFromPower:
 
 
 class TestNormalizeWeights:
-    def sample(self, power):
-        return DemandSample(0.0, 1.0, 1.0, power)
+    def sample(self, power, q=0.0):
+        return DemandSample(q, 1.0, 1.0, power)
 
     def test_push_off_weights(self):
         powers = [240, 288, 340, 363, 360]
@@ -78,10 +84,15 @@ class TestNormalizeWeights:
         assert out[0].weight == 1.0
 
     def test_all_nonpositive_gives_degenerate_band(self):
-        out = normalize_weights([self.sample(-50), self.sample(-10)])
+        out = normalize_weights([self.sample(-50), self.sample(-10, q=5.0)])
         assert [s.weight for s in out] == [0.0, 0.0]
         band = OperatingBand("j", "t", tuple(out))
         assert band.degenerate
+
+    def test_repeated_point_rejected(self):
+        out = normalize_weights([self.sample(100), self.sample(50)])
+        with pytest.raises(DuplicateKey, match="t/j"):
+            OperatingBand("j", "t", tuple(out))
 
     def test_negative_power_carries_no_weight(self):
         out = normalize_weights([self.sample(-50), self.sample(100)])

@@ -1,23 +1,31 @@
 import json
+import math
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlaskit.cli import main
 from hlaskit.config_io import (
     build_pairs,
     load_measurements,
     load_preregistration_file,
+    read_bandwidth_file,
     read_bands,
     read_capability_map,
+    read_dof_file,
     read_efficiency_file,
     read_log,
+    read_rom_file,
     read_table,
+    read_thermal_file,
     write_log,
 )
-from hlaskit.errors import DataError
+from hlaskit.errors import DataError, DuplicateKey, InvalidRecord
 from hlaskit.example import example_data_dir
 from hlaskit.scoring import hlas
 from hlaskit.synthetic import SyntheticActuator, generate_backdrive_log
@@ -168,37 +176,166 @@ MALFORMED_FILES = {
     "band": ("bands.csv", read_bands, "hee"),
     "capability": ("capability_ankle.csv", read_capability_map, "hee"),
     "efficiency": ("efficiency.csv", read_efficiency_file, "score"),
+    "rom": ("rom_robot.csv", read_rom_file, "score"),
+    "dof": ("dof_report.csv", read_dof_file, "score"),
+    "bandwidth": ("bandwidth.csv", read_bandwidth_file, "score"),
+    "thermal": ("thermal.csv", read_thermal_file, "score"),
     "log": (None, read_log, "analyze"),
 }
+CELL_DEFECTS = ("missing field", "text", "nan")
+REPEATS = ("repeated row", "repeated point written 10.0")
+MALFORMED_CASES = [
+    *((kind, defect) for kind in MALFORMED_FILES
+      for defect in (*CELL_DEFECTS, REPEATS[0])),
+    # the point-keyed kinds carry q and omega in their key
+    *((kind, REPEATS[1]) for kind in ("band", "capability", "efficiency")),
+    # records that refuse a negative torque or coupling
+    ("capability", "negative"), ("dof", "negative"),
+]
 
 
-@pytest.mark.parametrize("defect", ["missing field", "text", "nan"])
-@pytest.mark.parametrize("kind", list(MALFORMED_FILES))
+def _hlas_argv(command, data_dir, log, out):
+    return {
+        "hee": ["hee", "--band", str(data_dir / "bands.csv"),
+                "--task", "Walk", "--joint", "ankle",
+                "--map", str(data_dir / "capability_ankle.csv")],
+        "score": ["score", "--prereg", str(data_dir / "prereg.yaml"),
+                  "--data", str(data_dir), "--out", str(out)],
+        "analyze": ["analyze", "qc", str(log)],
+    }[command]
+
+
+def _rewrite_third_row(path, edit):
+    """Replace the third data row's cells with ``edit(cells, header cells,
+    first data row cells)``; return the 1-based lines of the first data
+    row and of the edited row."""
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line[0] != "#")
+    first, number = header + 2, header + 4
+    lines[number - 1] = ",".join(edit(
+        lines[number - 1].split(","), lines[header].split(","),
+        lines[first - 1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    return first, number
+
+
+def _repeat_first_row(cells, header, first):
+    return first
+
+
+def _repeat_first_point_as_float(cells, header, first):
+    q = header.index("q_deg")
+    respelled = repr(float(first[q]))
+    assert respelled != first[q]               # "10" becomes "10.0"
+    return [*first[:q], respelled, *first[q + 1:]]
+
+
+@pytest.mark.parametrize("kind, defect", MALFORMED_CASES)
 def test_malformed_cell_is_a_data_error_naming_the_line(kind, defect,
                                                         data_dir, tmp_path,
                                                         capsys):
     name, reader, command = MALFORMED_FILES[kind]
     path = data_dir / name if name else _backdrive_log(tmp_path)
-    lines = path.read_text().splitlines()
-    header = next(i for i, line in enumerate(lines) if line[0] != "#")
-    number = header + 4                        # the third data row, 1-based
-    cells = lines[number - 1].split(",")
-    cells[-1:] = {"missing field": [], "text": ["abc"], "nan": ["nan"]}[defect]
-    lines[number - 1] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
+    edit = {
+        "missing field": lambda cells, *_: cells[:-1],
+        "text": lambda cells, *_: [*cells[:-1], "abc"],
+        "nan": lambda cells, *_: [*cells[:-1], "nan"],
+        "negative": lambda cells, *_: [*cells[:-1], "-" + cells[-1]],
+        REPEATS[0]: _repeat_first_row,
+        REPEATS[1]: _repeat_first_point_as_float,
+    }[defect]
+    first, number = _rewrite_third_row(path, edit)
 
-    with pytest.raises(DataError, match=rf"{path.name}: line {number}:"):
+    with pytest.raises(DataError, match=rf"{path.name}: line {number}:") \
+            as raised:
         reader(path)
-    argv = {
-        "hee": ["hee", "--band", str(data_dir / "bands.csv"),
-                "--task", "Walk", "--joint", "ankle",
-                "--map", str(data_dir / "capability_ankle.csv")],
-        "score": ["score", "--prereg", str(data_dir / "prereg.yaml"),
-                  "--data", str(data_dir), "--out", str(tmp_path / "r")],
-        "analyze": ["analyze", "qc", str(path)],
-    }[command]
-    assert main(argv) == 3
+    if kind == "log" and defect == REPEATS[0] or defect == "negative":
+        # a repeated log row breaks the strictly increasing time channel
+        assert isinstance(raised.value, InvalidRecord)
+        assert isinstance(raised.value, ValueError)
+    elif defect in REPEATS:
+        assert isinstance(raised.value, DuplicateKey)
+        assert f"repeats line {first}" in str(raised.value)
+    assert main(_hlas_argv(command, data_dir, path, tmp_path / "r")) == 3
     assert f"line {number}" in capsys.readouterr().err
+
+
+# header defect -> (file or log, rewrite of the file text, hlas command)
+HEADER_DEFECTS = {
+    "no conditions header": (
+        "capability_ankle.csv",
+        lambda text: "".join(line for line in text.splitlines(True)
+                             if not line.startswith("# conditions:")),
+        "hee"),
+    "log below 1 kHz": (
+        None,
+        lambda text: text.replace("# sample_rate_hz: 1000.0\n",
+                                  "# sample_rate_hz: 500.0\n"),
+        "analyze"),
+}
+
+
+@pytest.mark.parametrize("defect", list(HEADER_DEFECTS))
+def test_rejected_header_is_a_data_error_naming_the_file(defect, data_dir,
+                                                         tmp_path, capsys):
+    name, rewrite, command = HEADER_DEFECTS[defect]
+    path = data_dir / name if name else _backdrive_log(tmp_path)
+    reader = read_capability_map if name else read_log
+    text = path.read_text()
+    path.write_text(rewrite(text))
+    assert path.read_text() != text
+
+    with pytest.raises(InvalidRecord, match=rf"{path.name}: "):
+        reader(path)
+    assert main(_hlas_argv(command, data_dir, path, tmp_path / "r")) == 3
+    err = capsys.readouterr().err
+    assert "InvalidRecord" in err and path.name in err
+
+
+EXAMPLE_CSVS = sorted(p.name for p in example_data_dir().glob("*.csv"))
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_single_file_mutation_scores_or_exits_with_a_documented_code(
+        data):
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir, out = Path(tmp) / "data", Path(tmp) / "out"
+        shutil.copytree(example_data_dir(), data_dir,
+                        ignore=shutil.ignore_patterns("golden"))
+        path = data_dir / data.draw(st.sampled_from(EXAMPLE_CSVS))
+        lines = path.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line[0] != "#")
+        row = data.draw(st.integers(header + 1, len(lines) - 1))
+        mutation = data.draw(st.sampled_from(
+            ["repeat row", "abc", "nan", "negative"]))
+        if mutation == "repeat row":
+            lines.insert(data.draw(st.integers(header + 1, len(lines))),
+                         lines[row])
+        else:
+            cells = lines[row].split(",")
+            column = data.draw(st.sampled_from(
+                [i for i, cell in enumerate(cells) if _is_number(cell)]))
+            if mutation == "negative":
+                mutation = repr(data.draw(st.floats(-1e6, -1e-6)))
+            cells[column] = mutation
+            lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+        code = main(["score", "--prereg", str(data_dir / "prereg.yaml"),
+                     "--data", str(data_dir), "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            _, _, rows = read_table(out / "summary.csv")
+            assert all(math.isfinite(float(value)) for _, value in rows)
 
 
 class TestSharedPipeline:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlaskit.config_io import (
+    BandRef,
     emit_report,
     load_measurements,
     load_preregistration,
@@ -28,6 +29,7 @@ from hlaskit.config_io import (
 )
 from hlaskit.errors import (
     DataError,
+    DuplicateKey,
     IncompleteAnalyses,
     MissingSection,
     WeightSumViolation,
@@ -165,6 +167,20 @@ class TestMeasurementLoading:
         prereg = load_preregistration_file(example_dir / "prereg.yaml")
         with pytest.raises(DataError, match=r"capability_knee\.csv and "
                            r"capability_knee_half\.csv.*'knee'"):
+            load_measurements(tmp_path, prereg)
+
+    def test_pair_given_by_two_band_files_rejected(self, example_dir,
+                                                    tmp_path):
+        for f in example_dir.glob("*.csv"):
+            shutil.copy(f, tmp_path / f.name)
+        lines = (example_dir / "bands.csv").read_text().splitlines(True)
+        extra = tmp_path / "bands_extra.csv"
+        extra.write_text("".join(lines[:4]))   # header and one Walk/ankle row
+        prereg = load_preregistration_file(example_dir / "prereg.yaml")
+        prereg = replace(prereg, bands=(
+            *prereg.bands, BandRef("bands_extra.csv", sha256_file(extra))))
+        with pytest.raises(DuplicateKey, match=r"bands\.csv and "
+                           r"bands_extra\.csv.*'Walk', 'ankle'"):
             load_measurements(tmp_path, prereg)
 
     def test_capability_conditions_required(self, tmp_path):

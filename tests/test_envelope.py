@@ -15,6 +15,8 @@ from hlaskit.envelope import (
 )
 from hlaskit.errors import (
     DegenerateBand,
+    DuplicateKey,
+    InvalidRecord,
     SampleMismatch,
     ZeroDemand,
     ZeroDemandWarning,
@@ -79,6 +81,16 @@ class TestHeeCoverage:
         cap = make_map(PUSH_OFF_OMEGA[:-1], PUSH_OFF_T_ROB[:-1])
         with pytest.raises(SampleMismatch):
             hee_coverage(push_off_band, cap)
+
+    def test_capability_map_indexes_each_point_once(self, push_off_map):
+        assert push_off_map.torque_at[(10.0, 12.0)] == 27
+        with pytest.raises(DuplicateKey, match="ankle/plantarflexion"):
+            make_map([8, 9, 8], [36, 35, 34])
+
+    def test_negative_capability_torque_rejected(self):
+        with pytest.raises(InvalidRecord) as raised:
+            CapabilitySample(10.0, 8.0, -1.0)
+        assert isinstance(raised.value, ValueError)
 
     def test_degenerate_band_rejected(self, push_off_map):
         band = make_band(PUSH_OFF_OMEGA, PUSH_OFF_T_HUM,
