@@ -5,13 +5,19 @@ positive mechanical work for one joint during one task.  Each sample carries
 the human torque and power demand plus a weight proportional to positive
 power, normalized to sum to one, so downstream coverage and efficiency
 averages emphasize the points where humans do the most work.
+
+Bands (and the capability maps of ``envelope``) hold their samples as
+float64 columns, one array per quantity, in sample order; per-sample
+records are built only when ``.samples`` is read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields
 from math import fsum, hypot
+
+import numpy as np
 
 from .errors import (
     DuplicateKey,
@@ -39,64 +45,128 @@ class ReferenceBody:
             raise ValueError("reference body mass and height must be positive")
 
 
+class SampleView(Sequence):
+    """Per-sample records of columnar data, each built from the columns
+    only when it is read (by index or iteration); its length costs
+    nothing."""
+
+    def __init__(self, record, columns: list[np.ndarray]) -> None:
+        self._record, self._columns = record, columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index: int):
+        return self._record(*(c[index].item() for c in self._columns))
+
+
+class Columnar:
+    """Base of the frozen dataclasses that hold samples as float64 columns.
+
+    ``_store_columns`` keeps each named field as a read-only array and
+    checks that they have one length; instances compare by value.
+    """
+
+    def _store_columns(self, *names: str) -> int:
+        for name in names:
+            column = np.array(getattr(self, name), dtype=float)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        lengths = {len(getattr(self, name)) for name in names}
+        if len(lengths) > 1:
+            raise ValueError(f"columns {names} must have equal length")
+        return lengths.pop()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            if f.compare:
+                a, b = getattr(self, f.name), getattr(other, f.name)
+                if not (np.array_equal(a, b) if isinstance(a, np.ndarray)
+                        else a == b):
+                    return False
+        return True
+
+    __hash__ = None
+
+
 @dataclass(frozen=True)
 class DemandSample:
-    """Human demand at one (q, omega) point of a band."""
+    """Human demand at one (q, omega) point of a band: a record of
+    ``OperatingBand.samples``."""
 
     q: float            # joint angle, deg
     omega: float        # joint rate, rad/s
     torque_hum: float   # Nm
     power_hum: float    # W
-    weight: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError("sample weight must be >= 0")
+    weight: float
 
     @property
     def point(self) -> tuple[float, float]:
         return (self.q, self.omega)
 
 
-@dataclass(frozen=True)
-class OperatingBand:
-    """Discretized demand field for one joint-task pair."""
+@dataclass(frozen=True, eq=False)
+class OperatingBand(Columnar):
+    """Discretized demand field for one joint-task pair, one column per
+    quantity.  ``weight`` is computed here by ``normalize_weights``."""
 
     joint: str
     task: str
-    samples: tuple[DemandSample, ...]
+    q: np.ndarray            # joint angle, deg
+    omega: np.ndarray        # joint rate, rad/s
+    torque_hum: np.ndarray   # Nm
+    power_hum: np.ndarray    # W
+    weight: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.samples:
+        n = self._store_columns("q", "omega", "torque_hum", "power_hum")
+        if not n:
             raise EmptyBand(f"band {self.task}/{self.joint} has no samples")
-        if len({s.point for s in self.samples}) != len(self.samples):
+        order = np.lexsort((self.omega, self.q))
+        q, omega = self.q[order], self.omega[order]
+        if ((q[1:] == q[:-1]) & (omega[1:] == omega[:-1])).any():
             raise DuplicateKey(
                 f"band {self.task}/{self.joint} repeats a (q, omega) sample"
             )
+        weight = normalize_weights(self.power_hum)
+        weight.flags.writeable = False
+        object.__setattr__(self, "weight", weight)
+
+    @property
+    def samples(self) -> SampleView:
+        return SampleView(DemandSample, [self.q, self.omega, self.torque_hum,
+                                         self.power_hum, self.weight])
 
     @property
     def degenerate(self) -> bool:
         """True when no sample demands positive power (all weights zero)."""
-        return all(s.power_hum <= 0 for s in self.samples)
+        return not (self.power_hum > 0).any()
 
     def total_weight(self) -> float:
-        return fsum(s.weight for s in self.samples)
+        return fsum(self.weight.tolist())
 
 
 def measured_at(
     band: OperatingBand, measured: dict[tuple[float, float], float],
-    quantity: str, samples: Sequence[DemandSample] | None = None,
-) -> list[float]:
+    quantity: str, where: np.ndarray | None = None,
+) -> np.ndarray:
     """The value measured at each band sample's exact (q, omega) point, in
-    sample order (``samples`` narrows the band's samples).  A point without
-    a measurement raises ``SampleMismatch``: nothing is interpolated."""
-    samples = band.samples if samples is None else samples
+    sample order (``where``, a boolean column, narrows the samples).  A
+    point without a measurement raises ``SampleMismatch``: nothing is
+    interpolated."""
+    q, omega = band.q, band.omega
+    if where is not None:
+        q, omega = q[where], omega[where]
     try:
-        return [measured[s.point] for s in samples]
-    except KeyError:
-        s = next(s for s in samples if s.point not in measured)
+        return np.array([measured[p] for p in zip(q.tolist(),
+                                                   omega.tolist())],
+                        dtype=float)
+    except KeyError as missing:
+        q_at, omega_at = missing.args[0]
         raise SampleMismatch(
-            f"no {quantity} measurement at (q={s.q} deg, omega={s.omega} "
+            f"no {quantity} measurement at (q={q_at} deg, omega={omega_at} "
             f"rad/s) for {band.task}/{band.joint}; measurements are never "
             f"interpolated"
         ) from None
@@ -149,19 +219,21 @@ def torque_from_power(power: float, omega: float) -> float:
     return power / omega
 
 
-def normalize_weights(samples: list[DemandSample]) -> list[DemandSample]:
-    """Set each weight to max(power, 0) / total positive power.
+def normalize_weights(power_hum) -> np.ndarray:
+    """The weight column: max(power, 0) / total positive power, in sample
+    order.
 
     If no sample has positive power every weight is zero and the resulting
     band is degenerate; callers decide whether that is an error.
     """
-    if not samples:
+    power = np.asarray(power_hum, dtype=float)
+    if not power.size:
         raise EmptyBand("cannot normalize weights of an empty sample list")
-    positive = [max(s.power_hum, 0.0) for s in samples]
-    total = fsum(positive)
+    positive = np.where(power < 0.0, 0.0, power)    # max(p, 0.0), as Python
+    total = fsum(positive.tolist())
     if total <= 0:
-        return [replace(s, weight=0.0) for s in samples]
-    return [replace(s, weight=p / total) for s, p in zip(samples, positive)]
+        return np.zeros(power.size)
+    return positive / total
 
 
 def build_band_grid(
@@ -293,8 +365,6 @@ def phase_to_grid(
                 if omega != 0:
                     torque_acc[k] += frac * p_pos * (power / omega)
 
-    samples = []
-    for (q, omega), p, tq in zip(grid, power_acc, torque_acc):
-        torque = tq / p if p > 0 else 0.0
-        samples.append(DemandSample(q, omega, torque, p))
-    return OperatingBand(joint, task, tuple(normalize_weights(samples)))
+    q, omega = zip(*grid)
+    torque = [tq / p if p > 0 else 0.0 for p, tq in zip(power_acc, torque_acc)]
+    return OperatingBand(joint, task, q, omega, torque, power_acc)

@@ -23,26 +23,24 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import count
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .atlas import AxisActuationReport, AxisSpec, RomInterval, functional_interval
-from .bands import DemandSample, OperatingBand, PhaseTrajectory, normalize_weights
-from .envelope import (
-    CapabilityMap,
-    CapabilitySample,
-    HeeResult,
-    hee_coverage,
-)
+from .bands import OperatingBand, PhaseTrajectory
+from .envelope import CapabilityMap, HeeResult, hee_coverage
 from .errors import (
+    ConfigIncomplete,
     DataError,
+    DuplicateDeclaration,
     DuplicateKey,
     IncompleteAnalyses,
+    InvalidDeclaration,
     InvalidRecord,
     MissingSection,
-    ConfigIncomplete,
 )
 from .scoring import (
     FEATURE_NAMES,
@@ -211,49 +209,78 @@ def _numeric(path: Path, rows: list[list[str]],
 
 def _read_columns(
     path: Path, text_columns: tuple[str, ...],
-    float_columns: tuple[str, ...], key: tuple[str, ...], make,
+    float_columns: tuple[str, ...], key: tuple[str, ...],
     optional: tuple[str, ...] = (),
-) -> tuple[dict[str, str], list]:
-    """Metadata, and ``make(*text cells, *floats, *optional floats)`` for
-    each data row; an ``optional`` column may be absent or empty (None).
+) -> tuple[dict[str, str], dict[str, list | np.ndarray]]:
+    """Metadata, and each column's cells in file order: a list of strings
+    per text column, a float64 array per float column and a list of floats
+    or None per ``optional`` column, which may be absent or empty.
 
     ``key`` names the columns that identify a measurement: a repeated key
     raises ``DuplicateKey`` naming both lines, comparing numeric cells as
-    floats (``10`` and ``10.0`` are one point).  A ``DataError`` from
-    ``make`` is raised again naming the row's line.
+    floats (``10`` and ``10.0`` are one point).
     """
     meta, header, rows = read_table(path, (*text_columns, *float_columns))
     index = {name: i for i, name in enumerate(header)}
-    columns = {c: [row[index[c]] for row in rows] for c in text_columns}
+    columns: dict = {c: [row[index[c]] for row in rows] for c in text_columns}
     numbers = _numeric(
         path, [[row[index[c]] for c in float_columns] for row in rows],
         float_columns,
     )
-    columns.update(zip(float_columns, numbers.T.tolist()))
+    columns.update(zip(float_columns, np.ascontiguousarray(numbers.T)))
     for c in optional:
         cells = [row[index[c]] if c in index else "" for row in rows]
         columns[c] = [_cell_float(path, i, c, cell) if cell else None
                       for i, cell in enumerate(cells)]
     del rows, numbers                   # parsed: free the cells before keys
-    _refuse_repeats(path, key, zip(*(columns[c] for c in key)))
+    _refuse_repeats(path, key, zip(*(
+        columns[c].tolist() if c in float_columns else columns[c]
+        for c in key)))
+    return meta, columns
+
+
+def _read_records(
+    path: Path, text_columns: tuple[str, ...],
+    float_columns: tuple[str, ...], key: tuple[str, ...], make,
+    optional: tuple[str, ...] = (),
+) -> list:
+    """``make(*text cells, *floats, *optional floats)`` for each data row
+    of ``_read_columns``; a ``DataError`` from ``make`` is raised again
+    naming the row's line."""
+    _, columns = _read_columns(path, text_columns, float_columns, key,
+                               optional)
     records: list = []
     try:
-        for row in zip(*columns.values()):
+        for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                         for c in columns.values())):
             records.append(make(*row))
     except DataError as exc:
         raise _located(path, exc, len(records)) from None
-    return meta, records
+    return records
 
 
-def _refuse_repeats(path: Path, key: tuple[str, ...], keys) -> None:
-    """``DuplicateKey`` naming both lines of the first repeated key."""
+def _first_repeat(keys: list) -> tuple[int, int] | None:
+    """``(earlier, i)``: the first index whose key repeats an earlier one,
+    and that earlier index; None when every key is distinct."""
+    if len(set(keys)) == len(keys):
+        return None
     first: dict = {}
     for i, k in enumerate(keys):
         earlier = first.setdefault(k, i)
         if earlier != i:
-            raise _located(path, DuplicateKey(
-                f"({', '.join(key)}) = {k!r} repeats line "
-                f"{_line(path, earlier)}"), i)
+            return earlier, i
+    return None
+
+
+def _refuse_repeats(path: Path, key: tuple[str, ...], keys) -> None:
+    """``DuplicateKey`` naming both lines of the first repeated key."""
+    keys = list(keys)
+    repeat = _first_repeat(keys)
+    if repeat:
+        earlier, i = repeat
+        raise _located(path, DuplicateKey(
+            f"({', '.join(key)}) = {keys[i]!r} repeats line "
+            f"{_line(path, earlier)}"), i)
 
 
 def _grouped(items) -> dict:
@@ -271,68 +298,65 @@ def _grouped(items) -> dict:
 def read_bands(path: Path) -> dict[tuple[str, str], OperatingBand]:
     """Band file: ``task,joint,q_deg,omega_rad_s,torque_hum_nm,power_hum_w``.
 
-    Weights are computed at load (proportional to positive power per pair),
-    in file row order.
+    Each pair's band holds its rows in file order; its weights are computed
+    at load (proportional to positive power per pair).
     """
-    _, rows = _read_columns(
-        path, ("task", "joint"),
-        ("q_deg", "omega_rad_s", "torque_hum_nm", "power_hum_w"),
-        ("task", "joint", "q_deg", "omega_rad_s"),
-        lambda task, joint, *demand: ((task, joint), DemandSample(*demand)))
-    grouped = _grouped(rows)
-    if not grouped:
+    demand = ("q_deg", "omega_rad_s", "torque_hum_nm", "power_hum_w")
+    _, columns = _read_columns(path, ("task", "joint"), demand,
+                               ("task", "joint", "q_deg", "omega_rad_s"))
+    groups = _grouped(zip(zip(columns["task"], columns["joint"]), count()))
+    if not groups:
         raise DataError(f"band file {path} has no data rows")
     return {
-        (task, joint): OperatingBand(
-            joint, task, tuple(normalize_weights(samples))
-        )
-        for (task, joint), samples in grouped.items()
+        (task, joint): OperatingBand(joint, task,
+                                     *(columns[c][rows] for c in demand))
+        for (task, joint), rows in groups.items()
     }
 
 
 def read_phase_trajectory(path: Path) -> PhaseTrajectory:
     """Phase trajectory file: ``phase,q_deg,omega_rad_s,power_w``."""
-    _, values = _read_columns(
-        path, (), ("phase", "q_deg", "omega_rad_s", "power_w"), ("phase",),
-        lambda *row: row)
-    if not values:
+    names = ("phase", "q_deg", "omega_rad_s", "power_w")
+    _, columns = _read_columns(path, (), names, ("phase",))
+    if not len(columns["phase"]):
         raise DataError(f"phase trajectory file {path} has no data rows")
-    phase, q, omega, power = zip(*values)
+    phase, q, omega, power = (tuple(columns[c].tolist()) for c in names)
     return PhaseTrajectory(phase=phase, q=q, omega=omega, power=power)
 
 
 def read_capability_map(path: Path) -> CapabilityMap:
     """Capability file: ``joint,axis,q_deg,omega_rad_s,torque_nm`` with the
     measurement conditions carried in the comment header."""
-    meta, rows = _read_columns(
+    meta, columns = _read_columns(
         path, ("joint", "axis"), ("q_deg", "omega_rad_s", "torque_nm"),
-        ("q_deg", "omega_rad_s"),
-        lambda joint, axis, *point: ((joint, axis), CapabilitySample(*point)))
-    joints = {axis for axis, _ in rows}
+        ("q_deg", "omega_rad_s"))
+    joints = set(zip(columns["joint"], columns["axis"]))
     if len(joints) != 1:
         raise DataError(f"capability file {path} must give one joint/axis, "
                         f"not {sorted(joints)}")
     (joint, axis), = joints
     try:
-        return CapabilityMap(joint, axis, tuple(s for _, s in rows),
+        return CapabilityMap(joint, axis, columns["q_deg"],
+                             columns["omega_rad_s"], columns["torque_nm"],
                              meta.get("conditions", ""))
-    except DataError as exc:
-        raise _located(path, exc, None) from None
+    except InvalidRecord as exc:
+        raise _located(path, exc, exc.row) from None
 
 
 def write_capability_map(cap: CapabilityMap, path: Path) -> None:
     with Path(path).open("w", newline="") as fh:
         fh.write(f"# conditions: {cap.conditions}\n")
         fh.write("joint,axis,q_deg,omega_rad_s,torque_nm\n")
-        for s in cap.samples:
+        for q, omega, torque in zip(cap.q.tolist(), cap.omega.tolist(),
+                                    cap.torque_rob.tolist()):
             fh.write(",".join([
-                cap.joint, cap.axis, fmt(s.q), fmt(s.omega), fmt(s.torque_rob),
+                cap.joint, cap.axis, fmt(q), fmt(omega), fmt(torque),
             ]) + "\n")
 
 
 def read_rom_file(path: Path) -> dict[str, dict[str, RomInterval]]:
     """Robot ROM per joint and axis: ``joint,axis,lo_deg,hi_deg``."""
-    _, rows = _read_columns(
+    rows = _read_records(
         path, ("joint", "axis"), ("lo_deg", "hi_deg"), ("joint", "axis"),
         lambda joint, axis, lo, hi: (joint, (axis, RomInterval(lo, hi))))
     return {joint: dict(axes) for joint, axes in _grouped(rows).items()}
@@ -340,7 +364,7 @@ def read_rom_file(path: Path) -> dict[str, dict[str, RomInterval]]:
 
 def read_dof_file(path: Path) -> dict[str, list[AxisActuationReport]]:
     """DoF report: ``joint,axis,implemented,coupling_rms_fraction``."""
-    _, rows = _read_columns(
+    rows = _read_records(
         path, ("joint", "axis", "implemented"), ("coupling_rms_fraction",),
         ("joint", "axis"),
         lambda joint, axis, implemented, coupling: (joint, AxisActuationReport(
@@ -351,29 +375,33 @@ def read_dof_file(path: Path) -> dict[str, list[AxisActuationReport]]:
 
 def read_bandwidth_file(path: Path) -> dict[str, tuple[float, float | None]]:
     """Per joint: ``f_crossover_hz`` and the optional ``omega_max_rad_s``."""
-    _, rows = _read_columns(path, ("joint",), ("f_crossover_hz",), ("joint",),
-                            lambda joint, *rates: (joint, rates),
-                            optional=("omega_max_rad_s",))
-    return dict(rows)
+    return dict(_read_records(path, ("joint",), ("f_crossover_hz",),
+                              ("joint",), lambda joint, *rates: (joint, rates),
+                              optional=("omega_max_rad_s",)))
 
 
 def read_efficiency_file(
     path: Path,
 ) -> dict[str, dict[tuple[float, float], float]]:
-    """Point efficiency: ``joint,q_deg,omega_rad_s,eta``."""
-    _, rows = _read_columns(
+    """Point efficiency: ``joint,q_deg,omega_rad_s,eta``; per joint, the
+    efficiency at each (q, omega) point."""
+    _, columns = _read_columns(
         path, ("joint",), ("q_deg", "omega_rad_s", "eta"),
-        ("joint", "q_deg", "omega_rad_s"),
-        lambda joint, q, omega, eta: (joint, ((q, omega), eta)))
-    return {joint: dict(points) for joint, points in _grouped(rows).items()}
+        ("joint", "q_deg", "omega_rad_s"))
+    out: dict[str, dict[tuple[float, float], float]] = {}
+    for joint, point, eta in zip(
+            columns["joint"], zip(columns["q_deg"].tolist(),
+                                  columns["omega_rad_s"].tolist()),
+            columns["eta"].tolist()):
+        out.setdefault(joint, {})[point] = eta
+    return out
 
 
 def read_thermal_file(path: Path) -> dict[tuple[str, str], float]:
     """Plateau torques: ``task,joint,torque_cont_nm``."""
-    _, rows = _read_columns(
+    return dict(_read_records(
         path, ("task", "joint"), ("torque_cont_nm",), ("task", "joint"),
-        lambda task, joint, torque: ((task, joint), torque))
-    return dict(rows)
+        lambda task, joint, torque: ((task, joint), torque)))
 
 
 def write_log(log: TimeSeriesLog, path: Path) -> None:
@@ -397,12 +425,32 @@ def read_log(path: Path) -> TimeSeriesLog:
     try:
         return TimeSeriesLog(      # LOG_COLUMNS are its channels, in order
             *(data[:, header.index(name)] for name in LOG_COLUMNS),
-            sample_rate=float(meta["sample_rate_hz"]),
+            sample_rate=_header_number(meta, "sample_rate_hz", float),
             conditions=meta.get("conditions", ""),
-            seed=int(meta["seed"]) if "seed" in meta else None,
+            seed=_header_number(meta, "seed", int) if "seed" in meta else None,
         )
     except InvalidRecord as exc:
         raise _located(path, exc, exc.row) from None
+
+
+def _finite(value, kind: type = float) -> float | None:
+    """``kind(value)`` (float or int) when that is a finite number, else
+    None."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _header_number(meta: dict[str, str], name: str, kind: type) -> float:
+    """The ``# name:`` header as a finite ``kind``; ``InvalidRecord``
+    otherwise."""
+    number = _finite(meta[name], kind)
+    if number is None:
+        raise InvalidRecord(f"{name} header {meta[name]!r} is not a finite "
+                            f"{kind.__name__}")
+    return number
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +475,37 @@ class Preregistration:
     digest: str
 
 
+class _RegistrationLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, refusing a key given twice in one mapping (the
+    plain safe loader keeps the last of them).  A ``<<`` merge key may
+    still be overridden by the mapping's own keys."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        keys = [self.constructed_objects[k] for k in own]
+        repeat = _first_repeat(keys)
+        if repeat:
+            earlier, i = repeat
+            raise DuplicateDeclaration(
+                f"key {keys[i]!r} on line {own[i].start_mark.line + 1} "
+                f"repeats line {own[earlier].start_mark.line + 1}")
+        return mapping
+
+
+def _number(value, where: str) -> float:
+    """A registration value as a finite float; ``InvalidDeclaration``
+    naming ``where`` otherwise."""
+    number = _finite(value)
+    if number is None:
+        raise InvalidDeclaration(f"{where}: {value!r} is not a finite number")
+    return number
+
+
+def _float_map(section, name: str) -> dict[str, float]:
+    return {str(k): _number(v, f"{name}: {k}") for k, v in section.items()}
+
+
 def _nested_float_map(section, name: str) -> dict[str, dict[str, float]]:
     if not isinstance(section, dict):
         raise MissingSection(f"section {name!r} must map tasks to joints")
@@ -436,7 +515,7 @@ def _nested_float_map(section, name: str) -> dict[str, dict[str, float]]:
             raise MissingSection(
                 f"section {name!r} entry {task!r} must map joints to values"
             )
-        out[str(task)] = {str(j): float(v) for j, v in joints.items()}
+        out[str(task)] = _float_map(joints, f"{name}: {task}")
     return out
 
 
@@ -488,14 +567,18 @@ def load_preregistration(text: str) -> Preregistration:
     sets and weights, feature weights, band references, and the
     bandwidth/efficiency/thermal targets.
     """
-    doc = yaml.safe_load(text)
+    try:
+        doc = yaml.load(text, Loader=_RegistrationLoader)
+    except yaml.YAMLError as exc:
+        raise InvalidDeclaration(f"pre-registration is not YAML: {exc}") \
+            from None
     if not isinstance(doc, dict):
         raise MissingSection("pre-registration document is not a mapping")
     for section in REQUIRED_SECTIONS:
         if section not in doc or doc[section] is None:
             raise MissingSection(f"missing required section {section!r}")
 
-    tasks = {str(k): float(v) for k, v in doc["tasks"].items()}
+    tasks = _float_map(doc["tasks"], "tasks")
 
     def rekey(nested: dict[str, dict[str, float]]):
         return {
@@ -507,19 +590,18 @@ def load_preregistration(text: str) -> Preregistration:
     scheme = WeightScheme(
         task_weights=tasks,
         joint_weights=_nested_float_map(doc["joint_weights"], "joint_weights"),
-        feature_weights={
-            str(k): float(v) for k, v in doc["feature_weights"].items()
-        },
+        feature_weights=_float_map(doc["feature_weights"], "feature_weights"),
         bandwidth_targets=_nested_float_map(
             doc["bandwidth_targets_hz"], "bandwidth_targets_hz"),
         efficiency_targets=_nested_float_map(
             doc["efficiency_targets"], "efficiency_targets"),
-        headroom_delta=float(doc.get("headroom_delta", 0.0)),
+        headroom_delta=_number(doc.get("headroom_delta", 0.0),
+                               "headroom_delta"),
         breadth_floor=(None if doc.get("breadth_floor") is None
-                       else float(doc["breadth_floor"])),
+                       else _number(doc["breadth_floor"], "breadth_floor")),
         critical_tasks=frozenset(doc.get("critical_tasks") or ()),
         task_gate_min=(None if doc.get("task_gate_min") is None
-                       else float(doc["task_gate_min"])),
+                       else _number(doc["task_gate_min"], "task_gate_min")),
         margin_method=str(doc.get("margin_method", "min")),
         use_rate_margin=bool(doc.get("use_rate_margin", False)),
         score_as_zero=frozenset(
@@ -544,7 +626,9 @@ def load_preregistration(text: str) -> Preregistration:
     for task, joints in (doc.get("functional_rom_deg") or {}).items():
         for joint, axes in joints.items():
             functional_rom[(str(task), str(joint))] = {
-                str(axis): RomInterval(float(lo), float(hi))
+                str(axis): RomInterval(*(
+                    _number(v, f"functional_rom_deg: {task}: {joint}: {axis}")
+                    for v in (lo, hi)))
                 for axis, (lo, hi) in axes.items()
             }
 
@@ -812,13 +896,9 @@ MASK_COLUMNS = ("q_deg", "omega_rad_s", "weight", "torque_ok", "power_ok",
                 "pass")
 
 
-def _csv_text(header, rows) -> str:
-    return "".join(",".join(fmt(v) for v in row) + "\n"
-                   for row in (header, *rows))
-
-
 def write_csv(path: Path, header, rows) -> None:
-    path.write_text(_csv_text(header, rows), newline="")
+    path.write_text("".join(",".join(fmt(v) for v in row) + "\n"
+                            for row in (header, *rows)), newline="")
 
 
 def mask_name(task: str, joint: str) -> str:
@@ -826,11 +906,16 @@ def mask_name(task: str, joint: str) -> str:
 
 
 def mask_csv(result: HeeResult) -> str:
-    """One pair's envelope mask as CSV text, a row per band sample."""
-    return _csv_text(MASK_COLUMNS, [
-        [r.q, r.omega, r.weight, r.torque_ok, r.power_ok, r.passed]
-        for r in result.per_sample
-    ])
+    """One pair's envelope mask as CSV text, a row per band sample; each
+    column is formatted at once, as ``fmt`` formats its cells."""
+    words = ("false", "true")
+    columns = [
+        *(map(repr, c.tolist()) for c in (result.q, result.omega,
+                                           result.weight)),
+        *([words[ok] for ok in c.tolist()]
+          for c in (result.torque_ok, result.power_ok, result.passed)),
+    ]
+    return "\n".join(map(",".join, (MASK_COLUMNS, *zip(*columns)))) + "\n"
 
 
 def bundle_files(out_dir: Path) -> list[Path]:

@@ -19,11 +19,14 @@ import warnings
 from dataclasses import dataclass, field
 from math import fsum
 
-from .bands import OperatingBand, measured_at
+import numpy as np
+
+from .bands import Columnar, OperatingBand, SampleView, measured_at
 from .errors import (
     DegenerateBand,
     DuplicateKey,
     InvalidRecord,
+    NegativeHeadroom,
     ZeroDemand,
     ZeroDemandWarning,
     ZeroRequirement,
@@ -38,25 +41,21 @@ def clip01(x: float) -> float:
 
 @dataclass(frozen=True)
 class CapabilitySample:
-    """Continuous-safe robot torque at one (q, omega) point."""
+    """Continuous-safe robot torque at one (q, omega) point: a record of
+    ``CapabilityMap.samples``."""
 
     q: float            # deg
     omega: float        # rad/s
     torque_rob: float   # Nm, magnitude on the task-signed axis
-
-    def __post_init__(self) -> None:
-        if self.torque_rob < 0:
-            raise InvalidRecord(
-                f"continuous-safe torque {self.torque_rob!r} must be >= 0")
 
     @property
     def point(self) -> tuple[float, float]:
         return (self.q, self.omega)
 
 
-@dataclass(frozen=True)
-class CapabilityMap:
-    """Continuous-safe torque samples for one joint axis.
+@dataclass(frozen=True, eq=False)
+class CapabilityMap(Columnar):
+    """Continuous-safe torque for one joint axis, one column per quantity.
 
     ``conditions`` records the measurement context (ambient, airflow, soak
     state) and is mandatory: a capability number without its thermal context
@@ -65,43 +64,56 @@ class CapabilityMap:
 
     joint: str
     axis: str
-    samples: tuple[CapabilitySample, ...]
+    q: np.ndarray            # deg
+    omega: np.ndarray        # rad/s
+    torque_rob: np.ndarray   # Nm, magnitude on the task-signed axis
     conditions: str
     torque_at: dict[tuple[float, float], float] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self._store_columns("q", "omega", "torque_rob")
+        negative = np.flatnonzero(self.torque_rob < 0)
+        if negative.size:
+            row = int(negative[0])
+            raise InvalidRecord(f"continuous-safe torque "
+                                f"{self.torque_rob[row].item()!r} must be "
+                                f">= 0", row=row)
         if not self.conditions.strip():
             raise InvalidRecord("capability map requires a conditions "
                                 "description (a '# conditions:' header)")
-        torque_at = {s.point: s.torque_rob for s in self.samples}
-        if len(torque_at) != len(self.samples):
+        torque_at = dict(zip(zip(self.q.tolist(), self.omega.tolist()),
+                             self.torque_rob.tolist()))
+        if len(torque_at) != len(self.q):
             raise DuplicateKey(f"capability map {self.joint}/{self.axis} "
                                f"repeats a (q, omega) sample")
         object.__setattr__(self, "torque_at", torque_at)
 
+    @property
+    def samples(self) -> SampleView:
+        return SampleView(CapabilitySample,
+                          [self.q, self.omega, self.torque_rob])
 
-@dataclass(frozen=True)
-class MaskRow:
-    q: float
-    omega: float
-    weight: float
-    torque_ok: bool
-    power_ok: bool
+
+@dataclass(frozen=True, eq=False)
+class HeeResult:
+    """Coverage and, per band sample in band order, the point, its weight
+    and whether the robot met the torque and the power demand there."""
+
+    coverage: float
+    q: np.ndarray
+    omega: np.ndarray
+    weight: np.ndarray
+    torque_ok: np.ndarray
+    power_ok: np.ndarray
 
     @property
-    def passed(self) -> bool:
-        return self.torque_ok and self.power_ok
-
-
-@dataclass(frozen=True)
-class HeeResult:
-    coverage: float
-    per_sample: tuple[MaskRow, ...]
+    def passed(self) -> np.ndarray:
+        return self.torque_ok & self.power_ok
 
     def pass_rates(self) -> list[float]:
         """Rates (rad/s) of the passing samples, for quick diagnostics."""
-        return [r.omega for r in self.per_sample if r.passed]
+        return self.omega[self.passed].tolist()
 
 
 def hee_coverage(
@@ -117,22 +129,22 @@ def hee_coverage(
     the ratio of passing weight to total weight, so a map that dominates
     the demands everywhere scores exactly 1.0.
     """
-    if headroom_delta < 0:
-        raise ValueError("headroom delta must be >= 0")
+    if not headroom_delta >= 0:                         # NaN too
+        raise NegativeHeadroom(
+            f"headroom delta {headroom_delta!r} must be >= 0")
     if band.degenerate:
         raise DegenerateBand(
             f"band {band.task}/{band.joint} has no positive-power samples"
         )
-    torques = measured_at(band, cap.torque_at, "capability")
+    t_rob = measured_at(band, cap.torque_at, "capability")
     scale = 1.0 + headroom_delta
-    rows = []
-    for s, t_rob in zip(band.samples, torques):
-        torque_ok = t_rob >= scale * s.torque_hum
-        power_ok = t_rob * s.omega >= scale * s.power_hum
-        rows.append(MaskRow(s.q, s.omega, s.weight, torque_ok, power_ok))
-    coverage = (fsum(r.weight for r in rows if r.passed)
-                / fsum(r.weight for r in rows))
-    return HeeResult(coverage, tuple(rows))
+    with np.errstate(over="ignore"):    # overflow gives inf, as in Python
+        torque_ok = t_rob >= scale * band.torque_hum
+        power_ok = t_rob * band.omega >= scale * band.power_hum
+    coverage = (fsum(band.weight[torque_ok & power_ok].tolist())
+                / band.total_weight())
+    return HeeResult(coverage, band.q, band.omega, band.weight,
+                     torque_ok, power_ok)
 
 
 def _quantile10(sorted_values: list[float]) -> float:
@@ -157,11 +169,14 @@ def _margin(ratios: list[float], method: str) -> float:
 
 
 def _ratio_margin(band: OperatingBand, quantity: str, method: str,
-                  robot_human: list[tuple[float, float]]) -> float:
-    """Margin over the (robot, human) pairs of one quantity; pairs with
-    nonpositive human demand are excluded with a warning."""
-    ratios = [robot / human for robot, human in robot_human if human > 0]
-    skipped = len(robot_human) - len(ratios)
+                  robot: np.ndarray, human: np.ndarray) -> float:
+    """Margin over the robot/human ratios of one quantity, sample by
+    sample; samples with nonpositive human demand are excluded with a
+    warning."""
+    demanded = human > 0
+    with np.errstate(over="ignore"):    # overflow gives inf, as in Python
+        ratios = (robot[demanded] / human[demanded]).tolist()
+    skipped = len(human) - len(ratios)
     if skipped:
         warnings.warn(
             f"{skipped} sample(s) with nonpositive {quantity} demand excluded "
@@ -184,9 +199,7 @@ def torque_margin(
     with a warning; their HEE weight is already zero, so nothing is lost.
     """
     torques = measured_at(band, cap.torque_at, "capability")
-    return _ratio_margin(band, "torque", method, [
-        (t_rob, s.torque_hum) for s, t_rob in zip(band.samples, torques)
-    ])
+    return _ratio_margin(band, "torque", method, torques, band.torque_hum)
 
 
 def power_margin(
@@ -194,10 +207,9 @@ def power_margin(
 ) -> float:
     """As torque_margin, with ratios (torque_rob * omega) / power_hum."""
     torques = measured_at(band, cap.torque_at, "capability")
-    return _ratio_margin(band, "power", method, [
-        (t_rob * s.omega, s.power_hum)
-        for s, t_rob in zip(band.samples, torques)
-    ])
+    with np.errstate(over="ignore"):
+        robot = torques * band.omega
+    return _ratio_margin(band, "power", method, robot, band.power_hum)
 
 
 def rate_margin(omega_max: float, omega_req: float) -> float:

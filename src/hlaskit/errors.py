@@ -50,6 +50,19 @@ class ZeroRequirement(ValidationError):
     pass
 
 
+class DuplicateDeclaration(ValidationError):
+    """A registration document gives one mapping key twice."""
+
+
+class InvalidDeclaration(ValidationError):
+    """A registration value that must be a number is not one."""
+
+
+class NegativeHeadroom(ValidationError, ValueError):
+    """A demand headroom below zero.  Also a ``ValueError`` for direct
+    callers."""
+
+
 # --- data ---------------------------------------------------------------
 
 class EmptyAxisSet(DataError):

@@ -125,7 +125,7 @@ class WeightScheme:
                 f"feature weights must name exactly {FEATURE_NAMES}"
             )
         _check_weights(self.feature_weights, "feature")
-        if self.headroom_delta < 0:
+        if not self.headroom_delta >= 0:                # NaN too
             raise NegativeWeight("headroom delta must be >= 0")
         for table, label in ((self.bandwidth_targets, "bandwidth"),
                              (self.efficiency_targets, "efficiency")):

@@ -194,7 +194,8 @@ def compute_frf(log: TimeSeriesLog, freqs: list[float]) -> list[FrfPoint]:
                 f"need >= {MIN_CYCLES}"
             )
         g = single_frequency_response(log.t, log.torque_cmd, log.torque, f)
-        points.append(FrfPoint(f, abs(g), degrees(atan2(g.imag, g.real))))
+        points.append(FrfPoint(f, float(abs(g)),
+                              degrees(atan2(g.imag, g.real))))
     return points
 
 
@@ -223,7 +224,7 @@ def find_crossover(frf: list[FrfPoint]) -> CrossoverResult:
             f_c = float(np.exp(xc))
             frac = 0.0 if x1 == x0 else (xc - x0) / (x1 - x0)
             phase_c = frf[i].phase + frac * (frf[i + 1].phase - frf[i].phase)
-            crossings.append((f_c, phase_c))
+            crossings.append((f_c, float(phase_c)))
 
     if not crossings:
         if mags_db[0] - target_db < 0:
@@ -426,14 +427,15 @@ def task_weighted_efficiency(
     efficiency at the identical (q, omega) point; the weighting then mirrors
     the envelope weighting so efficiency is judged where work happens.
     """
-    positive = [s for s in band.samples if s.power_hum > 0]
+    positive = band.power_hum > 0
     etas = measured_at(band, eff_samples, "efficiency", positive)
-    total = fsum(s.weight for s in positive)
-    if not positive or total <= 0:
+    weights = band.weight[positive]
+    total = fsum(weights.tolist())
+    if not weights.size or total <= 0:
         raise DegenerateBand(
             f"band {band.task}/{band.joint} has no positive-power samples"
         )
-    return fsum(s.weight * eta for s, eta in zip(positive, etas)) / total
+    return fsum((weights * etas).tolist()) / total
 
 
 def power_balance_check(log: TimeSeriesLog) -> PowerBalanceResult:

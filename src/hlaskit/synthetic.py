@@ -18,7 +18,7 @@ from math import exp, log, sqrt
 
 import numpy as np
 
-from .envelope import CapabilityMap, CapabilitySample
+from .envelope import CapabilityMap
 from .signals import (
     DERIVATIVE_SMOOTHING_WINDOW,
     TimeSeriesLog,
@@ -120,15 +120,14 @@ def generate_capability_map(
     """
     if not grid:
         raise ValueError("grid must not be empty")
-    samples = tuple(
-        CapabilitySample(q, w, act.continuous_torque(w)) for q, w in grid
-    )
+    q, omega = zip(*grid)
+    torque = [act.continuous_torque(w) for w in omega]
     conditions = (
         f"synthetic plant, ambient {DEFAULT_AMBIENT_C:g} C still air, "
         f"stall {act.stall_torque:g} Nm, slope {act.torque_speed_slope:g} "
         f"Nm/(rad/s)"
     )
-    return CapabilityMap(joint, axis, samples, conditions)
+    return CapabilityMap(joint, axis, q, omega, torque, conditions)
 
 
 def generate_sweep_log(

@@ -24,10 +24,9 @@ import numpy as np
 import pytest
 
 from hlaskit.atlas import AxisActuationReport, AxisSpec, RomInterval
-from hlaskit.bands import DemandSample, OperatingBand, normalize_weights
+from hlaskit.bands import OperatingBand
 from hlaskit.envelope import (
     CapabilityMap,
-    CapabilitySample,
     hee_coverage,
     power_margin,
     torque_margin,
@@ -277,15 +276,11 @@ def _random_band_and_map(rng, max_samples=36, joint="j", task="t"):
     torques_hum = rng.uniform(1.0, 100.0, n)
     powers = rng.uniform(-50.0, 500.0, n)
     powers[int(rng.integers(0, n))] = abs(powers[0]) + 1.0  # stay nondegenerate
-    samples = [
-        DemandSample(0.0, float(w), float(t), float(p))
-        for w, t, p in zip(omegas, torques_hum, powers)
-    ]
-    band = OperatingBand(joint, task, tuple(normalize_weights(samples)))
+    band = OperatingBand(joint, task, np.zeros(n), omegas, torques_hum,
+                         powers)
     cap = CapabilityMap(
-        joint, "flexion",
-        tuple(CapabilitySample(0.0, float(w), float(rng.uniform(0, 150)))
-              for w in omegas),
+        joint, "flexion", np.zeros(n), omegas,
+        [float(rng.uniform(0, 150)) for _ in omegas],
         "synthetic random",
     )
     return band, cap

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hlaskit.bands import (
-    DemandSample,
     OperatingBand,
     PhaseTrajectory,
     ReferenceBody,
@@ -68,36 +67,35 @@ class TestTorqueFromPower:
 
 
 class TestNormalizeWeights:
-    def sample(self, power, q=0.0):
-        return DemandSample(q, 1.0, 1.0, power)
+    def band(self, powers):
+        """A band with one sample per power, at distinct points."""
+        return OperatingBand("j", "t", [float(i) for i in range(len(powers))],
+                             [1.0] * len(powers), [1.0] * len(powers), powers)
 
     def test_push_off_weights(self):
         powers = [240, 288, 340, 363, 360]
-        out = normalize_weights([self.sample(p) for p in powers])
-        got = [s.weight for s in out]
+        got = normalize_weights(powers).tolist()
         want = [0.151, 0.181, 0.214, 0.228, 0.226]
         assert got == pytest.approx(want, abs=5e-4)
         assert math.fsum(got) == pytest.approx(1.0, abs=1e-9)
+        assert self.band(powers).weight.tolist() == got
 
     def test_single_sample(self):
-        out = normalize_weights([self.sample(100)])
-        assert out[0].weight == 1.0
+        assert normalize_weights([100]).tolist() == [1.0]
 
     def test_all_nonpositive_gives_degenerate_band(self):
-        out = normalize_weights([self.sample(-50), self.sample(-10, q=5.0)])
-        assert [s.weight for s in out] == [0.0, 0.0]
-        band = OperatingBand("j", "t", tuple(out))
+        assert normalize_weights([-50, -10]).tolist() == [0.0, 0.0]
+        band = self.band([-50, -10])
+        assert [s.weight for s in band.samples] == [0.0, 0.0]
         assert band.degenerate
 
     def test_repeated_point_rejected(self):
-        out = normalize_weights([self.sample(100), self.sample(50)])
         with pytest.raises(DuplicateKey, match="t/j"):
-            OperatingBand("j", "t", tuple(out))
+            OperatingBand("j", "t", [0.0, 0.0], [1.0, 1.0], [1.0, 1.0],
+                          [100, 50])
 
     def test_negative_power_carries_no_weight(self):
-        out = normalize_weights([self.sample(-50), self.sample(100)])
-        assert out[0].weight == 0.0
-        assert out[1].weight == 1.0
+        assert normalize_weights([-50, 100]).tolist() == [0.0, 1.0]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyBand):
@@ -107,25 +105,27 @@ class TestNormalizeWeights:
         powers=st.lists(st.floats(-100, 1000), min_size=1, max_size=30)
     )
     def test_sum_to_one_when_positive_power_exists(self, powers):
-        out = normalize_weights([self.sample(p) for p in powers])
-        total = math.fsum(s.weight for s in out)
+        weights = normalize_weights(powers).tolist()
+        # the per-sample rule, written out: max(p, 0) / total positive
+        positive = [max(p, 0.0) for p in powers]
+        total = math.fsum(positive)
+        assert weights == ([p / total for p in positive] if total > 0
+                           else [0.0] * len(powers))
         if any(p > 0 for p in powers):
-            assert total == pytest.approx(1.0, abs=1e-9)
+            assert math.fsum(weights) == pytest.approx(1.0, abs=1e-9)
         else:
-            assert total == 0.0
+            assert math.fsum(weights) == 0.0
 
     @given(
         powers=st.lists(st.floats(0.1, 1000), min_size=2, max_size=12),
         seed=st.randoms(use_true_random=False),
     )
     def test_permutation_equivariance(self, powers, seed):
-        samples = [self.sample(p) for p in powers]
-        base = {s.power_hum: w.weight
-                for s, w in zip(samples, normalize_weights(samples))}
-        shuffled = list(samples)
+        base = dict(zip(powers, normalize_weights(powers).tolist()))
+        shuffled = list(powers)
         seed.shuffle(shuffled)
-        for s, w in zip(shuffled, normalize_weights(shuffled)):
-            assert w.weight == pytest.approx(base[s.power_hum], rel=1e-12)
+        for p, w in zip(shuffled, normalize_weights(shuffled).tolist()):
+            assert w == pytest.approx(base[p], rel=1e-12)
 
 
 class TestBuildBandGrid:

@@ -202,6 +202,9 @@ def _hlas_argv(command, data_dir, log, out):
         "score": ["score", "--prereg", str(data_dir / "prereg.yaml"),
                   "--data", str(data_dir), "--out", str(out)],
         "analyze": ["analyze", "qc", str(log)],
+        "validate-prereg": ["validate-prereg",
+                            "--prereg", str(data_dir / "prereg.yaml"),
+                            "--data", str(data_dir)],
     }[command]
 
 
@@ -272,6 +275,14 @@ HEADER_DEFECTS = {
         lambda text: text.replace("# sample_rate_hz: 1000.0\n",
                                   "# sample_rate_hz: 500.0\n"),
         "analyze"),
+    "log rate not a number": (
+        None,
+        lambda text: text.replace("# sample_rate_hz: 1000.0\n",
+                                  "# sample_rate_hz: 1 kHz\n"),
+        "analyze"),
+    "log seed not a number": (
+        None, lambda text: text.replace("# seed: 2\n", "# seed: two\n"),
+        "analyze"),
 }
 
 
@@ -290,6 +301,51 @@ def test_rejected_header_is_a_data_error_naming_the_file(defect, data_dir,
     assert main(_hlas_argv(command, data_dir, path, tmp_path / "r")) == 3
     err = capsys.readouterr().err
     assert "InvalidRecord" in err and path.name in err
+
+
+# registration or flag defect -> (prereg.yaml text edit, extra flags,
+# what stderr names, hlas commands); each is exit 2 with no traceback
+REGISTRATION = ("score", "validate-prereg")
+VALIDATION_DEFECTS = {
+    "prereg key repeated in a flow mapping": (
+        ("  Walk: {ankle: 30, knee: 50, hip: 75}\n",
+         "  Walk: {ankle: 30, knee: 50, hip: 75, ankle: 60}\n"), [],
+        "DuplicateDeclaration: key 'ankle' on line 37 repeats line 37",
+        REGISTRATION),
+    "prereg key repeated in a block mapping": (
+        ("  Reach: 0.3\n\n", "  Reach: 0.3\n  Walk: 0.4\n\n"), [],
+        "DuplicateDeclaration: key 'Walk' on line 12 repeats line 9",
+        REGISTRATION),
+    "prereg weight not a number": (
+        ("  Walk: 0.4\n", "  Walk: heavy\n"), [],
+        "InvalidDeclaration: tasks: Walk: 'heavy' is not a finite number",
+        REGISTRATION),
+    "prereg not YAML": (
+        ("  Walk: 0.4\n", "  Walk: [0.4\n"), [],
+        "InvalidDeclaration: pre-registration is not YAML", REGISTRATION),
+    "negative headroom flag": (
+        None, ["--delta", "-0.1"], "NegativeHeadroom: headroom delta -0.1",
+        ("hee",)),
+    "headroom flag not a number": (
+        None, ["--delta", "nan"], "headroom delta", ("hee", "score")),
+}
+VALIDATION_CASES = [(defect, command)
+                    for defect, case in VALIDATION_DEFECTS.items()
+                    for command in case[-1]]
+
+
+@pytest.mark.parametrize("defect, command", VALIDATION_CASES)
+def test_refused_registration_or_flag_exits_2(defect, command, data_dir,
+                                              tmp_path, capsys):
+    edit, flags, named, _ = VALIDATION_DEFECTS[defect]
+    if edit:
+        prereg = data_dir / "prereg.yaml"
+        text = prereg.read_text()
+        assert text.count(edit[0]) == 1
+        prereg.write_text(text.replace(*edit))
+    argv = _hlas_argv(command, data_dir, None, tmp_path / "r") + flags
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
 
 
 EXAMPLE_CSVS = sorted(p.name for p in example_data_dir().glob("*.csv"))
@@ -369,6 +425,16 @@ class TestAnalyze:
         text = out.read_text()
         assert text.startswith("# crossover_hz: ")
         assert "freq_hz,magnitude,phase_deg" in text
+        # plain numbers, not NumPy reprs: the table reads back
+        assert "np." not in text
+        meta, header, rows = read_table(out)
+        assert header == ["freq_hz", "magnitude", "phase_deg"]
+        assert [float(row[0]) for row in rows] == [2, 5, 10, 20, 40]
+        assert all(math.isfinite(float(cell)) for row in rows
+                   for cell in row)
+        crossover, margin = meta["crossover_hz"].split(", phase_margin_deg: ")
+        assert abs(float(crossover) - 10.0) < 0.05
+        assert math.isfinite(float(margin))
 
     def test_friction_pipeline(self, tmp_path):
         log = tmp_path / "backdrive.csv"

@@ -93,6 +93,18 @@ class TestPreregistration:
         with pytest.raises(MissingSection, match="bands"):
             load_preregistration(yaml.safe_dump(doc))
 
+    def test_merge_keys_may_be_overridden(self, prereg_text):
+        # a key repeated in one mapping is refused (tests/test_cli.py), but
+        # a YAML merge key stays a way to share values and override some
+        walk = "  Walk: {ankle: 30, knee: 50, hip: 75}\n"
+        merged = prereg_text.replace(
+            "thermal_req_nm:\n" + walk,
+            "walk_req: &walk {ankle: 99, knee: 50, hip: 75}\n"
+            "thermal_req_nm:\n  Walk: {<<: *walk, ankle: 30}\n")
+        assert merged != prereg_text
+        assert load_preregistration(merged).digest == \
+            load_preregistration(prereg_text).digest
+
 
 class TestBinding:
     def test_compliant_set_passes(self, example_dir):
@@ -161,8 +173,7 @@ class TestMeasurementLoading:
         for f in example_dir.glob("*.csv"):
             shutil.copy(f, tmp_path / f.name)
         knee = read_capability_map(example_dir / "capability_knee.csv")
-        half = replace(knee, samples=tuple(
-            replace(s, torque_rob=s.torque_rob / 2) for s in knee.samples))
+        half = replace(knee, torque_rob=knee.torque_rob / 2)
         write_capability_map(half, tmp_path / "capability_knee_half.csv")
         prereg = load_preregistration_file(example_dir / "prereg.yaml")
         with pytest.raises(DataError, match=r"capability_knee\.csv and "

@@ -1,12 +1,13 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlaskit.bands import DemandSample, OperatingBand, normalize_weights
+from hlaskit.bands import OperatingBand
+from hlaskit.config_io import MASK_COLUMNS, fmt, mask_csv
 from hlaskit.envelope import (
     CapabilityMap,
-    CapabilitySample,
     hee_coverage,
     margin_report,
     power_margin,
@@ -31,19 +32,13 @@ PUSH_OFF_T_ROB = [36, 35, 34, 30, 27]
 
 
 def make_band(omegas, torques, powers, q=10.0):
-    samples = [
-        DemandSample(q, w, t, p)
-        for w, t, p in zip(omegas, torques, powers)
-    ]
-    return OperatingBand("ankle", "Walk", tuple(normalize_weights(samples)))
+    return OperatingBand("ankle", "Walk", [q] * len(omegas), omegas,
+                         torques, powers)
 
 
 def make_map(omegas, torques, q=10.0):
-    return CapabilityMap(
-        "ankle", "plantarflexion",
-        tuple(CapabilitySample(q, w, t) for w, t in zip(omegas, torques)),
-        "ambient 25 C still air, soaked",
-    )
+    return CapabilityMap("ankle", "plantarflexion", [q] * len(omegas),
+                         omegas, torques, "ambient 25 C still air, soaked")
 
 
 @pytest.fixture
@@ -88,9 +83,10 @@ class TestHeeCoverage:
             make_map([8, 9, 8], [36, 35, 34])
 
     def test_negative_capability_torque_rejected(self):
-        with pytest.raises(InvalidRecord) as raised:
-            CapabilitySample(10.0, 8.0, -1.0)
+        with pytest.raises(InvalidRecord, match="torque -1.0 ") as raised:
+            make_map([8, 9, 10], [36, -1.0, 34])
         assert isinstance(raised.value, ValueError)
+        assert raised.value.row == 1
 
     def test_degenerate_band_rejected(self, push_off_map):
         band = make_band(PUSH_OFF_OMEGA, PUSH_OFF_T_HUM,
@@ -106,11 +102,9 @@ class TestHeeCoverage:
         # torque passes but power fails at omega = 12: T 30 >= 30 but
         # P 360 = 30*12 >= 360 holds exactly; push torque down instead
         cap = make_map(PUSH_OFF_OMEGA, [30, 32, 34, 33, 29])
-        rows = hee_coverage(push_off_band, cap).per_sample
-        last = rows[-1]
-        assert not last.torque_ok and not last.power_ok
-        mid = rows[2]
-        assert mid.torque_ok and mid.power_ok and mid.passed
+        result = hee_coverage(push_off_band, cap)
+        assert not result.torque_ok[-1] and not result.power_ok[-1]
+        assert result.torque_ok[2] and result.power_ok[2] and result.passed[2]
 
 
 class TestMargins:
@@ -204,15 +198,9 @@ def test_coverage_monotone_in_robot_torque(data, bump, index):
         return
     base = hee_coverage(band, cap).coverage
     i = index % len(cap.samples)
-    stronger = CapabilityMap(
-        cap.joint, cap.axis,
-        tuple(
-            CapabilitySample(s.q, s.omega,
-                             s.torque_rob + (bump if k == i else 0.0))
-            for k, s in enumerate(cap.samples)
-        ),
-        cap.conditions,
-    )
+    torque = cap.torque_rob.copy()
+    torque[i] += bump
+    stronger = replace(cap, torque_rob=torque)
     assert hee_coverage(band, stronger).coverage >= base
 
 
@@ -227,23 +215,32 @@ def test_coverage_nonincreasing_in_headroom(data, d1, d2):
         hee_coverage(band, cap, lo).coverage
 
 
-@given(data=band_and_map())
+@given(data=band_and_map(), delta=st.sampled_from([0.0, 0.1]) | st.floats(
+    0, 2, allow_nan=False))
 @settings(max_examples=300)
-def test_coverage_matches_brute_force_bit_exactly(data):
+def test_coverage_matches_brute_force_bit_exactly(data, delta):
     band, cap = data
     if band.degenerate:
         return
-    got = hee_coverage(band, cap).coverage
+    result = hee_coverage(band, cap, delta)
 
-    # independently coded mask-and-sum oracle
+    # independently coded per-sample mask-and-sum oracle
     lookup = {(s.q, s.omega): s.torque_rob for s in cap.samples}
-    weights = []
+    scale = 1.0 + delta
+    weights, rows = [], []
     for s in band.samples:
         t_rob = lookup[(s.q, s.omega)]
-        if t_rob >= s.torque_hum and t_rob * s.omega >= s.power_hum:
+        torque_ok = t_rob >= scale * s.torque_hum
+        power_ok = t_rob * s.omega >= scale * s.power_hum
+        if torque_ok and power_ok:
             weights.append(s.weight)
+        rows.append([s.q, s.omega, s.weight, torque_ok, power_ok,
+                     torque_ok and power_ok])
     want = math.fsum(weights) / math.fsum(s.weight for s in band.samples)
-    assert got == want  # bit-exact
+    assert result.coverage == want  # bit-exact
+    # the mask, cell by cell as fmt formats it, byte for byte
+    assert mask_csv(result) == "".join(
+        ",".join(fmt(v) for v in row) + "\n" for row in (MASK_COLUMNS, *rows))
 
 
 @pytest.mark.filterwarnings("ignore::hlaskit.errors.ZeroDemandWarning")
@@ -266,19 +263,12 @@ def test_dominating_map_gives_exactly_one(data):
     band, cap = data
     if band.degenerate:
         return
-    dominating = CapabilityMap(
-        cap.joint, cap.axis,
-        tuple(
-            CapabilitySample(
-                s.q, s.omega,
-                max(t_hum, p_hum / s.omega if s.omega > 0 else 0.0, 0.0) + 1.0,
-            )
-            for s, t_hum, p_hum in zip(
-                cap.samples,
-                (b.torque_hum for b in band.samples),
-                (b.power_hum for b in band.samples),
-            )
-        ),
-        cap.conditions,
-    )
+    dominating = replace(cap, torque_rob=[
+        max(t_hum, p_hum / s.omega if s.omega > 0 else 0.0, 0.0) + 1.0
+        for s, t_hum, p_hum in zip(
+            cap.samples,
+            (b.torque_hum for b in band.samples),
+            (b.power_hum for b in band.samples),
+        )
+    ])
     assert hee_coverage(band, dominating).coverage == 1.0

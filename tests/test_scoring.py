@@ -366,17 +366,15 @@ def test_permutation_invariance(data):
 def test_full_pipeline_all_ones_is_exactly_one():
     """A subject that dominates every demand scores exactly 1.0 end to end."""
     from hlaskit.atlas import AxisActuationReport, AxisSpec, RomInterval
-    from hlaskit.bands import DemandSample, OperatingBand, normalize_weights
-    from hlaskit.envelope import CapabilityMap, CapabilitySample
+    from hlaskit.bands import OperatingBand
+    from hlaskit.envelope import CapabilityMap
     from hlaskit.scoring import PairInputs
 
-    samples = tuple(normalize_weights([
-        DemandSample(0.0, w, 100.0 / w, 100.0) for w in (2.0, 4.0, 6.0)
-    ]))
-    band = OperatingBand("j", "t", samples)
-    cap = CapabilityMap("j", "flexion", tuple(
-        CapabilitySample(0.0, w, 500.0) for w in (2.0, 4.0, 6.0)
-    ), "synthetic")
+    omegas = (2.0, 4.0, 6.0)
+    band = OperatingBand("j", "t", [0.0] * 3, omegas,
+                         [100.0 / w for w in omegas], [100.0] * 3)
+    cap = CapabilityMap("j", "flexion", [0.0] * 3, omegas, [500.0] * 3,
+                        "synthetic")
     pair = PairInputs(
         task="t", joint="j", band=band, capability=cap,
         robot_rom={"flexion": RomInterval(-10, 40)},

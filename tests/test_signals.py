@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hlaskit.bands import DemandSample, OperatingBand, normalize_weights
+from hlaskit.bands import OperatingBand
 from hlaskit.errors import (
     AliasedFrequency,
     DegenerateBand,
@@ -318,9 +318,9 @@ class TestDetectPlateau:
 
 class TestEfficiency:
     def band(self, weights_powers, q=10.0):
-        samples = [DemandSample(q, float(i + 1), 1.0, p)
-                   for i, p in enumerate(weights_powers)]
-        return OperatingBand("j", "t", tuple(normalize_weights(samples)))
+        n = len(weights_powers)
+        return OperatingBand("j", "t", [q] * n, range(1, n + 1), [1.0] * n,
+                             weights_powers)
 
     def test_uniform_field_returns_constant(self):
         band = self.band([240, 288, 340, 363, 360])
