@@ -253,15 +253,6 @@ DOF_INVENTORY: tuple[JointDofRecord, ...] = tuple(
 )
 
 
-def inventory_totals(
-    records: tuple[JointDofRecord, ...] = DOF_INVENTORY,
-) -> tuple[int, int]:
-    """(rotational, translational) DoF totals over the inventory."""
-    rot = sum(r.rotational_count for r in records)
-    trans = sum(r.translational_count for r in records)
-    return rot, trans
-
-
 def _norm(active, passive, functional):
     """Build the {category: interval-or-None} map for one motion."""
     out: dict[str, RomInterval | None] = {}

@@ -14,6 +14,7 @@ variables are never consulted, for reproducibility.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -37,7 +38,7 @@ from .config_io import (
     write_capability_map,
     write_log,
 )
-from .envelope import hee_coverage, margin_report
+from .envelope import MARGIN_METHODS, hee_coverage, margin_report
 from .errors import DataError, GoldenMismatch, HlasError, ValidationError
 from .example import ALPHA_ALT, load_example, run_and_check_example
 from .scoring import gated_hlas, hlas
@@ -138,11 +139,11 @@ def cmd_hee(args) -> int:
         )
     cap = read_capability_map(Path(args.map))
     result = hee_coverage(bands[key], cap, args.delta)
-    print(f"coverage {result.coverage:.3f} (delta {args.delta:g})")
     mask = mask_csv(result)
-    print(mask, end="")
     if args.out:
         Path(args.out).write_text(mask, newline="")
+    print(f"coverage {result.coverage:.3f} (delta {args.delta:g})")
+    print(mask, end="")
     if args.margins:
         rep = margin_report(bands[key], cap, args.omega_max, args.omega_req,
                             args.margin_method)
@@ -336,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margins", action="store_true")
     p.add_argument("--omega-max", type=float, default=1.0)
     p.add_argument("--omega-req", type=float, default=1.0)
-    p.add_argument("--margin-method", choices=["min", "quantile10"],
-                   default="min")
+    p.add_argument("--margin-method", choices=MARGIN_METHODS, default="min")
     p.set_defaults(func=cmd_hee)
 
     p = sub.add_parser("analyze", help="run one log analysis")
@@ -409,7 +409,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output (``hlas hee ... | head -1``):
+        # what is still buffered goes to the null device, not a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except GoldenMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GOLDEN

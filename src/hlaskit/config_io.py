@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from itertools import count
 from pathlib import Path
 
@@ -31,7 +31,7 @@ import yaml
 
 from .atlas import AxisActuationReport, AxisSpec, RomInterval, functional_interval
 from .bands import OperatingBand, PhaseTrajectory
-from .envelope import CapabilityMap, HeeResult, hee_coverage
+from .envelope import MARGIN_METHODS, CapabilityMap, HeeResult, hee_coverage
 from .errors import (
     ConfigIncomplete,
     DataError,
@@ -51,17 +51,6 @@ from .scoring import (
 from .signals import TimeSeriesLog
 
 CANONICAL_SIG_DIGITS = 12
-
-REQUIRED_SECTIONS = (
-    "tasks",
-    "joint_weights",
-    "feature_weights",
-    "bands",
-    "bandwidth_targets_hz",
-    "efficiency_targets",
-    "thermal_req_nm",
-    "required_axes",
-)
 
 LOG_COLUMNS = (
     "t_s", "q_deg", "omega_rad_s", "torque_nm", "torque_cmd_nm",
@@ -473,6 +462,7 @@ class Preregistration:
     rate_req: dict[tuple[str, str], float]
     created: str
     digest: str
+    content: dict               # the canonical form that ``digest`` hashes
 
 
 class _RegistrationLoader(yaml.SafeLoader):
@@ -493,79 +483,133 @@ class _RegistrationLoader(yaml.SafeLoader):
         return mapping
 
 
+# Registration shapes: each checker takes a value and the section and entry
+# it sits at, and returns the value's canonical form or raises
+# ``InvalidDeclaration`` naming that place.
+
+def _checked(ok: bool, value, where: str, shape: str):
+    if not ok:
+        raise InvalidDeclaration(f"{where}: {value!r} is not {shape}")
+    return value
+
+
 def _number(value, where: str) -> float:
-    """A registration value as a finite float; ``InvalidDeclaration``
-    naming ``where`` otherwise."""
     number = _finite(value)
-    if number is None:
-        raise InvalidDeclaration(f"{where}: {value!r} is not a finite number")
+    _checked(number is not None, value, where, "a finite number")
     return number
 
 
-def _float_map(section, name: str) -> dict[str, float]:
-    return {str(k): _number(v, f"{name}: {k}") for k, v in section.items()}
+def _optional_number(value, where: str) -> float | None:
+    return None if value is None else _number(value, where)
 
 
-def _nested_float_map(section, name: str) -> dict[str, dict[str, float]]:
-    if not isinstance(section, dict):
-        raise MissingSection(f"section {name!r} must map tasks to joints")
-    out: dict[str, dict[str, float]] = {}
-    for task, joints in section.items():
-        if not isinstance(joints, dict):
-            raise MissingSection(
-                f"section {name!r} entry {task!r} must map joints to values"
-            )
-        out[str(task)] = _float_map(joints, f"{name}: {task}")
-    return out
+def _name(value, where: str) -> str:
+    """A task, joint, axis or file name: any YAML scalar, as text."""
+    return str(_checked(not isinstance(value, (dict, list, type(None))),
+                        value, where, "a name"))
 
 
-def _prereg_content(
-    scheme: WeightScheme,
-    bands: tuple[BandRef, ...],
-    thermal_req, required_axes, functional_rom, rate_req,
-    created: str,
-) -> dict:
-    """Canonical content dictionary; the digest is the hash of its
-    canonical JSON serialization."""
-    def unkey(d, f=lambda v: v):
-        out: dict[str, dict] = {}
-        for (task, joint), v in d.items():
-            out.setdefault(task, {})[joint] = f(v)
-        return out
+def _keyed(leaf):
+    """name -> ``leaf``."""
+    return lambda value, where: {
+        str(k): leaf(v, f"{where}: {k}") for k, v in _checked(
+            isinstance(value, dict), value, where, "a mapping").items()}
 
-    content = {
-        "tasks": scheme.task_weights,
-        "joint_weights": scheme.joint_weights,
-        "feature_weights": scheme.feature_weights,
-        "bandwidth_targets_hz": scheme.bandwidth_targets,
-        "efficiency_targets": scheme.efficiency_targets,
-        "thermal_req_nm": unkey(thermal_req),
-        "required_axes": unkey(required_axes, lambda v: sorted(v)),
-        "functional_rom_deg": unkey(
-            functional_rom,
-            lambda axes: {a: [iv.lo, iv.hi] for a, iv in sorted(axes.items())},
-        ),
-        "headroom_delta": scheme.headroom_delta,
-        "breadth_floor": scheme.breadth_floor,
-        "critical_tasks": sorted(scheme.critical_tasks),
-        "task_gate_min": scheme.task_gate_min,
-        "margin_method": scheme.margin_method,
-        "use_rate_margin": scheme.use_rate_margin,
-        "score_as_zero": sorted(list(p) for p in scheme.score_as_zero),
-        "bands": [{"file": b.file, "sha256": b.sha256} for b in bands],
-        "created": created,
-    }
-    if rate_req:
-        content["rate_req_rad_s"] = unkey(rate_req)
-    return content
+
+def _per_pair(leaf):
+    """task -> joint -> ``leaf``, as a table of (task, joint) pairs: a task
+    that names no joint is left out."""
+    per_joint = _keyed(_keyed(leaf))
+    return lambda value, where: {
+        t: joints for t, joints in per_joint(value, where).items() if joints}
+
+
+def _list_of(item, shape: str):
+    return lambda value, where: [item(v, where) for v in _checked(
+        isinstance(value, list), value, where, shape)]
+
+
+def _set_of(item, shape: str):
+    """A list of ``item`` values, sorted, each once."""
+    as_list = _list_of(item, shape)
+    return lambda value, where: sorted(set(as_list(value, where)))
+
+
+def _interval(value, where: str) -> list[float]:
+    return [_number(v, where) for v in _checked(isinstance(value, list)
+            and len(value) == 2, value, where, "a [lo, hi] pair")]
+
+
+def _pair(value, where: str) -> tuple[str, str]:
+    return tuple(_name(v, where) for v in _checked(isinstance(value, list)
+                 and len(value) == 2, value, where, "a [task, joint] pair"))
+
+
+def _band_ref(value, where: str) -> dict[str, str]:
+    """``{file, sha256}``; other keys are not read."""
+    _checked(isinstance(value, dict) and {"file", "sha256"} <= value.keys(),
+             value, where, "a {file, sha256} mapping")
+    return {k: _name(value[k], f"{where}: {k}") for k in ("file", "sha256")}
+
+
+def _margin_method(value, where: str) -> str:
+    return _checked(value in MARGIN_METHODS, value, where,
+                    f"one of {MARGIN_METHODS}")
+
+
+def _flag(value, where: str) -> bool:
+    return _checked(isinstance(value, bool), value, where, "true or false")
+
+
+def _timestamp(value, where: str) -> str:
+    """ISO 8601 text; a stamp YAML read as a date keeps its ``str()``."""
+    try:
+        ok = isinstance(value, (str, date)) and bool(parse_timestamp(
+            str(value)))
+    except ValueError:
+        ok = False
+    return str(_checked(ok, value, where, "an ISO 8601 timestamp"))
+
+
+REQUIRED = object()     # absent or null: MissingSection
+OMITTED = object()      # absent, null or empty: not in the canonical form
+
+# section -> (shape, the value an absent or null section takes)
+SECTIONS = {
+    "tasks": (_keyed(_number), REQUIRED),
+    "joint_weights": (_keyed(_keyed(_number)), REQUIRED),
+    "feature_weights": (_keyed(_number), REQUIRED),
+    "bandwidth_targets_hz": (_keyed(_keyed(_number)), REQUIRED),
+    "efficiency_targets": (_keyed(_keyed(_number)), REQUIRED),
+    "thermal_req_nm": (_per_pair(_number), REQUIRED),
+    "required_axes": (_per_pair(_set_of(_name, "a list of names")),
+                      REQUIRED),
+    "functional_rom_deg": (_per_pair(_keyed(_interval)), {}),
+    "rate_req_rad_s": (_per_pair(_number), OMITTED),
+    "headroom_delta": (_number, 0.0),
+    "breadth_floor": (_optional_number, None),
+    "critical_tasks": (_set_of(_name, "a list of names"), []),
+    "task_gate_min": (_optional_number, None),
+    "margin_method": (_margin_method, "min"),
+    "use_rate_margin": (_flag, False),
+    "score_as_zero": (_set_of(_pair, "a list of [task, joint] pairs"), []),
+    "bands": (_list_of(_band_ref, "a list of {file, sha256} mappings"),
+              REQUIRED),
+    "created": (_timestamp, "1970-01-01T00:00:00Z"),
+}
+
+
+def _by_pair(table: dict, f=lambda value: value) -> dict:
+    """A task -> joint -> value table keyed by ``(task, joint)``."""
+    return {(task, joint): f(value) for task, joints in table.items()
+            for joint, value in joints.items()}
 
 
 def load_preregistration(text: str) -> Preregistration:
     """Parse and validate a pre-registration document (YAML or JSON text).
 
-    All five declaration groups must be present: tasks and weights, joint
-    sets and weights, feature weights, band references, and the
-    bandwidth/efficiency/thermal targets.
+    Each section of ``SECTIONS`` is checked against its shape; the weight
+    scheme and per-pair tables are read from the hashed canonical content.
     """
     try:
         doc = yaml.load(text, Loader=_RegistrationLoader)
@@ -574,75 +618,41 @@ def load_preregistration(text: str) -> Preregistration:
             from None
     if not isinstance(doc, dict):
         raise MissingSection("pre-registration document is not a mapping")
-    for section in REQUIRED_SECTIONS:
-        if section not in doc or doc[section] is None:
-            raise MissingSection(f"missing required section {section!r}")
-
-    tasks = _float_map(doc["tasks"], "tasks")
-
-    def rekey(nested: dict[str, dict[str, float]]):
-        return {
-            (task, joint): value
-            for task, joints in nested.items()
-            for joint, value in joints.items()
-        }
+    content = {}
+    for name, (check, default) in SECTIONS.items():
+        value = default if doc.get(name) is None else doc[name]
+        if value is REQUIRED:
+            raise MissingSection(f"missing required section {name!r}")
+        if value is not OMITTED:
+            value = check(value, name)
+            if value or default is not OMITTED:
+                content[name] = value
 
     scheme = WeightScheme(
-        task_weights=tasks,
-        joint_weights=_nested_float_map(doc["joint_weights"], "joint_weights"),
-        feature_weights=_float_map(doc["feature_weights"], "feature_weights"),
-        bandwidth_targets=_nested_float_map(
-            doc["bandwidth_targets_hz"], "bandwidth_targets_hz"),
-        efficiency_targets=_nested_float_map(
-            doc["efficiency_targets"], "efficiency_targets"),
-        headroom_delta=_number(doc.get("headroom_delta", 0.0),
-                               "headroom_delta"),
-        breadth_floor=(None if doc.get("breadth_floor") is None
-                       else _number(doc["breadth_floor"], "breadth_floor")),
-        critical_tasks=frozenset(doc.get("critical_tasks") or ()),
-        task_gate_min=(None if doc.get("task_gate_min") is None
-                       else _number(doc["task_gate_min"], "task_gate_min")),
-        margin_method=str(doc.get("margin_method", "min")),
-        use_rate_margin=bool(doc.get("use_rate_margin", False)),
-        score_as_zero=frozenset(
-            (str(t), str(j)) for t, j in (doc.get("score_as_zero") or ())
-        ),
+        task_weights=content["tasks"], joint_weights=content["joint_weights"],
+        feature_weights=content["feature_weights"],
+        bandwidth_targets=content["bandwidth_targets_hz"],
+        efficiency_targets=content["efficiency_targets"],
+        headroom_delta=content["headroom_delta"],
+        breadth_floor=content["breadth_floor"],
+        critical_tasks=frozenset(content["critical_tasks"]),
+        task_gate_min=content["task_gate_min"],
+        margin_method=content["margin_method"],
+        use_rate_margin=content["use_rate_margin"],
+        score_as_zero=frozenset(content["score_as_zero"]),
     )
     scheme.validate()
-
-    thermal_req = rekey(_nested_float_map(doc["thermal_req_nm"],
-                                          "thermal_req_nm"))
-    rate_req = rekey(_nested_float_map(doc["rate_req_rad_s"],
-                                       "rate_req_rad_s")) \
-        if doc.get("rate_req_rad_s") else {}
-
-    required_axes = {
-        (str(task), str(joint)): frozenset(str(a) for a in axes)
-        for task, joints in doc["required_axes"].items()
-        for joint, axes in joints.items()
-    }
-
-    functional_rom: dict[tuple[str, str], dict[str, RomInterval]] = {}
-    for task, joints in (doc.get("functional_rom_deg") or {}).items():
-        for joint, axes in joints.items():
-            functional_rom[(str(task), str(joint))] = {
-                str(axis): RomInterval(*(
-                    _number(v, f"functional_rom_deg: {task}: {joint}: {axis}")
-                    for v in (lo, hi)))
-                for axis, (lo, hi) in axes.items()
-            }
-
-    bands = tuple(
-        BandRef(str(b["file"]), str(b["sha256"])) for b in doc["bands"]
-    )
-    created = str(doc.get("created", "1970-01-01T00:00:00Z"))
-    content = _prereg_content(scheme, bands, thermal_req, required_axes,
-                              functional_rom, rate_req, created)
-    digest = sha256_hex(canonical_json(content).encode())
     return Preregistration(
-        scheme=scheme, bands=bands, thermal_req=thermal_req,
-        required_axes=required_axes, functional_rom=functional_rom,
-        rate_req=rate_req, created=created, digest=digest,
+        scheme=scheme,
+        bands=tuple(BandRef(**ref) for ref in content["bands"]),
+        thermal_req=_by_pair(content["thermal_req_nm"]),
+        required_axes=_by_pair(content["required_axes"], frozenset),
+        functional_rom=_by_pair(content["functional_rom_deg"], lambda axes: {
+            axis: RomInterval(*bounds) for axis, bounds in axes.items()}),
+        rate_req=_by_pair(content.get("rate_req_rad_s", {})),
+        created=content["created"],
+        digest=sha256_hex(canonical_json(content).encode()),
+        content=content,
     )
 
 
@@ -653,12 +663,7 @@ def load_preregistration_file(path: Path) -> Preregistration:
 def serialize_preregistration(prereg: Preregistration) -> str:
     """Canonical serialization: JSON, keys sorted, floats at 12 significant
     digits.  load(serialize(load(x))) is a fixed point."""
-    content = _prereg_content(
-        prereg.scheme, prereg.bands, prereg.thermal_req,
-        prereg.required_axes, prereg.functional_rom, prereg.rate_req,
-        prereg.created,
-    )
-    return canonical_json(content)
+    return canonical_json(prereg.content)
 
 
 @dataclass(frozen=True)

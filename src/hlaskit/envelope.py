@@ -111,10 +111,6 @@ class HeeResult:
     def passed(self) -> np.ndarray:
         return self.torque_ok & self.power_ok
 
-    def pass_rates(self) -> list[float]:
-        """Rates (rad/s) of the passing samples, for quick diagnostics."""
-        return self.omega[self.passed].tolist()
-
 
 def hee_coverage(
     band: OperatingBand,

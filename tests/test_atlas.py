@@ -9,7 +9,6 @@ from hlaskit.atlas import (
     describe_joint,
     dof_sufficiency,
     functional_interval,
-    inventory_totals,
     joint_record,
     rom_coverage,
 )
@@ -131,7 +130,8 @@ class TestDofSufficiency:
 
 class TestShippedInventory:
     def test_bilateral_totals(self):
-        rot, trans = inventory_totals()
+        rot = sum(r.rotational_count for r in DOF_INVENTORY)
+        trans = sum(r.translational_count for r in DOF_INVENTORY)
         assert rot == 106
         assert trans == 4
 

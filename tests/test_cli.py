@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from hlaskit.cli import main
@@ -14,6 +17,7 @@ from hlaskit.config_io import (
     build_pairs,
     load_measurements,
     load_preregistration_file,
+    mask_csv,
     read_bandwidth_file,
     read_bands,
     read_capability_map,
@@ -25,6 +29,7 @@ from hlaskit.config_io import (
     read_thermal_file,
     write_log,
 )
+from hlaskit.envelope import hee_coverage
 from hlaskit.errors import DataError, DuplicateKey, InvalidRecord
 from hlaskit.example import example_data_dir
 from hlaskit.scoring import hlas
@@ -162,6 +167,28 @@ class TestHee:
         lines = out.read_text().splitlines()
         assert lines[0] == "q_deg,omega_rad_s,weight,torque_ok,power_ok,pass"
         assert sum(l.endswith(",true") for l in lines[1:]) == 1
+
+    def test_closed_pipe_ends_quietly_after_the_mask_file(
+            self, data_dir, tmp_path, monkeypatch):
+        out, stdout = tmp_path / "mask.csv", tmp_path / "stdout"
+        fd = os.open(stdout, os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe(io.StringIO):        # as ``hlas hee ... | head -1``
+            def write(self, text):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        argv = _hlas_argv("hee", data_dir, None, None) + ["--out", str(out)]
+        assert main(argv) == 0
+        os.write(fd, b"more output")        # now goes to the null device
+        os.close(fd)
+        assert stdout.read_bytes() == b""
+        band = read_bands(data_dir / "bands.csv")[("Walk", "ankle")]
+        cap = read_capability_map(data_dir / "capability_ankle.csv")
+        assert out.read_text() == mask_csv(hee_coverage(band, cap))
 
 
 def _backdrive_log(directory):
@@ -323,6 +350,62 @@ VALIDATION_DEFECTS = {
     "prereg not YAML": (
         ("  Walk: 0.4\n", "  Walk: [0.4\n"), [],
         "InvalidDeclaration: pre-registration is not YAML", REGISTRATION),
+    "prereg score_as_zero entry not a pair": (
+        ("use_rate_margin: false\n",
+         "use_rate_margin: false\nscore_as_zero: [Walk]\n"), [],
+        "InvalidDeclaration: score_as_zero: 'Walk' is not a [task, joint] "
+        "pair", REGISTRATION),
+    "prereg required axes not a list": (
+        ("  Walk:\n    ankle: [plantarflexion]\n",
+         "  Walk:\n    ankle: plantarflexion\n"),
+        [], "InvalidDeclaration: required_axes: Walk: ankle: 'plantarflexion' "
+        "is not a list of names", REGISTRATION),
+    "prereg required axes of a task not a mapping": (
+        ("  Walk:\n    ankle: [plantarflexion]\n    knee: [flexion]\n"
+         "    hip: [flexion]\n  Stairs:\n    ankle: [plantarflexion]\n",
+         "  Walk: [ankle]\n  Stairs:\n    ankle: [plantarflexion]\n"),
+        [], "InvalidDeclaration: required_axes: Walk: ['ankle'] is not a "
+        "mapping", REGISTRATION),
+    "prereg margin method unknown": (
+        ("margin_method: min\n", "margin_method: bogus\n"), [],
+        "InvalidDeclaration: margin_method: 'bogus' is not one of ('min', "
+        "'quantile10')", REGISTRATION),
+    "prereg rate margin flag quoted": (
+        ("use_rate_margin: false\n", 'use_rate_margin: "false"\n'), [],
+        "InvalidDeclaration: use_rate_margin: 'false' is not true or false",
+        REGISTRATION),
+    "prereg critical tasks not a list": (
+        ("critical_tasks: []\n", "critical_tasks: Walk\n"), [],
+        "InvalidDeclaration: critical_tasks: 'Walk' is not a list of names",
+        REGISTRATION),
+    "prereg tasks a list": (
+        ("tasks:\n  Walk: 0.4\n  Stairs: 0.3\n  Reach: 0.3\n",
+         "tasks: [Walk, Stairs, Reach]\n"), [],
+        "InvalidDeclaration: tasks: ['Walk', 'Stairs', 'Reach'] is not a "
+        "mapping", REGISTRATION),
+    "prereg bands a list of names": (
+        ("bands:\n  - file: bands.csv\n    sha256:",
+         "bands: [bands.csv]\nband_sha256:"), [],
+        "InvalidDeclaration: bands: 'bands.csv' is not a {file, sha256} "
+        "mapping", REGISTRATION),
+    "prereg functional interval a number": (
+        ("{plantarflexion: [0, 25]}", "{plantarflexion: 25}"), [],
+        "InvalidDeclaration: functional_rom_deg: Walk: ankle: plantarflexion:"
+        " 25 is not a [lo, hi] pair", REGISTRATION),
+    "prereg functional interval of three": (
+        ("{plantarflexion: [0, 25]}", "{plantarflexion: [0, 25, 30]}"), [],
+        "InvalidDeclaration: functional_rom_deg: Walk: ankle: plantarflexion:"
+        " [0, 25, 30] is not a [lo, hi] pair", REGISTRATION),
+    "prereg feature weights a list": (
+        ("feature_weights:\n  rom: 0.10\n  dof: 0.10\n  hee: 0.50\n"
+         "  bandwidth: 0.10\n  efficiency: 0.10\n  thermal: 0.10\n",
+         "feature_weights: [0.10, 0.10, 0.50, 0.10, 0.10, 0.10]\n"), [],
+        "InvalidDeclaration: feature_weights: [0.1, 0.1, 0.5, 0.1, 0.1, 0.1] "
+        "is not a mapping", REGISTRATION),
+    "prereg created not a timestamp": (
+        ('created: "2026-08-01T00:00:00Z"\n', "created: 5\n"), [],
+        "InvalidDeclaration: created: 5 is not an ISO 8601 timestamp",
+        REGISTRATION),
     "negative headroom flag": (
         None, ["--delta", "-0.1"], "NegativeHeadroom: headroom delta -0.1",
         ("hee",)),
@@ -359,7 +442,57 @@ def _is_number(cell):
     return True
 
 
-@settings(max_examples=40, deadline=None)
+def _mutate_cells(data, path):
+    """One delimited file's row repeated, or one numeric cell made text,
+    NaN or negative."""
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line[0] != "#")
+    row = data.draw(st.integers(header + 1, len(lines) - 1))
+    mutation = data.draw(st.sampled_from(
+        ["repeat row", "abc", "nan", "negative"]))
+    if mutation == "repeat row":
+        lines.insert(data.draw(st.integers(header + 1, len(lines))),
+                     lines[row])
+    else:
+        cells = lines[row].split(",")
+        column = data.draw(st.sampled_from(
+            [i for i, cell in enumerate(cells) if _is_number(cell)]))
+        if mutation == "negative":
+            mutation = repr(data.draw(st.floats(-1e6, -1e-6)))
+        cells[column] = mutation
+        lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _mutate_registration(data, path):
+    """One shape change at one place in ``prereg.yaml``: the value put in a
+    list or a mapping, made a scalar or null, or dropped; a mapping key may
+    also be renamed."""
+    doc = yaml.safe_load(path.read_text())
+    parent, key = doc, data.draw(st.sampled_from(list(doc)))
+    while (isinstance(parent[key], (dict, list)) and parent[key]
+           and data.draw(st.booleans())):
+        parent = parent[key]
+        key = data.draw(st.sampled_from(
+            list(parent) if isinstance(parent, dict) else range(len(parent))))
+    mutations = ["list", "mapping", "scalar", "null", "dropped"]
+    if isinstance(parent, dict):
+        mutations.append("renamed")
+    mutation = data.draw(st.sampled_from(mutations))
+    value = parent[key]
+    if mutation in ("dropped", "renamed"):
+        del parent[key]
+        if mutation == "renamed":
+            parent[f"{key}_renamed"] = value
+    elif mutation == "scalar":
+        parent[key] = data.draw(st.sampled_from(["x", 0, 1.5, True]))
+    else:
+        parent[key] = {"list": [value], "mapping": {"x": value},
+                       "null": None}[mutation]
+    path.write_text(yaml.safe_dump(doc))
+
+
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_any_single_file_mutation_scores_or_exits_with_a_documented_code(
         data):
@@ -367,24 +500,12 @@ def test_any_single_file_mutation_scores_or_exits_with_a_documented_code(
         data_dir, out = Path(tmp) / "data", Path(tmp) / "out"
         shutil.copytree(example_data_dir(), data_dir,
                         ignore=shutil.ignore_patterns("golden"))
-        path = data_dir / data.draw(st.sampled_from(EXAMPLE_CSVS))
-        lines = path.read_text().splitlines()
-        header = next(i for i, line in enumerate(lines) if line[0] != "#")
-        row = data.draw(st.integers(header + 1, len(lines) - 1))
-        mutation = data.draw(st.sampled_from(
-            ["repeat row", "abc", "nan", "negative"]))
-        if mutation == "repeat row":
-            lines.insert(data.draw(st.integers(header + 1, len(lines))),
-                         lines[row])
+        path = data_dir / data.draw(st.sampled_from(
+            [*EXAMPLE_CSVS, "prereg.yaml"]))
+        if path.suffix == ".yaml":
+            _mutate_registration(data, path)
         else:
-            cells = lines[row].split(",")
-            column = data.draw(st.sampled_from(
-                [i for i, cell in enumerate(cells) if _is_number(cell)]))
-            if mutation == "negative":
-                mutation = repr(data.draw(st.floats(-1e6, -1e-6)))
-            cells[column] = mutation
-            lines[row] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+            _mutate_cells(data, path)
 
         code = main(["score", "--prereg", str(data_dir / "prereg.yaml"),
                      "--data", str(data_dir), "--out", str(out)])

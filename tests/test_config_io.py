@@ -23,6 +23,7 @@ from hlaskit.config_io import (
     read_thermal_file,
     serialize_preregistration,
     sha256_file,
+    sha256_hex,
     verify_prereg_binding,
     write_capability_map,
     write_log,
@@ -50,6 +51,14 @@ class TestPreregistration:
         assert prereg.scheme.task_weights["Walk"] == 0.4
         assert prereg.scheme.joint_weights["Reach"]["shoulder"] == 0.6
         assert len(prereg.bands) == 1
+
+    def test_example_digest_is_pinned(self, prereg_text):
+        # a change to the canonical form changes every registration's digest
+        prereg = load_preregistration(prereg_text)
+        assert prereg.digest == ("02f66d72ec08c71605b7a717ab9666f5"
+                                 "17bc148a6342c78b06609bf0671e55b9")
+        assert sha256_hex(serialize_preregistration(prereg).encode()) == \
+            prereg.digest
 
     def test_digest_stable_across_reserialization(self, prereg_text):
         first = load_preregistration(prereg_text)

@@ -55,7 +55,7 @@ class TestHeeCoverage:
     def test_push_off_coverage(self, push_off_band, push_off_map):
         result = hee_coverage(push_off_band, push_off_map)
         assert result.coverage == pytest.approx(0.546, abs=1e-3)
-        assert result.pass_rates() == [8, 9, 10]
+        assert result.omega[result.passed].tolist() == [8, 9, 10]
 
     def test_equality_counts_as_pass(self, push_off_band):
         cap = make_map(PUSH_OFF_OMEGA, PUSH_OFF_T_HUM)
@@ -69,7 +69,7 @@ class TestHeeCoverage:
         #   10: 34 <  37.4                   -> fail
         #   11/12: already failing at delta = 0
         result = hee_coverage(push_off_band, push_off_map, 0.10)
-        assert result.pass_rates() == [8]
+        assert result.omega[result.passed].tolist() == [8]
         assert result.coverage == pytest.approx(0.151, abs=1e-3)
 
     def test_missing_capability_sample(self, push_off_band):
