@@ -14,6 +14,7 @@ variables are never consulted, for reproducibility.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -21,21 +22,23 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .atlas import describe_joint
+from .atlas import DOF_INVENTORY, describe_joint
 from .config_io import (
     build_pairs,
-    bundle_files,
     canonical_json,
     emit_report,
     load_measurements,
+    load_preregistration,
     load_preregistration_file,
     mask_csv,
     read_bands,
     read_capability_map,
     read_log,
     sha256_file,
+    sha256_hex,
     verify_prereg_binding,
     write_capability_map,
+    write_csv,
     write_log,
 )
 from .envelope import MARGIN_METHODS, hee_coverage, margin_report
@@ -68,20 +71,47 @@ EXIT_GOLDEN = 4
 
 
 def _write_manifest(out_dir: Path, args_list: list[str],
-                    inputs: list[Path], outputs: list[Path],
+                    inputs: dict[Path, str], outputs: dict[Path, str],
                     seed: int | None = None) -> None:
-    def digests(paths: list[Path]) -> list[dict[str, str]]:
-        return [{"path": str(p), "sha256": sha256_file(p)} for p in paths]
-
+    """``run_manifest.json``: the command and the sha256 of each file it
+    read or wrote, as read or written."""
     content = {
         "command": args_list,
         "toolkit_version": __version__,
         "seed": seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "inputs": digests(inputs),
-        "outputs": digests(outputs),
+        "inputs": [{"path": str(p), "sha256": h} for p, h in inputs.items()],
+        "outputs": [{"path": str(p), "sha256": h} for p, h in outputs.items()],
     }
     (Path(out_dir) / "run_manifest.json").write_text(canonical_json(content))
+
+
+def _arg_type(parse, ok, shape: str):
+    """An argparse ``type``: ``parse(text)`` when that reads and ``ok``
+    holds for it, so a value the library would refuse exits 2 at once."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {shape}")
+    return convert
+
+
+def _frequencies(least: int):
+    return _arg_type(lambda text: [float(f) for f in text.split(",")],
+                     lambda freqs: len(set(freqs)) == len(freqs) >= least
+                     and all(0 < f < math.inf for f in freqs),
+                     f"{least} or more distinct positive frequencies")
+
+
+_positive = _arg_type(float, lambda v: 0 < v < math.inf, "a positive number")
+_non_negative = _arg_type(float, lambda v: 0 <= v < math.inf,
+                          "a non-negative number")
+_atlas_joint = _arg_type(str, lambda joint: any(
+    rec.joint == joint for rec in DOF_INVENTORY), "a joint of the atlas")
 
 
 def _apply_scheme_flags(scheme, args):
@@ -104,17 +134,17 @@ def _print_headline(breakdown, scheme) -> None:
 
 
 def cmd_score(args) -> int:
-    prereg = load_preregistration_file(Path(args.prereg))
+    registration = Path(args.prereg).read_bytes()
+    prereg = load_preregistration(registration.decode())
     scheme = _apply_scheme_flags(prereg.scheme, args)
     measurements = load_measurements(Path(args.data), prereg)
     pairs = build_pairs(replace(prereg, scheme=scheme), measurements)
     breakdown = hlas(pairs, scheme)
 
-    out_dir = Path(args.out)
-    emit_report(breakdown, pairs, out_dir, scheme)
-    _write_manifest(out_dir, sys.argv[1:],
-                    [Path(args.prereg), *measurements.files],
-                    bundle_files(out_dir))
+    bundle = emit_report(breakdown, pairs, Path(args.out), scheme)
+    _write_manifest(bundle.out_dir, sys.argv[1:], {
+        Path(args.prereg): sha256_hex(registration), **measurements.files,
+    }, bundle.files)
 
     _print_headline(breakdown, scheme)
     if scheme.critical_tasks:
@@ -156,25 +186,21 @@ def cmd_hee(args) -> int:
 def cmd_analyze(args) -> int:
     log = read_log(Path(args.log))
     if args.kind == "frf":
-        freqs = [float(f) for f in args.freqs.split(",")]
-        frf = compute_frf(log, freqs)
+        frf = compute_frf(log, args.freqs)
         crossover = find_crossover(frf)
         bound = {"<=": "<= ", ">=": ">= "}.get(crossover.bound, "")
         print(f"f_c = {bound}{crossover.f_crossover:.2f} Hz "
               f"(phase margin {crossover.phase_margin_deg:.1f} deg)")
         if args.out:
             out = Path(args.out)
-            with out.open("w") as fh:
-                fh.write(
-                    f"# crossover_hz: {bound.strip()}"
-                    f"{crossover.f_crossover!r}, phase_margin_deg: "
-                    f"{crossover.phase_margin_deg!r}\n"
-                )
-                fh.write("freq_hz,magnitude,phase_deg\n")
-                for p in frf:
-                    fh.write(f"{p.freq!r},{p.magnitude!r},{p.phase!r}\n")
-            _write_manifest(out.parent, sys.argv[1:], [Path(args.log)],
-                            [out])
+            digest = write_csv(
+                out, ["freq_hz", "magnitude", "phase_deg"],
+                [[p.freq, p.magnitude, p.phase] for p in frf],
+                f"# crossover_hz: {bound.strip()}{crossover.f_crossover!r}, "
+                f"phase_margin_deg: {crossover.phase_margin_deg!r}\n")
+            _write_manifest(out.parent, sys.argv[1:],
+                            {Path(args.log): sha256_file(args.log)},
+                            {out: digest})
     elif args.kind == "friction":
         fit = fit_friction(log)
         print(f"j_ref = {fit.j_ref:.6g} kg m^2")
@@ -252,8 +278,7 @@ def cmd_synth(args) -> int:
                                       axis=args.axis)
         write_capability_map(cap, out)
     elif args.kind == "sweep":
-        freqs = [float(f) for f in args.freqs.split(",")]
-        log = generate_sweep_log(act, freqs, args.amplitude,
+        log = generate_sweep_log(act, args.freqs, args.amplitude,
                                  noise_std=args.noise, seed=args.seed)
         write_log(log, out)
     elif args.kind == "thermal":
@@ -266,7 +291,7 @@ def cmd_synth(args) -> int:
                                      noise_std=args.noise, seed=args.seed)
         write_log(log, out)
     print(f"wrote {out}")
-    _write_manifest(out.parent, sys.argv[1:], [], [out],
+    _write_manifest(out.parent, sys.argv[1:], {}, {out: sha256_file(out)},
                     seed=getattr(args, "seed", None))
     return EXIT_OK
 
@@ -288,8 +313,7 @@ def cmd_example(args) -> int:
                   f"(gated on {', '.join(sorted(args.gate))})")
         return EXIT_OK
     run = run_and_check_example(out_dir)
-    _write_manifest(out_dir, sys.argv[1:], [],
-                    [*bundle_files(out_dir), out_dir / "sensitivity.csv"])
+    _write_manifest(out_dir, sys.argv[1:], {}, run.outputs)
     _print_headline(run.breakdown, run.scheme)
     print(f"  sensitivity: delta 0.10 -> {run.hlas_headroom:.3f}, "
           f"alt feature weights -> {run.hlas_alpha_alt:.3f}")
@@ -344,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind",
                    choices=["frf", "friction", "thermal", "efficiency", "qc"])
     p.add_argument("log")
-    p.add_argument("--freqs", default="1,2,5,10,20,30",
+    p.add_argument("--freqs", type=_frequencies(2), default="1,2,5,10,20,30",
                    help="comma-separated probe frequencies in Hz (frf)")
     p.add_argument("--out", default=None)
     p.add_argument("--slope-limit", type=float, default=0.5)
-    p.add_argument("--window", type=float, default=10.0)
-    p.add_argument("--f-loaded", type=float, default=None)
-    p.add_argument("--f-noload", type=float, default=None)
+    p.add_argument("--window", type=_positive, default=10.0)
+    p.add_argument("--f-loaded", type=_positive, default=None)
+    p.add_argument("--f-noload", type=_positive, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("validate-prereg",
@@ -362,15 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic known-answer data")
     p.add_argument("kind", choices=["map", "sweep", "thermal", "backdrive"])
     p.add_argument("--out", required=True)
-    p.add_argument("--stall", type=float, default=44.0)
-    p.add_argument("--slope", type=float, default=1.0)
-    p.add_argument("--pole", type=float, default=10.0)
-    p.add_argument("--j-ref", type=float, default=0.05)
-    p.add_argument("--b-visc", type=float, default=0.8)
-    p.add_argument("--f-coulomb", type=float, default=1.2)
-    p.add_argument("--thermal-resistance", type=float, default=0.5)
-    p.add_argument("--thermal-tau", type=float, default=60.0)
-    p.add_argument("--copper-loss", type=float, default=0.02)
+    p.add_argument("--stall", type=_positive, default=44.0)
+    p.add_argument("--slope", type=_positive, default=1.0)
+    p.add_argument("--pole", type=_positive, default=10.0)
+    p.add_argument("--j-ref", type=_positive, default=0.05)
+    p.add_argument("--b-visc", type=_positive, default=0.8)
+    p.add_argument("--f-coulomb", type=_positive, default=1.2)
+    p.add_argument("--thermal-resistance", type=_positive, default=0.5)
+    p.add_argument("--thermal-tau", type=_positive, default=60.0)
+    p.add_argument("--copper-loss", type=_positive, default=0.02)
     p.add_argument("--joint", default="synthetic")
     p.add_argument("--axis", default="flexion")
     p.add_argument("--q-lo", type=float, default=0.0)
@@ -379,12 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-lo", type=float, default=8.0)
     p.add_argument("--omega-hi", type=float, default=12.0)
     p.add_argument("--n-omega", type=int, default=5)
-    p.add_argument("--freqs", default="1,2,5,10,20,30")
-    p.add_argument("--amplitude", type=float, default=4.0)
+    p.add_argument("--freqs", type=_frequencies(1), default="1,2,5,10,20,30")
+    p.add_argument("--amplitude", type=_positive, default=4.0)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--torque", type=float, default=30.0)
+    p.add_argument("--duration", type=_positive, default=60.0)
+    p.add_argument("--torque", type=_non_negative, default=30.0)
     p.add_argument("--temp-limit", type=float, default=100.0)
     p.set_defaults(func=cmd_synth)
 
@@ -399,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", help="inspect the joint atlas")
     atlas_sub = p.add_subparsers(dest="atlas_command", required=True)
     p_show = atlas_sub.add_parser("show")
-    p_show.add_argument("joint")
+    p_show.add_argument("joint", type=_atlas_joint)
     p_show.set_defaults(func=cmd_atlas)
 
     return parser

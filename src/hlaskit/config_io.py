@@ -104,15 +104,24 @@ def canonical_json(content) -> str:
                       ensure_ascii=True) + "\n"
 
 
-def _table_lines(
-    path: Path, header_only: bool = False,
-) -> tuple[dict[str, str], list[tuple[int, str]]]:
-    """The ``key: value`` pairs of every ``#`` line, and the 1-based number
-    and text of the header line and (unless ``header_only``) the data
-    lines.  Blank lines are skipped."""
+def _table(
+    path: Path, text: str | None, required_columns: tuple[str, ...] = (),
+    header_only: bool = False,
+) -> tuple[dict[str, str], list[str], list[list[str]], list[int]]:
+    """Read a delimited-text file with ``# key: value`` metadata lines from
+    ``text``, its contents (read from ``path`` when None).
+
+    Returns ``(meta, header, rows, lines)``: the metadata of every ``#``
+    line wherever it appears, the header cells, each data row's string cells
+    and its 1-based file line; blank lines are skipped.  ``header_only``
+    still collects all metadata but builds no rows.  A missing required
+    column or a row whose field count differs from the header raises
+    ``DataError``.
+    """
     meta: dict[str, str] = {}
     lines: list[tuple[int, str]] = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for number, line in enumerate((
+            Path(path).read_text() if text is None else text).splitlines(), 1):
         stripped = line.strip()
         if stripped.startswith("#"):
             key, sep, value = stripped.lstrip("#").strip().partition(":")
@@ -120,23 +129,7 @@ def _table_lines(
                 meta[key.strip()] = value.strip()
         elif stripped and not (header_only and lines):
             lines.append((number, line))
-    return meta, lines
-
-
-def read_table(
-    path: Path, required_columns: tuple[str, ...] = (),
-    header_only: bool = False,
-) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Read a delimited-text file with ``# key: value`` metadata lines.
-
-    Returns ``(meta, header, rows)``: the metadata of every ``#`` line
-    wherever it appears, the header cells, and each data row's string
-    cells.  ``header_only`` still collects all metadata but builds no rows.
-    A missing required column or a row whose field count differs from the
-    header raises ``DataError``.
-    """
-    meta, lines = _table_lines(path, header_only)
-    table = list(csv.reader(text for _, text in lines))
+    table = list(csv.reader(line for _, line in lines))
     if len(table) != len(lines):
         raise DataError(f"{path}: a quoted field runs past the end of a line")
     header, rows = (table[0], table[1:]) if table else ([], [])
@@ -146,27 +139,33 @@ def read_table(
             f"{path}: missing column(s) {sorted(missing)}; expected "
             f"{list(required_columns)}"
         )
-    for (number, _), row in zip(lines[1:], rows):
+    numbers = [number for number, _ in lines[1:]]
+    for number, row in zip(numbers, rows):
         if len(row) != len(header):
             raise DataError(f"{path}: line {number}: {len(row)} fields, "
                             f"header has {len(header)}")
-    return meta, header, rows
+    return meta, header, rows, numbers
 
 
-def _line(path: Path, row: int) -> int:
-    """1-based file line of data row ``row``; re-reads the file."""
-    return _table_lines(path)[1][row + 1][0]
+def read_table(
+    path: Path, required_columns: tuple[str, ...] = (),
+    header_only: bool = False,
+) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    """``(meta, header, rows)`` of the file at ``path``; see ``_table``."""
+    return _table(path, None, required_columns, header_only)[:3]
 
 
-def _located(path: Path, exc: DataError, row: int | None) -> DataError:
+def _located(path: Path, exc: DataError, lines: list[int],
+             row: int | None) -> DataError:
     """``exc`` again, naming ``path`` and, for data row ``row``, its line."""
-    where = path if row is None else f"{path}: line {_line(path, row)}"
+    where = path if row is None else f"{path}: line {lines[row]}"
     return type(exc)(f"{where}: {exc}")
 
 
-def _cell_float(path: Path, row_index: int, column: str, cell: str) -> float:
-    """One numeric cell of data row ``row_index``; a non-numeric or
-    non-finite cell raises ``DataError`` naming its file line."""
+def _cell_float(path: Path, lines: list[int], row: int, column: str,
+                cell: str) -> float:
+    """One numeric cell of data row ``row``; a non-numeric or non-finite
+    cell raises ``DataError`` naming its file line."""
     try:
         value = float(cell)
     except ValueError:
@@ -175,11 +174,12 @@ def _cell_float(path: Path, row_index: int, column: str, cell: str) -> float:
         if math.isfinite(value):
             return value
         problem = "is not finite"
-    raise _located(path, DataError(f"{column} {cell!r} {problem}"), row_index)
+    raise _located(path, DataError(f"{column} {cell!r} {problem}"), lines,
+                   row)
 
 
-def _numeric(path: Path, rows: list[list[str]],
-             columns: tuple[str, ...]) -> np.ndarray:
+def _numeric(path: Path, rows: list[list[str]], columns: tuple[str, ...],
+             lines: list[int]) -> np.ndarray:
     """String cells of the named columns as a finite float array; the first
     non-numeric or non-finite cell raises ``DataError``."""
     try:
@@ -190,61 +190,67 @@ def _numeric(path: Path, rows: list[list[str]],
         pass
     # bad input only: find the offending cell one by one
     return np.array([
-        [_cell_float(path, i, column, cell)
+        [_cell_float(path, lines, i, column, cell)
          for column, cell in zip(columns, row)]
         for i, row in enumerate(rows)
     ]).reshape(len(rows), len(columns))
 
 
 def _read_columns(
-    path: Path, text_columns: tuple[str, ...],
+    path: Path, text: str | None, text_columns: tuple[str, ...],
     float_columns: tuple[str, ...], key: tuple[str, ...],
     optional: tuple[str, ...] = (),
-) -> tuple[dict[str, str], dict[str, list | np.ndarray]]:
-    """Metadata, and each column's cells in file order: a list of strings
-    per text column, a float64 array per float column and a list of floats
-    or None per ``optional`` column, which may be absent or empty.
+) -> tuple[dict[str, str], dict[str, list | np.ndarray], list[int]]:
+    """Metadata, each column's cells in file order, and each row's line: a
+    list of strings per text column, a float64 array per float column and a
+    list of floats or None per ``optional`` column, which may be absent.
 
     ``key`` names the columns that identify a measurement: a repeated key
     raises ``DuplicateKey`` naming both lines, comparing numeric cells as
     floats (``10`` and ``10.0`` are one point).
     """
-    meta, header, rows = read_table(path, (*text_columns, *float_columns))
+    meta, header, rows, lines = _table(path, text,
+                                       (*text_columns, *float_columns))
     index = {name: i for i, name in enumerate(header)}
     columns: dict = {c: [row[index[c]] for row in rows] for c in text_columns}
     numbers = _numeric(
         path, [[row[index[c]] for c in float_columns] for row in rows],
-        float_columns,
+        float_columns, lines,
     )
     columns.update(zip(float_columns, np.ascontiguousarray(numbers.T)))
     for c in optional:
         cells = [row[index[c]] if c in index else "" for row in rows]
-        columns[c] = [_cell_float(path, i, c, cell) if cell else None
+        columns[c] = [_cell_float(path, lines, i, c, cell) if cell else None
                       for i, cell in enumerate(cells)]
     del rows, numbers                   # parsed: free the cells before keys
-    _refuse_repeats(path, key, zip(*(
-        columns[c].tolist() if c in float_columns else columns[c]
-        for c in key)))
-    return meta, columns
+    keys = list(zip(*(columns[c].tolist() if c in float_columns
+                      else columns[c] for c in key)))
+    repeat = _first_repeat(keys)
+    if repeat:
+        earlier, i = repeat
+        raise _located(path, DuplicateKey(
+            f"({', '.join(key)}) = {keys[i]!r} repeats line "
+            f"{lines[earlier]}"), lines, i)
+    return meta, columns, lines
 
 
 def _read_records(
-    path: Path, text_columns: tuple[str, ...],
+    path: Path, text: str | None, text_columns: tuple[str, ...],
     float_columns: tuple[str, ...], key: tuple[str, ...], make,
     optional: tuple[str, ...] = (),
 ) -> list:
     """``make(*text cells, *floats, *optional floats)`` for each data row
     of ``_read_columns``; a ``DataError`` from ``make`` is raised again
     naming the row's line."""
-    _, columns = _read_columns(path, text_columns, float_columns, key,
-                               optional)
+    _, columns, lines = _read_columns(path, text, text_columns,
+                                      float_columns, key, optional)
     records: list = []
     try:
         for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
                          for c in columns.values())):
             records.append(make(*row))
     except DataError as exc:
-        raise _located(path, exc, len(records)) from None
+        raise _located(path, exc, lines, len(records)) from None
     return records
 
 
@@ -261,17 +267,6 @@ def _first_repeat(keys: list) -> tuple[int, int] | None:
     return None
 
 
-def _refuse_repeats(path: Path, key: tuple[str, ...], keys) -> None:
-    """``DuplicateKey`` naming both lines of the first repeated key."""
-    keys = list(keys)
-    repeat = _first_repeat(keys)
-    if repeat:
-        earlier, i = repeat
-        raise _located(path, DuplicateKey(
-            f"({', '.join(key)}) = {keys[i]!r} repeats line "
-            f"{_line(path, earlier)}"), i)
-
-
 def _grouped(items) -> dict:
     """``(group, value)`` items as ``group -> [values]``, in file order."""
     out: dict = {}
@@ -284,15 +279,17 @@ def _grouped(items) -> dict:
 # measurement file formats
 # ---------------------------------------------------------------------------
 
-def read_bands(path: Path) -> dict[tuple[str, str], OperatingBand]:
+def read_bands(
+    path: Path, text: str | None = None,
+) -> dict[tuple[str, str], OperatingBand]:
     """Band file: ``task,joint,q_deg,omega_rad_s,torque_hum_nm,power_hum_w``.
 
     Each pair's band holds its rows in file order; its weights are computed
     at load (proportional to positive power per pair).
     """
     demand = ("q_deg", "omega_rad_s", "torque_hum_nm", "power_hum_w")
-    _, columns = _read_columns(path, ("task", "joint"), demand,
-                               ("task", "joint", "q_deg", "omega_rad_s"))
+    _, columns, _ = _read_columns(path, text, ("task", "joint"), demand,
+                                  ("task", "joint", "q_deg", "omega_rad_s"))
     groups = _grouped(zip(zip(columns["task"], columns["joint"]), count()))
     if not groups:
         raise DataError(f"band file {path} has no data rows")
@@ -306,18 +303,18 @@ def read_bands(path: Path) -> dict[tuple[str, str], OperatingBand]:
 def read_phase_trajectory(path: Path) -> PhaseTrajectory:
     """Phase trajectory file: ``phase,q_deg,omega_rad_s,power_w``."""
     names = ("phase", "q_deg", "omega_rad_s", "power_w")
-    _, columns = _read_columns(path, (), names, ("phase",))
+    _, columns, _ = _read_columns(path, None, (), names, ("phase",))
     if not len(columns["phase"]):
         raise DataError(f"phase trajectory file {path} has no data rows")
     phase, q, omega, power = (tuple(columns[c].tolist()) for c in names)
     return PhaseTrajectory(phase=phase, q=q, omega=omega, power=power)
 
 
-def read_capability_map(path: Path) -> CapabilityMap:
+def read_capability_map(path: Path, text: str | None = None) -> CapabilityMap:
     """Capability file: ``joint,axis,q_deg,omega_rad_s,torque_nm`` with the
     measurement conditions carried in the comment header."""
-    meta, columns = _read_columns(
-        path, ("joint", "axis"), ("q_deg", "omega_rad_s", "torque_nm"),
+    meta, columns, lines = _read_columns(
+        path, text, ("joint", "axis"), ("q_deg", "omega_rad_s", "torque_nm"),
         ("q_deg", "omega_rad_s"))
     joints = set(zip(columns["joint"], columns["axis"]))
     if len(joints) != 1:
@@ -329,53 +326,57 @@ def read_capability_map(path: Path) -> CapabilityMap:
                              columns["omega_rad_s"], columns["torque_nm"],
                              meta.get("conditions", ""))
     except InvalidRecord as exc:
-        raise _located(path, exc, exc.row) from None
+        raise _located(path, exc, lines, exc.row) from None
 
 
 def write_capability_map(cap: CapabilityMap, path: Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        fh.write(f"# conditions: {cap.conditions}\n")
-        fh.write("joint,axis,q_deg,omega_rad_s,torque_nm\n")
-        for q, omega, torque in zip(cap.q.tolist(), cap.omega.tolist(),
-                                    cap.torque_rob.tolist()):
-            fh.write(",".join([
-                cap.joint, cap.axis, fmt(q), fmt(omega), fmt(torque),
-            ]) + "\n")
+    write_csv(path, ["joint", "axis", "q_deg", "omega_rad_s", "torque_nm"],
+              [[cap.joint, cap.axis, *point] for point in zip(
+                  cap.q.tolist(), cap.omega.tolist(),
+                  cap.torque_rob.tolist())],
+              f"# conditions: {cap.conditions}\n")
 
 
-def read_rom_file(path: Path) -> dict[str, dict[str, RomInterval]]:
+def read_rom_file(
+    path: Path, text: str | None = None,
+) -> dict[str, dict[str, RomInterval]]:
     """Robot ROM per joint and axis: ``joint,axis,lo_deg,hi_deg``."""
     rows = _read_records(
-        path, ("joint", "axis"), ("lo_deg", "hi_deg"), ("joint", "axis"),
+        path, text, ("joint", "axis"), ("lo_deg", "hi_deg"),
+        ("joint", "axis"),
         lambda joint, axis, lo, hi: (joint, (axis, RomInterval(lo, hi))))
     return {joint: dict(axes) for joint, axes in _grouped(rows).items()}
 
 
-def read_dof_file(path: Path) -> dict[str, list[AxisActuationReport]]:
+def read_dof_file(
+    path: Path, text: str | None = None,
+) -> dict[str, list[AxisActuationReport]]:
     """DoF report: ``joint,axis,implemented,coupling_rms_fraction``."""
     rows = _read_records(
-        path, ("joint", "axis", "implemented"), ("coupling_rms_fraction",),
-        ("joint", "axis"),
+        path, text, ("joint", "axis", "implemented"),
+        ("coupling_rms_fraction",), ("joint", "axis"),
         lambda joint, axis, implemented, coupling: (joint, AxisActuationReport(
             AxisSpec(joint, axis),
             implemented.strip().lower() in ("true", "1", "yes"), coupling)))
     return _grouped(rows)
 
 
-def read_bandwidth_file(path: Path) -> dict[str, tuple[float, float | None]]:
+def read_bandwidth_file(
+    path: Path, text: str | None = None,
+) -> dict[str, tuple[float, float | None]]:
     """Per joint: ``f_crossover_hz`` and the optional ``omega_max_rad_s``."""
-    return dict(_read_records(path, ("joint",), ("f_crossover_hz",),
+    return dict(_read_records(path, text, ("joint",), ("f_crossover_hz",),
                               ("joint",), lambda joint, *rates: (joint, rates),
                               optional=("omega_max_rad_s",)))
 
 
 def read_efficiency_file(
-    path: Path,
+    path: Path, text: str | None = None,
 ) -> dict[str, dict[tuple[float, float], float]]:
     """Point efficiency: ``joint,q_deg,omega_rad_s,eta``; per joint, the
     efficiency at each (q, omega) point."""
-    _, columns = _read_columns(
-        path, ("joint",), ("q_deg", "omega_rad_s", "eta"),
+    _, columns, _ = _read_columns(
+        path, text, ("joint",), ("q_deg", "omega_rad_s", "eta"),
         ("joint", "q_deg", "omega_rad_s"))
     out: dict[str, dict[tuple[float, float], float]] = {}
     for joint, point, eta in zip(
@@ -386,10 +387,12 @@ def read_efficiency_file(
     return out
 
 
-def read_thermal_file(path: Path) -> dict[tuple[str, str], float]:
+def read_thermal_file(
+    path: Path, text: str | None = None,
+) -> dict[tuple[str, str], float]:
     """Plateau torques: ``task,joint,torque_cont_nm``."""
     return dict(_read_records(
-        path, ("task", "joint"), ("torque_cont_nm",), ("task", "joint"),
+        path, text, ("task", "joint"), ("torque_cont_nm",), ("task", "joint"),
         lambda task, joint, torque: ((task, joint), torque)))
 
 
@@ -407,10 +410,10 @@ def write_log(log: TimeSeriesLog, path: Path) -> None:
 
 
 def read_log(path: Path) -> TimeSeriesLog:
-    meta, header, rows = read_table(path, LOG_COLUMNS)
+    meta, header, rows, lines = _table(path, None, LOG_COLUMNS)
     if "sample_rate_hz" not in meta:
         raise DataError(f"log {path} is missing the sample_rate_hz header")
-    data = _numeric(path, rows, tuple(header))
+    data = _numeric(path, rows, tuple(header), lines)
     try:
         return TimeSeriesLog(      # LOG_COLUMNS are its channels, in order
             *(data[:, header.index(name)] for name in LOG_COLUMNS),
@@ -419,7 +422,7 @@ def read_log(path: Path) -> TimeSeriesLog:
             seed=_header_number(meta, "seed", int) if "seed" in meta else None,
         )
     except InvalidRecord as exc:
-        raise _located(path, exc, exc.row) from None
+        raise _located(path, exc, lines, exc.row) from None
 
 
 def _finite(value, kind: type = float) -> float | None:
@@ -535,9 +538,18 @@ def _set_of(item, shape: str):
     return lambda value, where: sorted(set(as_list(value, where)))
 
 
+def _axes(value, where: str) -> list[str]:
+    """A non-empty ``_set_of`` axis names."""
+    axes = _set_of(_name, "a list of names")(value, where)
+    _checked(bool(axes), value, where, "a non-empty list of names")
+    return axes
+
+
 def _interval(value, where: str) -> list[float]:
-    return [_number(v, where) for v in _checked(isinstance(value, list)
-            and len(value) == 2, value, where, "a [lo, hi] pair")]
+    lo, hi = (_number(v, where) for v in _checked(isinstance(value, list)
+              and len(value) == 2, value, where, "a [lo, hi] pair"))
+    _checked(lo < hi, value, where, "a [lo, hi] pair with lo < hi")
+    return [lo, hi]
 
 
 def _pair(value, where: str) -> tuple[str, str]:
@@ -582,8 +594,7 @@ SECTIONS = {
     "bandwidth_targets_hz": (_keyed(_keyed(_number)), REQUIRED),
     "efficiency_targets": (_keyed(_keyed(_number)), REQUIRED),
     "thermal_req_nm": (_per_pair(_number), REQUIRED),
-    "required_axes": (_per_pair(_set_of(_name, "a list of names")),
-                      REQUIRED),
+    "required_axes": (_per_pair(_axes), REQUIRED),
     "functional_rom_deg": (_per_pair(_keyed(_interval)), {}),
     "rate_req_rad_s": (_per_pair(_number), OMITTED),
     "headroom_delta": (_number, 0.0),
@@ -722,14 +733,16 @@ class MeasurementSet:
     bandwidth: dict[str, tuple[float, float | None]]
     efficiency: dict[str, dict[tuple[float, float], float]]
     thermal_cont: dict[tuple[str, str], float]
-    files: tuple[Path, ...]
+    files: dict[Path, str]      # path -> sha256 of the bytes read, in order
 
 
 def load_measurements(data_dir: Path, prereg: Preregistration) -> MeasurementSet:
-    """Load every measurement file of a data directory, verifying band
-    digests against the registration."""
+    """Load every measurement file of a data directory, each from one read
+    whose sha256 is kept and, for a registered band file, checked against
+    the registration before the bytes are parsed."""
     data_dir = Path(data_dir)
     sources: dict[tuple[str, str], Path] = {}
+    files: dict[Path, str] = {}
 
     def claim(kind: str, subject: str, path: Path) -> None:
         """Refuse a subject that another file of the same kind gave."""
@@ -738,45 +751,45 @@ def load_measurements(data_dir: Path, prereg: Preregistration) -> MeasurementSet
             raise DuplicateKey(f"{kind} {earlier.name} and {path.name} both "
                                f"describe {subject}")
 
+    def read(path: Path, reader, ref: BandRef | None = None):
+        """``reader`` on the text of one read of ``path``, whose sha256 must
+        be ``ref``'s for a registered band file."""
+        data = path.read_bytes()
+        files[path] = sha256_hex(data)
+        if ref and ref.sha256 != files[path]:
+            raise DataError(f"band file {ref.file} digest {files[path]} does "
+                            f"not match registered {ref.sha256}")
+        return reader(path, data.decode())
+
     bands: dict[tuple[str, str], OperatingBand] = {}
-    files: list[Path] = []
     for ref in prereg.bands:
         path = data_dir / ref.file
         if not path.exists():
             raise DataError(f"registered band file {ref.file} not found")
-        actual = sha256_file(path)
-        if actual != ref.sha256:
-            raise DataError(
-                f"band file {ref.file} digest {actual} does not match "
-                f"registered {ref.sha256}"
-            )
-        for pair, band in read_bands(path).items():
+        for pair, band in read(path, read_bands, ref).items():
             claim("band files", f"pair {pair}", path)
             bands[pair] = band
-        files.append(path)
 
     capabilities: dict[str, CapabilityMap] = {}
     for path in sorted(data_dir.glob("capability_*.csv")):
-        cap = read_capability_map(path)
+        cap = read(path, read_capability_map)
         claim("capability maps", f"joint {cap.joint!r}", path)
         capabilities[cap.joint] = cap
-        files.append(path)
 
-    def _required(name: str) -> Path:
+    def required(name: str, reader):
         path = data_dir / name
         if not path.exists():
             raise DataError(f"measurement file {name} not found in {data_dir}")
-        files.append(path)
-        return path
+        return read(path, reader)
 
     return MeasurementSet(
         bands=bands, capabilities=capabilities,
-        robot_rom=read_rom_file(_required("rom_robot.csv")),
-        dof_reports=read_dof_file(_required("dof_report.csv")),
-        bandwidth=read_bandwidth_file(_required("bandwidth.csv")),
-        efficiency=read_efficiency_file(_required("efficiency.csv")),
-        thermal_cont=read_thermal_file(_required("thermal.csv")),
-        files=tuple(files),
+        robot_rom=required("rom_robot.csv", read_rom_file),
+        dof_reports=required("dof_report.csv", read_dof_file),
+        bandwidth=required("bandwidth.csv", read_bandwidth_file),
+        efficiency=required("efficiency.csv", read_efficiency_file),
+        thermal_cont=required("thermal.csv", read_thermal_file),
+        files=files,
     )
 
 
@@ -870,20 +883,6 @@ TASK_TRIAL_COLUMNS: dict[str, tuple[str, ...]] = {
 }
 
 
-def write_task_trial_stubs(out_dir: Path) -> list[Path]:
-    """Header-only templates for whole-robot trial results."""
-    trial_dir = Path(out_dir) / "task_trials"
-    trial_dir.mkdir(parents=True, exist_ok=True)
-    paths = [trial_dir / f"{name}.csv" for name in TASK_TRIAL_COLUMNS]
-    for path, columns in zip(paths, TASK_TRIAL_COLUMNS.values()):
-        path.write_text(
-            "# whole-robot trial results; requires an integrated robot and "
-            "is not computed by this toolkit\n"
-            + ",".join(columns) + "\n"
-        )
-    return paths
-
-
 @dataclass(frozen=True)
 class ReportBundle:
     out_dir: Path
@@ -895,15 +894,24 @@ class ReportBundle:
     rom_overlays: Path
     hee_masks: dict[tuple[str, str], Path]
     manifest: Path
+    files: dict[Path, str]      # path -> sha256 of the bytes written, in order
 
 
 MASK_COLUMNS = ("q_deg", "omega_rad_s", "weight", "torque_ok", "power_ok",
                 "pass")
 
 
-def write_csv(path: Path, header, rows) -> None:
-    path.write_text("".join(",".join(fmt(v) for v in row) + "\n"
-                            for row in (header, *rows)), newline="")
+def write_file(path: Path, text: str) -> str:
+    """Write ``text`` to ``path`` and return the sha256 of the bytes."""
+    data = text.encode()
+    Path(path).write_bytes(data)
+    return sha256_hex(data)
+
+
+def write_csv(path: Path, header, rows, preamble: str = "") -> str:
+    """``write_file`` of ``preamble`` then a line per row of cells."""
+    return write_file(path, preamble + "".join(
+        ",".join(fmt(v) for v in row) + "\n" for row in (header, *rows)))
 
 
 def mask_name(task: str, joint: str) -> str:
@@ -923,20 +931,14 @@ def mask_csv(result: HeeResult) -> str:
     return "\n".join(map(",".join, (MASK_COLUMNS, *zip(*columns)))) + "\n"
 
 
-def bundle_files(out_dir: Path) -> list[Path]:
-    """The artifacts a bundle's ``manifest.json`` lists, then the manifest."""
-    manifest = Path(out_dir) / "manifest.json"
-    listed = json.loads(manifest.read_text())["artifacts"]
-    return [Path(out_dir) / a["path"] for a in listed] + [manifest]
-
-
 def emit_report(
     breakdown: ScoreBreakdown,
     pairs: list[PairInputs],
     out_dir: Path,
     scheme: WeightScheme,
 ) -> ReportBundle:
-    """Write the full artifact bundle with a digest manifest.
+    """Write the full artifact bundle with a digest manifest; the bundle's
+    ``files`` holds the sha256 of each file as written, manifest last.
 
     The envelope masks (at the scheme's headroom) and the ROM overlays are
     built from ``pairs``, which must hold every scored pair that the scheme
@@ -952,18 +954,18 @@ def emit_report(
         )
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "hee_masks").mkdir(exist_ok=True)
+    (out_dir / "hee_masks").mkdir(parents=True, exist_ok=True)
+    files: dict[Path, str] = {}     # each file written, with its sha256
 
     summary = out_dir / "summary.csv"
     rows = [["hlas", breakdown.hlas]]
     for task in scheme.task_weights:
         rows.append([f"task_score:{task}", breakdown.task_scores[task]])
     rows.append(["guardrail_flag_count", len(breakdown.guardrail_flags)])
-    write_csv(summary, ["metric", "value"], rows)
+    files[summary] = write_csv(summary, ["metric", "value"], rows)
 
     task_table = out_dir / "task_table.csv"
-    write_csv(
+    files[task_table] = write_csv(
         task_table,
         ["task", "task_weight", "score"],
         [[t, scheme.task_weights[t], breakdown.task_scores[t]]
@@ -971,7 +973,7 @@ def emit_report(
     )
 
     feature_table = out_dir / "feature_table.csv"
-    write_csv(
+    files[feature_table] = write_csv(
         feature_table,
         ["task", "joint", *FEATURE_NAMES, "score"],
         [
@@ -984,7 +986,7 @@ def emit_report(
     )
 
     contributions = out_dir / "contributions.csv"
-    write_csv(
+    files[contributions] = write_csv(
         contributions,
         ["task", "joint", "score", "joint_weight", "task_weight",
          "contribution"],
@@ -997,18 +999,19 @@ def emit_report(
     )
 
     flags_path = out_dir / "guardrail_flags.txt"
-    flags_path.write_text(
-        "".join(flag + "\n" for flag in breakdown.guardrail_flags)
-    )
+    files[flags_path] = write_file(
+        flags_path, "".join(flag + "\n" for flag in breakdown.guardrail_flags))
 
     rom_path = out_dir / "rom_overlays.csv"
-    write_csv(
+    files[rom_path] = write_csv(
         rom_path,
         ["task", "joint", "axis", "functional_lo_deg", "functional_hi_deg",
          "robot_lo_deg", "robot_hi_deg"],
+        # an axis with no robot ROM row has empty robot cells (coverage 0)
         [[p.task, p.joint, axis,
           p.functional_rom[axis].lo, p.functional_rom[axis].hi,
-          p.robot_rom[axis].lo, p.robot_rom[axis].hi]
+          *([p.robot_rom[axis].lo, p.robot_rom[axis].hi]
+            if axis in p.robot_rom else ["", ""])]
          for p in pairs for axis in sorted(p.required_axes)],
     )
 
@@ -1016,18 +1019,21 @@ def emit_report(
     for p in pairs:
         path = out_dir / "hee_masks" / mask_name(p.task, p.joint)
         result = hee_coverage(p.band, p.capability, scheme.headroom_delta)
-        path.write_text(mask_csv(result), newline="")
+        files[path] = write_file(path, mask_csv(result))
         hee_paths[(p.task, p.joint)] = path
 
-    artifacts = [summary, task_table, feature_table, contributions,
-                 flags_path, rom_path, *hee_paths.values(),
-                 *write_task_trial_stubs(out_dir)]
+    (out_dir / "task_trials").mkdir(exist_ok=True)
+    for name, columns in TASK_TRIAL_COLUMNS.items():
+        path = out_dir / "task_trials" / f"{name}.csv"
+        files[path] = write_csv(path, columns, [], "# whole-robot trial "
+                                "results; requires an integrated robot and "
+                                "is not computed by this toolkit\n")
 
     manifest = out_dir / "manifest.json"
     manifest_content = {
         "artifacts": [
-            {"path": str(p.relative_to(out_dir)), "sha256": sha256_file(p)}
-            for p in artifacts
+            {"path": str(p.relative_to(out_dir)), "sha256": digest}
+            for p, digest in files.items()
         ],
         # FRF tables come from ``hlas analyze frf --out`` and thermal traces
         # are never bundled; both notes stay because the manifest is hashed
@@ -1038,10 +1044,10 @@ def emit_report(
             "computed by this toolkit)",
         ],
     }
-    manifest.write_text(canonical_json(manifest_content))
+    files[manifest] = write_file(manifest, canonical_json(manifest_content))
     return ReportBundle(
         out_dir=out_dir, summary=summary, task_table=task_table,
         feature_table=feature_table, contributions=contributions,
         guardrail_flags=flags_path, rom_overlays=rom_path,
-        hee_masks=hee_paths, manifest=manifest,
+        hee_masks=hee_paths, manifest=manifest, files=files,
     )

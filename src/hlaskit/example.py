@@ -58,6 +58,7 @@ class ExampleRun:
     hlas_alpha_alt: float     # with the alternative feature weights
     scheme: WeightScheme
     pairs: list[PairInputs]
+    outputs: dict[Path, str] | None = None   # sha256 of each file written
 
 
 def run_example() -> ExampleRun:
@@ -77,14 +78,17 @@ def run_example() -> ExampleRun:
     )
 
 
-def emit_example(run: ExampleRun, out_dir: Path) -> None:
-    """Write the example's full report bundle plus the sensitivity table."""
-    emit_report(run.breakdown, run.pairs, out_dir, run.scheme)
-    write_csv(Path(out_dir) / "sensitivity.csv", ["variant", "hlas"], [
+def emit_example(run: ExampleRun, out_dir: Path) -> ExampleRun:
+    """Write the example's full report bundle plus the sensitivity table;
+    ``run`` with the sha256 of each file written."""
+    files = emit_report(run.breakdown, run.pairs, out_dir, run.scheme).files
+    sensitivity = Path(out_dir) / "sensitivity.csv"
+    files[sensitivity] = write_csv(sensitivity, ["variant", "hlas"], [
         ["baseline", run.breakdown.hlas],
         [f"headroom_delta_{HEADROOM_SENSITIVITY_DELTA:g}", run.hlas_headroom],
         ["alpha_alt", run.hlas_alpha_alt],
     ])
+    return replace(run, outputs=files)
 
 
 def compare_to_golden(out_dir: Path) -> list[str]:
@@ -120,8 +124,7 @@ def compare_to_golden(out_dir: Path) -> list[str]:
 
 
 def run_and_check_example(out_dir: Path) -> ExampleRun:
-    run = run_example()
-    emit_example(run, out_dir)
+    run = emit_example(run_example(), out_dir)
     divergent = compare_to_golden(out_dir)
     if divergent:
         raise GoldenMismatch(

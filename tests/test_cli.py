@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -31,8 +32,9 @@ from hlaskit.config_io import (
 )
 from hlaskit.envelope import hee_coverage
 from hlaskit.errors import DataError, DuplicateKey, InvalidRecord
-from hlaskit.example import example_data_dir
+from hlaskit.example import GOLDEN_TABLES, example_data_dir
 from hlaskit.scoring import hlas
+from hlaskit.signals import compute_frf, find_crossover
 from hlaskit.synthetic import SyntheticActuator, generate_backdrive_log
 
 
@@ -131,6 +133,22 @@ class TestScore:
         _, _, rows = read_table(out / "summary.csv")
         assert rows[0][0] == "hlas"
         assert float(rows[0][1]) == hlas(pairs, registration.scheme).hlas
+
+    def test_required_axis_without_robot_rom_has_empty_robot_cells(
+            self, data_dir, tmp_path):
+        prereg = data_dir / "prereg.yaml"
+        prereg.write_text(prereg.read_text().replace(
+            "  Walk:\n    ankle: [plantarflexion]\n",
+            "  Walk:\n    ankle: [plantarflexion, axial_rotation]\n"))
+        out = tmp_path / "r"
+        assert main(["score", "--prereg", str(prereg),
+                     "--data", str(data_dir), "--out", str(out)]) == 0
+        _, header, rows = read_table(out / "rom_overlays.csv")
+        overlay = {tuple(row[:3]): row[3:] for row in rows}
+        assert overlay[("Walk", "ankle", "axial_rotation")][2:] == ["", ""]
+        _, header, rows = read_table(out / "feature_table.csv")
+        walk_ankle = next(row for row in rows if row[:2] == ["Walk", "ankle"])
+        assert 0 < float(walk_ankle[header.index("rom")]) < 1
 
     def test_determinism(self, data_dir, tmp_path):
         outs = []
@@ -396,6 +414,15 @@ VALIDATION_DEFECTS = {
         ("{plantarflexion: [0, 25]}", "{plantarflexion: [0, 25, 30]}"), [],
         "InvalidDeclaration: functional_rom_deg: Walk: ankle: plantarflexion:"
         " [0, 25, 30] is not a [lo, hi] pair", REGISTRATION),
+    "prereg functional interval reversed": (
+        ("{plantarflexion: [0, 25]}", "{plantarflexion: [25, 0]}"), [],
+        "InvalidDeclaration: functional_rom_deg: Walk: ankle: plantarflexion:"
+        " [25, 0] is not a [lo, hi] pair with lo < hi", REGISTRATION),
+    "prereg required axes empty": (
+        ("  Walk:\n    ankle: [plantarflexion]\n",
+         "  Walk:\n    ankle: []\n"), [],
+        "InvalidDeclaration: required_axes: Walk: ankle: [] is not a "
+        "non-empty list of names", REGISTRATION),
     "prereg feature weights a list": (
         ("feature_weights:\n  rom: 0.10\n  dof: 0.10\n  hee: 0.50\n"
          "  bandwidth: 0.10\n  efficiency: 0.10\n  thermal: 0.10\n",
@@ -429,6 +456,41 @@ def test_refused_registration_or_flag_exits_2(defect, command, data_dir,
     argv = _hlas_argv(command, data_dir, None, tmp_path / "r") + flags
     assert main(argv) == 2
     assert named in capsys.readouterr().err
+
+
+# flag values the library refuses: (argv ending in the refused value, the
+# argument argparse names); each exits 2 before any file is read or written
+REFUSED_FLAGS = [
+    (["atlas", "show", "foo"], "joint"),
+    *((["analyze", "frf", "sweep.csv", "--freqs", freqs], "--freqs")
+      for freqs in ("1,x", "0,1", "2", "1,1")),
+    (["analyze", "qc", "log.csv", "--f-noload", "1", "--f-loaded", "-1"],
+     "--f-loaded"),
+    *((["analyze", "thermal", "log.csv", "--window", window], "--window")
+      for window in ("-1", "0")),
+    (["synth", "map", "--out", "m.csv", "--stall", "-1"], "--stall"),
+    (["synth", "map", "--out", "m.csv", "--thermal-tau", "0"],
+     "--thermal-tau"),
+    (["synth", "sweep", "--out", "s.csv", "--amplitude", "0"],
+     "--amplitude"),
+    (["synth", "sweep", "--out", "s.csv", "--freqs", "1,-2"], "--freqs"),
+    (["synth", "thermal", "--out", "t.csv", "--torque", "-1"], "--torque"),
+    (["synth", "backdrive", "--out", "b.csv", "--duration", "-1"],
+     "--duration"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", REFUSED_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in REFUSED_FLAGS])
+def test_refused_flag_value_exits_2_at_the_parser(argv, flag, tmp_path,
+                                                  monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    assert f"error: argument {flag}: {argv[-1]!r} is not " \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 EXAMPLE_CSVS = sorted(p.name for p in example_data_dir().glob("*.csv"))
@@ -531,6 +593,99 @@ class TestSharedPipeline:
                      "--out", str(mask)]) == 0
         assert mask.read_bytes() == (
             tmp_path / "B" / "hee_masks" / "Walk__ankle.csv").read_bytes()
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _score_argv(data_dir, out):
+    return ["score", "--prereg", str(data_dir / "prereg.yaml"),
+            "--data", str(data_dir), "--out", str(out)]
+
+
+class TestOneReadOneHash:
+    def test_score_reads_each_input_once_and_no_output(self, data_dir,
+                                                       tmp_path, file_reads):
+        assert main(_score_argv(data_dir, tmp_path / "r")) == 0
+        inputs = ["prereg.yaml", *EXAMPLE_CSVS]
+        assert file_reads == {(data_dir / name).resolve(): 1
+                              for name in inputs}
+        assert sum(file_reads.values()) == 13
+
+    def test_example_reads_each_input_once_and_the_golden_tables(
+            self, tmp_path, file_reads):
+        out, data = tmp_path / "out", example_data_dir()
+        assert main(["example", "--out", str(out)]) == 0
+        read = [data / name for name in ["prereg.yaml", *EXAMPLE_CSVS]]
+        read += [d / name for d in (out, data / "golden")
+                 for name in GOLDEN_TABLES]
+        assert file_reads == {path.resolve(): 1 for path in read}
+        assert sum(file_reads.values()) == 21
+
+    def test_registered_band_bytes_are_the_bytes_scored(self, data_dir,
+                                                        tmp_path,
+                                                        file_reads):
+        bands = data_dir / "bands.csv"
+        registered = bands.read_bytes()
+        altered = registered.replace(b"Walk,ankle,10,8,30,240",
+                                     b"Walk,ankle,10,8,300,240")
+        assert altered != registered
+        assert main(_score_argv(data_dir, tmp_path / "plain")) == 0
+
+        def serve_altered():            # to every read after the first
+            staged = tmp_path / "staged"
+            staged.write_bytes(altered)
+            os.replace(staged, bands)
+
+        file_reads.after[bands.resolve()] = serve_altered
+        assert main(_score_argv(data_dir, tmp_path / "served")) == 0
+        assert bands.read_bytes() == altered
+        table = "feature_table.csv"
+        assert (tmp_path / "served" / table).read_bytes() == \
+            (tmp_path / "plain" / table).read_bytes()
+        # scored, the altered row would have lowered Walk/ankle coverage
+        cap = read_capability_map(data_dir / "capability_ankle.csv")
+        walk_ankle = [read_bands(bands, data.decode())[("Walk", "ankle")]
+                      for data in (registered, altered)]
+        assert hee_coverage(walk_ankle[1], cap).coverage \
+            < hee_coverage(walk_ankle[0], cap).coverage
+
+    @pytest.mark.parametrize("command", ["score", "example"])
+    def test_run_manifest_digests_are_the_bytes_on_disk(self, command,
+                                                        data_dir, tmp_path):
+        out = tmp_path / "r"
+        argv = (_score_argv(data_dir, out) if command == "score"
+                else ["example", "--out", str(out)])
+        assert main(argv) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        listed = manifest["inputs"] + manifest["outputs"]
+        assert len(manifest["outputs"]) == len(
+            [p for p in out.rglob("*") if p.is_file()]) - 1
+        assert all(_sha256(Path(entry["path"])) == entry["sha256"]
+                   for entry in listed)
+
+
+class TestUncoveredWriterBytes:
+    def test_synth_map_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert main(["synth", "map", "--out", str(out)]) == 0
+        assert _sha256(out) == ("e7f6fb76e14711672f4f986cee437e33"
+                                "ea8cba11fa3fde04687802bbefd64cca")
+
+    def test_frf_table_is_the_header_then_repr_rows(self, tmp_path):
+        sweep, out = tmp_path / "sweep.csv", tmp_path / "frf.csv"
+        assert main(["synth", "sweep", "--out", str(sweep)]) == 0
+        assert main(["analyze", "frf", str(sweep), "--out", str(out)]) == 0
+        frf = compute_frf(read_log(sweep), [1.0, 2.0, 5.0, 10.0, 20.0, 30.0])
+        crossover = find_crossover(frf)
+        assert crossover.bound is None
+        assert out.read_text() == (
+            f"# crossover_hz: {crossover.f_crossover!r}, "
+            f"phase_margin_deg: {crossover.phase_margin_deg!r}\n"
+            "freq_hz,magnitude,phase_deg\n"
+            + "".join(f"{p.freq!r},{p.magnitude!r},{p.phase!r}\n"
+                      for p in frf))
 
 
 class TestAnalyze:
