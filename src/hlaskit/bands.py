@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from math import fsum, hypot
+from math import fsum, hypot, isfinite
 
 import numpy as np
 
@@ -252,6 +252,8 @@ def build_band_grid(
 
     def _axis(rng: tuple[float, float], n: int, name: str) -> list[float]:
         lo, hi = rng
+        if not (isfinite(lo) and isfinite(hi)):
+            raise InvalidRange(f"{name} range [{lo}, {hi}] is not finite")
         if lo > hi:
             raise InvalidRange(f"{name} range [{lo}, {hi}] has lo > hi")
         if n == 1:

@@ -55,6 +55,7 @@ from .signals import (
     steady_trend,
 )
 from .synthetic import (
+    DEFAULT_AMBIENT_C,
     DutyProfile,
     SyntheticActuator,
     generate_backdrive_log,
@@ -110,6 +111,10 @@ def _frequencies(least: int):
 _positive = _arg_type(float, lambda v: 0 < v < math.inf, "a positive number")
 _non_negative = _arg_type(float, lambda v: 0 <= v < math.inf,
                           "a non-negative number")
+_finite = _arg_type(float, math.isfinite, "a finite number")
+_above_ambient = _arg_type(
+    float, lambda v: DEFAULT_AMBIENT_C < v < math.inf,
+    f"a finite temperature above the {DEFAULT_AMBIENT_C:g} C ambient")
 _atlas_joint = _arg_type(str, lambda joint: any(
     rec.joint == joint for rec in DOF_INVENTORY), "a joint of the atlas")
 
@@ -340,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--delta", type=float, default=None,
                    help="override the demand headroom factor")
-    p.add_argument("--h-min", type=float, default=None,
+    p.add_argument("--h-min", type=_finite, default=None,
                    help="override the envelope-coverage breadth floor")
     p.add_argument("--gate", action="append", default=None,
                    help="critical task for multiplicative gating (repeatable)")
@@ -397,19 +402,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--copper-loss", type=_positive, default=0.02)
     p.add_argument("--joint", default="synthetic")
     p.add_argument("--axis", default="flexion")
-    p.add_argument("--q-lo", type=float, default=0.0)
-    p.add_argument("--q-hi", type=float, default=0.0)
+    p.add_argument("--q-lo", type=_finite, default=0.0)
+    p.add_argument("--q-hi", type=_finite, default=0.0)
     p.add_argument("--n-q", type=int, default=1)
-    p.add_argument("--omega-lo", type=float, default=8.0)
-    p.add_argument("--omega-hi", type=float, default=12.0)
+    p.add_argument("--omega-lo", type=_finite, default=8.0)
+    p.add_argument("--omega-hi", type=_finite, default=12.0)
     p.add_argument("--n-omega", type=int, default=5)
     p.add_argument("--freqs", type=_frequencies(1), default="1,2,5,10,20,30")
     p.add_argument("--amplitude", type=_positive, default=4.0)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=_non_negative, default=0.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--duration", type=_positive, default=60.0)
     p.add_argument("--torque", type=_non_negative, default=30.0)
-    p.add_argument("--temp-limit", type=float, default=100.0)
+    p.add_argument("--temp-limit", type=_above_ambient, default=100.0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("example",

@@ -21,9 +21,10 @@ import csv
 import hashlib
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import count
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -114,14 +115,17 @@ def _table(
     Returns ``(meta, header, rows, lines)``: the metadata of every ``#``
     line wherever it appears, the header cells, each data row's string cells
     and its 1-based file line; blank lines are skipped.  ``header_only``
-    still collects all metadata but builds no rows.  A missing required
-    column or a row whose field count differs from the header raises
-    ``DataError``.
+    still collects all metadata but builds no rows, and stops at the
+    header line where ``_header_end`` finds no ``#`` after it.  A missing
+    required column or a row whose field count differs from the header
+    raises ``DataError``.
     """
     meta: dict[str, str] = {}
     lines: list[tuple[int, str]] = []
-    for number, line in enumerate((
-            Path(path).read_text() if text is None else text).splitlines(), 1):
+    text = Path(path).read_text() if text is None else text
+    if header_only:
+        text = text[:_header_end(text)]
+    for number, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if stripped.startswith("#"):
             key, sep, value = stripped.lstrip("#").strip().partition(":")
@@ -147,6 +151,27 @@ def _table(
     return meta, header, rows, numbers
 
 
+# the line breaks of ``str.splitlines`` other than "\n" that ASCII holds
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
+
+
+def _header_end(text: str) -> int | None:
+    """Where the header line of ``text`` (its first line neither blank nor
+    a ``#`` comment) ends, its "\n" included, when ``text`` is ASCII, breaks
+    lines only at "\n" and has no ``#`` after its header line; None
+    otherwise."""
+    if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
+        return None
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        stripped = text[start:end].strip()
+        if stripped and not stripped.startswith("#"):
+            return None if text.find("#", end) >= 0 else end
+        start = end
+    return None
+
+
 def read_table(
     path: Path, required_columns: tuple[str, ...] = (),
     header_only: bool = False,
@@ -155,7 +180,7 @@ def read_table(
     return _table(path, None, required_columns, header_only)[:3]
 
 
-def _located(path: Path, exc: DataError, lines: list[int],
+def _located(path: Path, exc: DataError, lines: Sequence[int],
              row: int | None) -> DataError:
     """``exc`` again, naming ``path`` and, for data row ``row``, its line."""
     where = path if row is None else f"{path}: line {lines[row]}"
@@ -196,19 +221,14 @@ def _numeric(path: Path, rows: list[list[str]], columns: tuple[str, ...],
     ]).reshape(len(rows), len(columns))
 
 
-def _read_columns(
-    path: Path, text: str | None, text_columns: tuple[str, ...],
-    float_columns: tuple[str, ...], key: tuple[str, ...],
-    optional: tuple[str, ...] = (),
-) -> tuple[dict[str, str], dict[str, list | np.ndarray], list[int]]:
-    """Metadata, each column's cells in file order, and each row's line: a
-    list of strings per text column, a float64 array per float column and a
-    list of floats or None per ``optional`` column, which may be absent.
+_Columns = tuple[dict[str, str], dict[str, list | np.ndarray], Sequence[int]]
 
-    ``key`` names the columns that identify a measurement: a repeated key
-    raises ``DuplicateKey`` naming both lines, comparing numeric cells as
-    floats (``10`` and ``10.0`` are one point).
-    """
+
+def _cell_columns(
+    path: Path, text: str, text_columns: tuple[str, ...],
+    float_columns: tuple[str, ...], optional: tuple[str, ...],
+) -> _Columns:
+    """``_read_columns`` before its key check, parsed a cell at a time."""
     meta, header, rows, lines = _table(path, text,
                                        (*text_columns, *float_columns))
     index = {name: i for i, name in enumerate(header)}
@@ -222,16 +242,116 @@ def _read_columns(
         cells = [row[index[c]] if c in index else "" for row in rows]
         columns[c] = [_cell_float(path, lines, i, c, cell) if cell else None
                       for i, cell in enumerate(cells)]
-    del rows, numbers                   # parsed: free the cells before keys
-    keys = list(zip(*(columns[c].tolist() if c in float_columns
-                      else columns[c] for c in key)))
-    repeat = _first_repeat(keys)
-    if repeat:
-        earlier, i = repeat
-        raise _located(path, DuplicateKey(
-            f"({', '.join(key)}) = {keys[i]!r} repeats line "
-            f"{lines[earlier]}"), lines, i)
     return meta, columns, lines
+
+
+def _regular_columns(
+    path: Path, text: str, text_columns: tuple[str, ...],
+    float_columns: tuple[str, ...],
+) -> _Columns | None:
+    """``_cell_columns`` of a regular text, parsed a column at a time; None
+    when the text is not regular.
+
+    Regular text is ASCII without quotes or line breaks other than "\n",
+    has no ``#`` and no blank line after its header line, and has the
+    header's field count on every data line.  Its float cells convert as
+    ``_numeric`` converts them; a cell that does not convert to a finite
+    float makes the text irregular, so its error comes from the per-cell
+    path.
+    """
+    end = _header_end(text)
+    if end is None or '"' in text:
+        return None
+    meta, header, _, _ = _table(path, text[:end],
+                                (*text_columns, *float_columns))
+    width = len(header)
+    body = text[end:].removesuffix("\n")
+    if body and set(map(str.count, body.split("\n"),
+                        repeat(","))) != {width - 1}:
+        return None
+    cells = body.replace("\n", ",").split(",") if body else []
+    del body
+    index = {name: i for i, name in enumerate(header)}
+    columns: dict = {c: cells[index[c]::width] for c in text_columns}
+    try:
+        columns.update((c, np.array(cells[index[c]::width], dtype=float))
+                       for c in float_columns)
+    except ValueError:
+        return None
+    first = text.count("\n", 0, end - 1) + 2      # the first data line
+    lines = range(first, first + len(cells) // width)
+    del cells
+    if not all(np.isfinite(columns[c]).all() for c in float_columns):
+        return None
+    return meta, columns, lines
+
+
+def _read_columns(
+    path: Path, text: str | None, text_columns: tuple[str, ...],
+    float_columns: tuple[str, ...], key: tuple[str, ...],
+    optional: tuple[str, ...] = (),
+) -> _Columns:
+    """Metadata, each column's cells in file order, and each row's line: a
+    list of strings per text column, a float64 array per float column and a
+    list of floats or None per ``optional`` column, which may be absent.
+
+    Regular text (``_regular_columns``) is parsed a column at a time, any
+    other text a cell at a time, with the same values and the same errors.
+    ``key`` names the columns that identify a measurement: a repeated key
+    raises ``DuplicateKey`` naming both lines, comparing numeric cells as
+    floats (``10`` and ``10.0`` are one point).
+    """
+    text = Path(path).read_text() if text is None else text
+    parsed = None if optional else _regular_columns(
+        path, text, text_columns, float_columns)
+    meta, columns, lines = parsed or _cell_columns(
+        path, text, text_columns, float_columns, optional)
+    _refuse_repeats(path, columns, key, lines)
+    return meta, columns, lines
+
+
+def _codes(cells: list[str]) -> np.ndarray:
+    """Each cell's index among the distinct cells, numbered in order of
+    first appearance."""
+    index = {cell: i for i, cell in enumerate(dict.fromkeys(cells))}
+    return np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+
+
+def _refuse_repeats(path: Path, columns: dict, key: tuple[str, ...],
+                    lines: Sequence[int]) -> None:
+    """Raise ``DuplicateKey`` at the first row whose cells in the ``key``
+    columns (text or float) repeat an earlier row's, naming both lines."""
+    if len(lines) < 2:
+        return
+    cells = [columns[c] for c in key]
+    keys = np.array([c if isinstance(c, np.ndarray) else _codes(c)
+                     for c in cells], dtype=float)    # one row per column
+    order = np.lexsort(keys)            # stable: equal keys in file order
+    ranked = keys[:, order]
+    repeats = order[1:][(ranked[:, 1:] == ranked[:, :-1]).all(axis=0)]
+    if repeats.size:
+        i = int(repeats.min())
+        earlier = int(np.flatnonzero((keys == keys[:, [i]]).all(axis=0))[0])
+        found = tuple(c[i].item() if isinstance(c, np.ndarray) else c[i]
+                      for c in cells)
+        raise _located(path, DuplicateKey(
+            f"({', '.join(key)}) = {found!r} repeats line "
+            f"{lines[earlier]}"), lines, i)
+
+
+def _groups(columns: dict, names: tuple[str, ...]) -> dict:
+    """The rows of each distinct combination of the named text columns'
+    cells, in order of first appearance, each group's rows in file
+    order."""
+    label = np.zeros(len(columns[names[0]]), dtype=np.intp)
+    for name in names:
+        label = label * len(label) + _codes(columns[name])
+    order = np.argsort(label, kind="stable")
+    ranked = label[order]
+    groups = np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+                      ) if len(order) else []
+    return {tuple(columns[c][rows[0]] for c in names): rows
+            for rows in sorted(groups, key=lambda rows: rows[0])}
 
 
 def _read_records(
@@ -290,7 +410,7 @@ def read_bands(
     demand = ("q_deg", "omega_rad_s", "torque_hum_nm", "power_hum_w")
     _, columns, _ = _read_columns(path, text, ("task", "joint"), demand,
                                   ("task", "joint", "q_deg", "omega_rad_s"))
-    groups = _grouped(zip(zip(columns["task"], columns["joint"]), count()))
+    groups = _groups(columns, ("task", "joint"))
     if not groups:
         raise DataError(f"band file {path} has no data rows")
     return {
@@ -375,16 +495,13 @@ def read_efficiency_file(
 ) -> dict[str, dict[tuple[float, float], float]]:
     """Point efficiency: ``joint,q_deg,omega_rad_s,eta``; per joint, the
     efficiency at each (q, omega) point."""
-    _, columns, _ = _read_columns(
-        path, text, ("joint",), ("q_deg", "omega_rad_s", "eta"),
-        ("joint", "q_deg", "omega_rad_s"))
-    out: dict[str, dict[tuple[float, float], float]] = {}
-    for joint, point, eta in zip(
-            columns["joint"], zip(columns["q_deg"].tolist(),
-                                  columns["omega_rad_s"].tolist()),
-            columns["eta"].tolist()):
-        out.setdefault(joint, {})[point] = eta
-    return out
+    names = ("q_deg", "omega_rad_s", "eta")
+    _, columns, _ = _read_columns(path, text, ("joint",), names,
+                                  ("joint", "q_deg", "omega_rad_s"))
+    q, omega, eta = (columns[c] for c in names)
+    return {joint: dict(zip(zip(q[rows].tolist(), omega[rows].tolist()),
+                            eta[rows].tolist()))
+            for (joint,), rows in _groups(columns, ("joint",)).items()}
 
 
 def read_thermal_file(

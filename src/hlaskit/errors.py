@@ -63,6 +63,11 @@ class NegativeHeadroom(ValidationError, ValueError):
     callers."""
 
 
+class TemperatureLimit(ValidationError, ValueError):
+    """A duty temperature limit that is not a finite temperature above the
+    ambient one.  Also a ``ValueError`` for direct callers."""
+
+
 # --- data ---------------------------------------------------------------
 
 class EmptyAxisSet(DataError):

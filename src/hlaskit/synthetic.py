@@ -14,11 +14,12 @@ by a drive efficiency, plus copper and idle losses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import exp, inf, log, sqrt
 
 import numpy as np
 
 from .envelope import CapabilityMap
+from .errors import TemperatureLimit
 from .signals import (
     DERIVATIVE_SMOOTHING_WINDOW,
     TimeSeriesLog,
@@ -92,6 +93,10 @@ class DutyProfile:
             raise ValueError("burst_s and period_s must be given together")
         if self.burst_s is not None and not 0 < self.burst_s < self.period_s:
             raise ValueError("need 0 < burst_s < period_s")
+        if not self.ambient_c < self.temp_limit_c < inf:
+            raise TemperatureLimit(
+                f"temperature limit {self.temp_limit_c} C must be finite and "
+                f"above the ambient {self.ambient_c} C")
 
 
 def _electrical_channels(

@@ -150,6 +150,14 @@ class TestBuildBandGrid:
         with pytest.raises(InvalidRange):
             build_band_grid((5, 5), (0, 1), 3, 2)
 
+    @pytest.mark.parametrize("q_range, omega_range", [
+        ((0, 10), (float("nan"), 12)), ((0, float("inf")), (8, 12)),
+        ((float("-inf"), 0), (8, 8)),
+    ])
+    def test_non_finite_range_rejected(self, q_range, omega_range):
+        with pytest.raises(InvalidRange, match="not finite"):
+            build_band_grid(q_range, omega_range, 2, 1)
+
     @given(n_q=st.integers(1, 8), n_w=st.integers(1, 8))
     def test_point_count_and_endpoints(self, n_q, n_w):
         grid = build_band_grid((-10, 30), (1, 9), n_q, n_w)

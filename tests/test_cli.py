@@ -477,6 +477,15 @@ REFUSED_FLAGS = [
     (["synth", "thermal", "--out", "t.csv", "--torque", "-1"], "--torque"),
     (["synth", "backdrive", "--out", "b.csv", "--duration", "-1"],
      "--duration"),
+    *((["score", "--prereg", "prereg.yaml", "--data", ".", "--out", "r",
+        "--h-min", h_min], "--h-min") for h_min in ("nan", "inf")),
+    *((["synth", "thermal", "--out", "t.csv", "--temp-limit", limit],
+       "--temp-limit") for limit in ("-1", "25", "nan")),
+    *((["synth", "map", "--out", "m.csv", flag, "nan"], flag)
+      for flag in ("--q-lo", "--q-hi", "--omega-lo", "--omega-hi")),
+    (["synth", "map", "--out", "m.csv", "--omega-hi", "inf"], "--omega-hi"),
+    *((["synth", kind, "--out", "s.csv", "--noise", noise], "--noise")
+      for kind in ("backdrive", "sweep") for noise in ("-1", "nan")),
 ]
 
 

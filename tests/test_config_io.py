@@ -1,3 +1,4 @@
+import math
 import shutil
 import tempfile
 from dataclasses import replace
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from hlaskit.config_io import (
     BandRef,
+    _read_columns,
+    _regular_columns,
     emit_report,
     load_measurements,
     load_preregistration,
@@ -18,6 +21,7 @@ from hlaskit.config_io import (
     mask_name,
     read_bands,
     read_capability_map,
+    read_efficiency_file,
     read_log,
     read_table,
     read_thermal_file,
@@ -282,6 +286,182 @@ class TestFileRoundTrips:
         out2 = tmp_path / "log2.csv"
         write_log(again, out2)
         assert out2.read_bytes() == path.read_bytes()
+
+
+# each measurement reader: (reader, text columns, float columns, key)
+READERS = {
+    "band": (read_bands, ("task", "joint"),
+             ("q_deg", "omega_rad_s", "torque_hum_nm", "power_hum_w"),
+             ("task", "joint", "q_deg", "omega_rad_s")),
+    "capability": (read_capability_map, ("joint", "axis"),
+                   ("q_deg", "omega_rad_s", "torque_nm"),
+                   ("q_deg", "omega_rad_s")),
+    "efficiency": (read_efficiency_file, ("joint",),
+                   ("q_deg", "omega_rad_s", "eta"),
+                   ("joint", "q_deg", "omega_rad_s")),
+}
+# None and "repeat" keep a text regular; every other one makes it irregular
+IRREGULARITIES = (None, "repeat", "comment", "blank", "quoted", "crlf",
+                  "ragged", "non-ascii", "hash", "text cell", "nan cell")
+POINTS = (0.0, 10.0, 2.5, -7.0)
+
+
+def _spellings(x: float) -> list[str]:
+    """Ways to write ``x`` that parse to it (``0`` also as ``-0.0``)."""
+    out = [repr(x), f"{x:.3e}"]
+    if x == int(x):
+        out.append(str(int(x)))
+    if x == 0:
+        out.append("-0.0")
+    return out
+
+
+@st.composite
+def measurement_texts(draw):
+    """``(kind, irregularity, text)``: a band, capability or efficiency
+    file, regular or with one irregularity."""
+    kind = draw(st.sampled_from(sorted(READERS)))
+    _, text_columns, float_columns, key = READERS[kind]
+    names = {"task": ("Walk", "Stairs"), "joint": ("ankle", "knee"),
+             "axis": ("flexion",)}
+    if kind == "capability":
+        names["joint"] = ("knee",)      # one joint and axis per map
+    keys = draw(st.lists(st.tuples(
+        *(st.sampled_from(names[c]) for c in text_columns),
+        st.sampled_from(POINTS), st.sampled_from(POINTS)),
+        min_size=1, max_size=8, unique=True))
+    value = st.floats(0, 1e6, allow_nan=False, allow_infinity=False)
+    rows = [[*point[:-2], *(draw(st.sampled_from(_spellings(x)))
+                            for x in point[-2:]),
+             *(draw(st.sampled_from(_spellings(draw(value))))
+               for _ in float_columns[2:])] for point in keys]
+    irregularity = draw(st.sampled_from(IRREGULARITIES))
+    row = draw(st.integers(0, len(rows) - 1))
+    at = draw(st.integers(0, len(rows)))
+    column = len(text_columns) + draw(st.integers(0, len(float_columns) - 1))
+    if irregularity == "repeat":        # keys given again, maybe respelled
+        q = len(text_columns)
+        for source in draw(st.lists(st.sampled_from(rows), min_size=1,
+                                    max_size=3)):
+            rows.insert(draw(st.integers(0, len(rows))), [
+                *source[:q], *(draw(st.sampled_from(_spellings(float(cell))))
+                               for cell in source[q:q + 2]),
+                *source[q + 2:]])
+    elif irregularity in ("non-ascii", "hash"):  # rename one text value
+        old = rows[row][0]
+        new = "Knöchel" if irregularity == "non-ascii" else "j#1"
+        rows = [[new if cell == old else cell for cell in r] for r in rows]
+    elif irregularity == "quoted":
+        cell = draw(st.integers(0, len(rows[row]) - 1))
+        rows[row][cell] = f'"{rows[row][cell]}"'
+    elif irregularity == "ragged":
+        rows[row] = rows[row][:-1] if draw(st.booleans()) \
+            else [*rows[row], "1"]
+    elif irregularity in ("text cell", "nan cell"):
+        rows[row][column] = "abc" if irregularity == "text cell" \
+            else draw(st.sampled_from(["nan", "inf", "-inf"]))
+    preamble = draw(st.lists(st.sampled_from(
+        ["# created_utc: 2026-09-01T00:00:00Z", "", "  ", "# free text",
+         "  # note: x"]), max_size=3))
+    if kind == "capability":
+        preamble.insert(0, "# conditions: rig at 25 C")
+    lines = [*preamble, ",".join((*text_columns, *float_columns)),
+             *map(",".join, rows)]
+    if irregularity in ("comment", "blank"):
+        lines.insert(len(preamble) + 1 + at, "# late: 1"
+                     if irregularity == "comment" else draw(
+                         st.sampled_from(["", "  "])))
+    newline = "\r\n" if irregularity == "crlf" else "\n"
+    # a blank last line needs the line break that ends it
+    end = newline if irregularity == "blank" else draw(
+        st.sampled_from(["", newline]))
+    return kind, irregularity, newline.join(lines) + end
+
+
+def _oracle(path, text_columns, float_columns, key):
+    """``_read_columns`` of ``path`` rebuilt from ``read_table`` rows and
+    ``float``, raising what the per-cell path raises."""
+    meta, header, rows = read_table(path, (*text_columns, *float_columns))
+    lines = [number for number, line in enumerate(
+        path.read_text().splitlines(), 1)
+        if line.strip() and not line.strip().startswith("#")][1:]
+    index = {name: i for i, name in enumerate(header)}
+    columns = {c: [row[index[c]] for row in rows] for c in text_columns}
+    columns.update((c, []) for c in float_columns)
+    for row, line in zip(rows, lines):
+        for c in float_columns:
+            cell = row[index[c]]
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"{path}: line {line}: {c} {cell!r} is not "
+                                f"a number") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}: line {line}: {c} {cell!r} is not "
+                                f"finite")
+            columns[c].append(value)
+    first = {}
+    for i, point in enumerate(zip(*(columns[c] for c in key))):
+        earlier = first.setdefault(point, i)
+        if earlier != i:
+            raise DuplicateKey(f"{path}: line {lines[i]}: "
+                               f"({', '.join(key)}) = {point!r} repeats "
+                               f"line {lines[earlier]}")
+    return meta, columns, lines
+
+
+class TestColumnWiseParse:
+    @settings(max_examples=300, deadline=None)
+    @given(measurement_texts())
+    def test_readers_match_the_per_cell_oracle(self, case):
+        kind, irregularity, text = case
+        reader, text_columns, float_columns, key = READERS[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{kind}.csv"
+            path.write_bytes(text.encode())
+            regular = _regular_columns(path, text, text_columns,
+                                       float_columns)
+            assert (regular is not None) \
+                == (irregularity in IRREGULARITIES[:2])
+            try:
+                meta, columns, lines = _oracle(path, text_columns,
+                                               float_columns, key)
+            except DataError as exc:
+                with pytest.raises(DataError) as raised:
+                    reader(path, text)
+                assert type(raised.value) is type(exc)
+                assert str(raised.value) == str(exc)
+                return
+            got = _read_columns(path, text, text_columns, float_columns, key)
+            assert got[0] == meta
+            assert read_table(path, header_only=True)[0] == meta
+            assert list(got[2]) == lines
+            for c in text_columns:
+                assert got[1][c] == columns[c]
+            for c in float_columns:      # bit for bit: -0.0 is not 0.0
+                assert repr(got[1][c].tolist()) == repr(columns[c])
+            result = reader(path, text)
+
+        groups = {}
+        for i, cells in enumerate(zip(*(columns[c] for c in text_columns))):
+            groups.setdefault(cells, []).append(i)
+        q, omega, *values = (columns[c] for c in float_columns)
+        if kind == "band":
+            assert list(result) == list(groups)
+            for rows, band in zip(groups.values(), result.values()):
+                assert repr([c.tolist() for c in (
+                    band.q, band.omega, band.torque_hum, band.power_hum)]) \
+                    == repr([[c[i] for i in rows] for c in (q, omega,
+                                                            *values)])
+        elif kind == "efficiency":
+            assert repr(result) == repr({
+                joint: {(q[i], omega[i]): values[0][i] for i in rows}
+                for (joint,), rows in groups.items()})
+        else:
+            assert list(groups) == [(result.joint, result.axis)]
+            assert repr([c.tolist() for c in (result.q, result.omega,
+                                              result.torque_rob)]) \
+                == repr([q, omega, values[0]])
 
 
 class TestEmitReport:

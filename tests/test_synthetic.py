@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hlaskit.errors import TemperatureLimit
 from hlaskit.signals import (
     compute_frf,
     detect_plateau,
@@ -133,6 +134,13 @@ class TestThermalLog:
         log = generate_thermal_duty_log(self.ACT, duty, 40.0)
         active = np.asarray(log.torque) > 0
         assert 0.15 < active.mean() < 0.25
+
+    @pytest.mark.parametrize("limit", [25.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_limit_not_above_ambient_refused(self, limit):
+        # at or below ambient no torque holds the limit (a negative rise)
+        with pytest.raises(TemperatureLimit, match="above the ambient"):
+            DutyProfile(duration_s=10.0, temp_limit_c=limit)
 
 
 class TestBackdriveLog:
