@@ -133,7 +133,12 @@ def _table(
                 meta[key.strip()] = value.strip()
         elif stripped and not (header_only and lines):
             lines.append((number, line))
-    table = list(csv.reader(line for _, line in lines))
+    reader = csv.reader(line for _, line in lines)
+    try:
+        table = list(reader)
+    except csv.Error as exc:        # e.g. a cell over csv's field size limit
+        raise DataError(f"{path}: line {lines[reader.line_num - 1][0]}: "
+                        f"{exc}") from None
     if len(table) != len(lines):
         raise DataError(f"{path}: a quoted field runs past the end of a line")
     header, rows = (table[0], table[1:]) if table else ([], [])
@@ -203,41 +208,38 @@ def _cell_float(path: Path, lines: list[int], row: int, column: str,
                    row)
 
 
-def _numeric(path: Path, rows: list[list[str]], columns: tuple[str, ...],
-             lines: list[int]) -> np.ndarray:
-    """String cells of the named columns as a finite float array; the first
-    non-numeric or non-finite cell raises ``DataError``."""
-    try:
-        data = np.array(rows, dtype=float).reshape(len(rows), len(columns))
-        if np.isfinite(data).all():
-            return data
-    except ValueError:
-        pass
-    # bad input only: find the offending cell one by one
-    return np.array([
-        [_cell_float(path, lines, i, column, cell)
-         for column, cell in zip(columns, row)]
-        for i, row in enumerate(rows)
-    ]).reshape(len(rows), len(columns))
-
-
 _Columns = tuple[dict[str, str], dict[str, list | np.ndarray], Sequence[int]]
 
 
 def _cell_columns(
     path: Path, text: str, text_columns: tuple[str, ...],
     float_columns: tuple[str, ...], optional: tuple[str, ...],
+    all_float: bool = False,
 ) -> _Columns:
-    """``_read_columns`` before its key check, parsed a cell at a time."""
+    """``_read_columns`` before its key check, parsed a cell at a time: the
+    first non-numeric or non-finite float cell, in row order, raises
+    ``DataError``."""
     meta, header, rows, lines = _table(path, text,
                                        (*text_columns, *float_columns))
     index = {name: i for i, name in enumerate(header)}
     columns: dict = {c: [row[index[c]] for row in rows] for c in text_columns}
-    numbers = _numeric(
-        path, [[row[index[c]] for c in float_columns] for row in rows],
-        float_columns, lines,
-    )
-    columns.update(zip(float_columns, np.ascontiguousarray(numbers.T)))
+    names = tuple(header) if all_float else float_columns
+    cells = rows if all_float else [[row[index[c]] for c in names]
+                                    for row in rows]
+    try:
+        numbers = np.array(cells, dtype=float).reshape(len(rows), len(names))
+        finite = np.isfinite(numbers).all()
+    except ValueError:
+        finite = False
+    if not finite:      # bad input only: find the offending cell one by one
+        numbers = np.array([
+            [_cell_float(path, lines, i, c, cell)
+             for c, cell in zip(names, row)]
+            for i, row in enumerate(cells)
+        ]).reshape(len(rows), len(names))
+    numbers = np.ascontiguousarray(numbers.T)
+    # a name given twice in the header reads its first column
+    columns.update((c, numbers[names.index(c)]) for c in names)
     for c in optional:
         cells = [row[index[c]] if c in index else "" for row in rows]
         columns[c] = [_cell_float(path, lines, i, c, cell) if cell else None
@@ -247,7 +249,7 @@ def _cell_columns(
 
 def _regular_columns(
     path: Path, text: str, text_columns: tuple[str, ...],
-    float_columns: tuple[str, ...],
+    float_columns: tuple[str, ...], all_float: bool = False,
 ) -> _Columns | None:
     """``_cell_columns`` of a regular text, parsed a column at a time; None
     when the text is not regular.
@@ -255,9 +257,10 @@ def _regular_columns(
     Regular text is ASCII without quotes or line breaks other than "\n",
     has no ``#`` and no blank line after its header line, and has the
     header's field count on every data line.  Its float cells convert as
-    ``_numeric`` converts them; a cell that does not convert to a finite
-    float makes the text irregular, so its error comes from the per-cell
-    path.
+    ``_cell_columns`` converts them; a cell that does not convert to a
+    finite float, or with ``all_float`` a header that names a column twice,
+    makes the text irregular, so its error or its value comes from the
+    per-cell path.
     """
     end = _header_end(text)
     if end is None or '"' in text:
@@ -265,6 +268,9 @@ def _regular_columns(
     meta, header, _, _ = _table(path, text[:end],
                                 (*text_columns, *float_columns))
     width = len(header)
+    names = tuple(header) if all_float else float_columns
+    if len(set(names)) < len(names):
+        return None
     body = text[end:].removesuffix("\n")
     if body and set(map(str.count, body.split("\n"),
                         repeat(","))) != {width - 1}:
@@ -275,13 +281,13 @@ def _regular_columns(
     columns: dict = {c: cells[index[c]::width] for c in text_columns}
     try:
         columns.update((c, np.array(cells[index[c]::width], dtype=float))
-                       for c in float_columns)
+                       for c in names)
     except ValueError:
         return None
     first = text.count("\n", 0, end - 1) + 2      # the first data line
     lines = range(first, first + len(cells) // width)
     del cells
-    if not all(np.isfinite(columns[c]).all() for c in float_columns):
+    if not all(np.isfinite(columns[c]).all() for c in names):
         return None
     return meta, columns, lines
 
@@ -289,11 +295,13 @@ def _regular_columns(
 def _read_columns(
     path: Path, text: str | None, text_columns: tuple[str, ...],
     float_columns: tuple[str, ...], key: tuple[str, ...],
-    optional: tuple[str, ...] = (),
+    optional: tuple[str, ...] = (), all_float: bool = False,
 ) -> _Columns:
     """Metadata, each column's cells in file order, and each row's line: a
     list of strings per text column, a float64 array per float column and a
     list of floats or None per ``optional`` column, which may be absent.
+    With ``all_float`` every header column is a float column, and
+    ``float_columns`` names those that must be there.
 
     Regular text (``_regular_columns``) is parsed a column at a time, any
     other text a cell at a time, with the same values and the same errors.
@@ -303,9 +311,9 @@ def _read_columns(
     """
     text = Path(path).read_text() if text is None else text
     parsed = None if optional else _regular_columns(
-        path, text, text_columns, float_columns)
+        path, text, text_columns, float_columns, all_float)
     meta, columns, lines = parsed or _cell_columns(
-        path, text, text_columns, float_columns, optional)
+        path, text, text_columns, float_columns, optional, all_float)
     _refuse_repeats(path, columns, key, lines)
     return meta, columns, lines
 
@@ -320,8 +328,9 @@ def _codes(cells: list[str]) -> np.ndarray:
 def _refuse_repeats(path: Path, columns: dict, key: tuple[str, ...],
                     lines: Sequence[int]) -> None:
     """Raise ``DuplicateKey`` at the first row whose cells in the ``key``
-    columns (text or float) repeat an earlier row's, naming both lines."""
-    if len(lines) < 2:
+    columns (text or float) repeat an earlier row's, naming both lines; no
+    check without ``key`` columns."""
+    if not key or len(lines) < 2:
         return
     cells = [columns[c] for c in key]
     keys = np.array([c if isinstance(c, np.ndarray) else _codes(c)
@@ -527,13 +536,16 @@ def write_log(log: TimeSeriesLog, path: Path) -> None:
 
 
 def read_log(path: Path) -> TimeSeriesLog:
-    meta, header, rows, lines = _table(path, None, LOG_COLUMNS)
+    """A log in ``write_log``'s format, read as a file with no key columns:
+    every header column holds finite numbers, ``LOG_COLUMNS`` among them,
+    and a repeated row breaks the strictly increasing time channel."""
+    meta, columns, lines = _read_columns(path, None, (), LOG_COLUMNS, (),
+                                         all_float=True)
     if "sample_rate_hz" not in meta:
         raise DataError(f"log {path} is missing the sample_rate_hz header")
-    data = _numeric(path, rows, tuple(header), lines)
     try:
         return TimeSeriesLog(      # LOG_COLUMNS are its channels, in order
-            *(data[:, header.index(name)] for name in LOG_COLUMNS),
+            *(columns[name] for name in LOG_COLUMNS),
             sample_rate=_header_number(meta, "sample_rate_hz", float),
             conditions=meta.get("conditions", ""),
             seed=_header_number(meta, "seed", int) if "seed" in meta else None,

@@ -68,6 +68,11 @@ class TemperatureLimit(ValidationError, ValueError):
     ambient one.  Also a ``ValueError`` for direct callers."""
 
 
+class NoiseLevel(ValidationError, ValueError):
+    """A synthetic noise level that is negative, NaN or infinite.  Also a
+    ``ValueError`` for direct callers."""
+
+
 # --- data ---------------------------------------------------------------
 
 class EmptyAxisSet(DataError):

@@ -19,7 +19,7 @@ from math import exp, inf, log, sqrt
 import numpy as np
 
 from .envelope import CapabilityMap
-from .errors import TemperatureLimit
+from .errors import NoiseLevel, TemperatureLimit
 from .signals import (
     DERIVATIVE_SMOOTHING_WINDOW,
     TimeSeriesLog,
@@ -112,6 +112,12 @@ def _electrical_channels(
     return v_bus, p_elec / DEFAULT_BUS_VOLTAGE_V
 
 
+def _check_noise(noise_std: float) -> None:
+    """Refuse a noise level that is not a finite number >= 0."""
+    if not 0 <= noise_std < inf:
+        raise NoiseLevel(f"noise_std {noise_std} must be finite and >= 0")
+
+
 def generate_capability_map(
     act: SyntheticActuator,
     grid: list[tuple[float, float]],
@@ -157,6 +163,7 @@ def generate_sweep_log(
         raise ValueError("sweep amplitude must be positive")
     if not freqs or any(f <= 0 for f in freqs):
         raise ValueError("need at least one positive probe frequency")
+    _check_noise(noise_std)
     if duration is None:
         duration = max(5.0 / min(freqs), 1.0)
     n = int(round(duration * sample_rate)) + 1
@@ -278,6 +285,7 @@ def generate_backdrive_log(
     """
     if freq > 0.5:
         raise ValueError("backdrive excitation must stay at or below 0.5 Hz")
+    _check_noise(noise_std)
     n = int(round(duration * sample_rate)) + 1
     t = np.arange(n) / sample_rate
     q = amplitude_deg * np.sin(2.0 * np.pi * freq * t)

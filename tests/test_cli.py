@@ -348,6 +348,29 @@ def test_rejected_header_is_a_data_error_naming_the_file(defect, data_dir,
     assert "InvalidRecord" in err and path.name in err
 
 
+# file kind -> an edit of a row that quotes a cell over csv's default field
+# size limit (131,072 characters); the quotes keep it off the column-wise path
+OVERSIZED_CELLS = {
+    "thermal": lambda cells, *_: [f'"{"T" * 200_000}"', *cells[1:]],
+    "log": lambda cells, *_: [*cells[:-1], f'"{"1" * 200_000}"'],
+}
+
+
+@pytest.mark.parametrize("kind", list(OVERSIZED_CELLS))
+def test_cell_over_the_csv_field_limit_is_a_data_error_naming_the_line(
+        kind, data_dir, tmp_path, capsys):
+    name, reader, command = MALFORMED_FILES[kind]
+    path = data_dir / name if name else _backdrive_log(tmp_path)
+    _, number = _rewrite_third_row(path, OVERSIZED_CELLS[kind])
+    where = f"{path.name}: line {number}: field larger than field limit"
+
+    with pytest.raises(DataError, match=where):
+        reader(path)
+    assert main(_hlas_argv(command, data_dir, path, tmp_path / "r")) == 3
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
 # registration or flag defect -> (prereg.yaml text edit, extra flags,
 # what stderr names, hlas commands); each is exit 2 with no traceback
 REGISTRATION = ("score", "validate-prereg")
@@ -659,6 +682,12 @@ class TestOneReadOneHash:
                       for data in (registered, altered)]
         assert hee_coverage(walk_ankle[1], cap).coverage \
             < hee_coverage(walk_ankle[0], cap).coverage
+
+    def test_analyze_reads_its_log_once(self, tmp_path, capsys, file_reads):
+        log = _backdrive_log(tmp_path)
+        assert main(["analyze", "qc", str(log)]) == 0
+        assert "power balance: pass" in capsys.readouterr().out
+        assert file_reads == {log.resolve(): 1}
 
     @pytest.mark.parametrize("command", ["score", "example"])
     def test_run_manifest_digests_are_the_bytes_on_disk(self, command,

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlaskit.config_io import (
+    LOG_COLUMNS,
     BandRef,
     _read_columns,
     _regular_columns,
@@ -36,11 +37,13 @@ from hlaskit.errors import (
     DataError,
     DuplicateKey,
     IncompleteAnalyses,
+    InvalidRecord,
     MissingSection,
     WeightSumViolation,
 )
 from hlaskit.example import example_data_dir
 from hlaskit.scoring import hlas
+from hlaskit.signals import TimeSeriesLog
 from hlaskit.synthetic import SyntheticActuator, generate_backdrive_log
 
 
@@ -410,6 +413,127 @@ def _oracle(path, text_columns, float_columns, key):
     return meta, columns, lines
 
 
+# None and these keep a log regular; every other one makes it irregular
+REGULAR_LOGS = (None, "repeat", "reordered", "extra number", "no rate",
+                "bad seed")
+LOG_IRREGULARITIES = (*REGULAR_LOGS, "comment", "blank", "quoted", "crlf",
+                      "ragged", "extra text", "text cell", "nan cell",
+                      "column twice", "missing column")
+CHANNELS = ("t", "q", "omega", "torque", "torque_cmd", "v_bus", "i_bus",
+            "temp_motor", "temp_gear")       # the fields of LOG_COLUMNS
+
+
+@st.composite
+def log_texts(draw):
+    """``(irregularity, text)``: a log, regular or with one irregularity."""
+    value = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    rows = [[draw(st.sampled_from(_spellings(i / 1000))),
+             *(draw(st.sampled_from(_spellings(draw(value))))
+               for _ in LOG_COLUMNS[1:])]
+            for i in range(draw(st.integers(1, 6)))]
+    header = list(LOG_COLUMNS)
+    irregularity = draw(st.sampled_from(LOG_IRREGULARITIES))
+    row = draw(st.integers(0, len(rows) - 1))
+    column = draw(st.integers(0, len(header) - 1))
+    at = draw(st.integers(0, len(header)))
+
+    def add_column(name, cells):
+        header.insert(at, name)
+        for r, cell in zip(rows, cells):
+            r.insert(at, cell)
+
+    if irregularity == "repeat":          # breaks the strictly rising time
+        rows.insert(draw(st.integers(0, len(rows))), list(rows[row]))
+    elif irregularity == "reordered":
+        order = draw(st.permutations(range(len(header))))
+        header = [header[i] for i in order]
+        rows = [[r[i] for i in order] for r in rows]
+    elif irregularity in ("extra number", "extra text"):
+        add_column("extra", [draw(st.sampled_from(_spellings(draw(value))))
+                             if irregularity == "extra number" else "abc"
+                             for _ in rows])
+    elif irregularity == "column twice":    # the first of the two is read
+        add_column(header[column], [draw(st.sampled_from(_spellings(
+            draw(value)))) for _ in rows])
+    elif irregularity == "missing column":
+        del header[column]
+        rows = [r[:column] + r[column + 1:] for r in rows]
+    elif irregularity == "quoted":
+        rows[row][column] = f'"{rows[row][column]}"'
+    elif irregularity == "ragged":
+        rows[row] = rows[row][:-1] if draw(st.booleans()) \
+            else [*rows[row], "1"]
+    elif irregularity in ("text cell", "nan cell"):
+        rows[row][column] = "abc" if irregularity == "text cell" \
+            else draw(st.sampled_from(["nan", "inf", "-inf"]))
+    rate = draw(st.sampled_from(["1000.0", "1e3", "2000", "500"]))
+    seed = "two" if irregularity == "bad seed" else draw(
+        st.sampled_from([None, "3", "-1"]))
+    preamble = [
+        *([] if irregularity == "no rate" else [f"# sample_rate_hz: {rate}"]),
+        "# conditions: rig at 25 C: still air",
+        *([] if seed is None else [f"# seed: {seed}"]),
+        *draw(st.lists(st.sampled_from(["", "  ", "# free text"]),
+                       max_size=2)),
+    ]
+    lines = [*preamble, ",".join(header), *map(",".join, rows)]
+    if irregularity in ("comment", "blank"):
+        lines.insert(len(preamble) + 1 + draw(st.integers(0, len(rows))),
+                     "# late: 1" if irregularity == "comment"
+                     else draw(st.sampled_from(["", "  "])))
+    newline = "\r\n" if irregularity == "crlf" else "\n"
+    end = newline if irregularity == "blank" else draw(
+        st.sampled_from(["", newline]))
+    return irregularity, newline.join(lines) + end
+
+
+def _log_oracle(path):
+    """``read_log`` of ``path`` rebuilt from ``read_table`` rows and
+    ``float``: every header column's cells are checked in row order, the
+    first of two columns with one name is read, and then the headers and
+    the channels are checked."""
+    meta, header, rows = read_table(path, LOG_COLUMNS)
+    lines = [number for number, line in enumerate(
+        path.read_text().splitlines(), 1)
+        if line.strip() and not line.strip().startswith("#")][1:]
+    values = []
+    for row, line in zip(rows, lines):
+        values.append([])
+        for c, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"{path}: line {line}: {c} {cell!r} is not "
+                                f"a number") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}: line {line}: {c} {cell!r} is not "
+                                f"finite")
+            values[-1].append(value)
+    if "sample_rate_hz" not in meta:
+        raise DataError(f"log {path} is missing the sample_rate_hz header")
+
+    def header_number(name, kind):
+        try:
+            number = kind(meta[name])
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise InvalidRecord(f"{name} header {meta[name]!r} is not a "
+                                f"finite {kind.__name__}")
+        return number
+
+    try:
+        return TimeSeriesLog(
+            *(np.array([v[header.index(c)] for v in values], dtype=float)
+              for c in LOG_COLUMNS),
+            sample_rate=header_number("sample_rate_hz", float),
+            conditions=meta.get("conditions", ""),
+            seed=header_number("seed", int) if "seed" in meta else None)
+    except InvalidRecord as exc:
+        where = path if exc.row is None else f"{path}: line {lines[exc.row]}"
+        raise InvalidRecord(f"{where}: {exc}") from None
+
+
 class TestColumnWiseParse:
     @settings(max_examples=300, deadline=None)
     @given(measurement_texts())
@@ -462,6 +586,33 @@ class TestColumnWiseParse:
             assert repr([c.tolist() for c in (result.q, result.omega,
                                               result.torque_rob)]) \
                 == repr([q, omega, values[0]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_texts())
+    def test_read_log_matches_the_per_cell_oracle(self, case):
+        irregularity, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.csv"
+            path.write_bytes(text.encode())
+            if irregularity != "missing column":    # raises, as below
+                regular = _regular_columns(path, text, (), LOG_COLUMNS,
+                                           all_float=True)
+                assert (regular is not None) \
+                    == (irregularity in REGULAR_LOGS)
+            try:
+                expected = _log_oracle(path)
+            except DataError as exc:
+                with pytest.raises(DataError) as raised:
+                    read_log(path)
+                assert type(raised.value) is type(exc)
+                assert str(raised.value) == str(exc)
+                return
+            got = read_log(path)
+        for name in CHANNELS:             # bit for bit: -0.0 is not 0.0
+            assert repr(getattr(got, name).tolist()) \
+                == repr(getattr(expected, name).tolist())
+        assert (got.sample_rate, got.conditions, got.seed) \
+            == (expected.sample_rate, expected.conditions, expected.seed)
 
 
 class TestEmitReport:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hlaskit.errors import TemperatureLimit
+from hlaskit.errors import NoiseLevel, TemperatureLimit, ValidationError
 from hlaskit.signals import (
     compute_frf,
     detect_plateau,
@@ -174,6 +174,32 @@ def test_every_generator_passes_power_balance():
     ]
     for log in logs:
         assert power_balance_check(log).passed, log.conditions
+
+
+NOISY_GENERATORS = {
+    "sweep": lambda **noise: generate_sweep_log(
+        SyntheticActuator(), [2, 10], 4.0, duration=1.0, seed=7, **noise),
+    "backdrive": lambda **noise: generate_backdrive_log(
+        SyntheticActuator(), duration=1.0, seed=7, **noise),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOISY_GENERATORS))
+@pytest.mark.parametrize("noise", [-1.0, -1e-300, float("nan"),
+                                   float("inf"), float("-inf")])
+def test_noise_level_not_finite_and_non_negative_refused(kind, noise):
+    with pytest.raises(NoiseLevel, match="must be finite and >= 0") as raised:
+        NOISY_GENERATORS[kind](noise_std=noise)
+    assert isinstance(raised.value, ValidationError)
+    assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize("kind", sorted(NOISY_GENERATORS))
+def test_zero_noise_is_noiseless_and_positive_noise_is_not(kind):
+    make = NOISY_GENERATORS[kind]
+    noiseless, zero, noisy = make(), make(noise_std=0.0), make(noise_std=0.01)
+    assert np.array_equal(zero.torque, noiseless.torque)
+    assert not np.array_equal(noisy.torque, noiseless.torque)
 
 
 def test_actuator_validation():
