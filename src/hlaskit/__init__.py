@@ -18,6 +18,7 @@ from .bands import (
     DemandSample,
     OperatingBand,
     PhaseTrajectory,
+    PointTable,
     ReferenceBody,
     build_band_grid,
     normalize_weights,

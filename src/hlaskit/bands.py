@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from math import fsum, hypot, isfinite
+from math import fsum, hypot, isfinite, nan
 
 import numpy as np
 
@@ -102,15 +102,41 @@ class DemandSample:
     power_hum: float    # W
     weight: float
 
-    @property
-    def point(self) -> tuple[float, float]:
-        return (self.q, self.omega)
+
+def _point_keys(q, omega, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (q, omega) points as exact complex keys q + i*omega, equal where
+    both parts are (-0.0 matches 0.0), and the order that sorts them; a
+    repeated point raises ``DuplicateKey`` naming ``name``."""
+    keys = np.empty(len(q), dtype=complex)
+    keys.real, keys.imag = q, omega
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        raise DuplicateKey(f"{name} repeats a (q, omega) sample")
+    return keys, order
+
+
+class PointTable:
+    """Values measured at distinct (q, omega) points, sorted by point once
+    for ``measured_at`` and ended by a NaN key, which a lookup past the
+    last point lands on and does not match; its length is the number of
+    points."""
+
+    def __init__(self, q, omega, value, name: str = "point table") -> None:
+        keys, order = _point_keys(q, omega, name)
+        self._keys = np.append(keys[order], complex(nan, nan))
+        self._values = np.append(np.asarray(value, dtype=float)[order], nan)
+
+    def __len__(self) -> int:
+        return len(self._keys) - 1
 
 
 @dataclass(frozen=True, eq=False)
 class OperatingBand(Columnar):
     """Discretized demand field for one joint-task pair, one column per
-    quantity.  ``weight`` is computed here by ``normalize_weights``."""
+    quantity.  ``weight`` (by ``normalize_weights``), ``points`` (each
+    sample's complex key q + i*omega), the ``positive``-power mask and
+    ``total_weight`` are computed here, once."""
 
     joint: str
     task: str
@@ -119,20 +145,22 @@ class OperatingBand(Columnar):
     torque_hum: np.ndarray   # Nm
     power_hum: np.ndarray    # W
     weight: np.ndarray = field(init=False, repr=False)
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    positive: np.ndarray = field(init=False, repr=False, compare=False)
+    total_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self._store_columns("q", "omega", "torque_hum", "power_hum")
         if not n:
             raise EmptyBand(f"band {self.task}/{self.joint} has no samples")
-        order = np.lexsort((self.omega, self.q))
-        q, omega = self.q[order], self.omega[order]
-        if ((q[1:] == q[:-1]) & (omega[1:] == omega[:-1])).any():
-            raise DuplicateKey(
-                f"band {self.task}/{self.joint} repeats a (q, omega) sample"
-            )
+        points, _ = _point_keys(self.q, self.omega,
+                                f"band {self.task}/{self.joint}")
         weight = normalize_weights(self.power_hum)
-        weight.flags.writeable = False
-        object.__setattr__(self, "weight", weight)
+        for name, column in (("weight", weight), ("points", points),
+                             ("positive", self.power_hum > 0)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "total_weight", fsum(weight.tolist()))
 
     @property
     def samples(self) -> SampleView:
@@ -142,34 +170,28 @@ class OperatingBand(Columnar):
     @property
     def degenerate(self) -> bool:
         """True when no sample demands positive power (all weights zero)."""
-        return not (self.power_hum > 0).any()
-
-    def total_weight(self) -> float:
-        return fsum(self.weight.tolist())
+        return not self.positive.any()
 
 
 def measured_at(
-    band: OperatingBand, measured: dict[tuple[float, float], float],
-    quantity: str, where: np.ndarray | None = None,
+    band: OperatingBand, table: PointTable, quantity: str,
+    where: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The value measured at each band sample's exact (q, omega) point, in
-    sample order (``where``, a boolean column, narrows the samples).  A
-    point without a measurement raises ``SampleMismatch``: nothing is
-    interpolated."""
-    q, omega = band.q, band.omega
-    if where is not None:
-        q, omega = q[where], omega[where]
-    try:
-        return np.array([measured[p] for p in zip(q.tolist(),
-                                                   omega.tolist())],
-                        dtype=float)
-    except KeyError as missing:
-        q_at, omega_at = missing.args[0]
+    """The value ``table`` holds at each band sample's exact (q, omega)
+    point, in sample order (``where``, a boolean column, narrows the
+    samples).  A point without a measurement raises ``SampleMismatch``
+    naming the first such sample: nothing is interpolated."""
+    points = band.points if where is None else band.points[where]
+    at = table._keys.searchsorted(points)
+    found = table._keys[at] == points
+    if not found.all():
+        missing = complex(points[found.argmin()])
         raise SampleMismatch(
-            f"no {quantity} measurement at (q={q_at} deg, omega={omega_at} "
-            f"rad/s) for {band.task}/{band.joint}; measurements are never "
-            f"interpolated"
-        ) from None
+            f"no {quantity} measurement at (q={missing.real} deg, "
+            f"omega={missing.imag} rad/s) for {band.task}/{band.joint}; "
+            f"measurements are never interpolated"
+        )
+    return table._values[at]
 
 
 @dataclass(frozen=True)

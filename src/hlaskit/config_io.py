@@ -31,7 +31,7 @@ import numpy as np
 import yaml
 
 from .atlas import AxisActuationReport, AxisSpec, RomInterval, functional_interval
-from .bands import OperatingBand, PhaseTrajectory
+from .bands import OperatingBand, PhaseTrajectory, PointTable
 from .envelope import MARGIN_METHODS, CapabilityMap, HeeResult, hee_coverage
 from .errors import (
     ConfigIncomplete,
@@ -116,9 +116,9 @@ def _table(
     line wherever it appears, the header cells, each data row's string cells
     and its 1-based file line; blank lines are skipped.  ``header_only``
     still collects all metadata but builds no rows, and stops at the
-    header line where ``_header_end`` finds no ``#`` after it.  A missing
-    required column or a row whose field count differs from the header
-    raises ``DataError``.
+    header line where ``_header_end`` finds no ``#`` after it.  A header
+    that names a column twice, a missing required column or a row whose
+    field count differs from the header raises ``DataError``.
     """
     meta: dict[str, str] = {}
     lines: list[tuple[int, str]] = []
@@ -142,6 +142,11 @@ def _table(
     if len(table) != len(lines):
         raise DataError(f"{path}: a quoted field runs past the end of a line")
     header, rows = (table[0], table[1:]) if table else ([], [])
+    seen: set[str] = set()
+    twice = [name for name in header if name in seen or seen.add(name)]
+    if twice:
+        raise DataError(f"{path}: line {lines[0][0]}: the header names "
+                        f"column {twice[0]!r} twice")
     missing = set(required_columns) - set(header)
     if missing:
         raise DataError(
@@ -296,6 +301,7 @@ def _read_columns(
     path: Path, text: str | None, text_columns: tuple[str, ...],
     float_columns: tuple[str, ...], key: tuple[str, ...],
     optional: tuple[str, ...] = (), all_float: bool = False,
+    codes: dict[str, np.ndarray] | None = None,
 ) -> _Columns:
     """Metadata, each column's cells in file order, and each row's line: a
     list of strings per text column, a float64 array per float column and a
@@ -307,14 +313,17 @@ def _read_columns(
     other text a cell at a time, with the same values and the same errors.
     ``key`` names the columns that identify a measurement: a repeated key
     raises ``DuplicateKey`` naming both lines, comparing numeric cells as
-    floats (``10`` and ``10.0`` are one point).
+    floats (``10`` and ``10.0`` are one point).  ``codes``, when given,
+    receives the ``_codes`` of the text columns of ``key``, for ``_groups``.
     """
     text = Path(path).read_text() if text is None else text
     parsed = None if optional else _regular_columns(
         path, text, text_columns, float_columns, all_float)
     meta, columns, lines = parsed or _cell_columns(
         path, text, text_columns, float_columns, optional, all_float)
-    _refuse_repeats(path, columns, key, lines)
+    codes = {} if codes is None else codes
+    codes.update((c, _codes(columns[c])) for c in key if c in text_columns)
+    _refuse_repeats(path, columns, codes, key, lines)
     return meta, columns, lines
 
 
@@ -325,16 +334,16 @@ def _codes(cells: list[str]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
 
 
-def _refuse_repeats(path: Path, columns: dict, key: tuple[str, ...],
-                    lines: Sequence[int]) -> None:
+def _refuse_repeats(path: Path, columns: dict, codes: dict,
+                    key: tuple[str, ...], lines: Sequence[int]) -> None:
     """Raise ``DuplicateKey`` at the first row whose cells in the ``key``
-    columns (text or float) repeat an earlier row's, naming both lines; no
-    check without ``key`` columns."""
+    columns (float, or text by their ``codes``) repeat an earlier row's,
+    naming both lines; no check without ``key`` columns."""
     if not key or len(lines) < 2:
         return
     cells = [columns[c] for c in key]
-    keys = np.array([c if isinstance(c, np.ndarray) else _codes(c)
-                     for c in cells], dtype=float)    # one row per column
+    keys = np.array([codes.get(c, columns[c]) for c in key],
+                    dtype=float)                    # one row per column
     order = np.lexsort(keys)            # stable: equal keys in file order
     ranked = keys[:, order]
     repeats = order[1:][(ranked[:, 1:] == ranked[:, :-1]).all(axis=0)]
@@ -348,13 +357,13 @@ def _refuse_repeats(path: Path, columns: dict, key: tuple[str, ...],
             f"{lines[earlier]}"), lines, i)
 
 
-def _groups(columns: dict, names: tuple[str, ...]) -> dict:
+def _groups(columns: dict, codes: dict, names: tuple[str, ...]) -> dict:
     """The rows of each distinct combination of the named text columns'
-    cells, in order of first appearance, each group's rows in file
-    order."""
+    cells (by their ``codes``), in order of first appearance, each group's
+    rows in file order."""
     label = np.zeros(len(columns[names[0]]), dtype=np.intp)
     for name in names:
-        label = label * len(label) + _codes(columns[name])
+        label = label * len(label) + codes[name]
     order = np.argsort(label, kind="stable")
     ranked = label[order]
     groups = np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
@@ -417,9 +426,11 @@ def read_bands(
     at load (proportional to positive power per pair).
     """
     demand = ("q_deg", "omega_rad_s", "torque_hum_nm", "power_hum_w")
+    codes: dict = {}
     _, columns, _ = _read_columns(path, text, ("task", "joint"), demand,
-                                  ("task", "joint", "q_deg", "omega_rad_s"))
-    groups = _groups(columns, ("task", "joint"))
+                                  ("task", "joint", "q_deg", "omega_rad_s"),
+                                  codes=codes)
+    groups = _groups(columns, codes, ("task", "joint"))
     if not groups:
         raise DataError(f"band file {path} has no data rows")
     return {
@@ -501,16 +512,24 @@ def read_bandwidth_file(
 
 def read_efficiency_file(
     path: Path, text: str | None = None,
-) -> dict[str, dict[tuple[float, float], float]]:
+) -> dict[str, PointTable]:
     """Point efficiency: ``joint,q_deg,omega_rad_s,eta``; per joint, the
-    efficiency at each (q, omega) point."""
+    efficiency at each (q, omega) point.  Efficiency is mechanical power
+    out over bus power in, so an ``eta`` outside [0, 1] is refused."""
     names = ("q_deg", "omega_rad_s", "eta")
-    _, columns, _ = _read_columns(path, text, ("joint",), names,
-                                  ("joint", "q_deg", "omega_rad_s"))
+    codes: dict = {}
+    _, columns, lines = _read_columns(path, text, ("joint",), names,
+                                      ("joint", "q_deg", "omega_rad_s"),
+                                      codes=codes)
     q, omega, eta = (columns[c] for c in names)
-    return {joint: dict(zip(zip(q[rows].tolist(), omega[rows].tolist()),
-                            eta[rows].tolist()))
-            for (joint,), rows in _groups(columns, ("joint",)).items()}
+    outside = np.flatnonzero((eta < 0) | (eta > 1))
+    if outside.size:
+        raise _located(path, InvalidRecord(f"eta {eta[outside[0]].item()!r} "
+                                           f"must lie in [0, 1]"),
+                       lines, outside[0])
+    return {joint: PointTable(q[rows], omega[rows], eta[rows],
+                              f"efficiency of joint {joint}")
+            for (joint,), rows in _groups(columns, codes, ("joint",)).items()}
 
 
 def read_thermal_file(
@@ -860,7 +879,7 @@ class MeasurementSet:
     robot_rom: dict[str, dict[str, RomInterval]]
     dof_reports: dict[str, list[AxisActuationReport]]
     bandwidth: dict[str, tuple[float, float | None]]
-    efficiency: dict[str, dict[tuple[float, float], float]]
+    efficiency: dict[str, PointTable]
     thermal_cont: dict[tuple[str, str], float]
     files: dict[Path, str]      # path -> sha256 of the bytes read, in order
 
@@ -967,7 +986,8 @@ def build_pairs(
             required_axes=axes,
             dof_reports=measurements.dof_reports.get(joint, []),
             f_crossover_hz=f_crossover,
-            efficiency_samples=measurements.efficiency.get(joint, {}),
+            efficiency_samples=(measurements.efficiency.get(joint)
+                                or PointTable((), (), ())),
             torque_cont_nm=measurements.thermal_cont[key],
             torque_req_nm=prereg.thermal_req[key],
             omega_max_rad_s=omega_max,

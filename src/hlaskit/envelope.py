@@ -21,10 +21,9 @@ from math import fsum
 
 import numpy as np
 
-from .bands import Columnar, OperatingBand, SampleView, measured_at
+from .bands import Columnar, OperatingBand, PointTable, SampleView, measured_at
 from .errors import (
     DegenerateBand,
-    DuplicateKey,
     InvalidRecord,
     NegativeHeadroom,
     ZeroDemand,
@@ -48,10 +47,6 @@ class CapabilitySample:
     omega: float        # rad/s
     torque_rob: float   # Nm, magnitude on the task-signed axis
 
-    @property
-    def point(self) -> tuple[float, float]:
-        return (self.q, self.omega)
-
 
 @dataclass(frozen=True, eq=False)
 class CapabilityMap(Columnar):
@@ -59,7 +54,8 @@ class CapabilityMap(Columnar):
 
     ``conditions`` records the measurement context (ambient, airflow, soak
     state) and is mandatory: a capability number without its thermal context
-    is not comparable across systems.
+    is not comparable across systems.  ``table`` holds the torque at each
+    point for ``measured_at``.
     """
 
     joint: str
@@ -68,8 +64,7 @@ class CapabilityMap(Columnar):
     omega: np.ndarray        # rad/s
     torque_rob: np.ndarray   # Nm, magnitude on the task-signed axis
     conditions: str
-    torque_at: dict[tuple[float, float], float] = field(
-        init=False, repr=False, compare=False)
+    table: PointTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._store_columns("q", "omega", "torque_rob")
@@ -82,12 +77,9 @@ class CapabilityMap(Columnar):
         if not self.conditions.strip():
             raise InvalidRecord("capability map requires a conditions "
                                 "description (a '# conditions:' header)")
-        torque_at = dict(zip(zip(self.q.tolist(), self.omega.tolist()),
-                             self.torque_rob.tolist()))
-        if len(torque_at) != len(self.q):
-            raise DuplicateKey(f"capability map {self.joint}/{self.axis} "
-                               f"repeats a (q, omega) sample")
-        object.__setattr__(self, "torque_at", torque_at)
+        object.__setattr__(self, "table", PointTable(
+            self.q, self.omega, self.torque_rob,
+            f"capability map {self.joint}/{self.axis}"))
 
     @property
     def samples(self) -> SampleView:
@@ -132,13 +124,13 @@ def hee_coverage(
         raise DegenerateBand(
             f"band {band.task}/{band.joint} has no positive-power samples"
         )
-    t_rob = measured_at(band, cap.torque_at, "capability")
+    t_rob = measured_at(band, cap.table, "capability")
     scale = 1.0 + headroom_delta
     with np.errstate(over="ignore"):    # overflow gives inf, as in Python
         torque_ok = t_rob >= scale * band.torque_hum
         power_ok = t_rob * band.omega >= scale * band.power_hum
     coverage = (fsum(band.weight[torque_ok & power_ok].tolist())
-                / band.total_weight())
+                / band.total_weight)
     return HeeResult(coverage, band.q, band.omega, band.weight,
                      torque_ok, power_ok)
 
@@ -194,7 +186,7 @@ def torque_margin(
     Samples with nonpositive human torque are excluded from the ratio set
     with a warning; their HEE weight is already zero, so nothing is lost.
     """
-    torques = measured_at(band, cap.torque_at, "capability")
+    torques = measured_at(band, cap.table, "capability")
     return _ratio_margin(band, "torque", method, torques, band.torque_hum)
 
 
@@ -202,7 +194,7 @@ def power_margin(
     band: OperatingBand, cap: CapabilityMap, method: str = "min"
 ) -> float:
     """As torque_margin, with ratios (torque_rob * omega) / power_hum."""
-    torques = measured_at(band, cap.torque_at, "capability")
+    torques = measured_at(band, cap.table, "capability")
     with np.errstate(over="ignore"):
         robot = torques * band.omega
     return _ratio_margin(band, "power", method, robot, band.power_hum)

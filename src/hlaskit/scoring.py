@@ -23,7 +23,7 @@ from .atlas import (
     dof_sufficiency,
     rom_coverage,
 )
-from .bands import OperatingBand
+from .bands import OperatingBand, PointTable
 from .envelope import CapabilityMap, clip01, hee_coverage, rate_margin
 from .errors import (
     ConfigIncomplete,
@@ -163,7 +163,7 @@ class PairInputs:
     required_axes: frozenset[str]
     dof_reports: list[AxisActuationReport]
     f_crossover_hz: float
-    efficiency_samples: dict[tuple[float, float], float]
+    efficiency_samples: PointTable
     torque_cont_nm: float
     torque_req_nm: float
     omega_max_rad_s: float | None = None

@@ -17,7 +17,7 @@ from math import atan2, degrees, fsum, log, sqrt
 
 import numpy as np
 
-from .bands import OperatingBand, measured_at
+from .bands import OperatingBand, PointTable, measured_at
 from .errors import (
     AliasedFrequency,
     DegenerateBand,
@@ -417,25 +417,20 @@ def steady_trend(
     return slope_per_min < limit_c_per_min, slope_per_min
 
 
-def task_weighted_efficiency(
-    band: OperatingBand,
-    eff_samples: dict[tuple[float, float], float],
-) -> float:
+def task_weighted_efficiency(band: OperatingBand, table: PointTable) -> float:
     """Positive-power-weighted mean efficiency over the band.
 
     Every sample where the human does positive work must have a measured
     efficiency at the identical (q, omega) point; the weighting then mirrors
     the envelope weighting so efficiency is judged where work happens.
     """
-    positive = band.power_hum > 0
-    etas = measured_at(band, eff_samples, "efficiency", positive)
-    weights = band.weight[positive]
-    total = fsum(weights.tolist())
-    if not weights.size or total <= 0:
+    etas = measured_at(band, table, "efficiency", band.positive)
+    if band.degenerate:
         raise DegenerateBand(
             f"band {band.task}/{band.joint} has no positive-power samples"
         )
-    return fsum((weights * etas).tolist()) / total
+    return (fsum((band.weight[band.positive] * etas).tolist())
+            / band.total_weight)
 
 
 def power_balance_check(log: TimeSeriesLog) -> PowerBalanceResult:

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from hlaskit.atlas import AxisActuationReport, AxisSpec, RomInterval
-from hlaskit.bands import OperatingBand
+from hlaskit.bands import OperatingBand, PointTable
 from hlaskit.envelope import (
     CapabilityMap,
     hee_coverage,
@@ -308,10 +308,9 @@ def _random_evaluation(rng):
                 rng, max_samples=6, joint=j, task=t)
             bw_targets[t][j] = float(rng.uniform(2.0, 15.0))
             eff_targets[t][j] = float(rng.uniform(0.5, 0.95))
-            eff = {
-                s.point: float(rng.uniform(0.3, 1.0))
-                for s in band.samples if s.power_hum > 0
-            }
+            positive = band.power_hum > 0
+            eff = PointTable(band.q[positive], band.omega[positive], [
+                float(rng.uniform(0.3, 1.0)) for _ in range(positive.sum())])
             lo = float(rng.uniform(-30, 10))
             pairs.append(PairInputs(
                 task=t, joint=j, band=band, capability=cap,
@@ -421,10 +420,10 @@ def test_criterion_5f_brute_force_envelope_equivalence():
     for _ in range(N_RANDOM_CASES):
         band, cap = _random_band_and_map(rng, max_samples=36)
         got = hee_coverage(band, cap).coverage
-        lookup = {s.point: s.torque_rob for s in cap.samples}
+        lookup = {(s.q, s.omega): s.torque_rob for s in cap.samples}
         passing = []
         for s in band.samples:
-            t_rob = lookup[s.point]
+            t_rob = lookup[(s.q, s.omega)]
             if t_rob >= s.torque_hum and t_rob * s.omega >= s.power_hum:
                 passing.append(s.weight)
         want = math.fsum(passing) / math.fsum(

@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hlaskit.bands import (
     OperatingBand,
     PhaseTrajectory,
+    PointTable,
     ReferenceBody,
     build_band_grid,
+    measured_at,
     normalize_weights,
     phase_to_grid,
     scale_to_absolute,
@@ -18,6 +21,7 @@ from hlaskit.errors import (
     EmptyBand,
     EmptyGrid,
     InvalidRange,
+    SampleMismatch,
     ZeroRate,
 )
 
@@ -248,3 +252,69 @@ class TestPhaseToGrid:
     def test_strictly_increasing_phase_enforced(self):
         with pytest.raises(ValueError):
             PhaseTrajectory((0.0, 0.0), (0, 0), (1, 1), (1, 1))
+
+
+# a small grid of coordinates; -0.0 and 0.0 are one point
+GRID = (-0.0, 0.0, 1.5, -2.0, 7.0)
+
+
+def _dict_join(band, measured, name, quantity, where):
+    """The oracle: the measurements as a dict keyed by (q, omega) tuples
+    and one lookup per band sample, refusing a repeated point."""
+    table = {}
+    for q, omega, value in measured:
+        if (q, omega) in table:
+            raise DuplicateKey(f"{name} repeats a (q, omega) sample")
+        table[(q, omega)] = value
+    q, omega = band.q, band.omega
+    if where is not None:
+        q, omega = q[where], omega[where]
+    try:
+        return [table[p] for p in zip(q.tolist(), omega.tolist())]
+    except KeyError as missing:
+        q_at, omega_at = missing.args[0]
+        raise SampleMismatch(
+            f"no {quantity} measurement at (q={q_at} deg, omega={omega_at} "
+            f"rad/s) for {band.task}/{band.joint}; measurements are never "
+            f"interpolated") from None
+
+
+@st.composite
+def joins(draw):
+    """``(band points, measured (q, omega, value) rows, where)``: the rows
+    measure some band points, maybe with the sign of a zero flipped, and
+    maybe other points, some of them repeated."""
+    point = st.tuples(st.sampled_from(GRID), st.sampled_from(GRID))
+    band_points = draw(st.lists(point, min_size=1, max_size=8, unique=True))
+    points = [*draw(st.lists(st.sampled_from(band_points), unique=True)),
+              *draw(st.lists(point, max_size=3))]
+    value = st.floats(-1e6, 1e6, allow_nan=False)
+    measured = [(*(draw(st.sampled_from([0.0, -0.0])) if x == 0 else x
+                   for x in p), draw(value))
+                for p in draw(st.permutations(points))]
+    where = draw(st.none() | st.lists(st.booleans(), min_size=len(band_points),
+                                      max_size=len(band_points)))
+    return band_points, measured, where
+
+
+class TestPointTable:
+    @settings(max_examples=300, deadline=None)
+    @given(joins())
+    def test_join_matches_the_dict_oracle(self, case):
+        band_points, measured, where = case
+        ones = [1.0] * len(band_points)
+        band = OperatingBand("j", "t", *zip(*band_points), ones, ones)
+        where = None if where is None else np.array(where)
+        columns = list(zip(*measured)) or [(), (), ()]
+        try:
+            want = _dict_join(band, measured, "map m", "torque", where)
+        except (DuplicateKey, SampleMismatch) as exc:
+            with pytest.raises(type(exc)) as raised:
+                measured_at(band, PointTable(*columns, "map m"), "torque",
+                            where)
+            assert str(raised.value) == str(exc)
+            return
+        table = PointTable(*columns, "map m")
+        assert len(table) == len(measured)
+        got = measured_at(band, table, "torque", where)
+        assert repr(got.tolist()) == repr(want)     # -0.0 is not 0.0

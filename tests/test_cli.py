@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -234,8 +235,10 @@ MALFORMED_CASES = [
       for defect in (*CELL_DEFECTS, REPEATS[0])),
     # the point-keyed kinds carry q and omega in their key
     *((kind, REPEATS[1]) for kind in ("band", "capability", "efficiency")),
-    # records that refuse a negative torque or coupling
+    # records that refuse a negative torque, coupling or eta, or an eta
+    # above 1
     ("capability", "negative"), ("dof", "negative"),
+    ("efficiency", "negative"), ("efficiency", "above 1"),
 ]
 
 
@@ -289,6 +292,7 @@ def test_malformed_cell_is_a_data_error_naming_the_line(kind, defect,
         "text": lambda cells, *_: [*cells[:-1], "abc"],
         "nan": lambda cells, *_: [*cells[:-1], "nan"],
         "negative": lambda cells, *_: [*cells[:-1], "-" + cells[-1]],
+        "above 1": lambda cells, *_: [*cells[:-1], "5.0"],
         REPEATS[0]: _repeat_first_row,
         REPEATS[1]: _repeat_first_point_as_float,
     }[defect]
@@ -297,7 +301,8 @@ def test_malformed_cell_is_a_data_error_naming_the_line(kind, defect,
     with pytest.raises(DataError, match=rf"{path.name}: line {number}:") \
             as raised:
         reader(path)
-    if kind == "log" and defect == REPEATS[0] or defect == "negative":
+    if kind == "log" and defect == REPEATS[0] \
+            or defect in ("negative", "above 1"):
         # a repeated log row breaks the strictly increasing time channel
         assert isinstance(raised.value, InvalidRecord)
         assert isinstance(raised.value, ValueError)
@@ -306,6 +311,29 @@ def test_malformed_cell_is_a_data_error_naming_the_line(kind, defect,
         assert f"repeats line {first}" in str(raised.value)
     assert main(_hlas_argv(command, data_dir, path, tmp_path / "r")) == 3
     assert f"line {number}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", list(MALFORMED_FILES))
+def test_header_naming_a_column_twice_is_a_data_error(kind, data_dir,
+                                                      tmp_path, capsys):
+    name, reader, command = MALFORMED_FILES[kind]
+    path = data_dir / name if name else _backdrive_log(tmp_path)
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line[0] != "#")
+    # the last column given twice, the first of the two holding text
+    twice = lines[header].rsplit(",", 1)[1]
+    lines[header] += f",{twice}"
+    for i in range(header + 1, len(lines)):
+        cells, last = lines[i].rsplit(",", 1)
+        lines[i] = f"{cells},abc,{last}"
+    path.write_text("\n".join(lines) + "\n")
+
+    message = (f"{path.name}: line {header + 1}: the header names column "
+               f"'{twice}' twice")
+    with pytest.raises(DataError, match=message):
+        reader(path)
+    assert main(_hlas_argv(command, data_dir, path, tmp_path / "r")) == 3
+    assert message in capsys.readouterr().err
 
 
 # header defect -> (file or log, rewrite of the file text, hlas command)
@@ -634,6 +662,24 @@ def _sha256(path):
 def _score_argv(data_dir, out):
     return ["score", "--prereg", str(data_dir / "prereg.yaml"),
             "--data", str(data_dir), "--out", str(out)]
+
+
+# sha256 of the manifest.json of ``hlas score`` on the registration that
+# perfbench/gen.py writes for seed 7: 12 joints x 3 tasks, each pair on an
+# 8 x 8 grid (2,304 band samples); the manifest lists every bundle file's
+# sha256, so this pins the whole bundle
+GENERATED_MANIFEST_SHA256 = (
+    "d97e88d5b79b5f401ecb746e0834d8ba8f4137e18512f8fb0f053dc0c9d6cd21")
+
+
+def test_generated_registration_bundle_is_pinned(tmp_path, capsys):
+    data = tmp_path / "data"
+    gen = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    runpy.run_path(str(gen))["write_registration"](
+        data, seed=7, n_joints=12, n_tasks=3, grid=8)
+    assert main(_score_argv(data, tmp_path / "out")) == 0
+    assert _sha256(tmp_path / "out" / "manifest.json") \
+        == GENERATED_MANIFEST_SHA256
 
 
 class TestOneReadOneHash:

@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlaskit.bands import OperatingBand, measured_at
 from hlaskit.config_io import (
     LOG_COLUMNS,
     BandRef,
@@ -273,7 +274,7 @@ class TestFileRoundTrips:
     def test_band_weights_normalized_at_load(self, example_dir):
         bands = read_bands(example_dir / "bands.csv")
         for band in bands.values():
-            assert band.total_weight() == pytest.approx(1.0, abs=1e-9)
+            assert band.total_weight == pytest.approx(1.0, abs=1e-9)
 
     def test_log_round_trip_bit_identical(self, tmp_path):
         log = generate_backdrive_log(SyntheticActuator(), duration=2.0,
@@ -303,9 +304,11 @@ READERS = {
                    ("q_deg", "omega_rad_s", "eta"),
                    ("joint", "q_deg", "omega_rad_s")),
 }
-# None and "repeat" keep a text regular; every other one makes it irregular
+# None and "repeat" keep a text regular; every other one makes it
+# irregular, and "column twice" is refused
 IRREGULARITIES = (None, "repeat", "comment", "blank", "quoted", "crlf",
-                  "ragged", "non-ascii", "hash", "text cell", "nan cell")
+                  "ragged", "non-ascii", "hash", "text cell", "nan cell",
+                  "column twice")
 POINTS = (0.0, 10.0, 2.5, -7.0)
 
 
@@ -334,6 +337,8 @@ def measurement_texts(draw):
         st.sampled_from(POINTS), st.sampled_from(POINTS)),
         min_size=1, max_size=8, unique=True))
     value = st.floats(0, 1e6, allow_nan=False, allow_infinity=False)
+    if kind == "efficiency":        # an eta above 1 is refused
+        value = st.floats(0, 1) | value
     rows = [[*point[:-2], *(draw(st.sampled_from(_spellings(x)))
                             for x in point[-2:]),
              *(draw(st.sampled_from(_spellings(draw(value))))
@@ -342,6 +347,7 @@ def measurement_texts(draw):
     row = draw(st.integers(0, len(rows) - 1))
     at = draw(st.integers(0, len(rows)))
     column = len(text_columns) + draw(st.integers(0, len(float_columns) - 1))
+    header = [*text_columns, *float_columns]
     if irregularity == "repeat":        # keys given again, maybe respelled
         q = len(text_columns)
         for source in draw(st.lists(st.sampled_from(rows), min_size=1,
@@ -363,13 +369,17 @@ def measurement_texts(draw):
     elif irregularity in ("text cell", "nan cell"):
         rows[row][column] = "abc" if irregularity == "text cell" \
             else draw(st.sampled_from(["nan", "inf", "-inf"]))
+    elif irregularity == "column twice":
+        twice = draw(st.integers(0, len(header) - 1))
+        place = draw(st.integers(0, len(header)))
+        header.insert(place, header[twice])
+        rows = [[*r[:place], r[twice], *r[place:]] for r in rows]
     preamble = draw(st.lists(st.sampled_from(
         ["# created_utc: 2026-09-01T00:00:00Z", "", "  ", "# free text",
          "  # note: x"]), max_size=3))
     if kind == "capability":
         preamble.insert(0, "# conditions: rig at 25 C")
-    lines = [*preamble, ",".join((*text_columns, *float_columns)),
-             *map(",".join, rows)]
+    lines = [*preamble, ",".join(header), *map(",".join, rows)]
     if irregularity in ("comment", "blank"):
         lines.insert(len(preamble) + 1 + at, "# late: 1"
                      if irregularity == "comment" else draw(
@@ -381,9 +391,24 @@ def measurement_texts(draw):
     return kind, irregularity, newline.join(lines) + end
 
 
+def _refuse_repeated_header(path):
+    """Raise the ``DataError`` of a header line that names a column twice,
+    naming that line and the first name repeated."""
+    number, header = next(
+        (number, line) for number, line in enumerate(
+            path.read_text().splitlines(), 1)
+        if line.strip() and not line.strip().startswith("#"))
+    names = header.split(",")
+    twice = [name for i, name in enumerate(names) if name in names[:i]]
+    if twice:
+        raise DataError(f"{path}: line {number}: the header names column "
+                        f"{twice[0]!r} twice")
+
+
 def _oracle(path, text_columns, float_columns, key):
     """``_read_columns`` of ``path`` rebuilt from ``read_table`` rows and
     ``float``, raising what the per-cell path raises."""
+    _refuse_repeated_header(path)
     meta, header, rows = read_table(path, (*text_columns, *float_columns))
     lines = [number for number, line in enumerate(
         path.read_text().splitlines(), 1)
@@ -452,7 +477,7 @@ def log_texts(draw):
         add_column("extra", [draw(st.sampled_from(_spellings(draw(value))))
                              if irregularity == "extra number" else "abc"
                              for _ in rows])
-    elif irregularity == "column twice":    # the first of the two is read
+    elif irregularity == "column twice":    # refused
         add_column(header[column], [draw(st.sampled_from(_spellings(
             draw(value)))) for _ in rows])
     elif irregularity == "missing column":
@@ -489,9 +514,10 @@ def log_texts(draw):
 
 def _log_oracle(path):
     """``read_log`` of ``path`` rebuilt from ``read_table`` rows and
-    ``float``: every header column's cells are checked in row order, the
-    first of two columns with one name is read, and then the headers and
-    the channels are checked."""
+    ``float``: a header that names a column twice is refused, every header
+    column's cells are checked in row order, and then the headers and the
+    channels are checked."""
+    _refuse_repeated_header(path)
     meta, header, rows = read_table(path, LOG_COLUMNS)
     lines = [number for number, line in enumerate(
         path.read_text().splitlines(), 1)
@@ -543,10 +569,11 @@ class TestColumnWiseParse:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{kind}.csv"
             path.write_bytes(text.encode())
-            regular = _regular_columns(path, text, text_columns,
-                                       float_columns)
-            assert (regular is not None) \
-                == (irregularity in IRREGULARITIES[:2])
+            if irregularity != "column twice":      # raises, as below
+                regular = _regular_columns(path, text, text_columns,
+                                           float_columns)
+                assert (regular is not None) \
+                    == (irregularity in IRREGULARITIES[:2])
             try:
                 meta, columns, lines = _oracle(path, text_columns,
                                                float_columns, key)
@@ -564,6 +591,15 @@ class TestColumnWiseParse:
                 assert got[1][c] == columns[c]
             for c in float_columns:      # bit for bit: -0.0 is not 0.0
                 assert repr(got[1][c].tolist()) == repr(columns[c])
+            eta = columns["eta"] if kind == "efficiency" else []
+            outside = [i for i, x in enumerate(eta) if not 0 <= x <= 1]
+            if outside:
+                with pytest.raises(InvalidRecord) as raised:
+                    reader(path, text)
+                assert str(raised.value) == (
+                    f"{path}: line {lines[outside[0]]}: eta "
+                    f"{eta[outside[0]]!r} must lie in [0, 1]")
+                return
             result = reader(path, text)
 
         groups = {}
@@ -578,9 +614,14 @@ class TestColumnWiseParse:
                     == repr([[c[i] for i in rows] for c in (q, omega,
                                                             *values)])
         elif kind == "efficiency":
-            assert repr(result) == repr({
-                joint: {(q[i], omega[i]): values[0][i] for i in rows}
-                for (joint,), rows in groups.items()})
+            assert list(result) == [joint for (joint,) in groups]
+            for rows, table in zip(groups.values(), result.values()):
+                ones = [1.0] * len(rows)
+                band = OperatingBand("j", "t", [q[i] for i in rows],
+                                     [omega[i] for i in rows], ones, ones)
+                assert len(table) == len(rows)
+                assert repr(measured_at(band, table, "eta").tolist()) \
+                    == repr([values[0][i] for i in rows])
         else:
             assert list(groups) == [(result.joint, result.axis)]
             assert repr([c.tolist() for c in (result.q, result.omega,
@@ -594,7 +635,8 @@ class TestColumnWiseParse:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "log.csv"
             path.write_bytes(text.encode())
-            if irregularity != "missing column":    # raises, as below
+            if irregularity not in ("missing column", "column twice"):
+                # these raise, as below
                 regular = _regular_columns(path, text, (), LOG_COLUMNS,
                                            all_float=True)
                 assert (regular is not None) \

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlaskit.bands import OperatingBand
+from hlaskit.bands import OperatingBand, measured_at
 from hlaskit.config_io import MASK_COLUMNS, fmt, mask_csv
 from hlaskit.envelope import (
     CapabilityMap,
@@ -78,7 +78,9 @@ class TestHeeCoverage:
             hee_coverage(push_off_band, cap)
 
     def test_capability_map_indexes_each_point_once(self, push_off_map):
-        assert push_off_map.torque_at[(10.0, 12.0)] == 27
+        point = make_band([12.0], [1.0], [1.0], q=10.0)
+        assert measured_at(point, push_off_map.table,
+                           "capability").tolist() == [27]
         with pytest.raises(DuplicateKey, match="ankle/plantarflexion"):
             make_map([8, 9, 8], [36, 35, 34])
 

@@ -366,7 +366,7 @@ def test_permutation_invariance(data):
 def test_full_pipeline_all_ones_is_exactly_one():
     """A subject that dominates every demand scores exactly 1.0 end to end."""
     from hlaskit.atlas import AxisActuationReport, AxisSpec, RomInterval
-    from hlaskit.bands import OperatingBand
+    from hlaskit.bands import OperatingBand, PointTable
     from hlaskit.envelope import CapabilityMap
     from hlaskit.scoring import PairInputs
 
@@ -383,7 +383,7 @@ def test_full_pipeline_all_ones_is_exactly_one():
         dof_reports=[AxisActuationReport(AxisSpec("j", "flexion"), True,
                                          0.02)],
         f_crossover_hz=12.0,
-        efficiency_samples={s.point: 0.9 for s in band.samples},
+        efficiency_samples=PointTable(band.q, band.omega, [0.9] * 3),
         torque_cont_nm=60.0, torque_req_nm=50.0,
     )
     scheme = WeightScheme(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hlaskit.bands import OperatingBand
+from hlaskit.bands import OperatingBand, PointTable
 from hlaskit.errors import (
     AliasedFrequency,
     DegenerateBand,
@@ -322,29 +322,34 @@ class TestEfficiency:
         return OperatingBand("j", "t", [q] * n, range(1, n + 1), [1.0] * n,
                              weights_powers)
 
+    def table(self, band, etas):
+        """The efficiency ``etas[i]`` at the point of each sample ``i``."""
+        rows = list(etas)
+        return PointTable(band.q[rows], band.omega[rows], list(etas.values()))
+
     def test_uniform_field_returns_constant(self):
         band = self.band([240, 288, 340, 363, 360])
-        eff = {s.point: 0.781 for s in band.samples}
+        eff = self.table(band, dict.fromkeys(range(5), 0.781))
         assert task_weighted_efficiency(band, eff) == pytest.approx(0.781)
 
     def test_weighted_mean(self):
         band = self.band([100, 300])  # weights 0.25 / 0.75
-        eff = {band.samples[0].point: 0.6, band.samples[1].point: 0.8}
+        eff = self.table(band, {0: 0.6, 1: 0.8})
         assert task_weighted_efficiency(band, eff) == pytest.approx(0.75)
 
     def test_missing_sample(self):
         band = self.band([100, 300])
         with pytest.raises(SampleMismatch):
-            task_weighted_efficiency(band, {band.samples[0].point: 0.6})
+            task_weighted_efficiency(band, self.table(band, {0: 0.6}))
 
     def test_degenerate_band(self):
         band = self.band([-5, -10])
         with pytest.raises(DegenerateBand):
-            task_weighted_efficiency(band, {})
+            task_weighted_efficiency(band, PointTable((), (), ()))
 
     def test_nonpositive_power_samples_need_no_measurement(self):
         band = self.band([100, -50, 300])
-        eff = {band.samples[0].point: 0.6, band.samples[2].point: 0.8}
+        eff = self.table(band, {0: 0.6, 2: 0.8})
         assert task_weighted_efficiency(band, eff) == pytest.approx(0.75)
 
 
