@@ -34,7 +34,6 @@ from .config_io import (
     read_bands,
     read_capability_map,
     read_log,
-    sha256_file,
     sha256_hex,
     verify_prereg_binding,
     write_capability_map,
@@ -119,6 +118,18 @@ _atlas_joint = _arg_type(str, lambda joint: any(
     rec.joint == joint for rec in DOF_INVENTORY), "a joint of the atlas")
 
 
+def _together(parser: argparse.ArgumentParser, *flags: str):
+    """A ``check`` that refuses, at ``parser``, some of ``flags`` given
+    without the others, naming the first one missing."""
+    def check(args) -> None:
+        given = [getattr(args, flag[2:].replace("-", "_")) is not None
+                 for flag in flags]
+        if any(given) and not all(given):
+            parser.error(f"argument {flags[given.index(False)]}: required "
+                         f"with {flags[given.index(True)]}")
+    return check
+
+
 def _apply_scheme_flags(scheme, args):
     updates = {}
     if args.delta is not None:
@@ -142,14 +153,14 @@ def cmd_score(args) -> int:
     registration = Path(args.prereg).read_bytes()
     prereg = load_preregistration(registration.decode())
     scheme = _apply_scheme_flags(prereg.scheme, args)
-    measurements = load_measurements(Path(args.data), prereg)
+    measurements = load_measurements(Path(args.data), prereg, {
+        Path(args.prereg): sha256_hex(registration)})
     pairs = build_pairs(replace(prereg, scheme=scheme), measurements)
     breakdown = hlas(pairs, scheme)
 
     bundle = emit_report(breakdown, pairs, Path(args.out), scheme)
-    _write_manifest(bundle.out_dir, sys.argv[1:], {
-        Path(args.prereg): sha256_hex(registration), **measurements.files,
-    }, bundle.files)
+    _write_manifest(bundle.out_dir, sys.argv[1:], measurements.files,
+                    bundle.files)
 
     _print_headline(breakdown, scheme)
     if scheme.critical_tasks:
@@ -189,61 +200,71 @@ def cmd_hee(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    log = read_log(Path(args.log))
-    if args.kind == "frf":
-        frf = compute_frf(log, args.freqs)
-        crossover = find_crossover(frf)
-        bound = {"<=": "<= ", ">=": ">= "}.get(crossover.bound, "")
-        print(f"f_c = {bound}{crossover.f_crossover:.2f} Hz "
-              f"(phase margin {crossover.phase_margin_deg:.1f} deg)")
-        if args.out:
-            out = Path(args.out)
-            digest = write_csv(
-                out, ["freq_hz", "magnitude", "phase_deg"],
-                [[p.freq, p.magnitude, p.phase] for p in frf],
-                f"# crossover_hz: {bound.strip()}{crossover.f_crossover!r}, "
-                f"phase_margin_deg: {crossover.phase_margin_deg!r}\n")
-            _write_manifest(out.parent, sys.argv[1:],
-                            {Path(args.log): sha256_file(args.log)},
-                            {out: digest})
-    elif args.kind == "friction":
-        fit = fit_friction(log)
-        print(f"j_ref = {fit.j_ref:.6g} kg m^2")
-        print(f"b_visc = {fit.b_visc:.6g} Nm s/rad")
-        print(f"f_coulomb = {fit.f_coulomb:.6g} Nm")
-        print(f"backdrive_p95 = {fit.backdrive_p95:.6g} Nm")
-        print(f"residual_rms = {fit.residual_rms:.3g} Nm")
-    elif args.kind == "thermal":
-        result = detect_plateau(log, args.slope_limit, args.window)
-        print(f"plateau torque = {result.torque_cont:.3f} Nm")
-        derate = ("none" if result.time_to_derate is None
-                  else f"{result.time_to_derate:.3f} s")
-        print(f"time to derate = {derate}")
-        print(f"final temps: motor {result.final_temp_motor:.1f} C, "
-              f"gear {result.final_temp_gear:.1f} C")
-        steady, slope = steady_trend(log)
-        print(f"steady trend at end of test: "
-              f"{'yes' if steady else 'NO'} ({slope:.3f} C/min)")
-    elif args.kind == "efficiency":
-        balance = power_balance_check(log)
-        if balance.elec_energy_j <= 0:
-            raise DataError("log has no electrical energy")
-        eta = balance.mech_energy_j / balance.elec_energy_j
-        print(f"overall efficiency = {eta:.4f} "
-              f"(positive mechanical {balance.mech_energy_j:.1f} J / "
-              f"electrical {balance.elec_energy_j:.1f} J)")
-    elif args.kind == "qc":
-        balance = power_balance_check(log)
-        verdict = "pass" if balance.passed else "FAIL"
-        print(f"power balance: {verdict} "
-              f"(mech {balance.mech_energy_j:.2f} J, "
-              f"elec {balance.elec_energy_j:.2f} J)")
-        if args.f_loaded is not None and args.f_noload is not None:
-            ok = loaded_bandwidth_check(args.f_loaded, args.f_noload)
-            print(f"loaded-bandwidth inflation: {'pass' if ok else 'FAIL'}")
-        if not balance.passed:
-            return EXIT_DATA
-    return EXIT_OK
+    """Check the kind's flags, read the log once and run the kind's analysis
+    on the log and its bytes, which returns its exit code or None for 0."""
+    args.check(args)
+    data = args.log.read_bytes()
+    log = read_log(args.log, data.decode())
+    return args.analysis(args, log, data) or EXIT_OK
+
+
+def _frf(args, log, data: bytes) -> int | None:
+    frf = compute_frf(log, args.freqs)
+    crossover = find_crossover(frf)
+    bound = {"<=": "<= ", ">=": ">= "}.get(crossover.bound, "")
+    print(f"f_c = {bound}{crossover.f_crossover:.2f} Hz "
+          f"(phase margin {crossover.phase_margin_deg:.1f} deg)")
+    if args.out:
+        digest = write_csv(
+            args.out, ["freq_hz", "magnitude", "phase_deg"],
+            [[p.freq, p.magnitude, p.phase] for p in frf],
+            f"# crossover_hz: {bound.strip()}{crossover.f_crossover!r}, "
+            f"phase_margin_deg: {crossover.phase_margin_deg!r}\n")
+        _write_manifest(args.out.parent, sys.argv[1:],
+                        {args.log: sha256_hex(data)}, {args.out: digest})
+
+
+def _friction(args, log, data: bytes) -> int | None:
+    fit = fit_friction(log)
+    print(f"j_ref = {fit.j_ref:.6g} kg m^2")
+    print(f"b_visc = {fit.b_visc:.6g} Nm s/rad")
+    print(f"f_coulomb = {fit.f_coulomb:.6g} Nm")
+    print(f"backdrive_p95 = {fit.backdrive_p95:.6g} Nm")
+    print(f"residual_rms = {fit.residual_rms:.3g} Nm")
+
+
+def _thermal(args, log, data: bytes) -> int | None:
+    result = detect_plateau(log, args.slope_limit, args.window)
+    print(f"plateau torque = {result.torque_cont:.3f} Nm")
+    derate = ("none" if result.time_to_derate is None
+              else f"{result.time_to_derate:.3f} s")
+    print(f"time to derate = {derate}")
+    print(f"final temps: motor {result.final_temp_motor:.1f} C, "
+          f"gear {result.final_temp_gear:.1f} C")
+    steady, slope = steady_trend(log)
+    print(f"steady trend at end of test: "
+          f"{'yes' if steady else 'NO'} ({slope:.3f} C/min)")
+
+
+def _efficiency(args, log, data: bytes) -> int | None:
+    balance = power_balance_check(log)
+    if balance.elec_energy_j <= 0:
+        raise DataError("log has no electrical energy")
+    eta = balance.mech_energy_j / balance.elec_energy_j
+    print(f"overall efficiency = {eta:.4f} "
+          f"(positive mechanical {balance.mech_energy_j:.1f} J / "
+          f"electrical {balance.elec_energy_j:.1f} J)")
+
+
+def _qc(args, log, data: bytes) -> int | None:
+    balance = power_balance_check(log)
+    print(f"power balance: {'pass' if balance.passed else 'FAIL'} "
+          f"(mech {balance.mech_energy_j:.2f} J, "
+          f"elec {balance.elec_energy_j:.2f} J)")
+    if args.f_loaded is not None:
+        ok = loaded_bandwidth_check(args.f_loaded, args.f_noload)
+        print(f"loaded-bandwidth inflation: {'pass' if ok else 'FAIL'}")
+    return EXIT_OK if balance.passed else EXIT_DATA
 
 
 def cmd_validate_prereg(args) -> int:
@@ -281,23 +302,21 @@ def cmd_synth(args) -> int:
                                args.n_q, args.n_omega)
         cap = generate_capability_map(act, grid, joint=args.joint,
                                       axis=args.axis)
-        write_capability_map(cap, out)
-    elif args.kind == "sweep":
-        log = generate_sweep_log(act, args.freqs, args.amplitude,
-                                 noise_std=args.noise, seed=args.seed)
-        write_log(log, out)
-    elif args.kind == "thermal":
-        duty = DutyProfile(duration_s=args.duration,
-                           temp_limit_c=args.temp_limit)
-        log = generate_thermal_duty_log(act, duty, args.torque)
-        write_log(log, out)
-    elif args.kind == "backdrive":
-        log = generate_backdrive_log(act, duration=args.duration,
+        digest, seed = write_capability_map(cap, out), None
+    else:
+        if args.kind == "sweep":
+            log = generate_sweep_log(act, args.freqs, args.amplitude,
                                      noise_std=args.noise, seed=args.seed)
-        write_log(log, out)
+        elif args.kind == "thermal":
+            duty = DutyProfile(duration_s=args.duration,
+                               temp_limit_c=args.temp_limit)
+            log = generate_thermal_duty_log(act, duty, args.torque)
+        else:
+            log = generate_backdrive_log(act, duration=args.duration,
+                                         noise_std=args.noise, seed=args.seed)
+        digest, seed = write_log(log, out), log.seed
     print(f"wrote {out}")
-    _write_manifest(out.parent, sys.argv[1:], {}, {out: sha256_file(out)},
-                    seed=getattr(args, "seed", None))
+    _write_manifest(out.parent, sys.argv[1:], {}, {out: digest}, seed=seed)
     return EXIT_OK
 
 
@@ -318,7 +337,7 @@ def cmd_example(args) -> int:
                   f"(gated on {', '.join(sorted(args.gate))})")
         return EXIT_OK
     run = run_and_check_example(out_dir)
-    _write_manifest(out_dir, sys.argv[1:], {}, run.outputs)
+    _write_manifest(out_dir, sys.argv[1:], run.inputs, run.outputs)
     _print_headline(run.breakdown, run.scheme)
     print(f"  sensitivity: delta 0.10 -> {run.hlas_headroom:.3f}, "
           f"alt feature weights -> {run.hlas_alpha_alt:.3f}")
@@ -364,23 +383,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="also write the mask table to a file")
     p.add_argument("--margins", action="store_true")
-    p.add_argument("--omega-max", type=float, default=1.0)
-    p.add_argument("--omega-req", type=float, default=1.0)
+    p.add_argument("--omega-max", type=_non_negative, default=1.0)
+    p.add_argument("--omega-req", type=_positive, default=1.0)
     p.add_argument("--margin-method", choices=MARGIN_METHODS, default="min")
     p.set_defaults(func=cmd_hee)
 
     p = sub.add_parser("analyze", help="run one log analysis")
-    p.add_argument("kind",
-                   choices=["frf", "friction", "thermal", "efficiency", "qc"])
-    p.add_argument("log")
-    p.add_argument("--freqs", type=_frequencies(2), default="1,2,5,10,20,30",
-                   help="comma-separated probe frequencies in Hz (frf)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--slope-limit", type=float, default=0.5)
-    p.add_argument("--window", type=_positive, default=10.0)
-    p.add_argument("--f-loaded", type=_positive, default=None)
-    p.add_argument("--f-noload", type=_positive, default=None)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, check=lambda args: None)
+    kinds = p.add_subparsers(dest="kind", required=True)
+
+    def kind(name: str, analysis, help: str) -> argparse.ArgumentParser:
+        k = kinds.add_parser(name, help=help)
+        k.add_argument("log", type=Path)
+        k.set_defaults(analysis=analysis)
+        return k
+
+    k = kind("frf", _frf, "frequency response and -3 dB crossover")
+    k.add_argument("--freqs", type=_frequencies(2), default="1,2,5,10,20,30",
+                   help="comma-separated probe frequencies in Hz")
+    k.add_argument("--out", type=Path, help="also write the FRF table")
+    kind("friction", _friction, "inertia and friction fit of a backdrive log")
+    k = kind("thermal", _thermal, "continuous torque plateau and derating")
+    k.add_argument("--slope-limit", type=_positive, default=0.5)
+    k.add_argument("--window", type=_positive, default=10.0)
+    kind("efficiency", _efficiency, "overall mechanical / electrical energy")
+    k = kind("qc", _qc, "power balance and loaded-bandwidth checks")
+    k.add_argument("--f-loaded", type=_positive)
+    k.add_argument("--f-noload", type=_positive)
+    k.set_defaults(check=_together(k, "--f-loaded", "--f-noload"))
 
     p = sub.add_parser("validate-prereg",
                        help="check measurement binding to a registration")

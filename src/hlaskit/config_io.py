@@ -469,12 +469,13 @@ def read_capability_map(path: Path, text: str | None = None) -> CapabilityMap:
         raise _located(path, exc, lines, exc.row) from None
 
 
-def write_capability_map(cap: CapabilityMap, path: Path) -> None:
-    write_csv(path, ["joint", "axis", "q_deg", "omega_rad_s", "torque_nm"],
-              [[cap.joint, cap.axis, *point] for point in zip(
-                  cap.q.tolist(), cap.omega.tolist(),
-                  cap.torque_rob.tolist())],
-              f"# conditions: {cap.conditions}\n")
+def write_capability_map(cap: CapabilityMap, path: Path) -> str:
+    """``write_csv`` of ``cap``, its conditions in the comment header."""
+    return write_csv(
+        path, ["joint", "axis", "q_deg", "omega_rad_s", "torque_nm"],
+        [[cap.joint, cap.axis, *point] for point in zip(
+            cap.q.tolist(), cap.omega.tolist(), cap.torque_rob.tolist())],
+        f"# conditions: {cap.conditions}\n")
 
 
 def read_rom_file(
@@ -541,24 +542,23 @@ def read_thermal_file(
         lambda task, joint, torque: ((task, joint), torque)))
 
 
-def write_log(log: TimeSeriesLog, path: Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        fh.write(f"# sample_rate_hz: {fmt(float(log.sample_rate))}\n")
-        fh.write(f"# conditions: {log.conditions}\n")
-        if log.seed is not None:
-            fh.write(f"# seed: {log.seed}\n")
-        fh.write(",".join(LOG_COLUMNS) + "\n")
-        cols = (log.t, log.q, log.omega, log.torque, log.torque_cmd,
-                log.v_bus, log.i_bus, log.temp_motor, log.temp_gear)
-        for values in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in values) + "\n")
+def write_log(log: TimeSeriesLog, path: Path) -> str:
+    """``write_file`` of ``log``, each value as its ``repr``."""
+    seed = "" if log.seed is None else f"# seed: {log.seed}\n"
+    cols = (log.t, log.q, log.omega, log.torque, log.torque_cmd,
+            log.v_bus, log.i_bus, log.temp_motor, log.temp_gear)
+    return write_file(path, "".join((
+        f"# sample_rate_hz: {fmt(float(log.sample_rate))}\n"
+        f"# conditions: {log.conditions}\n{seed}{','.join(LOG_COLUMNS)}\n",
+        *(",".join(repr(float(v)) for v in values) + "\n"
+          for values in zip(*cols)))))
 
 
-def read_log(path: Path) -> TimeSeriesLog:
+def read_log(path: Path, text: str | None = None) -> TimeSeriesLog:
     """A log in ``write_log``'s format, read as a file with no key columns:
     every header column holds finite numbers, ``LOG_COLUMNS`` among them,
     and a repeated row breaks the strictly increasing time channel."""
-    meta, columns, lines = _read_columns(path, None, (), LOG_COLUMNS, (),
+    meta, columns, lines = _read_columns(path, text, (), LOG_COLUMNS, (),
                                          all_float=True)
     if "sample_rate_hz" not in meta:
         raise DataError(f"log {path} is missing the sample_rate_hz header")
@@ -884,13 +884,18 @@ class MeasurementSet:
     files: dict[Path, str]      # path -> sha256 of the bytes read, in order
 
 
-def load_measurements(data_dir: Path, prereg: Preregistration) -> MeasurementSet:
+def load_measurements(
+    data_dir: Path, prereg: Preregistration,
+    read: dict[Path, str] | None = None,
+) -> MeasurementSet:
     """Load every measurement file of a data directory, each from one read
     whose sha256 is kept and, for a registered band file, checked against
-    the registration before the bytes are parsed."""
+    the registration before the bytes are parsed.  ``files`` lists the
+    digests of ``read`` (files read before, such as the registration),
+    then those of the measurement files."""
     data_dir = Path(data_dir)
     sources: dict[tuple[str, str], Path] = {}
-    files: dict[Path, str] = {}
+    files = dict(read or {})
 
     def claim(kind: str, subject: str, path: Path) -> None:
         """Refuse a subject that another file of the same kind gave."""

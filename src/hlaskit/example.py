@@ -20,8 +20,9 @@ from .config_io import (
     build_pairs,
     emit_report,
     load_measurements,
-    load_preregistration_file,
+    load_preregistration,
     read_table,
+    sha256_hex,
     write_csv,
 )
 from .errors import GoldenMismatch
@@ -45,9 +46,13 @@ def example_data_dir() -> Path:
 
 
 def load_example() -> tuple[Preregistration, MeasurementSet, list[PairInputs]]:
-    data_dir = example_data_dir()
-    prereg = load_preregistration_file(data_dir / "prereg.yaml")
-    measurements = load_measurements(data_dir, prereg)
+    """The example's registration, read once, its measurements, whose
+    ``files`` list the registration first, and its pairs."""
+    path = example_data_dir() / "prereg.yaml"
+    registration = path.read_bytes()
+    prereg = load_preregistration(registration.decode())
+    measurements = load_measurements(path.parent, prereg,
+                                     {path: sha256_hex(registration)})
     return prereg, measurements, build_pairs(prereg, measurements)
 
 
@@ -58,11 +63,12 @@ class ExampleRun:
     hlas_alpha_alt: float     # with the alternative feature weights
     scheme: WeightScheme
     pairs: list[PairInputs]
+    inputs: dict[Path, str]                  # sha256 of each file read
     outputs: dict[Path, str] | None = None   # sha256 of each file written
 
 
 def run_example() -> ExampleRun:
-    prereg, _, pairs = load_example()
+    prereg, measurements, pairs = load_example()
     scheme = prereg.scheme
     breakdown = hlas(pairs, scheme)
     with_headroom = hlas(
@@ -75,6 +81,7 @@ def run_example() -> ExampleRun:
         hlas_alpha_alt=with_alpha_alt.hlas,
         scheme=scheme,
         pairs=pairs,
+        inputs=measurements.files,
     )
 
 

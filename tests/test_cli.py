@@ -519,6 +519,12 @@ REFUSED_FLAGS = [
      "--f-loaded"),
     *((["analyze", "thermal", "log.csv", "--window", window], "--window")
       for window in ("-1", "0")),
+    *((["analyze", "thermal", "log.csv", "--slope-limit", limit],
+       "--slope-limit") for limit in ("nan", "-1")),
+    *((["hee", "--band", "b.csv", "--task", "Walk", "--joint", "ankle",
+        "--map", "m.csv", "--margins", flag, value], flag)
+      for flag, value in (("--omega-max", "nan"), ("--omega-max", "-1"),
+                          ("--omega-req", "nan"), ("--omega-req", "0"))),
     (["synth", "map", "--out", "m.csv", "--stall", "-1"], "--stall"),
     (["synth", "map", "--out", "m.csv", "--thermal-tau", "0"],
      "--thermal-tau"),
@@ -551,6 +557,81 @@ def test_refused_flag_value_exits_2_at_the_parser(argv, flag, tmp_path,
     assert f"error: argument {flag}: {argv[-1]!r} is not " \
         in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# each kind of ``hlas analyze`` with its flags and a value each accepts
+ANALYZE_FLAGS = {
+    "frf": {"--freqs": "1,2", "--out": "f.csv"},
+    "friction": {},
+    "thermal": {"--slope-limit": "0.5", "--window": "3"},
+    "efficiency": {},
+    "qc": {"--f-loaded": "8", "--f-noload": "12"},
+}
+INAPPLICABLE_FLAGS = [(kind, flag, value) for kind in ANALYZE_FLAGS
+                      for other, flags in ANALYZE_FLAGS.items()
+                      if other != kind for flag, value in flags.items()]
+
+
+@pytest.mark.parametrize("kind, flag, value", INAPPLICABLE_FLAGS,
+                         ids=[f"{kind} {flag}"
+                              for kind, flag, _ in INAPPLICABLE_FLAGS])
+def test_analyze_kind_refuses_the_flags_of_other_kinds(
+        kind, flag, value, tmp_path, monkeypatch, capsys, file_reads):
+    assert len(INAPPLICABLE_FLAGS) == 24
+    log = _backdrive_log(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as raised:
+        main(["analyze", kind, log.name, flag, value])
+    assert raised.value.code == 2
+    assert f"error: unrecognized arguments: {flag} {value}" \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [log]
+    assert file_reads == {}
+
+
+@pytest.mark.parametrize("given, missing", [("--f-loaded", "--f-noload"),
+                                            ("--f-noload", "--f-loaded")])
+def test_qc_refuses_one_bandwidth_flag_without_the_other(
+        given, missing, tmp_path, capsys, file_reads):
+    log = _backdrive_log(tmp_path)
+    with pytest.raises(SystemExit) as raised:
+        main(["analyze", "qc", str(log), given, "8"])
+    assert raised.value.code == 2
+    assert f"hlas analyze qc: error: argument {missing}: required with " \
+        f"{given}" in capsys.readouterr().err
+    assert file_reads == {}
+
+
+@pytest.mark.parametrize("defect", [None, "text cell"])
+def test_crlf_log_reads_as_its_lf_twin(defect, tmp_path, capsys):
+    """``analyze`` decodes a log's bytes without newline translation, so a
+    CRLF log takes the per-cell path: its values, output, messages and line
+    numbers are those of the same log with LF line ends."""
+    lf, number = _backdrive_log(tmp_path), None
+    if defect:
+        _, number = _rewrite_third_row(lf, lambda cells, *_: [*cells[:-1],
+                                                              "abc"])
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert crlf.read_bytes().count(b"\r\n") == lf.read_bytes().count(b"\n")
+    results = []
+    for path in (lf, crlf):
+        code = main(["analyze", "efficiency", str(path)])
+        out, err = capsys.readouterr()
+        results.append((code, out, err.replace(str(path), "LOG")))
+    assert results[0] == results[1]
+    if defect:
+        assert results[0][0] == 3
+        assert f"LOG: line {number}: temp_gear_c 'abc'" in results[0][2]
+        return
+    assert results[0][0] == 0
+    got, want = read_log(crlf, crlf.read_bytes().decode()), read_log(lf)
+    for name in ("t", "q", "omega", "torque", "torque_cmd", "v_bus", "i_bus",
+                 "temp_motor", "temp_gear"):
+        assert repr(getattr(got, name).tolist()) \
+            == repr(getattr(want, name).tolist())
+    assert (got.sample_rate, got.conditions, got.seed) \
+        == (want.sample_rate, want.conditions, want.seed)
 
 
 EXAMPLE_CSVS = sorted(p.name for p in example_data_dir().glob("*.csv"))
@@ -735,6 +816,37 @@ class TestOneReadOneHash:
         assert "power balance: pass" in capsys.readouterr().out
         assert file_reads == {log.resolve(): 1}
 
+    def test_frf_out_reads_its_log_once(self, tmp_path, capsys, file_reads):
+        sweep, out = tmp_path / "sweep.csv", tmp_path / "frf.csv"
+        assert main(["synth", "sweep", "--freqs", "5,10",
+                     "--out", str(sweep)]) == 0
+        assert main(["analyze", "frf", str(sweep), "--freqs", "5,10",
+                     "--out", str(out)]) == 0
+        assert file_reads == {sweep.resolve(): 1}
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["inputs"] == [{"path": str(sweep),
+                                       "sha256": _sha256(sweep)}]
+        assert manifest["outputs"] == [{"path": str(out),
+                                        "sha256": _sha256(out)}]
+
+    @pytest.mark.parametrize("argv, seed", [
+        (["map", "--seed", "7"], None),
+        (["sweep", "--freqs", "5", "--seed", "7"], 7),
+        (["thermal", "--duration", "1", "--seed", "7"], None),
+        (["backdrive", "--duration", "1", "--seed", "7"], 7),
+        (["backdrive", "--duration", "1"], None),
+    ], ids=lambda case: " ".join(case) if isinstance(case, list) else None)
+    def test_synth_reads_nothing_back_and_records_the_log_seed(
+            self, argv, seed, tmp_path, capsys, file_reads):
+        out = tmp_path / "out.csv"
+        assert main(["synth", *argv, "--out", str(out)]) == 0
+        assert file_reads == {}
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["inputs"] == []
+        assert manifest["outputs"] == [{"path": str(out),
+                                        "sha256": _sha256(out)}]
+        assert manifest["seed"] == seed
+
     @pytest.mark.parametrize("command", ["score", "example"])
     def test_run_manifest_digests_are_the_bytes_on_disk(self, command,
                                                         data_dir, tmp_path):
@@ -744,6 +856,12 @@ class TestOneReadOneHash:
         assert main(argv) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         listed = manifest["inputs"] + manifest["outputs"]
+        assert [Path(entry["path"]).name for entry in manifest["inputs"]] \
+            == ["prereg.yaml", "bands.csv",
+                *(name for name in EXAMPLE_CSVS
+                  if name.startswith("capability_")),
+                "rom_robot.csv", "dof_report.csv", "bandwidth.csv",
+                "efficiency.csv", "thermal.csv"]
         assert len(manifest["outputs"]) == len(
             [p for p in out.rglob("*") if p.is_file()]) - 1
         assert all(_sha256(Path(entry["path"])) == entry["sha256"]
@@ -756,6 +874,19 @@ class TestUncoveredWriterBytes:
         assert main(["synth", "map", "--out", str(out)]) == 0
         assert _sha256(out) == ("e7f6fb76e14711672f4f986cee437e33"
                                 "ea8cba11fa3fde04687802bbefd64cca")
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["thermal"], "f1f1222c26c2402b3afa9668d2b0a722"
+                      "29518ea500614a28a02f7ed0161230c7"),
+        (["backdrive", "--noise", "0.01", "--seed", "3"],
+         "48097330c42023ac5a650224a242eba0f3092cb47e350c5bf6b46515bfb6ad30"),
+        (["sweep"], "6047e335014506d564fb37cde3ea082e"
+                    "57f2202771de2fa687106e382b81a323"),
+    ], ids=["thermal", "backdrive", "sweep"])
+    def test_synth_log_bytes_are_pinned(self, argv, digest, tmp_path):
+        out = tmp_path / "log.csv"
+        assert main(["synth", *argv, "--out", str(out)]) == 0
+        assert _sha256(out) == digest
 
     def test_frf_table_is_the_header_then_repr_rows(self, tmp_path):
         sweep, out = tmp_path / "sweep.csv", tmp_path / "frf.csv"
