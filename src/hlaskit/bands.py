@@ -25,6 +25,7 @@ from .errors import (
     EmptyGrid,
     EmptyTrajectory,
     InvalidRange,
+    InvalidRecord,
     SampleMismatch,
     ZeroRate,
 )
@@ -60,22 +61,41 @@ class SampleView(Sequence):
         return self._record(*(c[index].item() for c in self._columns))
 
 
+def _finite_columns(**columns) -> list[np.ndarray]:
+    """Each named column as a new float64 array, in order.  Columns of
+    unequal length, or a NaN or infinite value, raise ``InvalidRecord`` at
+    the first row at fault, naming its column."""
+    names = list(columns)
+    arrays = [np.array(values, dtype=float) for values in columns.values()]
+    lengths = [len(a) for a in arrays]
+    n, m = min(lengths), max(lengths)
+    if n < m:
+        raise InvalidRecord(f"column {names[lengths.index(n)]} has {n} "
+                            f"values and {names[lengths.index(m)]} {m}: "
+                            f"columns must have equal length", row=n)
+    bad = ~np.isfinite(np.array(arrays))
+    if bad.any():                   # the first row at fault, then column
+        row, i = divmod(int(bad.T.argmax()), len(arrays))
+        raise InvalidRecord(f"{names[i]} {arrays[i][row].item()!r} is not "
+                            f"finite", row=row)
+    return arrays
+
+
 class Columnar:
     """Base of the frozen dataclasses that hold samples as float64 columns.
 
-    ``_store_columns`` keeps each named field as a read-only array and
-    checks that they have one length; instances compare by value.
+    ``_store_columns`` keeps each named field as a read-only array from
+    ``_finite_columns``; instances compare by value.
     """
 
     def _store_columns(self, *names: str) -> int:
-        for name in names:
-            column = np.array(getattr(self, name), dtype=float)
+        """Store the named fields and return their common length."""
+        arrays = _finite_columns(**{name: getattr(self, name)
+                                    for name in names})
+        for name, column in zip(names, arrays):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        lengths = {len(getattr(self, name)) for name in names}
-        if len(lengths) > 1:
-            raise ValueError(f"columns {names} must have equal length")
-        return lengths.pop()
+        return len(arrays[0])
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -117,15 +137,16 @@ def _point_keys(q, omega, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PointTable:
-    """Values measured at distinct (q, omega) points, sorted by point once
-    for ``measured_at`` and ended by a NaN key, which a lookup past the
-    last point lands on and does not match; its length is the number of
-    points."""
+    """Finite values measured at distinct (q, omega) points (checked by
+    ``_finite_columns``), sorted by point once for ``measured_at`` and ended
+    by a NaN key, which a lookup past the last point lands on and does not
+    match; its length is the number of points."""
 
     def __init__(self, q, omega, value, name: str = "point table") -> None:
+        q, omega, value = _finite_columns(q=q, omega=omega, value=value)
         keys, order = _point_keys(q, omega, name)
         self._keys = np.append(keys[order], complex(nan, nan))
-        self._values = np.append(np.asarray(value, dtype=float)[order], nan)
+        self._values = np.append(value[order], nan)
 
     def __len__(self) -> int:
         return len(self._keys) - 1
@@ -252,7 +273,11 @@ def normalize_weights(power_hum) -> np.ndarray:
     if not power.size:
         raise EmptyBand("cannot normalize weights of an empty sample list")
     positive = np.where(power < 0.0, 0.0, power)    # max(p, 0.0), as Python
-    total = fsum(positive.tolist())
+    try:
+        total = fsum(positive.tolist())
+    except OverflowError:       # a sum past the float range: scale it first
+        positive = positive / positive.max()
+        total = fsum(positive.tolist())
     if total <= 0:
         return np.zeros(power.size)
     return positive / total

@@ -159,7 +159,7 @@ def cmd_score(args) -> int:
     breakdown = hlas(pairs, scheme)
 
     bundle = emit_report(breakdown, pairs, Path(args.out), scheme)
-    _write_manifest(bundle.out_dir, sys.argv[1:], measurements.files,
+    _write_manifest(bundle.out_dir, args.argv, measurements.files,
                     bundle.files)
 
     _print_headline(breakdown, scheme)
@@ -201,30 +201,37 @@ def cmd_hee(args) -> int:
 
 def cmd_analyze(args) -> int:
     """Check the kind's flags, read the log once and run the kind's analysis
-    on the log and its bytes, which returns its exit code or None for 0."""
+    on the log and, for a kind that writes a table (``--out``), the sha256
+    of the bytes read; it returns its exit code or None for 0.  The bytes
+    are released before the parse and the text after it, so the parse holds
+    one copy of the log."""
     args.check(args)
     data = args.log.read_bytes()
-    log = read_log(args.log, data.decode())
-    return args.analysis(args, log, data) or EXIT_OK
+    digest = sha256_hex(data) if getattr(args, "out", None) else None
+    text = data.decode()
+    del data
+    log = read_log(args.log, text)
+    del text
+    return args.analysis(args, log, digest) or EXIT_OK
 
 
-def _frf(args, log, data: bytes) -> int | None:
+def _frf(args, log, digest: str | None) -> int | None:
     frf = compute_frf(log, args.freqs)
     crossover = find_crossover(frf)
     bound = {"<=": "<= ", ">=": ">= "}.get(crossover.bound, "")
     print(f"f_c = {bound}{crossover.f_crossover:.2f} Hz "
           f"(phase margin {crossover.phase_margin_deg:.1f} deg)")
     if args.out:
-        digest = write_csv(
+        written = write_csv(
             args.out, ["freq_hz", "magnitude", "phase_deg"],
             [[p.freq, p.magnitude, p.phase] for p in frf],
             f"# crossover_hz: {bound.strip()}{crossover.f_crossover!r}, "
             f"phase_margin_deg: {crossover.phase_margin_deg!r}\n")
-        _write_manifest(args.out.parent, sys.argv[1:],
-                        {args.log: sha256_hex(data)}, {args.out: digest})
+        _write_manifest(args.out.parent, args.argv,
+                        {args.log: digest}, {args.out: written})
 
 
-def _friction(args, log, data: bytes) -> int | None:
+def _friction(args, log, digest: str | None) -> int | None:
     fit = fit_friction(log)
     print(f"j_ref = {fit.j_ref:.6g} kg m^2")
     print(f"b_visc = {fit.b_visc:.6g} Nm s/rad")
@@ -233,7 +240,7 @@ def _friction(args, log, data: bytes) -> int | None:
     print(f"residual_rms = {fit.residual_rms:.3g} Nm")
 
 
-def _thermal(args, log, data: bytes) -> int | None:
+def _thermal(args, log, digest: str | None) -> int | None:
     result = detect_plateau(log, args.slope_limit, args.window)
     print(f"plateau torque = {result.torque_cont:.3f} Nm")
     derate = ("none" if result.time_to_derate is None
@@ -246,7 +253,7 @@ def _thermal(args, log, data: bytes) -> int | None:
           f"{'yes' if steady else 'NO'} ({slope:.3f} C/min)")
 
 
-def _efficiency(args, log, data: bytes) -> int | None:
+def _efficiency(args, log, digest: str | None) -> int | None:
     balance = power_balance_check(log)
     if balance.elec_energy_j <= 0:
         raise DataError("log has no electrical energy")
@@ -256,7 +263,7 @@ def _efficiency(args, log, data: bytes) -> int | None:
           f"electrical {balance.elec_energy_j:.1f} J)")
 
 
-def _qc(args, log, data: bytes) -> int | None:
+def _qc(args, log, digest: str | None) -> int | None:
     balance = power_balance_check(log)
     print(f"power balance: {'pass' if balance.passed else 'FAIL'} "
           f"(mech {balance.mech_energy_j:.2f} J, "
@@ -316,7 +323,7 @@ def cmd_synth(args) -> int:
                                          noise_std=args.noise, seed=args.seed)
         digest, seed = write_log(log, out), log.seed
     print(f"wrote {out}")
-    _write_manifest(out.parent, sys.argv[1:], {}, {out: digest}, seed=seed)
+    _write_manifest(out.parent, args.argv, {}, {out: digest}, seed=seed)
     return EXIT_OK
 
 
@@ -337,7 +344,7 @@ def cmd_example(args) -> int:
                   f"(gated on {', '.join(sorted(args.gate))})")
         return EXIT_OK
     run = run_and_check_example(out_dir)
-    _write_manifest(out_dir, sys.argv[1:], run.inputs, run.outputs)
+    _write_manifest(out_dir, args.argv, run.inputs, run.outputs)
     _print_headline(run.breakdown, run.scheme)
     print(f"  sensitivity: delta 0.10 -> {run.hlas_headroom:.3f}, "
           f"alt feature weights -> {run.hlas_alpha_alt:.3f}")
@@ -465,8 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command ``argv`` (the process's arguments when None), which
+    ``run_manifest.json`` records as parsed; return its exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = argv
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -280,7 +280,8 @@ def _regular_columns(
     if body and set(map(str.count, body.split("\n"),
                         repeat(","))) != {width - 1}:
         return None
-    cells = body.replace("\n", ",").split(",") if body else []
+    body = body.replace("\n", ",")     # held alone while it is split
+    cells = body.split(",") if body else []
     del body
     index = {name: i for i, name in enumerate(header)}
     columns: dict = {c: cells[index[c]::width] for c in text_columns}
@@ -890,9 +891,9 @@ def load_measurements(
 ) -> MeasurementSet:
     """Load every measurement file of a data directory, each from one read
     whose sha256 is kept and, for a registered band file, checked against
-    the registration before the bytes are parsed.  ``files`` lists the
-    digests of ``read`` (files read before, such as the registration),
-    then those of the measurement files."""
+    the registration before the bytes are decoded, released and their text
+    parsed.  ``files`` lists the digests of ``read`` (files read before,
+    such as the registration), then those of the measurement files."""
     data_dir = Path(data_dir)
     sources: dict[tuple[str, str], Path] = {}
     files = dict(read or {})
@@ -912,7 +913,9 @@ def load_measurements(
         if ref and ref.sha256 != files[path]:
             raise DataError(f"band file {ref.file} digest {files[path]} does "
                             f"not match registered {ref.sha256}")
-        return reader(path, data.decode())
+        text = data.decode()
+        del data                # the reader parses from the text alone
+        return reader(path, text)
 
     bands: dict[tuple[str, str], OperatingBand] = {}
     for ref in prereg.bands:

@@ -152,6 +152,11 @@ class InvalidRecord(DataError, ValueError):
         self.row = row
 
 
+class InvalidFeature(DataError, ValueError):
+    """A factor of a feature vector outside [0, 1], NaN included.  Also a
+    ``ValueError`` for direct callers."""
+
+
 class DuplicateKey(DataError):
     """Two rows, samples or files give the same measured key."""
 

@@ -28,6 +28,7 @@ from .envelope import CapabilityMap, clip01, hee_coverage, rate_margin
 from .errors import (
     ConfigIncomplete,
     EmptyCriticalSet,
+    InvalidFeature,
     MissingJoint,
     NegativeWeight,
     WeightSumViolation,
@@ -61,7 +62,7 @@ class FeatureVector:
         for f in fields(self):
             v = getattr(self, f.name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"feature {f.name}={v} outside [0, 1]")
+                raise InvalidFeature(f"feature {f.name}={v} outside [0, 1]")
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in FEATURE_NAMES}

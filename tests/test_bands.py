@@ -21,6 +21,7 @@ from hlaskit.errors import (
     EmptyBand,
     EmptyGrid,
     InvalidRange,
+    InvalidRecord,
     SampleMismatch,
     ZeroRate,
 )
@@ -318,3 +319,51 @@ class TestPointTable:
         assert len(table) == len(measured)
         got = measured_at(band, table, "torque", where)
         assert repr(got.tolist()) == repr(want)     # -0.0 is not 0.0
+
+
+class TestFiniteColumns:
+    """The public types refuse what the file readers refuse: a NaN or
+    infinite value, or columns of unequal length, naming row and column."""
+
+    def test_infinite_power_is_refused_not_weighted_to_nan(self):
+        # accepted, it weighed [nan, 0.0] and scored HEE coverage nan
+        with pytest.raises(InvalidRecord, match="^power_hum inf is not "
+                           "finite$") as raised:
+            OperatingBand("j", "t", [0.0, 1.0], [1.0, 1.0], [1.0, 1.0],
+                          [math.inf, 1.0])
+        assert raised.value.row == 0
+
+    def test_nan_torque_is_refused_not_scored(self):
+        # accepted, a NaN demand failed no comparison and scored 0.5
+        from hlaskit.envelope import CapabilityMap
+        with pytest.raises(InvalidRecord, match="^torque_hum nan ") as raised:
+            OperatingBand("j", "t", [0.0, 1.0], [1.0, 1.0], [math.nan, 100.0],
+                          [1.0, 1.0])
+        assert raised.value.row == 0
+        with pytest.raises(InvalidRecord, match="^torque_rob -inf ") \
+                as raised:
+            CapabilityMap("j", "a", [0.0, 1.0], [1.0, 1.0],
+                          [5.0, -math.inf], "bench")
+        assert raised.value.row == 1
+
+    def test_point_table_refuses_a_nan_point(self):
+        with pytest.raises(InvalidRecord, match="^q nan ") as raised:
+            PointTable([0.0, math.nan], [1.0, 2.0], [0.5, 0.5])
+        assert raised.value.row == 1
+
+    def test_first_row_at_fault_then_first_column(self):
+        with pytest.raises(InvalidRecord, match="^omega inf ") as raised:
+            OperatingBand("j", "t", [0.0, 1.0, 2.0], [1.0, math.inf, 1.0],
+                          [1.0, 1.0, math.nan], [1.0, math.nan, 1.0])
+        assert raised.value.row == 1
+
+    @pytest.mark.parametrize("make, column", [
+        (lambda: PointTable([0.0, 1.0], [1.0, 2.0], [0.5]), "value"),
+        (lambda: OperatingBand("j", "t", [0.0, 1.0], [1.0], [1.0, 1.0],
+                               [1.0, 1.0]), "omega"),
+    ], ids=["point table", "band"])
+    def test_unequal_lengths_name_the_short_column(self, make, column):
+        with pytest.raises(InvalidRecord, match=f"^column {column} has 1 "
+                           f"values and q 2: ") as raised:
+            make()
+        assert raised.value.row == 1

@@ -2,11 +2,13 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hlaskit.errors import (
     ConfigIncomplete,
     EmptyCriticalSet,
+    HlasError,
+    InvalidFeature,
     MissingJoint,
     NegativeWeight,
     WeightSumViolation,
@@ -395,3 +397,72 @@ def test_full_pipeline_all_ones_is_exactly_one():
     assert breakdown.feature_vectors[("t", "j")] == FeatureVector(
         1, 1, 1, 1, 1, 1)
     assert breakdown.hlas == 1.0
+
+
+@pytest.mark.parametrize("value", [math.nan, -0.5, 1.5, math.inf])
+def test_feature_outside_unit_interval_is_a_typed_error(value):
+    with pytest.raises(InvalidFeature, match="^feature hee=") as raised:
+        FeatureVector(1, 1, value, 1, 1, 1)
+    assert isinstance(raised.value, ValueError)
+
+
+# any float, NaN and the infinities included, or a plausible measurement
+ANY_FLOAT = st.floats() | st.floats(0.0, 500.0)
+
+
+@st.composite
+def pair_columns(draw):
+    """Columns of one pair's band, capability map and efficiency table, all
+    measured at the band's points: of one length, maybe zero, or of
+    lengths drawn one by one."""
+    n = draw(st.integers(0, 4))
+    column = (st.lists(ANY_FLOAT, max_size=5) if draw(st.booleans())
+              else st.lists(ANY_FLOAT, min_size=n, max_size=n))
+    return [draw(column) for _ in range(6)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_columns(), st.lists(ANY_FLOAT, min_size=6, max_size=6))
+@example([[0.0, 0.0], [1.0, 2.0], [1.0, 1.0], [1e308, 1e308], [5.0, 5.0],
+          [0.9, 0.9]], [1.0] * 6).via("positive power summing past the "
+                                       "float range")
+def test_constructors_and_hlas_give_a_finite_score_or_a_typed_error(
+        columns, features):
+    """Whatever floats the Python API is given, it scores a finite number
+    in [0, 1] or raises an ``HlasError``: never a NaN, never another
+    exception."""
+    from hlaskit.atlas import AxisActuationReport, AxisSpec, RomInterval
+    from hlaskit.bands import OperatingBand, PointTable
+    from hlaskit.envelope import CapabilityMap
+    from hlaskit.scoring import PairInputs
+
+    q, omega, torque, power, torque_rob, eta = columns
+    scheme = WeightScheme(
+        task_weights={"t": 1.0}, joint_weights={"t": {"j": 1.0}},
+        bandwidth_targets={"t": {"j": 8.0}},
+        efficiency_targets={"t": {"j": 0.8}},
+    )
+    try:
+        x = FeatureVector(*features)
+        assert all(0.0 <= v <= 1.0 for v in x.as_dict().values())
+    except HlasError:
+        pass
+    try:
+        band = OperatingBand("j", "t", q, omega, torque, power)
+        pair = PairInputs(
+            task="t", joint="j", band=band,
+            capability=CapabilityMap("j", "flexion", q, omega, torque_rob,
+                                     "synthetic"),
+            robot_rom={"flexion": RomInterval(-10, 40)},
+            functional_rom={"flexion": RomInterval(0, 30)},
+            required_axes=frozenset({"flexion"}),
+            dof_reports=[AxisActuationReport(AxisSpec("j", "flexion"), True,
+                                             0.02)],
+            f_crossover_hz=12.0,
+            efficiency_samples=PointTable(q, omega, eta),
+            torque_cont_nm=60.0, torque_req_nm=50.0,
+        )
+        score = hlas([pair], scheme).hlas
+    except HlasError:
+        return
+    assert 0.0 <= score <= 1.0
