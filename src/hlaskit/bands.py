@@ -61,20 +61,23 @@ class SampleView(Sequence):
         return self._record(*(c[index].item() for c in self._columns))
 
 
-def _finite_columns(**columns) -> list[np.ndarray]:
-    """Each named column as a new float64 array, in order.  Columns of
-    unequal length, or a NaN or infinite value, raise ``InvalidRecord`` at
-    the first row at fault, naming its column."""
+def _finite_columns(copy: bool = True, **columns) -> list[np.ndarray]:
+    """Each named column as a float64 array, in order: a new one, or
+    without ``copy`` the column itself when it is one.  Columns of unequal
+    length, or a NaN or infinite value, raise ``InvalidRecord`` at the first
+    row at fault, naming its column."""
     names = list(columns)
-    arrays = [np.array(values, dtype=float) for values in columns.values()]
+    arrays = [np.array(values, dtype=float, copy=copy or None)
+              for values in columns.values()]
     lengths = [len(a) for a in arrays]
     n, m = min(lengths), max(lengths)
     if n < m:
         raise InvalidRecord(f"column {names[lengths.index(n)]} has {n} "
                             f"values and {names[lengths.index(m)]} {m}: "
                             f"columns must have equal length", row=n)
-    bad = ~np.isfinite(np.array(arrays))
-    if bad.any():                   # the first row at fault, then column
+    if not all(np.isfinite(a).all() for a in arrays):
+        bad = ~np.isfinite(np.array(arrays))
+        # the first row at fault, then column
         row, i = divmod(int(bad.T.argmax()), len(arrays))
         raise InvalidRecord(f"{names[i]} {arrays[i][row].item()!r} is not "
                             f"finite", row=row)
@@ -143,7 +146,8 @@ class PointTable:
     match; its length is the number of points."""
 
     def __init__(self, q, omega, value, name: str = "point table") -> None:
-        q, omega, value = _finite_columns(q=q, omega=omega, value=value)
+        q, omega, value = _finite_columns(copy=False, q=q, omega=omega,
+                                          value=value)
         keys, order = _point_keys(q, omega, name)
         self._keys = np.append(keys[order], complex(nan, nan))
         self._values = np.append(value[order], nan)
@@ -217,7 +221,8 @@ def measured_at(
 
 @dataclass(frozen=True)
 class PhaseTrajectory:
-    """Phase-resolved task data (e.g. a gait cycle) before gridding."""
+    """Phase-resolved task data (e.g. a gait cycle) before gridding: finite
+    channels of one length (checked by ``_finite_columns``)."""
 
     phase: tuple[float, ...]
     q: tuple[float, ...]
@@ -225,11 +230,10 @@ class PhaseTrajectory:
     power: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.phase)
-        if n == 0:
+        if not len(self.phase):
             raise EmptyTrajectory("trajectory has no samples")
-        if not (len(self.q) == len(self.omega) == len(self.power) == n):
-            raise ValueError("trajectory channels must have equal length")
+        _finite_columns(phase=self.phase, q=self.q, omega=self.omega,
+                        power=self.power)
         if any(b <= a for a, b in zip(self.phase, self.phase[1:])):
             raise ValueError("phase must be strictly increasing")
         if self.phase[0] < 0 or self.phase[-1] > 1:

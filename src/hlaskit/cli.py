@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -40,11 +42,17 @@ from .config_io import (
     write_csv,
     write_log,
 )
-from .envelope import MARGIN_METHODS, hee_coverage, margin_report
+from .envelope import (
+    MARGIN_METHODS,
+    CapabilityMap,
+    hee_coverage,
+    margin_report,
+)
 from .errors import DataError, GoldenMismatch, HlasError, ValidationError
 from .example import ALPHA_ALT, load_example, run_and_check_example
 from .scoring import gated_hlas, hlas
 from .signals import (
+    TimeSeriesLog,
     compute_frf,
     detect_plateau,
     find_crossover,
@@ -289,42 +297,82 @@ def cmd_validate_prereg(args) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
-def _actuator_from(args) -> SyntheticActuator:
-    return SyntheticActuator(
-        stall_torque=args.stall, torque_speed_slope=args.slope,
-        crossover_true=args.pole, j_ref=args.j_ref, b_visc=args.b_visc,
-        f_coulomb=args.f_coulomb,
-        thermal_resistance=args.thermal_resistance,
-        thermal_time_constant=args.thermal_tau,
-        copper_loss_coeff=args.copper_loss,
-    )
+def _plant(field: str) -> dict:
+    """The ``add_argument`` keywords of a ``hlas synth`` flag that sets the
+    ``SyntheticActuator`` field ``field``; without the flag the plant keeps
+    its own default."""
+    return dict(type=_positive, dest=field, default=argparse.SUPPRESS)
+
+
+# every flag of ``hlas synth``; each kind takes those that change what it
+# writes (``build_parser``)
+SYNTH_FLAGS = {
+    "--out": dict(required=True),
+    "--stall": _plant("stall_torque"),
+    "--slope": _plant("torque_speed_slope"),
+    "--pole": _plant("crossover_true"),
+    "--j-ref": _plant("j_ref"),
+    "--b-visc": _plant("b_visc"),
+    "--f-coulomb": _plant("f_coulomb"),
+    "--thermal-resistance": _plant("thermal_resistance"),
+    "--thermal-tau": _plant("thermal_time_constant"),
+    "--copper-loss": _plant("copper_loss_coeff"),
+    "--joint": dict(default="synthetic"),
+    "--axis": dict(default="flexion"),
+    "--q-lo": dict(type=_finite, default=0.0),
+    "--q-hi": dict(type=_finite, default=0.0),
+    "--n-q": dict(type=int, default=1),
+    "--omega-lo": dict(type=_finite, default=8.0),
+    "--omega-hi": dict(type=_finite, default=12.0),
+    "--n-omega": dict(type=int, default=5),
+    "--freqs": dict(type=_frequencies(1), default="1,2,5,10,20,30"),
+    "--amplitude": dict(type=_positive, default=4.0),
+    "--noise": dict(type=_non_negative, default=0.0),
+    "--seed": dict(type=int, default=None),
+    "--duration": dict(type=_positive, default=60.0),
+    "--torque": dict(type=_non_negative, default=30.0),
+    "--temp-limit": dict(type=_above_ambient, default=100.0),
+}
 
 
 def cmd_synth(args) -> int:
-    act = _actuator_from(args)
+    """Write the kind's map or log, made by its ``generate`` from a plant
+    with the parameters given, and a ``run_manifest.json`` beside it."""
+    act = SyntheticActuator(**{f.name: getattr(args, f.name)
+                               for f in fields(SyntheticActuator)
+                               if hasattr(args, f.name)})
     out = Path(args.out)
-    if args.kind == "map":
-        grid = build_band_grid((args.q_lo, args.q_hi),
-                               (args.omega_lo, args.omega_hi),
-                               args.n_q, args.n_omega)
-        cap = generate_capability_map(act, grid, joint=args.joint,
-                                      axis=args.axis)
-        digest, seed = write_capability_map(cap, out), None
+    made = args.generate(args, act)
+    if isinstance(made, CapabilityMap):
+        digest, seed = write_capability_map(made, out), None
     else:
-        if args.kind == "sweep":
-            log = generate_sweep_log(act, args.freqs, args.amplitude,
-                                     noise_std=args.noise, seed=args.seed)
-        elif args.kind == "thermal":
-            duty = DutyProfile(duration_s=args.duration,
-                               temp_limit_c=args.temp_limit)
-            log = generate_thermal_duty_log(act, duty, args.torque)
-        else:
-            log = generate_backdrive_log(act, duration=args.duration,
-                                         noise_std=args.noise, seed=args.seed)
-        digest, seed = write_log(log, out), log.seed
+        digest, seed = write_log(made, out), made.seed
     print(f"wrote {out}")
     _write_manifest(out.parent, args.argv, {}, {out: digest}, seed=seed)
     return EXIT_OK
+
+
+def _synth_map(args, act: SyntheticActuator) -> CapabilityMap:
+    grid = build_band_grid((args.q_lo, args.q_hi),
+                           (args.omega_lo, args.omega_hi),
+                           args.n_q, args.n_omega)
+    return generate_capability_map(act, grid, joint=args.joint,
+                                   axis=args.axis)
+
+
+def _synth_sweep(args, act: SyntheticActuator) -> TimeSeriesLog:
+    return generate_sweep_log(act, args.freqs, args.amplitude,
+                              noise_std=args.noise, seed=args.seed)
+
+
+def _synth_thermal(args, act: SyntheticActuator) -> TimeSeriesLog:
+    duty = DutyProfile(duration_s=args.duration, temp_limit_c=args.temp_limit)
+    return generate_thermal_duty_log(act, duty, args.torque)
+
+
+def _synth_backdrive(args, act: SyntheticActuator) -> TimeSeriesLog:
+    return generate_backdrive_log(act, duration=args.duration,
+                                  noise_std=args.noise, seed=args.seed)
 
 
 def cmd_example(args) -> int:
@@ -357,8 +405,29 @@ def cmd_atlas(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that formats nothing while it is built, with the
+    same help and messages.  ``add_argument`` makes a help formatter, which
+    reads the terminal's width, to check each argument; here the width is
+    read once, and the subparsers are ``_Parser``s sharing the formatter.
+    ``add_subparsers`` is given the ``prog`` prefix that ``argparse`` would
+    format a usage line to find: none of these parsers has a positional
+    argument before its subcommand, so it is the parser's own ``prog``.
+    """
+
+    def __init__(self, formatter_class=None, **kwargs) -> None:
+        super().__init__(formatter_class=formatter_class or partial(
+            argparse.HelpFormatter,
+            width=shutil.get_terminal_size().columns - 2), **kwargs)
+
+    def add_subparsers(self, **kwargs):
+        return super().add_subparsers(
+            prog=self.prog, **kwargs, parser_class=partial(
+                _Parser, formatter_class=self.formatter_class))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hlas",
         description="Human-level actuation benchmarking toolkit",
     )
@@ -426,33 +495,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate_prereg)
 
     p = sub.add_parser("synth", help="generate synthetic known-answer data")
-    p.add_argument("kind", choices=["map", "sweep", "thermal", "backdrive"])
-    p.add_argument("--out", required=True)
-    p.add_argument("--stall", type=_positive, default=44.0)
-    p.add_argument("--slope", type=_positive, default=1.0)
-    p.add_argument("--pole", type=_positive, default=10.0)
-    p.add_argument("--j-ref", type=_positive, default=0.05)
-    p.add_argument("--b-visc", type=_positive, default=0.8)
-    p.add_argument("--f-coulomb", type=_positive, default=1.2)
-    p.add_argument("--thermal-resistance", type=_positive, default=0.5)
-    p.add_argument("--thermal-tau", type=_positive, default=60.0)
-    p.add_argument("--copper-loss", type=_positive, default=0.02)
-    p.add_argument("--joint", default="synthetic")
-    p.add_argument("--axis", default="flexion")
-    p.add_argument("--q-lo", type=_finite, default=0.0)
-    p.add_argument("--q-hi", type=_finite, default=0.0)
-    p.add_argument("--n-q", type=int, default=1)
-    p.add_argument("--omega-lo", type=_finite, default=8.0)
-    p.add_argument("--omega-hi", type=_finite, default=12.0)
-    p.add_argument("--n-omega", type=int, default=5)
-    p.add_argument("--freqs", type=_frequencies(1), default="1,2,5,10,20,30")
-    p.add_argument("--amplitude", type=_positive, default=4.0)
-    p.add_argument("--noise", type=_non_negative, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--duration", type=_positive, default=60.0)
-    p.add_argument("--torque", type=_non_negative, default=30.0)
-    p.add_argument("--temp-limit", type=_above_ambient, default=100.0)
     p.set_defaults(func=cmd_synth)
+    kinds = p.add_subparsers(dest="kind", required=True)
+
+    def synth(name: str, generate, help: str, *flags: str) -> None:
+        k = kinds.add_parser(name, help=help)
+        for flag in ("--out", *flags):
+            k.add_argument(flag, **SYNTH_FLAGS[flag])
+        k.set_defaults(generate=generate)
+
+    synth("map", _synth_map, "capability map of the torque-speed law",
+          "--stall", "--slope", "--joint", "--axis", "--q-lo", "--q-hi",
+          "--n-q", "--omega-lo", "--omega-hi", "--n-omega")
+    synth("sweep", _synth_sweep, "multitone sweep through the torque pole",
+          "--pole", "--copper-loss", "--freqs", "--amplitude", "--noise",
+          "--seed")
+    synth("thermal", _synth_thermal, "torque hold through the thermal RC",
+          "--thermal-resistance", "--thermal-tau", "--copper-loss",
+          "--duration", "--torque", "--temp-limit")
+    synth("backdrive", _synth_backdrive, "slow backdrive against friction",
+          "--j-ref", "--b-visc", "--f-coulomb", "--copper-loss", "--duration",
+          "--noise", "--seed")
 
     p = sub.add_parser("example",
                        help="run the bundled worked example end to end")

@@ -252,6 +252,10 @@ def _cell_columns(
     return meta, columns, lines
 
 
+# characters of a regular text's body parsed at a time, cut at a line end
+_BLOCK = 1 << 16
+
+
 def _regular_columns(
     path: Path, text: str, text_columns: tuple[str, ...],
     float_columns: tuple[str, ...], all_float: bool = False,
@@ -266,6 +270,11 @@ def _regular_columns(
     finite float, or with ``all_float`` a header that names a column twice,
     makes the text irregular, so its error or its value comes from the
     per-cell path.
+
+    The body is parsed a block of whole lines (``_BLOCK`` characters or a
+    little more) at a time, so the parse holds the text, one block's cells
+    and the float columns; a float column of more than one block is
+    concatenated once at the end.
     """
     end = _header_end(text)
     if end is None or '"' in text:
@@ -276,26 +285,41 @@ def _regular_columns(
     names = tuple(header) if all_float else float_columns
     if len(set(names)) < len(names):
         return None
-    body = text[end:].removesuffix("\n")
-    if body and set(map(str.count, body.split("\n"),
-                        repeat(","))) != {width - 1}:
-        return None
-    body = body.replace("\n", ",")     # held alone while it is split
-    cells = body.split(",") if body else []
-    del body
     index = {name: i for i, name in enumerate(header)}
-    columns: dict = {c: cells[index[c]::width] for c in text_columns}
-    try:
-        columns.update((c, np.array(cells[index[c]::width], dtype=float))
-                       for c in names)
-    except ValueError:
-        return None
+    columns: dict = {c: [] for c in text_columns}
+    pieces: dict = {c: [] for c in names}
+    rows = 0
+    stop = len(text) - text.endswith("\n", end)    # the body is text[end:stop]
+    cut = end - 1 if end < stop else stop       # the "\n" before each block
+    while cut < stop:
+        start = cut + 1
+        cut = text.find("\n", start + _BLOCK, stop)
+        cut = stop if cut < 0 else cut
+        block = text[start:cut]
+        if set(map(str.count, block.split("\n"), repeat(","))) \
+                != {width - 1}:
+            return None
+        cells = block.replace("\n", ",").split(",")
+        del block
+        for c in text_columns:
+            columns[c] += cells[index[c]::width]
+        try:
+            values = [np.array(cells[index[c]::width], dtype=float)
+                      for c in names]
+        except ValueError:
+            return None
+        if not all(np.isfinite(v).all() for v in values):
+            return None
+        for c, v in zip(names, values):
+            pieces[c].append(v)
+        rows += len(cells) // width
+        del cells           # before the next block is cut
+    for c in names:     # each column's pieces are freed once it is joined
+        parts = pieces.pop(c)
+        columns[c] = parts[0] if len(parts) == 1 else np.concatenate(
+            [np.empty(0), *parts])
     first = text.count("\n", 0, end - 1) + 2      # the first data line
-    lines = range(first, first + len(cells) // width)
-    del cells
-    if not all(np.isfinite(columns[c]).all() for c in names):
-        return None
-    return meta, columns, lines
+    return meta, columns, range(first, first + rows)
 
 
 def _read_columns(

@@ -14,7 +14,7 @@ Each level divides by the actual sum of its weights (validated to be within
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from math import fsum
+from math import fsum, inf, isfinite
 
 from .atlas import (
     DEFAULT_COUPLING_THRESHOLD,
@@ -29,6 +29,7 @@ from .errors import (
     ConfigIncomplete,
     EmptyCriticalSet,
     InvalidFeature,
+    InvalidRecord,
     MissingJoint,
     NegativeWeight,
     WeightSumViolation,
@@ -72,8 +73,11 @@ def _check_weights(weights: dict[str, float], label: str) -> float:
     for key, v in weights.items():
         if v < 0:
             raise NegativeWeight(f"{label} weight for {key!r} is negative ({v})")
-    total = fsum(weights.values())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+    try:
+        total = fsum(weights.values())
+    except OverflowError:
+        total = inf
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:     # a NaN weight too
         raise WeightSumViolation(
             f"{label} weights sum to {total!r}, expected 1 within "
             f"{WEIGHT_SUM_TOL}"
@@ -132,10 +136,10 @@ class WeightScheme:
                              (self.efficiency_targets, "efficiency")):
             for task, joints in table.items():
                 for joint, v in joints.items():
-                    if v <= 0:
+                    if not 0 < v < inf:
                         raise ZeroTarget(
                             f"{label} target for ({task}, {joint}) must be "
-                            f"positive"
+                            f"positive and finite, not {v!r}"
                         )
         unknown = self.critical_tasks - set(self.task_weights)
         if unknown:
@@ -153,7 +157,8 @@ class WeightScheme:
 
 @dataclass(frozen=True)
 class PairInputs:
-    """Everything measured or referenced for one joint-task pair."""
+    """Everything measured or referenced for one joint-task pair; a scalar
+    that is NaN or infinite raises ``InvalidRecord``."""
 
     task: str
     joint: str
@@ -169,6 +174,14 @@ class PairInputs:
     torque_req_nm: float
     omega_max_rad_s: float | None = None
     omega_req_rad_s: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("f_crossover_hz", "torque_cont_nm", "torque_req_nm",
+                     "omega_max_rad_s", "omega_req_rad_s"):
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise InvalidRecord(f"({self.task}, {self.joint}) {name} "
+                                    f"{value!r} is not finite")
 
 
 @dataclass(frozen=True)

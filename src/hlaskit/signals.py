@@ -17,7 +17,7 @@ from math import atan2, degrees, fsum, log, sqrt
 
 import numpy as np
 
-from .bands import OperatingBand, PointTable, measured_at
+from .bands import OperatingBand, PointTable, _finite_columns, measured_at
 from .errors import (
     AliasedFrequency,
     DegenerateBand,
@@ -43,13 +43,18 @@ POWER_BALANCE_SLACK = 1e-6
 BANDWIDTH_INFLATION_SLACK = 0.01
 
 
+CHANNELS = ("t", "q", "omega", "torque", "torque_cmd", "v_bus", "i_bus",
+            "temp_motor", "temp_gear")
+
+
 @dataclass(frozen=True)
 class TimeSeriesLog:
     """Synchronized multichannel measurement record sampled at >= 1 kHz.
 
     Channels: time (s), joint angle (deg), joint rate (rad/s), measured and
     commanded torque (Nm), bus voltage (V) and current (A), motor and gear
-    temperatures (degC).
+    temperatures (degC); finite float64 arrays of one length (checked by
+    ``_finite_columns``, which keeps a channel given as one).
     """
 
     t: np.ndarray
@@ -66,14 +71,13 @@ class TimeSeriesLog:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        n = len(self.t)
-        channels = (self.q, self.omega, self.torque, self.torque_cmd,
-                    self.v_bus, self.i_bus, self.temp_motor, self.temp_gear)
-        if any(len(c) != n for c in channels):
-            raise InvalidRecord("all log channels must have equal length")
-        if n < 2:
+        channels = _finite_columns(copy=False, **{name: getattr(self, name)
+                                                  for name in CHANNELS})
+        for name, channel in zip(CHANNELS, channels):
+            object.__setattr__(self, name, channel)
+        if len(self.t) < 2:
             raise InvalidRecord("log must contain at least two samples")
-        if self.sample_rate < MIN_SAMPLE_RATE_HZ:
+        if not self.sample_rate >= MIN_SAMPLE_RATE_HZ:      # NaN too
             raise InvalidRecord(
                 f"sample rate {self.sample_rate} Hz is below the "
                 f"{MIN_SAMPLE_RATE_HZ:g} Hz logging requirement"

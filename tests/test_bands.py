@@ -254,6 +254,22 @@ class TestPhaseToGrid:
         with pytest.raises(ValueError):
             PhaseTrajectory((0.0, 0.0), (0, 0), (1, 1), (1, 1))
 
+    @pytest.mark.parametrize("channels, message, row", [
+        (((0.0, 0.5), (0.0, 1.0), (1.0, 1.0), (1.0, math.nan)),
+         "^power nan is not finite$", 1),
+        (((0.0, 0.5), (math.inf, 1.0), (1.0, 1.0), (1.0, 1.0)),
+         "^q inf is not finite$", 0),
+        (((0.0, math.nan), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0)),
+         "^phase nan is not finite$", 1),
+        (((0.0, 0.5), (0.0, 1.0), (1.0,), (1.0, 1.0)),
+         "^column omega has 1 values and phase 2: ", 1),
+    ], ids=["nan power", "inf q", "nan phase", "short omega"])
+    def test_non_finite_or_unequal_channels_refused(self, channels, message,
+                                                   row):
+        with pytest.raises(InvalidRecord, match=message) as raised:
+            PhaseTrajectory(*channels)
+        assert raised.value.row == row
+
 
 # a small grid of coordinates; -0.0 and 0.0 are one point
 GRID = (-0.0, 0.0, 1.5, -2.0, 7.0)

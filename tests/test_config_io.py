@@ -3,6 +3,7 @@ import shutil
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlaskit import config_io
 from hlaskit.bands import OperatingBand, measured_at
 from hlaskit.config_io import (
     LOG_COLUMNS,
@@ -560,13 +562,49 @@ def _log_oracle(path):
         raise InvalidRecord(f"{where}: {exc}") from None
 
 
+def _check_log(path, text, regular):
+    """``read_log(path)`` gives the values or raises the error of
+    ``_log_oracle``, and ``_regular_columns`` takes ``text``, the bytes
+    written to ``path``, as regular exactly when ``regular``; None skips
+    that check."""
+    if regular is not None:
+        parsed = _regular_columns(path, text, (), LOG_COLUMNS, all_float=True)
+        assert (parsed is not None) == regular
+    try:
+        expected = _log_oracle(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            read_log(path)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return
+    got = read_log(path)
+    for name in CHANNELS:             # bit for bit: -0.0 is not 0.0
+        assert repr(getattr(got, name).tolist()) \
+            == repr(getattr(expected, name).tolist())
+    assert (got.sample_rate, got.conditions, got.seed) \
+        == (expected.sample_rate, expected.conditions, expected.seed)
+
+
+# a change to one line of a log past the parse's first block, and whether
+# the log stays regular
+LATE_IRREGULARITIES = {"ragged": False, "text cell": False, "nan cell": False,
+                       "blank": False, "no final newline": True}
+
+
 class TestColumnWiseParse:
+    """Both parses against a ``float()`` oracle.  A regular text is parsed
+    in blocks of ``config_io._BLOCK`` characters; the oracles draw small
+    blocks, so that a text's lines, and its irregular line, fall in
+    different blocks."""
+
     @settings(max_examples=300, deadline=None)
-    @given(measurement_texts())
-    def test_readers_match_the_per_cell_oracle(self, case):
+    @given(measurement_texts(), st.integers(1, 300))
+    def test_readers_match_the_per_cell_oracle(self, case, block):
         kind, irregularity, text = case
         reader, text_columns, float_columns, key = READERS[kind]
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(config_io, "_BLOCK", block):
             path = Path(tmp) / f"{kind}.csv"
             path.write_bytes(text.encode())
             if irregularity != "column twice":      # raises, as below
@@ -629,32 +667,39 @@ class TestColumnWiseParse:
                 == repr([q, omega, values[0]])
 
     @settings(max_examples=300, deadline=None)
-    @given(log_texts())
-    def test_read_log_matches_the_per_cell_oracle(self, case):
+    @given(log_texts(), st.integers(1, 300))
+    def test_read_log_matches_the_per_cell_oracle(self, case, block):
         irregularity, text = case
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(config_io, "_BLOCK", block):
             path = Path(tmp) / "log.csv"
             path.write_bytes(text.encode())
-            if irregularity not in ("missing column", "column twice"):
-                # these raise, as below
-                regular = _regular_columns(path, text, (), LOG_COLUMNS,
-                                           all_float=True)
-                assert (regular is not None) \
-                    == (irregularity in REGULAR_LOGS)
-            try:
-                expected = _log_oracle(path)
-            except DataError as exc:
-                with pytest.raises(DataError) as raised:
-                    read_log(path)
-                assert type(raised.value) is type(exc)
-                assert str(raised.value) == str(exc)
-                return
-            got = read_log(path)
-        for name in CHANNELS:             # bit for bit: -0.0 is not 0.0
-            assert repr(getattr(got, name).tolist()) \
-                == repr(getattr(expected, name).tolist())
-        assert (got.sample_rate, got.conditions, got.seed) \
-            == (expected.sample_rate, expected.conditions, expected.seed)
+            _check_log(path, text, None if irregularity in (
+                "missing column", "column twice")     # these raise
+                else irregularity in REGULAR_LOGS)
+
+    @pytest.mark.parametrize("irregularity", LATE_IRREGULARITIES)
+    def test_irregular_line_after_the_first_block(self, irregularity,
+                                                  tmp_path, monkeypatch):
+        path = tmp_path / "log.csv"
+        write_log(generate_backdrive_log(SyntheticActuator(), duration=0.05),
+                  path)
+        lines = path.read_text().splitlines()
+        monkeypatch.setattr(config_io, "_BLOCK", 200)
+        at = 40                 # a data line past the body's tenth block
+        assert sum(map(len, lines[3:at])) > 10 * config_io._BLOCK
+        cells = lines[at].split(",")
+        if irregularity == "ragged":
+            cells.append("1")
+        elif irregularity in ("text cell", "nan cell"):
+            cells[3] = "abc" if irregularity == "text cell" else "nan"
+        lines[at] = ",".join(cells)
+        if irregularity == "blank":
+            lines.insert(at, "")
+        text = "\n".join(lines) + (
+            "" if irregularity == "no final newline" else "\n")
+        path.write_bytes(text.encode())
+        _check_log(path, text, LATE_IRREGULARITIES[irregularity])
 
 
 class TestEmitReport:

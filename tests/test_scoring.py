@@ -365,8 +365,8 @@ def test_permutation_invariance(data):
                                                                 abs=1e-12)
 
 
-def test_full_pipeline_all_ones_is_exactly_one():
-    """A subject that dominates every demand scores exactly 1.0 end to end."""
+def _all_ones_pair_and_scheme():
+    """A pair whose subject dominates every demand, and its scheme."""
     from hlaskit.atlas import AxisActuationReport, AxisSpec, RomInterval
     from hlaskit.bands import OperatingBand, PointTable
     from hlaskit.envelope import CapabilityMap
@@ -393,10 +393,44 @@ def test_full_pipeline_all_ones_is_exactly_one():
         bandwidth_targets={"t": {"j": 8.0}},
         efficiency_targets={"t": {"j": 0.8}},
     )
+    return pair, scheme
+
+
+def test_full_pipeline_all_ones_is_exactly_one():
+    """A subject that dominates every demand scores exactly 1.0 end to end."""
+    pair, scheme = _all_ones_pair_and_scheme()
     breakdown = hlas([pair], scheme)
     assert breakdown.feature_vectors[("t", "j")] == FeatureVector(
         1, 1, 1, 1, 1, 1)
     assert breakdown.hlas == 1.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["f_crossover_hz", "torque_cont_nm",
+                                  "torque_req_nm", "omega_max_rad_s",
+                                  "omega_req_rad_s"])
+def test_non_finite_pair_scalar_is_a_typed_error(name, value):
+    """``clip01`` maps NaN to 0, so a NaN crossover scored a bandwidth
+    factor of 0 and HLAS 0.9 without an error."""
+    from hlaskit.errors import InvalidRecord
+
+    pair, scheme = _all_ones_pair_and_scheme()
+    with pytest.raises(InvalidRecord,
+                       match=rf"^\(t, j\) {name} -?(nan|inf) is not finite$"):
+        hlas([replace(pair, **{name: value})], scheme)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field, error", [
+    ("task_weights", WeightSumViolation),
+    ("bandwidth_targets", ZeroTarget),
+    ("efficiency_targets", ZeroTarget),
+])
+def test_non_finite_weight_or_target_is_a_typed_error(field, error, value):
+    pair, scheme = _all_ones_pair_and_scheme()
+    table = {"t": value} if field == "task_weights" else {"t": {"j": value}}
+    with pytest.raises(error):
+        hlas([pair], replace(scheme, **{field: table}))
 
 
 @pytest.mark.parametrize("value", [math.nan, -0.5, 1.5, math.inf])
@@ -421,16 +455,39 @@ def pair_columns(draw):
     return [draw(column) for _ in range(6)]
 
 
+# valid values of a pair's scalars, its two targets and its task weight
+SCALARS = {"f_crossover_hz": 12.0, "torque_cont_nm": 60.0,
+           "torque_req_nm": 50.0, "omega_max_rad_s": 7.0,
+           "omega_req_rad_s": 6.0, "f_target": 8.0, "eta_target": 0.8,
+           "weight": 1.0}
+
+
+@st.composite
+def scalars(draw):
+    """``SCALARS`` with up to two values replaced by NaN, an infinity or
+    any float, and the two optional rates maybe None."""
+    out = dict(SCALARS)
+    for name in draw(st.lists(st.sampled_from(list(SCALARS)), max_size=2,
+                              unique=True)):
+        out[name] = draw(st.sampled_from([math.nan, math.inf, -math.inf])
+                         | ANY_FLOAT)
+    for name in ("omega_max_rad_s", "omega_req_rad_s"):
+        out[name] = draw(st.none() | st.just(out[name]))
+    return out
+
+
 @settings(max_examples=300, deadline=None)
-@given(pair_columns(), st.lists(ANY_FLOAT, min_size=6, max_size=6))
+@given(pair_columns(), st.lists(ANY_FLOAT, min_size=6, max_size=6),
+       scalars(), st.booleans())
 @example([[0.0, 0.0], [1.0, 2.0], [1.0, 1.0], [1e308, 1e308], [5.0, 5.0],
-          [0.9, 0.9]], [1.0] * 6).via("positive power summing past the "
-                                       "float range")
+          [0.9, 0.9]], [1.0] * 6, SCALARS, False).via(
+              "positive power summing past the float range")
 def test_constructors_and_hlas_give_a_finite_score_or_a_typed_error(
-        columns, features):
+        columns, features, values, rate_margin):
     """Whatever floats the Python API is given, it scores a finite number
     in [0, 1] or raises an ``HlasError``: never a NaN, never another
-    exception."""
+    exception, and an error whenever a pair's scalar, a target or a weight
+    is NaN or infinite."""
     from hlaskit.atlas import AxisActuationReport, AxisSpec, RomInterval
     from hlaskit.bands import OperatingBand, PointTable
     from hlaskit.envelope import CapabilityMap
@@ -438,9 +495,11 @@ def test_constructors_and_hlas_give_a_finite_score_or_a_typed_error(
 
     q, omega, torque, power, torque_rob, eta = columns
     scheme = WeightScheme(
-        task_weights={"t": 1.0}, joint_weights={"t": {"j": 1.0}},
-        bandwidth_targets={"t": {"j": 8.0}},
-        efficiency_targets={"t": {"j": 0.8}},
+        task_weights={"t": values["weight"]},
+        joint_weights={"t": {"j": 1.0}},
+        bandwidth_targets={"t": {"j": values["f_target"]}},
+        efficiency_targets={"t": {"j": values["eta_target"]}},
+        use_rate_margin=rate_margin,
     )
     try:
         x = FeatureVector(*features)
@@ -458,11 +517,11 @@ def test_constructors_and_hlas_give_a_finite_score_or_a_typed_error(
             required_axes=frozenset({"flexion"}),
             dof_reports=[AxisActuationReport(AxisSpec("j", "flexion"), True,
                                              0.02)],
-            f_crossover_hz=12.0,
             efficiency_samples=PointTable(q, omega, eta),
-            torque_cont_nm=60.0, torque_req_nm=50.0,
+            **{name: values[name] for name in list(SCALARS)[:5]},
         )
         score = hlas([pair], scheme).hlas
     except HlasError:
         return
+    assert all(math.isfinite(v) for v in values.values() if v is not None)
     assert 0.0 <= score <= 1.0

@@ -8,6 +8,7 @@ from hlaskit.errors import (
     AliasedFrequency,
     DegenerateBand,
     InsufficientCycles,
+    InvalidRecord,
     NotMonotoneWarning,
     RankDeficient,
     SampleMismatch,
@@ -61,6 +62,38 @@ class TestLogValidation:
     def test_rejects_nonincreasing_time(self):
         with pytest.raises(ValueError, match="increasing"):
             make_log(duration=2.0, t=np.zeros(2001))
+
+    def test_nan_channel_is_refused_not_balanced_to_nan(self):
+        # accepted, it gave power_balance_check an elec_energy_j of nan
+        v_bus = np.full(10, 48.0)
+        v_bus[3] = math.nan
+        with pytest.raises(InvalidRecord, match="^v_bus nan is not finite$") \
+                as raised:
+            make_log(duration=0.009, v_bus=v_bus)
+        assert raised.value.row == 3
+
+    def test_first_row_at_fault_names_its_channel(self):
+        torque, temp = np.zeros(3001), np.full(3001, 25.0)
+        torque[7], temp[5] = math.inf, -math.inf
+        with pytest.raises(InvalidRecord, match="^temp_gear -inf ") as raised:
+            make_log(torque=torque, temp_gear=temp)
+        assert raised.value.row == 5
+
+    def test_unequal_channel_is_named(self):
+        with pytest.raises(InvalidRecord, match="^column i_bus has 5 values "
+                           "and t 3001: ") as raised:
+            make_log(i_bus=np.ones(5))
+        assert raised.value.row == 5
+
+    def test_rejects_nan_sample_rate(self):
+        with pytest.raises(InvalidRecord, match="sample rate nan Hz"):
+            make_log(sample_rate=math.nan)
+
+    def test_float_channels_are_held_not_copied(self):
+        t = np.arange(3001) / FS
+        log = make_log(t=t, q=[0.0] * 3001)
+        assert log.t is t
+        assert log.q.dtype == np.float64 and not log.q.any()
 
 
 class TestComputeFrf:
