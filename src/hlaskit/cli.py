@@ -159,7 +159,7 @@ def _print_headline(breakdown, scheme) -> None:
 
 def cmd_score(args) -> int:
     registration = Path(args.prereg).read_bytes()
-    prereg = load_preregistration(registration.decode())
+    prereg = load_preregistration(registration)
     scheme = _apply_scheme_flags(prereg.scheme, args)
     measurements = load_measurements(Path(args.data), prereg, {
         Path(args.prereg): sha256_hex(registration)})
@@ -208,22 +208,17 @@ def cmd_hee(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    """Check the kind's flags, read the log once and run the kind's analysis
-    on the log and, for a kind that writes a table (``--out``), the sha256
-    of the bytes read; it returns its exit code or None for 0.  The bytes
-    are released before the parse and the text after it, so the parse holds
-    one copy of the log."""
+    """Check the kind's flags, read the log once, a block at a time, and run
+    the kind's analysis on the log and, for a kind that writes a table
+    (``--out``), the sha256 of the bytes read, keyed by the log's path; it
+    returns its exit code or None for 0."""
     args.check(args)
-    data = args.log.read_bytes()
-    digest = sha256_hex(data) if getattr(args, "out", None) else None
-    text = data.decode()
-    del data
-    log = read_log(args.log, text)
-    del text
-    return args.analysis(args, log, digest) or EXIT_OK
+    inputs = {} if getattr(args, "out", None) else None
+    log = read_log(args.log, files=inputs)
+    return args.analysis(args, log, inputs) or EXIT_OK
 
 
-def _frf(args, log, digest: str | None) -> int | None:
+def _frf(args, log, inputs: dict | None) -> int | None:
     frf = compute_frf(log, args.freqs)
     crossover = find_crossover(frf)
     bound = {"<=": "<= ", ">=": ">= "}.get(crossover.bound, "")
@@ -235,11 +230,11 @@ def _frf(args, log, digest: str | None) -> int | None:
             [[p.freq, p.magnitude, p.phase] for p in frf],
             f"# crossover_hz: {bound.strip()}{crossover.f_crossover!r}, "
             f"phase_margin_deg: {crossover.phase_margin_deg!r}\n")
-        _write_manifest(args.out.parent, args.argv,
-                        {args.log: digest}, {args.out: written})
+        _write_manifest(args.out.parent, args.argv, inputs,
+                        {args.out: written})
 
 
-def _friction(args, log, digest: str | None) -> int | None:
+def _friction(args, log, inputs: dict | None) -> int | None:
     fit = fit_friction(log)
     print(f"j_ref = {fit.j_ref:.6g} kg m^2")
     print(f"b_visc = {fit.b_visc:.6g} Nm s/rad")
@@ -248,7 +243,7 @@ def _friction(args, log, digest: str | None) -> int | None:
     print(f"residual_rms = {fit.residual_rms:.3g} Nm")
 
 
-def _thermal(args, log, digest: str | None) -> int | None:
+def _thermal(args, log, inputs: dict | None) -> int | None:
     result = detect_plateau(log, args.slope_limit, args.window)
     print(f"plateau torque = {result.torque_cont:.3f} Nm")
     derate = ("none" if result.time_to_derate is None
@@ -261,7 +256,7 @@ def _thermal(args, log, digest: str | None) -> int | None:
           f"{'yes' if steady else 'NO'} ({slope:.3f} C/min)")
 
 
-def _efficiency(args, log, digest: str | None) -> int | None:
+def _efficiency(args, log, inputs: dict | None) -> int | None:
     balance = power_balance_check(log)
     if balance.elec_energy_j <= 0:
         raise DataError("log has no electrical energy")
@@ -271,7 +266,7 @@ def _efficiency(args, log, digest: str | None) -> int | None:
           f"electrical {balance.elec_energy_j:.1f} J)")
 
 
-def _qc(args, log, digest: str | None) -> int | None:
+def _qc(args, log, inputs: dict | None) -> int | None:
     balance = power_balance_check(log)
     print(f"power balance: {'pass' if balance.passed else 'FAIL'} "
           f"(mech {balance.mech_energy_j:.2f} J, "
@@ -438,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prereg", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--delta", type=_non_negative, default=None,
                    help="override the demand headroom factor")
     p.add_argument("--h-min", type=_finite, default=None,
                    help="override the envelope-coverage breadth floor")
@@ -455,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True)
     p.add_argument("--joint", required=True)
     p.add_argument("--map", required=True)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--delta", type=_non_negative, default=0.0)
     p.add_argument("--out", default=None,
                    help="also write the mask table to a file")
     p.add_argument("--margins", action="store_true")
@@ -520,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example",
                        help="run the bundled worked example end to end")
     p.add_argument("--out", default="hlas_example_out")
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--delta", type=_non_negative, default=None)
     p.add_argument("--alpha-alt", action="store_true")
     p.add_argument("--gate", action="append", default=None)
     p.set_defaults(func=cmd_example)

@@ -21,10 +21,10 @@ import csv
 import hashlib
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +71,25 @@ def sha256_file(path: Path) -> str:
     return sha256_hex(Path(path).read_bytes())
 
 
+def _utf8(data: bytes, where, error: type = DataError) -> str:
+    """``data`` decoded as UTF-8; otherwise ``error`` naming ``where`` and
+    the line, as ``str.splitlines`` numbers lines, of the first byte that
+    does not decode."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before it decode; "." stands for the line it starts
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise error(f"{where}: line {line}: byte {data[exc.start]:#04x} is "
+                    f"not UTF-8 text") from None
+
+
+def _read_text(path: Path) -> str:
+    """The text of the file at ``path``: ``_utf8`` of its bytes, with no
+    newline translation."""
+    return _utf8(Path(path).read_bytes(), path)
+
+
 def fmt(value) -> str:
     """Cell formatting that round-trips floats bit-identically."""
     if isinstance(value, bool):
@@ -110,21 +129,22 @@ def _table(
     header_only: bool = False,
 ) -> tuple[dict[str, str], list[str], list[list[str]], list[int]]:
     """Read a delimited-text file with ``# key: value`` metadata lines from
-    ``text``, its contents (read from ``path`` when None).
+    ``text``, its contents (``_read_text`` of ``path`` when None).
 
     Returns ``(meta, header, rows, lines)``: the metadata of every ``#``
     line wherever it appears, the header cells, each data row's string cells
     and its 1-based file line; blank lines are skipped.  ``header_only``
     still collects all metadata but builds no rows, and stops at the
-    header line where ``_header_end`` finds no ``#`` after it.  A header
-    that names a column twice, a missing required column or a row whose
-    field count differs from the header raises ``DataError``.
+    header line of a plain text (``_plain``) with no ``#`` after it.  A
+    header that names a column twice, a missing required column or a row
+    whose field count differs from the header raises ``DataError``.
     """
     meta: dict[str, str] = {}
     lines: list[tuple[int, str]] = []
-    text = Path(path).read_text() if text is None else text
-    if header_only:
-        text = text[:_header_end(text)]
+    text = _read_text(path) if text is None else text
+    end = _header_end(text) if header_only and _plain(text) else None
+    if end is not None and text.find("#", end) < 0:
+        text = text[:end]
     for number, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if stripped.startswith("#"):
@@ -161,23 +181,26 @@ def _table(
     return meta, header, rows, numbers
 
 
-# the line breaks of ``str.splitlines`` other than "\n" that ASCII holds
-_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
+# a quote, and the line breaks of ``str.splitlines`` other than "\n" that
+# ASCII holds
+_NOT_PLAIN = '"\r\v\f\x1c\x1d\x1e'
+
+
+def _plain(text: str) -> bool:
+    """Whether ``text`` is ASCII without quotes, breaking lines only at
+    "\n"."""
+    return text.isascii() and not any(c in text for c in _NOT_PLAIN)
 
 
 def _header_end(text: str) -> int | None:
     """Where the header line of ``text`` (its first line neither blank nor
-    a ``#`` comment) ends, its "\n" included, when ``text`` is ASCII, breaks
-    lines only at "\n" and has no ``#`` after its header line; None
-    otherwise."""
-    if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
-        return None
+    a ``#`` comment) ends, its "\n" included; None when it has none."""
     start = 0
     while start < len(text):
         end = text.find("\n", start) + 1 or len(text)
         stripped = text[start:end].strip()
         if stripped and not stripped.startswith("#"):
-            return None if text.find("#", end) >= 0 else end
+            return end
         start = end
     return None
 
@@ -252,35 +275,82 @@ def _cell_columns(
     return meta, columns, lines
 
 
-# characters of a regular text's body parsed at a time, cut at a line end
+# characters (bytes of a file) of a text read, parsed or written at a time,
+# cut at a line end
 _BLOCK = 1 << 16
 
 
+def _text_blocks(text: str) -> Iterator[str]:
+    """``text`` as blocks of whole lines, ``_BLOCK`` characters or a little
+    more each: every line in order, lines joined by "\n", and no block
+    keeping the "\n" that ends its last line."""
+    stop = len(text) - text.endswith("\n")   # a final "\n" ends the last line
+    start = 0
+    while start <= stop:
+        cut = text.find("\n", start + _BLOCK, stop)
+        cut = stop if cut < 0 else cut
+        yield text[start:cut]
+        start = cut + 1
+
+
+def _file_blocks(file, digest) -> Iterator[str]:
+    """The bytes of the binary ``file``, read ``_BLOCK`` at a time, as
+    blocks of whole lines in the form ``_text_blocks`` gives them, each cut
+    at the last "\n" of a read.  A block is decoded as Latin-1 (each byte
+    one character), so a byte outside ASCII keeps it from being plain.
+    ``digest``, unless None, is updated with each read."""
+    pieces: list[bytes] = []        # a line not yet ended
+    while data := file.read(_BLOCK):
+        if digest is not None:
+            digest.update(data)
+        cut = data.rfind(b"\n")
+        if cut < 0:
+            pieces.append(data)
+            continue
+        pieces.append(data[:cut])
+        yield b"".join(pieces).decode("latin-1")
+        pieces = [data[cut + 1:]]
+    if any(pieces):
+        yield b"".join(pieces).decode("latin-1")
+
+
 def _regular_columns(
-    path: Path, text: str, text_columns: tuple[str, ...],
+    path: Path, blocks: Iterable[str], text_columns: tuple[str, ...],
     float_columns: tuple[str, ...], all_float: bool = False,
 ) -> _Columns | None:
-    """``_cell_columns`` of a regular text, parsed a column at a time; None
-    when the text is not regular.
+    """``_cell_columns`` of a regular text, parsed a column at a time from
+    its ``blocks`` (``_text_blocks`` or ``_file_blocks``); None as soon as a
+    block shows that the text is not regular.
 
-    Regular text is ASCII without quotes or line breaks other than "\n",
-    has no ``#`` and no blank line after its header line, and has the
+    Regular text is plain (``_plain``), has a header line that ``_table``
+    accepts, no ``#`` and no blank line after its header line, and the
     header's field count on every data line.  Its float cells convert as
     ``_cell_columns`` converts them; a cell that does not convert to a
     finite float, or with ``all_float`` a header that names a column twice,
     makes the text irregular, so its error or its value comes from the
     per-cell path.
 
-    The body is parsed a block of whole lines (``_BLOCK`` characters or a
-    little more) at a time, so the parse holds the text, one block's cells
-    and the float columns; a float column of more than one block is
-    concatenated once at the end.
+    The header is parsed once, from the blocks up to the header line; each
+    block is then checked, split and converted before the next is taken,
+    so the parse holds one block's cells and the float columns; a float
+    column of more than one block is concatenated once at the end.
     """
-    end = _header_end(text)
-    if end is None or '"' in text:
+    blocks = iter(blocks)
+    head = ""
+    for block in blocks:            # up to and with the header line
+        if not _plain(block):
+            return None
+        head += block + "\n"
+        end = _header_end(head)
+        if end is not None:
+            break
+    else:
         return None
-    meta, header, _, _ = _table(path, text[:end],
-                                (*text_columns, *float_columns))
+    try:
+        meta, header, _, _ = _table(path, head[:end],
+                                    (*text_columns, *float_columns))
+    except DataError:       # raised again, in file order, by the per-cell path
+        return None
     width = len(header)
     names = tuple(header) if all_float else float_columns
     if len(set(names)) < len(names):
@@ -289,15 +359,13 @@ def _regular_columns(
     columns: dict = {c: [] for c in text_columns}
     pieces: dict = {c: [] for c in names}
     rows = 0
-    stop = len(text) - text.endswith("\n", end)    # the body is text[end:stop]
-    cut = end - 1 if end < stop else stop       # the "\n" before each block
-    while cut < stop:
-        start = cut + 1
-        cut = text.find("\n", start + _BLOCK, stop)
-        cut = stop if cut < 0 else cut
-        block = text[start:cut]
-        if set(map(str.count, block.split("\n"), repeat(","))) \
-                != {width - 1}:
+    first = head.count("\n", 0, end - 1) + 2      # the first data line
+    # the lines after the header line in its block, then the other blocks
+    blocks = chain([head[end:-1]] if end < len(head) else [], blocks)
+    del head
+    for block in blocks:
+        if not _plain(block) or "#" in block or set(map(
+                str.count, block.split("\n"), repeat(","))) != {width - 1}:
             return None
         cells = block.replace("\n", ",").split(",")
         del block
@@ -313,12 +381,11 @@ def _regular_columns(
         for c, v in zip(names, values):
             pieces[c].append(v)
         rows += len(cells) // width
-        del cells           # before the next block is cut
+        del cells           # before the next block is taken
     for c in names:     # each column's pieces are freed once it is joined
         parts = pieces.pop(c)
         columns[c] = parts[0] if len(parts) == 1 else np.concatenate(
             [np.empty(0), *parts])
-    first = text.count("\n", 0, end - 1) + 2      # the first data line
     return meta, columns, range(first, first + rows)
 
 
@@ -341,9 +408,9 @@ def _read_columns(
     floats (``10`` and ``10.0`` are one point).  ``codes``, when given,
     receives the ``_codes`` of the text columns of ``key``, for ``_groups``.
     """
-    text = Path(path).read_text() if text is None else text
+    text = _read_text(path) if text is None else text
     parsed = None if optional else _regular_columns(
-        path, text, text_columns, float_columns, all_float)
+        path, _text_blocks(text), text_columns, float_columns, all_float)
     meta, columns, lines = parsed or _cell_columns(
         path, text, text_columns, float_columns, optional, all_float)
     codes = {} if codes is None else codes
@@ -568,23 +635,63 @@ def read_thermal_file(
 
 
 def write_log(log: TimeSeriesLog, path: Path) -> str:
-    """``write_file`` of ``log``, each value as its ``repr``."""
+    """Write ``log`` to ``path``, each value as its ``repr``, and return the
+    sha256 of the bytes written.  The rows are formatted, encoded, written
+    and hashed a block of about ``_BLOCK`` characters at a time."""
     seed = "" if log.seed is None else f"# seed: {log.seed}\n"
     cols = (log.t, log.q, log.omega, log.torque, log.torque_cmd,
             log.v_bus, log.i_bus, log.temp_motor, log.temp_gear)
-    return write_file(path, "".join((
-        f"# sample_rate_hz: {fmt(float(log.sample_rate))}\n"
-        f"# conditions: {log.conditions}\n{seed}{','.join(LOG_COLUMNS)}\n",
-        *(",".join(repr(float(v)) for v in values) + "\n"
-          for values in zip(*cols)))))
+    rows = (",".join(repr(float(v)) for v in values) + "\n"
+            for values in zip(*cols))
+    head = (f"# sample_rate_hz: {fmt(float(log.sample_rate))}\n"
+            f"# conditions: {log.conditions}\n{seed}{','.join(LOG_COLUMNS)}\n")
+    digest = hashlib.sha256()
+    with open(path, "wb") as file:
+
+        def write(block: list[str]) -> None:
+            data = "".join(block).encode()
+            file.write(data)
+            digest.update(data)
+
+        block, size = [head], len(head)
+        for row in rows:
+            block.append(row)
+            size += len(row)
+            if size >= _BLOCK:
+                write(block)
+                block, size = [], 0
+        write(block)
+    return digest.hexdigest()
 
 
-def read_log(path: Path, text: str | None = None) -> TimeSeriesLog:
+def read_log(path: Path,
+             files: dict[Path, str] | None = None) -> TimeSeriesLog:
     """A log in ``write_log``'s format, read as a file with no key columns:
     every header column holds finite numbers, ``LOG_COLUMNS`` among them,
-    and a repeated row breaks the strictly increasing time channel."""
-    meta, columns, lines = _read_columns(path, text, (), LOG_COLUMNS, (),
-                                         all_float=True)
+    and a repeated row breaks the strictly increasing time channel.
+
+    The file is read and parsed a block at a time (``_file_blocks``), and
+    ``files``, when given, receives under ``path`` the sha256 of the bytes
+    parsed.  A log that is not regular is parsed a cell at a time, from the
+    text of one full read of the file, whose bytes are then those hashed.
+    """
+    digest = None if files is None else hashlib.sha256()
+    with open(path, "rb") as file:
+        parsed = _regular_columns(path, _file_blocks(file, digest), (),
+                                  LOG_COLUMNS, all_float=True)
+        if parsed is None:
+            file.seek(0)
+            data = file.read()
+            if digest is not None:
+                digest = hashlib.sha256(data)
+            text = _utf8(data, path)
+            del data
+            parsed = _cell_columns(path, text, (), LOG_COLUMNS, (),
+                                   all_float=True)
+            del text
+    if files is not None:
+        files[path] = digest.hexdigest()
+    meta, columns, lines = parsed
     if "sample_rate_hz" not in meta:
         raise DataError(f"log {path} is missing the sample_rate_hz header")
     try:
@@ -789,12 +896,15 @@ def _by_pair(table: dict, f=lambda value: value) -> dict:
             for joint, value in joints.items()}
 
 
-def load_preregistration(text: str) -> Preregistration:
-    """Parse and validate a pre-registration document (YAML or JSON text).
+def load_preregistration(text: str | bytes) -> Preregistration:
+    """Parse and validate a pre-registration document (YAML or JSON text,
+    or its UTF-8 bytes).
 
     Each section of ``SECTIONS`` is checked against its shape; the weight
     scheme and per-pair tables are read from the hashed canonical content.
     """
+    if isinstance(text, bytes):
+        text = _utf8(text, "pre-registration", InvalidDeclaration)
     try:
         doc = yaml.load(text, Loader=_RegistrationLoader)
     except yaml.YAMLError as exc:
@@ -841,7 +951,7 @@ def load_preregistration(text: str) -> Preregistration:
 
 
 def load_preregistration_file(path: Path) -> Preregistration:
-    return load_preregistration(Path(path).read_text())
+    return load_preregistration(Path(path).read_bytes())
 
 
 def serialize_preregistration(prereg: Preregistration) -> str:
@@ -937,7 +1047,7 @@ def load_measurements(
         if ref and ref.sha256 != files[path]:
             raise DataError(f"band file {ref.file} digest {files[path]} does "
                             f"not match registered {ref.sha256}")
-        text = data.decode()
+        text = _utf8(data, path)
         del data                # the reader parses from the text alone
         return reader(path, text)
 

@@ -50,7 +50,7 @@ def load_example() -> tuple[Preregistration, MeasurementSet, list[PairInputs]]:
     ``files`` list the registration first, and its pairs."""
     path = example_data_dir() / "prereg.yaml"
     registration = path.read_bytes()
-    prereg = load_preregistration(registration.decode())
+    prereg = load_preregistration(registration)
     measurements = load_measurements(path.parent, prereg,
                                      {path: sha256_hex(registration)})
     return prereg, measurements, build_pairs(prereg, measurements)

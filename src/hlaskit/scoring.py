@@ -28,6 +28,7 @@ from .envelope import CapabilityMap, clip01, hee_coverage, rate_margin
 from .errors import (
     ConfigIncomplete,
     EmptyCriticalSet,
+    InvalidDeclaration,
     InvalidFeature,
     InvalidRecord,
     MissingJoint,
@@ -132,6 +133,11 @@ class WeightScheme:
         _check_weights(self.feature_weights, "feature")
         if not self.headroom_delta >= 0:                # NaN too
             raise NegativeWeight("headroom delta must be >= 0")
+        for name in ("breadth_floor", "task_gate_min"):     # None: off
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise InvalidDeclaration(
+                    f"{name} must be finite or None, not {value!r}")
         for table, label in ((self.bandwidth_targets, "bandwidth"),
                              (self.efficiency_targets, "efficiency")):
             for task, joints in table.items():

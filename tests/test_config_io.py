@@ -17,7 +17,9 @@ from hlaskit.config_io import (
     LOG_COLUMNS,
     BandRef,
     _read_columns,
+    _file_blocks,
     _regular_columns,
+    _text_blocks,
     emit_report,
     load_measurements,
     load_preregistration,
@@ -564,11 +566,12 @@ def _log_oracle(path):
 
 def _check_log(path, text, regular):
     """``read_log(path)`` gives the values or raises the error of
-    ``_log_oracle``, and ``_regular_columns`` takes ``text``, the bytes
-    written to ``path``, as regular exactly when ``regular``; None skips
-    that check."""
+    ``_log_oracle`` and records the sha256 of the file, and
+    ``_regular_columns`` takes ``text``, the bytes written to ``path``, as
+    regular exactly when ``regular``; None skips that check."""
     if regular is not None:
-        parsed = _regular_columns(path, text, (), LOG_COLUMNS, all_float=True)
+        parsed = _regular_columns(path, _text_blocks(text), (), LOG_COLUMNS,
+                                  all_float=True)
         assert (parsed is not None) == regular
     try:
         expected = _log_oracle(path)
@@ -578,7 +581,9 @@ def _check_log(path, text, regular):
         assert type(raised.value) is type(exc)
         assert str(raised.value) == str(exc)
         return
-    got = read_log(path)
+    files = {}
+    got = read_log(path, files=files)
+    assert files == {path: sha256_hex(path.read_bytes())}
     for name in CHANNELS:             # bit for bit: -0.0 is not 0.0
         assert repr(getattr(got, name).tolist()) \
             == repr(getattr(expected, name).tolist())
@@ -608,8 +613,8 @@ class TestColumnWiseParse:
             path = Path(tmp) / f"{kind}.csv"
             path.write_bytes(text.encode())
             if irregularity != "column twice":      # raises, as below
-                regular = _regular_columns(path, text, text_columns,
-                                           float_columns)
+                regular = _regular_columns(path, _text_blocks(text),
+                                           text_columns, float_columns)
                 assert (regular is not None) \
                     == (irregularity in IRREGULARITIES[:2])
             try:
@@ -700,6 +705,118 @@ class TestColumnWiseParse:
             "" if irregularity == "no final newline" else "\n")
         path.write_bytes(text.encode())
         _check_log(path, text, LATE_IRREGULARITIES[irregularity])
+
+
+# a change to one data line of a log, in a late block of a streamed read:
+# whether the log stays regular
+STREAMED_IRREGULARITIES = {
+    None: True, "no final newline": True, "crlf": False, "lone cr": False,
+    "non-ASCII cell": False, "non-ASCII comment": False,
+    "non-UTF-8 byte": False, "ragged": False, "text cell": False,
+    "nan cell": False, "blank": False, "comment": False, "quoted": False,
+}
+
+
+@st.composite
+def streamed_logs(draw):
+    """``(irregularity, data, block)``: the bytes of a log of 8 to 24 rows
+    with at most one irregular line, drawn from the last half of its rows,
+    and a block size of 1 to 300 bytes that ends before that line starts."""
+    value = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    count = draw(st.integers(8, 24))
+    lines = [",".join([draw(st.sampled_from(_spellings(i / 1000))), *(
+        draw(st.sampled_from(_spellings(draw(value))))
+        for _ in LOG_COLUMNS[1:])]) for i in range(count)]
+    irregularity = draw(st.sampled_from(list(STREAMED_IRREGULARITIES)))
+    at = draw(st.integers(count // 2, count - 1))
+    cells = lines[at].split(",")
+    column = draw(st.integers(0, len(cells) - 1))
+    ends = ["\n"] * count
+    if irregularity == "crlf":
+        ends[at] = "\r\n"
+    elif irregularity == "lone cr":
+        ends[at] = "\r"
+    elif irregularity == "no final newline":
+        ends[-1] = ""
+    elif irregularity == "ragged":
+        lines[at] += ",1"
+    elif irregularity in ("text cell", "nan cell", "non-ASCII cell",
+                          "quoted"):
+        cells[column] = {
+            "text cell": "abc", "nan cell": "nan", "quoted":
+            f'"{cells[column]}"', "non-ASCII cell": draw(st.sampled_from(
+                ["1.5\u00e9", "\u0661\u0662"]))}[irregularity]
+        lines[at] = ",".join(cells)
+    elif irregularity in ("blank", "comment", "non-ASCII comment"):
+        lines[at] = {"blank": "", "comment": "# late: 1",
+                     "non-ASCII comment": "# r\u00e9glage"}[irregularity] \
+            + "\n" + lines[at]
+    head = "# sample_rate_hz: 1000.0\n# conditions: rig\n" \
+        + ",".join(LOG_COLUMNS) + "\n"
+    data = head.encode() + b"".join(
+        (line + end).encode() for line, end in zip(lines[:at], ends))
+    offset = len(data)
+    late = (lines[at] + ends[at]).encode()
+    if irregularity == "non-UTF-8 byte":
+        cut = draw(st.integers(0, len(late) - 1))
+        late = late[:cut] + b"\xff" + late[cut:]
+    data += late + b"".join((line + end).encode()
+                            for line, end in zip(lines[at + 1:], ends[at + 1:]))
+    return irregularity, data, draw(st.integers(1, min(300, offset - 1)))
+
+
+class TestStreamedLog:
+    """``read_log(path)`` reads the file ``_BLOCK`` bytes at a time; the
+    oracles draw small blocks and put the irregular line past the first."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(streamed_logs())
+    def test_read_log_matches_the_per_cell_oracle(self, case):
+        irregularity, data, block = case
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(config_io, "_BLOCK", block):
+            path = Path(tmp) / "log.csv"
+            path.write_bytes(data)
+            with path.open("rb") as file:
+                parsed = _regular_columns(path, _file_blocks(file, None), (),
+                                          LOG_COLUMNS, all_float=True)
+            assert (parsed is not None) \
+                == STREAMED_IRREGULARITIES[irregularity]
+            if irregularity != "non-UTF-8 byte":
+                _check_log(path, data.decode(), None)
+                return
+            line = data[:data.index(b"\xff")].count(b"\n") + 1
+            files = {}
+            with pytest.raises(DataError) as raised:
+                read_log(path, files=files)
+            assert str(raised.value) \
+                == f"{path}: line {line}: byte 0xff is not UTF-8 text"
+            assert files == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 40), st.data(), st.integers(1, 300))
+    def test_write_log_bytes_are_those_of_the_whole_text(self, count, data,
+                                                          block):
+        value = st.floats(allow_nan=False, allow_infinity=False)
+        log = TimeSeriesLog(
+            np.arange(count) / 1000.0,
+            *(data.draw(st.lists(value, min_size=count, max_size=count))
+              for _ in LOG_COLUMNS[1:]),
+            sample_rate=data.draw(st.sampled_from([1000.0, 2500.0])),
+            conditions=data.draw(st.sampled_from(["", "rig", "r\u00e9glage"])),
+            seed=data.draw(st.sampled_from([None, 0, 7])))
+        seed = "" if log.seed is None else f"# seed: {log.seed}\n"
+        text = (f"# sample_rate_hz: {log.sample_rate!r}\n"
+                f"# conditions: {log.conditions}\n{seed}"
+                + ",".join(LOG_COLUMNS) + "\n" + "".join(
+                    ",".join(repr(float(v)) for v in values) + "\n"
+                    for values in zip(*(getattr(log, c) for c in CHANNELS))))
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(config_io, "_BLOCK", block):
+            path = Path(tmp) / "log.csv"
+            digest = write_log(log, path)
+            assert path.read_bytes() == text.encode()
+        assert digest == sha256_hex(text.encode())
 
 
 class TestEmitReport:

@@ -18,6 +18,7 @@ from hlaskit.errors import (
     DegenerateBand,
     DuplicateKey,
     InvalidRecord,
+    NegativeHeadroom,
     SampleMismatch,
     ZeroDemand,
     ZeroDemandWarning,
@@ -97,8 +98,16 @@ class TestHeeCoverage:
             hee_coverage(band, push_off_map)
 
     def test_negative_delta_rejected(self, push_off_band, push_off_map):
-        with pytest.raises(ValueError):
+        with pytest.raises(NegativeHeadroom,
+                           match=r"^headroom delta -0\.1 must be >= 0$"
+                           ) as raised:
             hee_coverage(push_off_band, push_off_map, -0.1)
+        assert isinstance(raised.value, ValueError)
+
+    def test_nan_delta_rejected(self, push_off_band, push_off_map):
+        with pytest.raises(NegativeHeadroom,
+                           match="^headroom delta nan must be >= 0$"):
+            hee_coverage(push_off_band, push_off_map, math.nan)
 
     def test_mask_rows_expose_both_conditions(self, push_off_band):
         # torque passes but power fails at omega = 12: T 30 >= 30 but

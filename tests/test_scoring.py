@@ -8,6 +8,7 @@ from hlaskit.errors import (
     ConfigIncomplete,
     EmptyCriticalSet,
     HlasError,
+    InvalidDeclaration,
     InvalidFeature,
     MissingJoint,
     NegativeWeight,
@@ -431,6 +432,27 @@ def test_non_finite_weight_or_target_is_a_typed_error(field, error, value):
     table = {"t": value} if field == "task_weights" else {"t": {"j": value}}
     with pytest.raises(error):
         hlas([pair], replace(scheme, **{field: table}))
+
+
+@pytest.mark.parametrize("delta", [-0.1, math.nan])
+def test_negative_or_nan_headroom_is_a_typed_error(delta):
+    """The CLI refuses such a ``--delta`` at its parser; the scheme still
+    guards the Python API."""
+    pair, scheme = _all_ones_pair_and_scheme()
+    with pytest.raises(NegativeWeight, match="^headroom delta must be >= 0$"):
+        hlas([pair], replace(scheme, headroom_delta=delta))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["breadth_floor", "task_gate_min"])
+def test_non_finite_guardrail_is_a_typed_error(name, value):
+    """A NaN guardrail compared false with every score, so it raised no
+    flag; None still turns a guardrail off."""
+    pair, scheme = _all_ones_pair_and_scheme()
+    assert hlas([pair], replace(scheme, **{name: None})).hlas == 1.0
+    with pytest.raises(InvalidDeclaration,
+                       match=rf"^{name} must be finite or None, not "):
+        hlas([pair], replace(scheme, **{name: value}))
 
 
 @pytest.mark.parametrize("value", [math.nan, -0.5, 1.5, math.inf])
