@@ -115,9 +115,10 @@ def _frequencies(least: int):
                      f"{least} or more distinct positive frequencies")
 
 
-_positive = _arg_type(float, lambda v: 0 < v < math.inf, "a positive number")
+_positive = _arg_type(float, lambda v: 0 < v < math.inf,
+                      "a finite positive number")
 _non_negative = _arg_type(float, lambda v: 0 <= v < math.inf,
-                          "a non-negative number")
+                          "a finite non-negative number")
 _finite = _arg_type(float, math.isfinite, "a finite number")
 _above_ambient = _arg_type(
     float, lambda v: DEFAULT_AMBIENT_C < v < math.inf,
@@ -551,10 +552,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DataError, FileNotFoundError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except HlasError as exc:
+    except (HlasError, OSError) as exc:
+        # OSError: a file that could not be opened, read or written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

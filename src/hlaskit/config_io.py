@@ -84,12 +84,6 @@ def _utf8(data: bytes, where, error: type = DataError) -> str:
                     f"not UTF-8 text") from None
 
 
-def _read_text(path: Path) -> str:
-    """The text of the file at ``path``: ``_utf8`` of its bytes, with no
-    newline translation."""
-    return _utf8(Path(path).read_bytes(), path)
-
-
 def fmt(value) -> str:
     """Cell formatting that round-trips floats bit-identically."""
     if isinstance(value, bool):
@@ -129,7 +123,8 @@ def _table(
     header_only: bool = False,
 ) -> tuple[dict[str, str], list[str], list[list[str]], list[int]]:
     """Read a delimited-text file with ``# key: value`` metadata lines from
-    ``text``, its contents (``_read_text`` of ``path`` when None).
+    ``text``, its contents (``_utf8`` of the bytes of ``path``, with no
+    newline translation, when None).
 
     Returns ``(meta, header, rows, lines)``: the metadata of every ``#``
     line wherever it appears, the header cells, each data row's string cells
@@ -141,7 +136,7 @@ def _table(
     """
     meta: dict[str, str] = {}
     lines: list[tuple[int, str]] = []
-    text = _read_text(path) if text is None else text
+    text = _utf8(Path(path).read_bytes(), path) if text is None else text
     end = _header_end(text) if header_only and _plain(text) else None
     if end is not None and text.find("#", end) < 0:
         text = text[:end]
@@ -275,30 +270,19 @@ def _cell_columns(
     return meta, columns, lines
 
 
-# characters (bytes of a file) of a text read, parsed or written at a time,
-# cut at a line end
+# bytes of a file read, or characters of a log written, at a time
 _BLOCK = 1 << 16
-
-
-def _text_blocks(text: str) -> Iterator[str]:
-    """``text`` as blocks of whole lines, ``_BLOCK`` characters or a little
-    more each: every line in order, lines joined by "\n", and no block
-    keeping the "\n" that ends its last line."""
-    stop = len(text) - text.endswith("\n")   # a final "\n" ends the last line
-    start = 0
-    while start <= stop:
-        cut = text.find("\n", start + _BLOCK, stop)
-        cut = stop if cut < 0 else cut
-        yield text[start:cut]
-        start = cut + 1
 
 
 def _file_blocks(file, digest) -> Iterator[str]:
     """The bytes of the binary ``file``, read ``_BLOCK`` at a time, as
-    blocks of whole lines in the form ``_text_blocks`` gives them, each cut
-    at the last "\n" of a read.  A block is decoded as Latin-1 (each byte
-    one character), so a byte outside ASCII keeps it from being plain.
-    ``digest``, unless None, is updated with each read."""
+    blocks of whole lines, each cut at the last "\n" of a read: every line
+    in order, lines joined by "\n", and no block keeping the "\n" that ends
+    its last line.  A CR that ends a line before its "\n" is dropped, so the
+    lines are those ``str.splitlines`` gives; a lone CR is kept.  A block is
+    decoded as Latin-1 (each byte one character), so a lone CR or a byte
+    outside ASCII keeps it from being plain.  ``digest``, unless None, is
+    updated with each read."""
     pieces: list[bytes] = []        # a line not yet ended
     while data := file.read(_BLOCK):
         if digest is not None:
@@ -308,10 +292,13 @@ def _file_blocks(file, digest) -> Iterator[str]:
             pieces.append(data)
             continue
         pieces.append(data[:cut])
-        yield b"".join(pieces).decode("latin-1")
+        block = b"".join(pieces)
+        if b"\r" in block:      # ``in`` scans ~50x faster than ``replace``
+            block = block.replace(b"\r\n", b"\n").removesuffix(b"\r")
+        yield block.decode("latin-1")
         pieces = [data[cut + 1:]]
     if any(pieces):
-        yield b"".join(pieces).decode("latin-1")
+        yield b"".join(pieces).replace(b"\r\n", b"\n").decode("latin-1")
 
 
 def _regular_columns(
@@ -319,8 +306,8 @@ def _regular_columns(
     float_columns: tuple[str, ...], all_float: bool = False,
 ) -> _Columns | None:
     """``_cell_columns`` of a regular text, parsed a column at a time from
-    its ``blocks`` (``_text_blocks`` or ``_file_blocks``); None as soon as a
-    block shows that the text is not regular.
+    its ``blocks`` (as ``_file_blocks`` gives them); None as soon as a block
+    shows that the text is not regular.
 
     Regular text is plain (``_plain``), has a header line that ``_table``
     accepts, no ``#`` and no blank line after its header line, and the
@@ -390,10 +377,11 @@ def _regular_columns(
 
 
 def _read_columns(
-    path: Path, text: str | None, text_columns: tuple[str, ...],
+    path: Path, text_columns: tuple[str, ...],
     float_columns: tuple[str, ...], key: tuple[str, ...],
     optional: tuple[str, ...] = (), all_float: bool = False,
     codes: dict[str, np.ndarray] | None = None,
+    files: dict[Path, str] | None = None, sha256: str | None = None,
 ) -> _Columns:
     """Metadata, each column's cells in file order, and each row's line: a
     list of strings per text column, a float64 array per float column and a
@@ -401,18 +389,40 @@ def _read_columns(
     With ``all_float`` every header column is a float column, and
     ``float_columns`` names those that must be there.
 
-    Regular text (``_regular_columns``) is parsed a column at a time, any
-    other text a cell at a time, with the same values and the same errors.
+    The file is opened once and a regular text (``_regular_columns``) is
+    read and parsed a block at a time (``_file_blocks``); any other text is
+    parsed a cell at a time from one full read of the same open file, with
+    the same values and the same errors.  The sha256 of the bytes parsed
+    must be ``sha256`` when that is given; it is checked before the per-cell
+    parse and before any key or value check.  ``files``, when given,
+    receives it under ``path`` once the file parses.
     ``key`` names the columns that identify a measurement: a repeated key
     raises ``DuplicateKey`` naming both lines, comparing numeric cells as
     floats (``10`` and ``10.0`` are one point).  ``codes``, when given,
     receives the ``_codes`` of the text columns of ``key``, for ``_groups``.
     """
-    text = _read_text(path) if text is None else text
-    parsed = None if optional else _regular_columns(
-        path, _text_blocks(text), text_columns, float_columns, all_float)
-    meta, columns, lines = parsed or _cell_columns(
-        path, text, text_columns, float_columns, optional, all_float)
+    digest = None if files is None and sha256 is None else hashlib.sha256()
+    with open(path, "rb") as file:
+        parsed = None if optional else _regular_columns(
+            path, _file_blocks(file, digest), text_columns, float_columns,
+            all_float)
+        if parsed is None:
+            file.seek(0)
+            data = file.read()
+            if digest is not None:
+                digest = hashlib.sha256(data)
+    if sha256 is not None and digest.hexdigest() != sha256:
+        raise DataError(f"{path}: digest {digest.hexdigest()} does not match "
+                        f"registered {sha256}")
+    if parsed is None:
+        text = _utf8(data, path)
+        del data
+        parsed = _cell_columns(path, text, text_columns, float_columns,
+                               optional, all_float)
+        del text
+    if files is not None:
+        files[path] = digest.hexdigest()
+    meta, columns, lines = parsed
     codes = {} if codes is None else codes
     codes.update((c, _codes(columns[c])) for c in key if c in text_columns)
     _refuse_repeats(path, columns, codes, key, lines)
@@ -465,15 +475,15 @@ def _groups(columns: dict, codes: dict, names: tuple[str, ...]) -> dict:
 
 
 def _read_records(
-    path: Path, text: str | None, text_columns: tuple[str, ...],
-    float_columns: tuple[str, ...], key: tuple[str, ...], make,
-    optional: tuple[str, ...] = (),
+    path: Path, files: dict[Path, str] | None,
+    text_columns: tuple[str, ...], float_columns: tuple[str, ...],
+    key: tuple[str, ...], make, optional: tuple[str, ...] = (),
 ) -> list:
     """``make(*text cells, *floats, *optional floats)`` for each data row
     of ``_read_columns``; a ``DataError`` from ``make`` is raised again
     naming the row's line."""
-    _, columns, lines = _read_columns(path, text, text_columns,
-                                      float_columns, key, optional)
+    _, columns, lines = _read_columns(path, text_columns, float_columns, key,
+                                      optional, files=files)
     records: list = []
     try:
         for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
@@ -510,18 +520,21 @@ def _grouped(items) -> dict:
 # ---------------------------------------------------------------------------
 
 def read_bands(
-    path: Path, text: str | None = None,
+    path: Path, files: dict[Path, str] | None = None,
+    sha256: str | None = None,
 ) -> dict[tuple[str, str], OperatingBand]:
     """Band file: ``task,joint,q_deg,omega_rad_s,torque_hum_nm,power_hum_w``.
 
     Each pair's band holds its rows in file order; its weights are computed
-    at load (proportional to positive power per pair).
+    at load (proportional to positive power per pair).  As in
+    ``_read_columns``, the sha256 of the bytes read goes in ``files`` and
+    must be ``sha256``, a registered band file's digest, when given.
     """
     demand = ("q_deg", "omega_rad_s", "torque_hum_nm", "power_hum_w")
     codes: dict = {}
-    _, columns, _ = _read_columns(path, text, ("task", "joint"), demand,
+    _, columns, _ = _read_columns(path, ("task", "joint"), demand,
                                   ("task", "joint", "q_deg", "omega_rad_s"),
-                                  codes=codes)
+                                  codes=codes, files=files, sha256=sha256)
     groups = _groups(columns, codes, ("task", "joint"))
     if not groups:
         raise DataError(f"band file {path} has no data rows")
@@ -535,19 +548,21 @@ def read_bands(
 def read_phase_trajectory(path: Path) -> PhaseTrajectory:
     """Phase trajectory file: ``phase,q_deg,omega_rad_s,power_w``."""
     names = ("phase", "q_deg", "omega_rad_s", "power_w")
-    _, columns, _ = _read_columns(path, None, (), names, ("phase",))
+    _, columns, _ = _read_columns(path, (), names, ("phase",))
     if not len(columns["phase"]):
         raise DataError(f"phase trajectory file {path} has no data rows")
     phase, q, omega, power = (tuple(columns[c].tolist()) for c in names)
     return PhaseTrajectory(phase=phase, q=q, omega=omega, power=power)
 
 
-def read_capability_map(path: Path, text: str | None = None) -> CapabilityMap:
+def read_capability_map(
+    path: Path, files: dict[Path, str] | None = None,
+) -> CapabilityMap:
     """Capability file: ``joint,axis,q_deg,omega_rad_s,torque_nm`` with the
     measurement conditions carried in the comment header."""
     meta, columns, lines = _read_columns(
-        path, text, ("joint", "axis"), ("q_deg", "omega_rad_s", "torque_nm"),
-        ("q_deg", "omega_rad_s"))
+        path, ("joint", "axis"), ("q_deg", "omega_rad_s", "torque_nm"),
+        ("q_deg", "omega_rad_s"), files=files)
     joints = set(zip(columns["joint"], columns["axis"]))
     if len(joints) != 1:
         raise DataError(f"capability file {path} must give one joint/axis, "
@@ -571,22 +586,22 @@ def write_capability_map(cap: CapabilityMap, path: Path) -> str:
 
 
 def read_rom_file(
-    path: Path, text: str | None = None,
+    path: Path, files: dict[Path, str] | None = None,
 ) -> dict[str, dict[str, RomInterval]]:
     """Robot ROM per joint and axis: ``joint,axis,lo_deg,hi_deg``."""
     rows = _read_records(
-        path, text, ("joint", "axis"), ("lo_deg", "hi_deg"),
+        path, files, ("joint", "axis"), ("lo_deg", "hi_deg"),
         ("joint", "axis"),
         lambda joint, axis, lo, hi: (joint, (axis, RomInterval(lo, hi))))
     return {joint: dict(axes) for joint, axes in _grouped(rows).items()}
 
 
 def read_dof_file(
-    path: Path, text: str | None = None,
+    path: Path, files: dict[Path, str] | None = None,
 ) -> dict[str, list[AxisActuationReport]]:
     """DoF report: ``joint,axis,implemented,coupling_rms_fraction``."""
     rows = _read_records(
-        path, text, ("joint", "axis", "implemented"),
+        path, files, ("joint", "axis", "implemented"),
         ("coupling_rms_fraction",), ("joint", "axis"),
         lambda joint, axis, implemented, coupling: (joint, AxisActuationReport(
             AxisSpec(joint, axis),
@@ -595,25 +610,25 @@ def read_dof_file(
 
 
 def read_bandwidth_file(
-    path: Path, text: str | None = None,
+    path: Path, files: dict[Path, str] | None = None,
 ) -> dict[str, tuple[float, float | None]]:
     """Per joint: ``f_crossover_hz`` and the optional ``omega_max_rad_s``."""
-    return dict(_read_records(path, text, ("joint",), ("f_crossover_hz",),
+    return dict(_read_records(path, files, ("joint",), ("f_crossover_hz",),
                               ("joint",), lambda joint, *rates: (joint, rates),
                               optional=("omega_max_rad_s",)))
 
 
 def read_efficiency_file(
-    path: Path, text: str | None = None,
+    path: Path, files: dict[Path, str] | None = None,
 ) -> dict[str, PointTable]:
     """Point efficiency: ``joint,q_deg,omega_rad_s,eta``; per joint, the
     efficiency at each (q, omega) point.  Efficiency is mechanical power
     out over bus power in, so an ``eta`` outside [0, 1] is refused."""
     names = ("q_deg", "omega_rad_s", "eta")
     codes: dict = {}
-    _, columns, lines = _read_columns(path, text, ("joint",), names,
+    _, columns, lines = _read_columns(path, ("joint",), names,
                                       ("joint", "q_deg", "omega_rad_s"),
-                                      codes=codes)
+                                      codes=codes, files=files)
     q, omega, eta = (columns[c] for c in names)
     outside = np.flatnonzero((eta < 0) | (eta > 1))
     if outside.size:
@@ -626,11 +641,11 @@ def read_efficiency_file(
 
 
 def read_thermal_file(
-    path: Path, text: str | None = None,
+    path: Path, files: dict[Path, str] | None = None,
 ) -> dict[tuple[str, str], float]:
     """Plateau torques: ``task,joint,torque_cont_nm``."""
     return dict(_read_records(
-        path, text, ("task", "joint"), ("torque_cont_nm",), ("task", "joint"),
+        path, files, ("task", "joint"), ("torque_cont_nm",), ("task", "joint"),
         lambda task, joint, torque: ((task, joint), torque)))
 
 
@@ -666,32 +681,13 @@ def write_log(log: TimeSeriesLog, path: Path) -> str:
 
 def read_log(path: Path,
              files: dict[Path, str] | None = None) -> TimeSeriesLog:
-    """A log in ``write_log``'s format, read as a file with no key columns:
-    every header column holds finite numbers, ``LOG_COLUMNS`` among them,
-    and a repeated row breaks the strictly increasing time channel.
-
-    The file is read and parsed a block at a time (``_file_blocks``), and
-    ``files``, when given, receives under ``path`` the sha256 of the bytes
-    parsed.  A log that is not regular is parsed a cell at a time, from the
-    text of one full read of the file, whose bytes are then those hashed.
-    """
-    digest = None if files is None else hashlib.sha256()
-    with open(path, "rb") as file:
-        parsed = _regular_columns(path, _file_blocks(file, digest), (),
-                                  LOG_COLUMNS, all_float=True)
-        if parsed is None:
-            file.seek(0)
-            data = file.read()
-            if digest is not None:
-                digest = hashlib.sha256(data)
-            text = _utf8(data, path)
-            del data
-            parsed = _cell_columns(path, text, (), LOG_COLUMNS, (),
-                                   all_float=True)
-            del text
-    if files is not None:
-        files[path] = digest.hexdigest()
-    meta, columns, lines = parsed
+    """A log in ``write_log``'s format, read by ``_read_columns`` as a file
+    with no key columns: every header column holds finite numbers,
+    ``LOG_COLUMNS`` among them, and a repeated row breaks the strictly
+    increasing time channel.  ``files``, when given, receives under
+    ``path`` the sha256 of the bytes parsed."""
+    meta, columns, lines = _read_columns(path, (), LOG_COLUMNS, (),
+                                         all_float=True, files=files)
     if "sample_rate_hz" not in meta:
         raise DataError(f"log {path} is missing the sample_rate_hz header")
     try:
@@ -1023,11 +1019,11 @@ def load_measurements(
     data_dir: Path, prereg: Preregistration,
     read: dict[Path, str] | None = None,
 ) -> MeasurementSet:
-    """Load every measurement file of a data directory, each from one read
-    whose sha256 is kept and, for a registered band file, checked against
-    the registration before the bytes are decoded, released and their text
-    parsed.  ``files`` lists the digests of ``read`` (files read before,
-    such as the registration), then those of the measurement files."""
+    """Load every measurement file of a data directory, each read once by
+    its reader, which hashes the bytes it parses and, for a registered band
+    file, checks them against the registration before any value is checked.
+    ``files`` lists the digests of ``read`` (files read before, such as the
+    registration), then those of the measurement files."""
     data_dir = Path(data_dir)
     sources: dict[tuple[str, str], Path] = {}
     files = dict(read or {})
@@ -1039,30 +1035,18 @@ def load_measurements(
             raise DuplicateKey(f"{kind} {earlier.name} and {path.name} both "
                                f"describe {subject}")
 
-    def read(path: Path, reader, ref: BandRef | None = None):
-        """``reader`` on the text of one read of ``path``, whose sha256 must
-        be ``ref``'s for a registered band file."""
-        data = path.read_bytes()
-        files[path] = sha256_hex(data)
-        if ref and ref.sha256 != files[path]:
-            raise DataError(f"band file {ref.file} digest {files[path]} does "
-                            f"not match registered {ref.sha256}")
-        text = _utf8(data, path)
-        del data                # the reader parses from the text alone
-        return reader(path, text)
-
     bands: dict[tuple[str, str], OperatingBand] = {}
     for ref in prereg.bands:
         path = data_dir / ref.file
         if not path.exists():
             raise DataError(f"registered band file {ref.file} not found")
-        for pair, band in read(path, read_bands, ref).items():
+        for pair, band in read_bands(path, files, ref.sha256).items():
             claim("band files", f"pair {pair}", path)
             bands[pair] = band
 
     capabilities: dict[str, CapabilityMap] = {}
     for path in sorted(data_dir.glob("capability_*.csv")):
-        cap = read(path, read_capability_map)
+        cap = read_capability_map(path, files)
         claim("capability maps", f"joint {cap.joint!r}", path)
         capabilities[cap.joint] = cap
 
@@ -1070,7 +1054,7 @@ def load_measurements(
         path = data_dir / name
         if not path.exists():
             raise DataError(f"measurement file {name} not found in {data_dir}")
-        return read(path, reader)
+        return reader(path, files)
 
     return MeasurementSet(
         bands=bands, capabilities=capabilities,

@@ -421,6 +421,32 @@ def test_registration_not_utf8_is_an_invalid_declaration(command, data_dir,
         f"is not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("analyze", None),
+                                           ("score", "--prereg"),
+                                           ("hee", "--band")])
+def test_unreadable_path_is_a_data_error(command, flag, data_dir, tmp_path,
+                                         capsys):
+    """A path that names a directory (the log, ``--prereg`` or ``--band``)
+    exits 3 with the ``OSError``, not a traceback."""
+    directory = tmp_path / "directory"
+    directory.mkdir()
+    argv = _hlas_argv(command, data_dir, directory, tmp_path / "r")
+    if flag:
+        argv[argv.index(flag) + 1] = str(directory)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (f"error: IsADirectoryError: [Errno "
+                                       f"21] Is a directory: '{directory}'\n")
+
+
+def test_refused_infinity_is_named_not_finite(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["analyze", "thermal", "log.csv", "--window", "inf"])
+    assert raised.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "hlas analyze thermal: error: argument --window: 'inf' is not a "
+        "finite positive number")
+
+
 # file kind -> an edit of a row that quotes a cell over csv's default field
 # size limit (131,072 characters); the quotes keep it off the column-wise path
 OVERSIZED_CELLS = {
@@ -713,9 +739,9 @@ def test_qc_refuses_one_bandwidth_flag_without_the_other(
 
 @pytest.mark.parametrize("defect", [None, "text cell"])
 def test_crlf_log_reads_as_its_lf_twin(defect, tmp_path, capsys):
-    """``read_log`` reads a log's bytes without newline translation, so a
-    CRLF log takes the per-cell path: its values, output, messages and line
-    numbers are those of the same log with LF line ends."""
+    """A CRLF log takes the block path, its CRs dropped, and with a defect
+    the per-cell path: its values, output, messages and line numbers are
+    those of the same log with LF line ends."""
     lf, number = _backdrive_log(tmp_path), None
     if defect:
         _, number = _rewrite_third_row(lf, lambda cells, *_: [*cells[:-1],
@@ -745,9 +771,9 @@ def test_crlf_log_reads_as_its_lf_twin(defect, tmp_path, capsys):
 
 def test_crlf_band_and_map_read_as_their_lf_twins(data_dir, tmp_path,
                                                   capsys):
-    """``hlas hee`` reads its files' bytes without newline translation, so
-    CRLF band and capability files take the per-cell path: their values and
-    output are those of the same files with LF line ends."""
+    """CRLF band and capability files take the block path, their CRs
+    dropped: their values and output are those of the same files with LF
+    line ends."""
     crlf_dir = tmp_path / "crlf"
     crlf_dir.mkdir()
     for name in ("bands.csv", "capability_ankle.csv"):
@@ -947,8 +973,10 @@ class TestOneReadOneHash:
             (tmp_path / "plain" / table).read_bytes()
         # scored, the altered row would have lowered Walk/ankle coverage
         cap = read_capability_map(data_dir / "capability_ankle.csv")
-        walk_ankle = [read_bands(bands, data.decode())[("Walk", "ankle")]
-                      for data in (registered, altered)]
+        copies = [tmp_path / "registered.csv", tmp_path / "altered.csv"]
+        for copy, data in zip(copies, (registered, altered)):
+            copy.write_bytes(data)
+        walk_ankle = [read_bands(copy)[("Walk", "ankle")] for copy in copies]
         assert hee_coverage(walk_ankle[1], cap).coverage \
             < hee_coverage(walk_ankle[0], cap).coverage
 
@@ -1046,7 +1074,9 @@ class TestOneCopyOfTheLog:
     then encoded) and ``analyze qc`` at 1.27x (2.12x when the bytes were
     read whole and the text decoded; 7.84x when the whole body was split at
     once).  ``read_log`` itself holds one block's bytes, text and cells and
-    the float columns: 1.19x (2.04x when it read the text whole)."""
+    the float columns: 1.19x (2.04x when it read the text whole).  The CRLF
+    twin of the log takes the same block path: ``analyze qc`` 1.24x
+    (10.34x when CRLF sent it to the per-cell path)."""
 
     @pytest.fixture(scope="class")
     def thermal(self, tmp_path_factory):
@@ -1075,6 +1105,13 @@ class TestOneCopyOfTheLog:
         assert main(argv) == 0      # once untraced, for one-time allocations
         assert self._peak(lambda: main(argv)) \
             < 1.6 * thermal.stat().st_size
+
+    def test_analyze_qc_crlf_peak(self, thermal, tmp_path, capsys):
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(thermal.read_bytes().replace(b"\n", b"\r\n"))
+        argv = ["analyze", "qc", str(crlf)]
+        assert main(argv) == 0
+        assert self._peak(lambda: main(argv)) < 1.6 * crlf.stat().st_size
 
     def test_read_log_peak(self, thermal):
         assert self._peak(lambda: read_log(thermal)) \

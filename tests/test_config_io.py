@@ -19,7 +19,6 @@ from hlaskit.config_io import (
     _read_columns,
     _file_blocks,
     _regular_columns,
-    _text_blocks,
     emit_report,
     load_measurements,
     load_preregistration,
@@ -182,6 +181,28 @@ class TestMeasurementLoading:
         with pytest.raises(DataError, match="digest"):
             load_measurements(tmp_path, prereg)
 
+    @pytest.mark.parametrize("defect", ["repeated key", "ragged row"])
+    def test_band_digest_is_checked_before_the_rows(self, defect,
+                                                    example_dir, tmp_path):
+        """A registered band file that is both altered and malformed reports
+        the digest mismatch, not its malformed row."""
+        for f in example_dir.glob("*.csv"):
+            shutil.copy(f, tmp_path / f.name)
+        prereg = load_preregistration_file(example_dir / "prereg.yaml")
+        bands = tmp_path / "bands.csv"
+        lines = bands.read_text().splitlines()
+        row = lines[-1]
+        lines.append(row if defect == "repeated key" else row + ",1")
+        bands.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DuplicateKey if defect == "repeated key"
+                           else DataError, match="line"):
+            read_bands(bands)
+        with pytest.raises(DataError) as raised:
+            load_measurements(tmp_path, prereg)
+        assert str(raised.value) == (
+            f"{bands}: digest {sha256_file(bands)} does not match registered "
+            f"{prereg.bands[0].sha256}")
+
     def test_missing_measurement_file(self, example_dir, tmp_path):
         for f in example_dir.glob("*.csv"):
             shutil.copy(f, tmp_path / f.name)
@@ -308,10 +329,11 @@ READERS = {
                    ("q_deg", "omega_rad_s", "eta"),
                    ("joint", "q_deg", "omega_rad_s")),
 }
-# None and "repeat" keep a text regular; every other one makes it
-# irregular, and "column twice" is refused
-IRREGULARITIES = (None, "repeat", "comment", "blank", "quoted", "crlf",
-                  "ragged", "non-ascii", "hash", "text cell", "nan cell",
+# these keep a text regular; every other one makes it irregular, and
+# "column twice" is refused
+REGULAR_TEXTS = (None, "repeat", "crlf")
+IRREGULARITIES = (*REGULAR_TEXTS, "comment", "blank", "quoted", "ragged",
+                  "non-ascii", "hash", "text cell", "nan cell",
                   "column twice")
 POINTS = (0.0, 10.0, 2.5, -7.0)
 
@@ -444,10 +466,10 @@ def _oracle(path, text_columns, float_columns, key):
 
 # None and these keep a log regular; every other one makes it irregular
 REGULAR_LOGS = (None, "repeat", "reordered", "extra number", "no rate",
-                "bad seed")
-LOG_IRREGULARITIES = (*REGULAR_LOGS, "comment", "blank", "quoted", "crlf",
-                      "ragged", "extra text", "text cell", "nan cell",
-                      "column twice", "missing column")
+                "bad seed", "crlf")
+LOG_IRREGULARITIES = (*REGULAR_LOGS, "comment", "blank", "quoted", "ragged",
+                      "extra text", "text cell", "nan cell", "column twice",
+                      "missing column")
 CHANNELS = ("t", "q", "omega", "torque", "torque_cmd", "v_bus", "i_bus",
             "temp_motor", "temp_gear")       # the fields of LOG_COLUMNS
 
@@ -564,15 +586,21 @@ def _log_oracle(path):
         raise InvalidRecord(f"{where}: {exc}") from None
 
 
-def _check_log(path, text, regular):
+def _is_regular(path, text_columns, float_columns, all_float=False):
+    """Whether ``_regular_columns`` takes the blocks of ``path`` as
+    regular."""
+    with path.open("rb") as file:
+        return _regular_columns(path, _file_blocks(file, None), text_columns,
+                                float_columns, all_float) is not None
+
+
+def _check_log(path, regular):
     """``read_log(path)`` gives the values or raises the error of
     ``_log_oracle`` and records the sha256 of the file, and
-    ``_regular_columns`` takes ``text``, the bytes written to ``path``, as
-    regular exactly when ``regular``; None skips that check."""
+    ``_regular_columns`` takes the file as regular exactly when
+    ``regular``; None skips that check."""
     if regular is not None:
-        parsed = _regular_columns(path, _text_blocks(text), (), LOG_COLUMNS,
-                                  all_float=True)
-        assert (parsed is not None) == regular
+        assert _is_regular(path, (), LOG_COLUMNS, all_float=True) == regular
     try:
         expected = _log_oracle(path)
     except DataError as exc:
@@ -613,20 +641,21 @@ class TestColumnWiseParse:
             path = Path(tmp) / f"{kind}.csv"
             path.write_bytes(text.encode())
             if irregularity != "column twice":      # raises, as below
-                regular = _regular_columns(path, _text_blocks(text),
-                                           text_columns, float_columns)
-                assert (regular is not None) \
-                    == (irregularity in IRREGULARITIES[:2])
+                assert _is_regular(path, text_columns, float_columns) \
+                    == (irregularity in REGULAR_TEXTS)
             try:
                 meta, columns, lines = _oracle(path, text_columns,
                                                float_columns, key)
             except DataError as exc:
                 with pytest.raises(DataError) as raised:
-                    reader(path, text)
+                    reader(path)
                 assert type(raised.value) is type(exc)
                 assert str(raised.value) == str(exc)
                 return
-            got = _read_columns(path, text, text_columns, float_columns, key)
+            files = {}
+            got = _read_columns(path, text_columns, float_columns, key,
+                                files=files)
+            assert files == {path: sha256_hex(text.encode())}
             assert got[0] == meta
             assert read_table(path, header_only=True)[0] == meta
             assert list(got[2]) == lines
@@ -638,12 +667,12 @@ class TestColumnWiseParse:
             outside = [i for i, x in enumerate(eta) if not 0 <= x <= 1]
             if outside:
                 with pytest.raises(InvalidRecord) as raised:
-                    reader(path, text)
+                    reader(path)
                 assert str(raised.value) == (
                     f"{path}: line {lines[outside[0]]}: eta "
                     f"{eta[outside[0]]!r} must lie in [0, 1]")
                 return
-            result = reader(path, text)
+            result = reader(path)
 
         groups = {}
         for i, cells in enumerate(zip(*(columns[c] for c in text_columns))):
@@ -679,7 +708,7 @@ class TestColumnWiseParse:
                 mock.patch.object(config_io, "_BLOCK", block):
             path = Path(tmp) / "log.csv"
             path.write_bytes(text.encode())
-            _check_log(path, text, None if irregularity in (
+            _check_log(path, None if irregularity in (
                 "missing column", "column twice")     # these raise
                 else irregularity in REGULAR_LOGS)
 
@@ -704,13 +733,13 @@ class TestColumnWiseParse:
         text = "\n".join(lines) + (
             "" if irregularity == "no final newline" else "\n")
         path.write_bytes(text.encode())
-        _check_log(path, text, LATE_IRREGULARITIES[irregularity])
+        _check_log(path, LATE_IRREGULARITIES[irregularity])
 
 
 # a change to one data line of a log, in a late block of a streamed read:
 # whether the log stays regular
 STREAMED_IRREGULARITIES = {
-    None: True, "no final newline": True, "crlf": False, "lone cr": False,
+    None: True, "no final newline": True, "crlf": True, "lone cr": False,
     "non-ASCII cell": False, "non-ASCII comment": False,
     "non-UTF-8 byte": False, "ragged": False, "text cell": False,
     "nan cell": False, "blank": False, "comment": False, "quoted": False,
@@ -777,14 +806,10 @@ class TestStreamedLog:
                 mock.patch.object(config_io, "_BLOCK", block):
             path = Path(tmp) / "log.csv"
             path.write_bytes(data)
-            with path.open("rb") as file:
-                parsed = _regular_columns(path, _file_blocks(file, None), (),
-                                          LOG_COLUMNS, all_float=True)
-            assert (parsed is not None) \
-                == STREAMED_IRREGULARITIES[irregularity]
             if irregularity != "non-UTF-8 byte":
-                _check_log(path, data.decode(), None)
+                _check_log(path, STREAMED_IRREGULARITIES[irregularity])
                 return
+            assert not _is_regular(path, (), LOG_COLUMNS, all_float=True)
             line = data[:data.index(b"\xff")].count(b"\n") + 1
             files = {}
             with pytest.raises(DataError) as raised:
