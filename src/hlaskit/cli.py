@@ -16,11 +16,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import shutil
 import sys
 from dataclasses import fields, replace
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -401,35 +399,7 @@ def cmd_atlas(args) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ``ArgumentParser`` that formats nothing while it is built, with the
-    same help and messages.  ``add_argument`` makes a help formatter, which
-    reads the terminal's width, to check each argument; here the width is
-    read once, and the subparsers are ``_Parser``s sharing the formatter.
-    ``add_subparsers`` is given the ``prog`` prefix that ``argparse`` would
-    format a usage line to find: none of these parsers has a positional
-    argument before its subcommand, so it is the parser's own ``prog``.
-    """
-
-    def __init__(self, formatter_class=None, **kwargs) -> None:
-        super().__init__(formatter_class=formatter_class or partial(
-            argparse.HelpFormatter,
-            width=shutil.get_terminal_size().columns - 2), **kwargs)
-
-    def add_subparsers(self, **kwargs):
-        return super().add_subparsers(
-            prog=self.prog, **kwargs, parser_class=partial(
-                _Parser, formatter_class=self.formatter_class))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="hlas",
-        description="Human-level actuation benchmarking toolkit",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_score(sub) -> None:
     p = sub.add_parser("score", help="full evaluation from prereg + data dir")
     p.add_argument("--prereg", required=True)
     p.add_argument("--data", required=True)
@@ -446,6 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat guardrail flags as failures")
     p.set_defaults(func=cmd_score)
 
+
+def _add_hee(sub) -> None:
     p = sub.add_parser("hee", help="envelope mask for one joint-task pair")
     p.add_argument("--band", required=True)
     p.add_argument("--task", required=True)
@@ -460,6 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin-method", choices=MARGIN_METHODS, default="min")
     p.set_defaults(func=cmd_hee)
 
+
+def _add_analyze(sub) -> None:
     p = sub.add_parser("analyze", help="run one log analysis")
     p.set_defaults(func=cmd_analyze, check=lambda args: None)
     kinds = p.add_subparsers(dest="kind", required=True)
@@ -484,12 +458,16 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--f-noload", type=_positive)
     k.set_defaults(check=_together(k, "--f-loaded", "--f-noload"))
 
+
+def _add_validate_prereg(sub) -> None:
     p = sub.add_parser("validate-prereg",
                        help="check measurement binding to a registration")
     p.add_argument("--prereg", required=True)
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_validate_prereg)
 
+
+def _add_synth(sub) -> None:
     p = sub.add_parser("synth", help="generate synthetic known-answer data")
     p.set_defaults(func=cmd_synth)
     kinds = p.add_subparsers(dest="kind", required=True)
@@ -513,6 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
           "--j-ref", "--b-visc", "--f-coulomb", "--copper-loss", "--duration",
           "--noise", "--seed")
 
+
+def _add_example(sub) -> None:
     p = sub.add_parser("example",
                        help="run the bundled worked example end to end")
     p.add_argument("--out", default="hlas_example_out")
@@ -521,12 +501,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate", action="append", default=None)
     p.set_defaults(func=cmd_example)
 
+
+def _add_atlas(sub) -> None:
     p = sub.add_parser("atlas", help="inspect the joint atlas")
     atlas_sub = p.add_subparsers(dest="atlas_command", required=True)
     p_show = atlas_sub.add_parser("show")
     p_show.add_argument("joint", type=_atlas_joint)
     p_show.set_defaults(func=cmd_atlas)
 
+
+# what adds each command's subparser, in the order ``hlas -h`` lists them
+COMMANDS = {"score": _add_score, "hee": _add_hee, "analyze": _add_analyze,
+            "validate-prereg": _add_validate_prereg, "synth": _add_synth,
+            "example": _add_example, "atlas": _add_atlas}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of ``hlas`` with the subparser of the command ``argv``
+    names, or of every command when it names none.  Its usage lists every
+    command either way, so no text depends on how many are built."""
+    parser = argparse.ArgumentParser(
+        prog="hlas", description="Human-level actuation benchmarking toolkit")
+    parser.add_argument("--version", action="version", version=__version__)
+    named = argv[:1] if argv[:1] and argv[0] in COMMANDS else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        named and "{" + ",".join(COMMANDS) + "}"))
+    for name in named or COMMANDS:
+        COMMANDS[name](sub)
     return parser
 
 
@@ -534,8 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run the command ``argv`` (the process's arguments when None), which
     ``run_manifest.json`` records as parsed; return its exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     args.argv = argv
     try:
         code = args.func(args)

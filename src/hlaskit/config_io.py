@@ -119,27 +119,21 @@ def canonical_json(content) -> str:
 
 
 def _table(
-    path: Path, text: str | None, required_columns: tuple[str, ...] = (),
+    path: Path, text: str, required_columns: tuple[str, ...] = (),
     header_only: bool = False,
 ) -> tuple[dict[str, str], list[str], list[list[str]], list[int]]:
     """Read a delimited-text file with ``# key: value`` metadata lines from
-    ``text``, its contents (``_utf8`` of the bytes of ``path``, with no
-    newline translation, when None).
+    ``text``, its contents at ``path``.
 
     Returns ``(meta, header, rows, lines)``: the metadata of every ``#``
     line wherever it appears, the header cells, each data row's string cells
     and its 1-based file line; blank lines are skipped.  ``header_only``
-    still collects all metadata but builds no rows, and stops at the
-    header line of a plain text (``_plain``) with no ``#`` after it.  A
-    header that names a column twice, a missing required column or a row
-    whose field count differs from the header raises ``DataError``.
+    still collects all metadata but builds no rows.  A header that names a
+    column twice, a missing required column or a row whose field count
+    differs from the header raises ``DataError``.
     """
     meta: dict[str, str] = {}
     lines: list[tuple[int, str]] = []
-    text = _utf8(Path(path).read_bytes(), path) if text is None else text
-    end = _header_end(text) if header_only and _plain(text) else None
-    if end is not None and text.find("#", end) < 0:
-        text = text[:end]
     for number, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if stripped.startswith("#"):
@@ -204,8 +198,41 @@ def read_table(
     path: Path, required_columns: tuple[str, ...] = (),
     header_only: bool = False,
 ) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """``(meta, header, rows)`` of the file at ``path``; see ``_table``."""
-    return _table(path, None, required_columns, header_only)[:3]
+    """``(meta, header, rows)`` of the file at ``path``; see ``_table``.
+
+    The file is opened once.  With ``header_only`` a plain text is read a
+    block at a time (``_file_blocks``), keeping its lines up to the header
+    line and each ``#`` line after it, which is all ``_table`` reads of it;
+    any other text, or a whole table, is parsed from one full read of the
+    same open file (``_utf8``, with no newline translation).
+    """
+    with open(path, "rb") as file:
+        text = _header_text(_file_blocks(file, None)) if header_only else None
+        if text is None:
+            file.seek(0)
+            text = _utf8(file.read(), path)
+    return _table(path, text, required_columns, header_only)[:3]
+
+
+def _header_text(blocks: Iterable[str]) -> str | None:
+    """The lines of a plain text (``_plain``), given as ``_file_blocks``
+    gives them, up to and with its header line (``_header_end``), then its
+    ``#`` lines after it, each ended by "\n"; None as soon as a block is not
+    plain.  It holds one block and the lines it keeps."""
+    head, comments, end = "", [], None
+    for block in blocks:
+        if not _plain(block):
+            return None
+        if end is None:             # up to and with the header line
+            head += block + "\n"
+            end = _header_end(head)
+            if end is None:
+                continue
+            head, block = head[:end], head[end:-1]
+        if "#" in block:
+            comments += (line + "\n" for line in block.split("\n")
+                         if line.strip().startswith("#"))
+    return head + "".join(comments)
 
 
 def _located(path: Path, exc: DataError, lines: Sequence[int],

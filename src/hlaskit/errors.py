@@ -73,6 +73,12 @@ class NoiseLevel(ValidationError, ValueError):
     ``ValueError`` for direct callers."""
 
 
+class PlantParameter(ValidationError, ValueError):
+    """A synthetic plant or duty-cycle parameter out of its range: one that
+    must be a finite positive number and is not, or a burst that does not
+    fit its period.  Also a ``ValueError`` for direct callers."""
+
+
 # --- data ---------------------------------------------------------------
 
 class EmptyAxisSet(DataError):

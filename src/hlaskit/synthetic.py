@@ -13,13 +13,13 @@ by a drive efficiency, plus copper and idle losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import exp, inf, log, sqrt
 
 import numpy as np
 
 from .envelope import CapabilityMap
-from .errors import NoiseLevel, TemperatureLimit
+from .errors import NoiseLevel, PlantParameter, TemperatureLimit
 from .signals import (
     DERIVATIVE_SMOOTHING_WINDOW,
     TimeSeriesLog,
@@ -31,6 +31,12 @@ DEFAULT_AMBIENT_C = 25.0
 DEFAULT_BUS_VOLTAGE_V = 48.0
 DRIVE_EFFICIENCY = 0.85
 IDLE_POWER_W = 2.0
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Refuse a parameter ``value`` that is not a finite number > 0."""
+    if not 0 < value < inf:
+        raise PlantParameter(f"{name} {value!r} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -49,14 +55,9 @@ class SyntheticActuator:
     crossover_true: float = 10.0        # Hz, torque-mode tracking pole
 
     def __post_init__(self) -> None:
-        values = (
-            self.stall_torque, self.torque_speed_slope, self.gear_ratio,
-            self.j_ref, self.b_visc, self.f_coulomb, self.thermal_resistance,
-            self.thermal_time_constant, self.copper_loss_coeff,
-            self.crossover_true,
-        )
-        if any(v <= 0 for v in values):
-            raise ValueError("all actuator parameters must be positive")
+        for field in fields(self):
+            _check_positive(f"actuator {field.name}",
+                            getattr(self, field.name))
 
     def continuous_torque(self, omega: float) -> float:
         return max(0.0, self.stall_torque - self.torque_speed_slope * abs(omega))
@@ -87,12 +88,11 @@ class DutyProfile:
     omega_active: float = 1.0   # rad/s while the joint is loaded
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duty duration must be positive")
+        _check_positive("duty duration_s", self.duration_s)
         if (self.burst_s is None) != (self.period_s is None):
-            raise ValueError("burst_s and period_s must be given together")
+            raise PlantParameter("burst_s and period_s must be given together")
         if self.burst_s is not None and not 0 < self.burst_s < self.period_s:
-            raise ValueError("need 0 < burst_s < period_s")
+            raise PlantParameter("need 0 < burst_s < period_s")
         if not self.ambient_c < self.temp_limit_c < inf:
             raise TemperatureLimit(
                 f"temperature limit {self.temp_limit_c} C must be finite and "

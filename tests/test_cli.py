@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -737,6 +739,54 @@ def test_qc_refuses_one_bandwidth_flag_without_the_other(
     assert file_reads == {}
 
 
+# argvs whose text the parser writes: the help of each of the 18 parsers,
+# and each way ``hlas`` exits at the parser (an unrecognized flag prints
+# the usage of ``hlas``, which names every command); none reads a file
+PARSER_TEXT_ARGVS = [
+    [], ["-h"], ["--version"], ["bogus"], ["analyze"], ["analyze", "bogus"],
+    ["synth", "bogus"],
+    *([command, "-h"] for command in ("score", "hee", "analyze",
+                                      "validate-prereg", "synth", "example",
+                                      "atlas")),
+    *(["analyze", kind, "-h"] for kind in ANALYZE_FLAGS),
+    *(["synth", kind, "-h"] for kind in SYNTH_FLAGS),
+    ["atlas", "show", "-h"],
+    ["score"], ["example", "--delta", "inf"], ["atlas", "show", "nope"],
+    ["example", "--bogus"], ["analyze", "thermal", "t.csv", "--f-loaded", "5"],
+    ["analyze", "qc", "t.csv", "--f-loaded", "5"],
+]
+# their exit codes, standard output and standard error at 80 columns
+PARSER_TEXT = json.loads(
+    Path(__file__).with_name("parser_text.json").read_text())
+
+
+def _parser_text(argv) -> dict:
+    """The exit code, standard output and standard error of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+@pytest.mark.skipif(
+    f"{sys.version_info[0]}.{sys.version_info[1]}" != PARSER_TEXT["python"],
+    reason="argparse formats help and usage differently in other Pythons")
+@pytest.mark.parametrize("argv, expected",
+                         zip(PARSER_TEXT_ARGVS, PARSER_TEXT["cases"]),
+                         ids=[" ".join(argv) or "no argument"
+                              for argv in PARSER_TEXT_ARGVS])
+def test_parser_text_is_pinned(argv, expected, monkeypatch):
+    """The help, usage and error text of the parser, and its exit codes,
+    byte for byte, however much of the parser tree ``main`` builds."""
+    assert len(PARSER_TEXT_ARGVS) == len(PARSER_TEXT["cases"]) == 30
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parser_text(argv) == expected
+
+
 @pytest.mark.parametrize("defect", [None, "text cell"])
 def test_crlf_log_reads_as_its_lf_twin(defect, tmp_path, capsys):
     """A CRLF log takes the block path, its CRs dropped, and with a defect
@@ -1065,6 +1115,43 @@ class TestOneReadOneHash:
         assert manifest["command"] == argv
 
 
+class TestOneParserPerCommand:
+    """``main`` builds the parser of the command ``argv`` names, with its
+    kinds, and no other; only an argv that names no command builds all
+    18."""
+
+    @pytest.mark.parametrize("command, parsers", [
+        ("example", 2), ("score", 2), ("analyze thermal", 7),
+        ("synth thermal", 6), ("-h", 18)])
+    def test_parsers_built(self, command, parsers, data_dir, tmp_path,
+                           monkeypatch, capsys):
+        log, out = tmp_path / "log" / "thermal.csv", str(tmp_path / "out")
+        log.parent.mkdir()
+        argv = {
+            "example": ["example", "--out", out],
+            "score": _score_argv(data_dir, out),
+            "analyze thermal": ["analyze", "thermal", str(log),
+                                "--window", "1"],
+            "synth thermal": ["synth", "thermal", "--duration", "2",
+                              "--out", str(log)],
+            "-h": ["-h"],
+        }[command]
+        assert main(["synth", "thermal", "--duration", "2",
+                     "--out", str(log)]) == 0
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        try:
+            assert main(argv) == 0
+        except SystemExit as exc:
+            assert exc.code == 0
+        assert len(built) == parsers
+
+
 class TestOneCopyOfTheLog:
     """Traced peaks of writing and parsing a 12 s, 1 kHz thermal log, as
     multiples of the log's size.  ``write_log`` formats, encodes, writes
@@ -1228,6 +1315,20 @@ class TestValidatePrereg:
                          "--data", str(data_dir))
         assert result.returncode == 2
         assert "predates" in result.stdout
+
+    def test_holds_no_whole_file(self, tmp_path, capsys):
+        """The traced peak of ``validate-prereg`` on the 12 x 3 grid-16
+        registration, as a multiple of its 515 KB ``bands.csv``: 1.01x
+        (2.35x when each file's header was read from its whole text)."""
+        data = tmp_path / "data"
+        gen = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+        runpy.run_path(str(gen))["write_registration"](
+            data, seed=7, n_joints=12, n_tasks=3, grid=16)
+        argv = ["validate-prereg", "--prereg", str(data / "prereg.yaml"),
+                "--data", str(data)]
+        assert main(argv) == 0      # once untraced, for one-time allocations
+        assert TestOneCopyOfTheLog._peak(lambda: main(argv)) \
+            < 1.5 * (data / "bands.csv").stat().st_size
 
 
 class TestExample:

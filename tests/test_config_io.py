@@ -640,6 +640,16 @@ class TestColumnWiseParse:
                 mock.patch.object(config_io, "_BLOCK", block):
             path = Path(tmp) / f"{kind}.csv"
             path.write_bytes(text.encode())
+            # the header read, streamed when the text is plain, is the
+            # header read of the whole text
+            try:
+                header_read = config_io._table(path, text, (), True)[:3]
+            except DataError as exc:
+                with pytest.raises(DataError) as raised:
+                    read_table(path, header_only=True)
+                assert str(raised.value) == str(exc)
+            else:
+                assert read_table(path, header_only=True) == header_read
             if irregularity != "column twice":      # raises, as below
                 assert _is_regular(path, text_columns, float_columns) \
                     == (irregularity in REGULAR_TEXTS)

@@ -1,7 +1,15 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from hlaskit.errors import NoiseLevel, TemperatureLimit, ValidationError
+from hlaskit.errors import (
+    NoiseLevel,
+    PlantParameter,
+    TemperatureLimit,
+    ValidationError,
+)
 from hlaskit.signals import (
     compute_frf,
     detect_plateau,
@@ -205,3 +213,36 @@ def test_zero_noise_is_noiseless_and_positive_noise_is_not(kind):
 def test_actuator_validation():
     with pytest.raises(ValueError):
         SyntheticActuator(stall_torque=-1.0)
+
+
+# each parameter that must be a finite number > 0, with what takes it
+PLANT_PARAMETERS = [*((SyntheticActuator, field.name)
+                      for field in fields(SyntheticActuator)),
+                    (DutyProfile, "duration_s")]
+
+
+@pytest.mark.parametrize("make, name", PLANT_PARAMETERS,
+                         ids=[name for _, name in PLANT_PARAMETERS])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   0.0, -1.0])
+def test_plant_parameter_not_finite_and_positive_refused(make, name, value):
+    """``SyntheticActuator(stall_torque=nan)`` was accepted, and its map
+    read all-zero torque under the conditions "stall nan Nm"; a duty of NaN
+    or infinite duration was accepted too."""
+    with pytest.raises(PlantParameter, match=re.escape(
+            f"{name} {value!r} must be finite and positive")) as raised:
+        make(**{name: value})
+    assert isinstance(raised.value, ValidationError)
+    assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize("burst, period, message", [
+    (1.0, None, "burst_s and period_s must be given together"),
+    (None, 1.0, "burst_s and period_s must be given together"),
+    (1.0, 1.0, "need 0 < burst_s < period_s"),
+    (0.0, 1.0, "need 0 < burst_s < period_s"),
+    (float("nan"), 1.0, "need 0 < burst_s < period_s"),
+])
+def test_burst_not_inside_its_period_refused(burst, period, message):
+    with pytest.raises(PlantParameter, match=re.escape(message)):
+        DutyProfile(burst_s=burst, period_s=period)
