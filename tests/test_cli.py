@@ -1346,6 +1346,25 @@ class TestExample:
                          "--gate", "Stairs")
         assert "HLAS 0.343" in result.stdout
 
+    @pytest.mark.parametrize("flags, lines", [
+        (["--delta", "0.10"], ["HLAS 0.515 (delta 0.1)"]),
+        (["--alpha-alt"], ["HLAS 0.703 (alternative feature weights)"]),
+        (["--gate", "Stairs"], ["HLAS 0.343 (gated on Stairs)"]),
+        (["--delta", "0.10", "--alpha-alt", "--gate", "Stairs"],
+         ["HLAS 0.515 (delta 0.1)",
+          "HLAS 0.703 (alternative feature weights)",
+          "HLAS 0.343 (gated on Stairs)"]),
+    ], ids=lambda case: " ".join(case) if case[0].startswith("--") else None)
+    def test_quick_mode_prints_its_lines_and_writes_nothing(
+            self, flags, lines, tmp_path, capsys):
+        """Each quick-mode line scores one variant of the registered
+        scheme; nothing is written, not even ``--out``."""
+        out = tmp_path / "out"
+        assert main(["example", "--out", str(out), *flags]) == 0
+        assert capsys.readouterr().out == "".join(f"{line}\n"
+                                                  for line in lines)
+        assert list(tmp_path.iterdir()) == []
+
     def test_runs_in_process(self, tmp_path, capsys):
         assert main(["example", "--out", str(tmp_path / "out")]) == 0
 
