@@ -24,17 +24,14 @@ from pathlib import Path
 from . import __version__
 from .atlas import DOF_INVENTORY, describe_joint
 from .config_io import (
-    build_pairs,
     canonical_json,
     emit_report,
-    load_measurements,
-    load_preregistration,
     load_preregistration_file,
     mask_csv,
     read_bands,
     read_capability_map,
     read_log,
-    sha256_hex,
+    score_registration,
     verify_prereg_binding,
     write_capability_map,
     write_csv,
@@ -47,7 +44,7 @@ from .envelope import (
     margin_report,
 )
 from .errors import DataError, GoldenMismatch, HlasError, ValidationError
-from .example import ALPHA_ALT, load_example, run_and_check_example
+from .example import ALPHA_ALT, example_data_dir, run_and_check_example
 from .scoring import gated_hlas, hlas
 from .signals import (
     TimeSeriesLog,
@@ -137,7 +134,8 @@ def _together(parser: argparse.ArgumentParser, *flags: str):
     return check
 
 
-def _apply_scheme_flags(scheme, args):
+def _scheme_updates(args) -> dict:
+    """The scheme fields that the flags of ``score`` or ``example`` set."""
     updates = {}
     if args.delta is not None:
         updates["headroom_delta"] = args.delta
@@ -147,7 +145,7 @@ def _apply_scheme_flags(scheme, args):
         updates["critical_tasks"] = frozenset(args.gate)
     if args.rate_margin:
         updates["use_rate_margin"] = True
-    return replace(scheme, **updates) if updates else scheme
+    return updates
 
 
 def _print_headline(breakdown, scheme) -> None:
@@ -157,16 +155,11 @@ def _print_headline(breakdown, scheme) -> None:
 
 
 def cmd_score(args) -> int:
-    registration = Path(args.prereg).read_bytes()
-    prereg = load_preregistration(registration)
-    scheme = _apply_scheme_flags(prereg.scheme, args)
-    measurements = load_measurements(Path(args.data), prereg, {
-        Path(args.prereg): sha256_hex(registration)})
-    pairs = build_pairs(replace(prereg, scheme=scheme), measurements)
-    breakdown = hlas(pairs, scheme)
-
-    bundle = emit_report(breakdown, pairs, Path(args.out), scheme)
-    _write_manifest(bundle.out_dir, args.argv, measurements.files,
+    scored = score_registration(Path(args.prereg), Path(args.data),
+                                **_scheme_updates(args))
+    breakdown, scheme = scored.breakdown, scored.scheme
+    bundle = emit_report(breakdown, scored.pairs, Path(args.out), scheme)
+    _write_manifest(bundle.out_dir, args.argv, scored.measurements.files,
                     bundle.files)
 
     _print_headline(breakdown, scheme)
@@ -370,24 +363,29 @@ def _synth_backdrive(args, act: SyntheticActuator) -> TimeSeriesLog:
 
 
 def cmd_example(args) -> int:
-    out_dir = Path(args.out)
-    if args.delta is not None or args.alpha_alt or args.gate:
-        prereg, _, pairs = load_example()
-        scheme = prereg.scheme
+    """The golden-checked bundle, or with any flag but ``--out`` a line per
+    flag, each scoring one variant of the registered scheme."""
+    updates = _scheme_updates(args)
+    if updates or args.alpha_alt:
+        data = example_data_dir()
+        scored = score_registration(data / "prereg.yaml", data, **updates)
+        registered, pairs = scored.prereg.scheme, scored.pairs
         if args.delta is not None:
-            scored = hlas(pairs, replace(scheme, headroom_delta=args.delta))
-            print(f"HLAS {scored.hlas:.3f} (delta {args.delta:g})")
+            # critical tasks change guardrail flags, not the score
+            print(f"HLAS {scored.breakdown.hlas:.3f} (delta {args.delta:g})")
         if args.alpha_alt:
-            scored = hlas(pairs, replace(scheme, feature_weights=ALPHA_ALT))
-            print(f"HLAS {scored.hlas:.3f} (alternative feature weights)")
+            alt = hlas(pairs, replace(registered, feature_weights=ALPHA_ALT))
+            print(f"HLAS {alt.hlas:.3f} (alternative feature weights)")
         if args.gate:
-            gated = gated_hlas(hlas(pairs, scheme), set(args.gate))
-            print(f"HLAS {gated:.3f} "
-                  f"(gated on {', '.join(sorted(args.gate))})")
+            gate = scored.scheme.critical_tasks
+            gated = gated_hlas(hlas(pairs, registered), gate)
+            print(f"HLAS {gated:.3f} (gated on {', '.join(sorted(gate))})")
         return EXIT_OK
-    run = run_and_check_example(out_dir)
-    _write_manifest(out_dir, args.argv, run.inputs, run.outputs)
-    _print_headline(run.breakdown, run.scheme)
+    out_dir = Path(args.out)
+    run, outputs = run_and_check_example(out_dir)
+    _write_manifest(out_dir, args.argv, run.scored.measurements.files,
+                    outputs)
+    _print_headline(run.scored.breakdown, run.scored.scheme)
     print(f"  sensitivity: delta 0.10 -> {run.hlas_headroom:.3f}, "
           f"alt feature weights -> {run.hlas_alpha_alt:.3f}")
     print(f"golden tables match ({out_dir})")
@@ -499,7 +497,7 @@ def _add_example(sub) -> None:
     p.add_argument("--delta", type=_non_negative, default=None)
     p.add_argument("--alpha-alt", action="store_true")
     p.add_argument("--gate", action="append", default=None)
-    p.set_defaults(func=cmd_example)
+    p.set_defaults(func=cmd_example, h_min=None, rate_margin=False)
 
 
 def _add_atlas(sub) -> None:

@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timezone
 from itertools import chain, repeat
 from pathlib import Path
@@ -48,6 +48,7 @@ from .scoring import (
     PairInputs,
     ScoreBreakdown,
     WeightScheme,
+    hlas,
 )
 from .signals import TimeSeriesLog
 
@@ -1147,6 +1148,30 @@ def build_pairs(
             omega_req_rad_s=prereg.rate_req.get(key),
         ))
     return pairs
+
+
+@dataclass(frozen=True)
+class ScoredRegistration:
+    prereg: Preregistration         # as registered
+    scheme: WeightScheme            # as scored, with the updates
+    measurements: MeasurementSet
+    pairs: list[PairInputs]
+    breakdown: ScoreBreakdown
+
+
+def score_registration(registration: Path, data_dir: Path,
+                       **updates) -> ScoredRegistration:
+    """Read and parse the registration, replace the scheme fields that
+    ``updates`` names (``hlas`` validates them), and load, pair and score
+    the measurements, whose ``files`` list the registration first."""
+    data = Path(registration).read_bytes()
+    prereg = load_preregistration(data)
+    scheme = replace(prereg.scheme, **updates)
+    measurements = load_measurements(data_dir, prereg, {
+        Path(registration): sha256_hex(data)})
+    pairs = build_pairs(replace(prereg, scheme=scheme), measurements)
+    return ScoredRegistration(prereg, scheme, measurements, pairs,
+                              hlas(pairs, scheme))
 
 
 # ---------------------------------------------------------------------------

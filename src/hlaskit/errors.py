@@ -74,9 +74,9 @@ class NoiseLevel(ValidationError, ValueError):
 
 
 class PlantParameter(ValidationError, ValueError):
-    """A synthetic plant or duty-cycle parameter out of its range: one that
-    must be a finite positive number and is not, or a burst that does not
-    fit its period.  Also a ``ValueError`` for direct callers."""
+    """A synthetic plant or duty-cycle parameter out of its range: one not
+    finite, or not positive where it must be, or a burst that does not fit
+    its period.  Also a ``ValueError`` for direct callers."""
 
 
 # --- data ---------------------------------------------------------------

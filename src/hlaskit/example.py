@@ -5,28 +5,24 @@ The packaged inputs describe a 12-joint humanoid evaluated on three tasks
 push-off rate sweep worked through in detail in the docs.  The example is
 the golden regression target: regenerating it must reproduce the bundled
 tables, and its sensitivity variants (demand headroom, alternative feature
-weights, task gating) are pinned by the acceptance suite.
+weights, task gating) are pinned by the acceptance suite.  It is scored by
+``hlas score``'s own pipeline, ``config_io.score_registration``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 
 from .config_io import (
-    MeasurementSet,
-    Preregistration,
-    build_pairs,
+    ScoredRegistration,
     emit_report,
-    load_measurements,
-    load_preregistration,
     read_table,
-    sha256_hex,
+    score_registration,
     write_csv,
 )
 from .errors import GoldenMismatch
-from .scoring import PairInputs, ScoreBreakdown, WeightScheme, hlas
+from .scoring import hlas
 
 # 0.10 of feature weight moved from HEE coverage to efficiency
 ALPHA_ALT = {
@@ -42,60 +38,24 @@ GOLDEN_RTOL = 1e-9
 
 
 def example_data_dir() -> Path:
-    return Path(resources.files("hlaskit") / "example_data")
-
-
-def load_example() -> tuple[Preregistration, MeasurementSet, list[PairInputs]]:
-    """The example's registration, read once, its measurements, whose
-    ``files`` list the registration first, and its pairs."""
-    path = example_data_dir() / "prereg.yaml"
-    registration = path.read_bytes()
-    prereg = load_preregistration(registration)
-    measurements = load_measurements(path.parent, prereg,
-                                     {path: sha256_hex(registration)})
-    return prereg, measurements, build_pairs(prereg, measurements)
+    return Path(__file__).with_name("example_data")
 
 
 @dataclass(frozen=True)
 class ExampleRun:
-    breakdown: ScoreBreakdown
+    scored: ScoredRegistration
     hlas_headroom: float      # with the 0.10 demand headroom
     hlas_alpha_alt: float     # with the alternative feature weights
-    scheme: WeightScheme
-    pairs: list[PairInputs]
-    inputs: dict[Path, str]                  # sha256 of each file read
-    outputs: dict[Path, str] | None = None   # sha256 of each file written
 
 
 def run_example() -> ExampleRun:
-    prereg, measurements, pairs = load_example()
-    scheme = prereg.scheme
-    breakdown = hlas(pairs, scheme)
-    with_headroom = hlas(
-        pairs, replace(scheme, headroom_delta=HEADROOM_SENSITIVITY_DELTA)
-    )
-    with_alpha_alt = hlas(pairs, replace(scheme, feature_weights=ALPHA_ALT))
-    return ExampleRun(
-        breakdown=breakdown,
-        hlas_headroom=with_headroom.hlas,
-        hlas_alpha_alt=with_alpha_alt.hlas,
-        scheme=scheme,
-        pairs=pairs,
-        inputs=measurements.files,
-    )
-
-
-def emit_example(run: ExampleRun, out_dir: Path) -> ExampleRun:
-    """Write the example's full report bundle plus the sensitivity table;
-    ``run`` with the sha256 of each file written."""
-    files = emit_report(run.breakdown, run.pairs, out_dir, run.scheme).files
-    sensitivity = Path(out_dir) / "sensitivity.csv"
-    files[sensitivity] = write_csv(sensitivity, ["variant", "hlas"], [
-        ["baseline", run.breakdown.hlas],
-        [f"headroom_delta_{HEADROOM_SENSITIVITY_DELTA:g}", run.hlas_headroom],
-        ["alpha_alt", run.hlas_alpha_alt],
-    ])
-    return replace(run, outputs=files)
+    data = example_data_dir()
+    scored = score_registration(data / "prereg.yaml", data)
+    with_headroom = hlas(scored.pairs, replace(
+        scored.scheme, headroom_delta=HEADROOM_SENSITIVITY_DELTA))
+    with_alpha_alt = hlas(scored.pairs,
+                          replace(scored.scheme, feature_weights=ALPHA_ALT))
+    return ExampleRun(scored, with_headroom.hlas, with_alpha_alt.hlas)
 
 
 def compare_to_golden(out_dir: Path) -> list[str]:
@@ -130,12 +90,25 @@ def compare_to_golden(out_dir: Path) -> list[str]:
     return divergent
 
 
-def run_and_check_example(out_dir: Path) -> ExampleRun:
-    run = emit_example(run_example(), out_dir)
+def run_and_check_example(out_dir: Path) -> tuple[ExampleRun,
+                                                  dict[Path, str]]:
+    """Run the example, write its report bundle and sensitivity table to
+    ``out_dir`` and check them against the golden tables; the run, and the
+    sha256 of each file written."""
+    run = run_example()
+    scored = run.scored
+    files = emit_report(scored.breakdown, scored.pairs, out_dir,
+                        scored.scheme).files
+    sensitivity = Path(out_dir) / "sensitivity.csv"
+    files[sensitivity] = write_csv(sensitivity, ["variant", "hlas"], [
+        ["baseline", scored.breakdown.hlas],
+        [f"headroom_delta_{HEADROOM_SENSITIVITY_DELTA:g}", run.hlas_headroom],
+        ["alpha_alt", run.hlas_alpha_alt],
+    ])
     divergent = compare_to_golden(out_dir)
     if divergent:
         raise GoldenMismatch(
             "worked example diverged from golden tables:\n  "
             + "\n  ".join(divergent)
         )
-    return run
+    return run, files

@@ -14,7 +14,7 @@ by a drive efficiency, plus copper and idle losses.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import exp, inf, log, sqrt
+from math import exp, inf, isfinite, log, sqrt
 
 import numpy as np
 
@@ -89,6 +89,9 @@ class DutyProfile:
 
     def __post_init__(self) -> None:
         _check_positive("duty duration_s", self.duration_s)
+        for name in ("ambient_c", "omega_active"):   # omega may be negative
+            if not isfinite(value := getattr(self, name)):
+                raise PlantParameter(f"duty {name} {value!r} must be finite")
         if (self.burst_s is None) != (self.period_s is None):
             raise PlantParameter("burst_s and period_s must be given together")
         if self.burst_s is not None and not 0 < self.burst_s < self.period_s:

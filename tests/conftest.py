@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from hlaskit.example import example_data_dir, load_example
+from hlaskit.config_io import score_registration
+from hlaskit.example import example_data_dir
 
 
 @pytest.fixture(scope="session")
@@ -17,18 +18,19 @@ def example_dir():
 
 @pytest.fixture(scope="session")
 def example_inputs():
-    """(prereg, measurements, pairs) of the bundled worked example."""
-    return load_example()
+    """The bundled worked example, scored as ``hlas score`` scores it."""
+    data = example_data_dir()
+    return score_registration(data / "prereg.yaml", data)
 
 
 @pytest.fixture(scope="session")
 def example_pairs(example_inputs):
-    return example_inputs[2]
+    return example_inputs.pairs
 
 
 @pytest.fixture(scope="session")
 def example_scheme(example_inputs):
-    return example_inputs[0].scheme
+    return example_inputs.scheme
 
 
 @pytest.fixture

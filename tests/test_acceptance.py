@@ -132,10 +132,10 @@ def _check(label: str, condition: bool, detail: str = "") -> None:
 
 def test_criterion_1_worked_example_golden_run(tmp_path):
     start = time.perf_counter()
-    run = run_and_check_example(tmp_path / "out")
+    run, _ = run_and_check_example(tmp_path / "out")
     elapsed = time.perf_counter() - start
 
-    breakdown = run.breakdown
+    breakdown = run.scored.breakdown
     failures = []
     for key, want in PUBLISHED_FEATURES.items():
         got = breakdown.feature_vectors[key]
@@ -201,6 +201,7 @@ def test_criterion_3a_headroom_sensitivity():
 
 def test_criterion_3b_alpha_alt_sensitivity():
     run = run_example()
+    breakdown = run.scored.breakdown
     # direct-formula oracle: the published feature table scored with the
     # alternative feature weights and the registered task and joint weights
     oracle = math.fsum(
@@ -211,11 +212,11 @@ def test_criterion_3b_alpha_alt_sensitivity():
     # the shift from the registered scheme, over the run's own features
     shift = math.fsum(
         TASK_WEIGHTS[t] * JOINT_WEIGHTS[t][j] * 0.1 * (x.efficiency - x.hee)
-        for (t, j), x in run.breakdown.feature_vectors.items()
+        for (t, j), x in breakdown.feature_vectors.items()
     )
     ok = (ALPHA_ALT == ALPHA_ALT_WEIGHTS
           and abs(run.hlas_alpha_alt - oracle) <= HLAS_TOL
-          and abs(run.hlas_alpha_alt - run.breakdown.hlas - shift) < 1e-12
+          and abs(run.hlas_alpha_alt - breakdown.hlas - shift) < 1e-12
           and abs(oracle - ALPHA_ALT_HLAS_PUBLISHED) > ALPHA_ALT_PUBLISHED_TOL)
     _check("3b alternative feature weights", ok,
            f"got {run.hlas_alpha_alt:.4f}, table oracle {oracle:.4f}, "
@@ -223,11 +224,11 @@ def test_criterion_3b_alpha_alt_sensitivity():
 
 
 def test_criterion_3c_gated_score():
-    run = run_example()
-    gated = gated_hlas(run.breakdown, {"Stairs"})
+    breakdown = run_example().scored.breakdown
+    gated = gated_hlas(breakdown, {"Stairs"})
     # direct-formula oracle: geometric mean of critical task scores times
     # the aggregate (single critical task -> plain product)
-    oracle = run.breakdown.task_scores["Stairs"] * run.breakdown.hlas
+    oracle = breakdown.task_scores["Stairs"] * breakdown.hlas
     ok = (abs(gated - GATED_STAIRS) <= HLAS_TOL
           and abs(gated - oracle) < 1e-12)
     _check("3c gated on Stairs", ok, f"got {gated:.4f}")

@@ -42,12 +42,17 @@ from hlaskit.signals import compute_frf, find_crossover
 from hlaskit.synthetic import SyntheticActuator, generate_backdrive_log
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(*args):
-    result = subprocess.run(
-        [sys.executable, "-m", "hlaskit.cli", *args],
-        capture_output=True, text=True,
-    )
-    return result
+    """``python -m hlaskit.cli`` in a child process that imports ``hlaskit``
+    from this checkout, as the tests here do (``pyproject.toml``)."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), *filter(None, [path])])}
+    return subprocess.run([sys.executable, "-m", "hlaskit.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture
@@ -952,6 +957,22 @@ class TestSharedPipeline:
                      "--out", str(mask)]) == 0
         assert mask.read_bytes() == (
             tmp_path / "B" / "hee_masks" / "Walk__ankle.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["score", "example"])
+    def test_undeclared_gate_is_refused_alike(self, command, tmp_path,
+                                              capsys):
+        """``example --gate Nope`` exited 3 (``MissingJoint``) where
+        ``score --gate Nope`` exits 2; both now validate the gated scheme
+        before writing anything."""
+        data, out = example_data_dir(), tmp_path / "out"
+        argv = (_score_argv(data, out) if command == "score"
+                else ["example", "--out", str(out)])
+        assert main([*argv, "--gate", "Walk", "--gate", "Nope"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            "error: WeightSumViolation: critical tasks ['Nope'] are not "
+            "declared tasks\n"))
+        assert list(tmp_path.iterdir()) == []
 
 
 def _sha256(path):
