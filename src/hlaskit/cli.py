@@ -27,15 +27,16 @@ from .config_io import (
     canonical_json,
     emit_report,
     load_preregistration_file,
-    mask_csv,
+    mask_table,
     read_bands,
     read_capability_map,
     read_log,
     score_registration,
+    table_blocks,
     verify_prereg_binding,
     write_capability_map,
-    write_csv,
     write_log,
+    write_table,
 )
 from .envelope import (
     MARGIN_METHODS,
@@ -122,15 +123,19 @@ _atlas_joint = _arg_type(str, lambda joint: any(
     rec.joint == joint for rec in DOF_INVENTORY), "a joint of the atlas")
 
 
-def _together(parser: argparse.ArgumentParser, *flags: str):
-    """A ``check`` that refuses, at ``parser``, some of ``flags`` given
-    without the others, naming the first one missing."""
+def _flag_check(parser: argparse.ArgumentParser, flags: tuple[str, ...],
+                others: tuple[str, ...], together: bool = True):
+    """A ``check`` that refuses, at ``parser``, any of ``flags`` given while
+    one of ``others`` is not (``together``) or is (not ``together``),
+    naming the first of each; a flag not given is None."""
     def check(args) -> None:
-        given = [getattr(args, flag[2:].replace("-", "_")) is not None
-                 for flag in flags]
-        if any(given) and not all(given):
-            parser.error(f"argument {flags[given.index(False)]}: required "
-                         f"with {flags[given.index(True)]}")
+        given = {flag for flag in (*flags, *others)
+                 if getattr(args, flag[2:].replace("-", "_")) is not None}
+        named = [flag for flag in flags if flag in given]
+        broken = [other for other in others if (other in given) != together]
+        if named and broken:
+            rule = "required" if together else "not allowed"
+            parser.error(f"argument {broken[0]}: {rule} with {named[0]}")
     return check
 
 
@@ -185,14 +190,15 @@ def cmd_hee(args) -> int:
         )
     cap = read_capability_map(Path(args.map))
     result = hee_coverage(bands[key], cap, args.delta)
-    mask = mask_csv(result)
+    mask = mask_table(result)
     if args.out:
-        Path(args.out).write_text(mask, newline="")
+        write_table(args.out, *mask)
     print(f"coverage {result.coverage:.3f} (delta {args.delta:g})")
-    print(mask, end="")
+    sys.stdout.writelines(table_blocks(*mask))
     if args.margins:
-        rep = margin_report(bands[key], cap, args.omega_max, args.omega_req,
-                            args.margin_method)
+        omega_max = 1.0 if args.omega_max is None else args.omega_max
+        rep = margin_report(bands[key], cap, omega_max, args.omega_req or 1.0,
+                            args.margin_method or "min")
         print(f"torque_margin {rep.torque_margin:.4f} "
               f"power_margin {rep.power_margin:.4f} "
               f"rate_margin {rep.rate_margin:.4f} ({rep.method})")
@@ -200,11 +206,10 @@ def cmd_hee(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    """Check the kind's flags, read the log once, a block at a time, and run
-    the kind's analysis on the log and, for a kind that writes a table
-    (``--out``), the sha256 of the bytes read, keyed by the log's path; it
-    returns its exit code or None for 0."""
-    args.check(args)
+    """Read the log once, a block at a time, and run the kind's analysis on
+    the log and, for a kind that writes a table (``--out``), the sha256 of
+    the bytes read, keyed by the log's path; it returns its exit code or
+    None for 0."""
     inputs = {} if getattr(args, "out", None) else None
     log = read_log(args.log, files=inputs)
     return args.analysis(args, log, inputs) or EXIT_OK
@@ -217,9 +222,10 @@ def _frf(args, log, inputs: dict | None) -> int | None:
     print(f"f_c = {bound}{crossover.f_crossover:.2f} Hz "
           f"(phase margin {crossover.phase_margin_deg:.1f} deg)")
     if args.out:
-        written = write_csv(
-            args.out, ["freq_hz", "magnitude", "phase_deg"],
-            [[p.freq, p.magnitude, p.phase] for p in frf],
+        written = write_table(
+            args.out, ("freq_hz", "magnitude", "phase_deg"),
+            ([p.freq for p in frf], [p.magnitude for p in frf],
+             [p.phase for p in frf]),
             f"# crossover_hz: {bound.strip()}{crossover.f_crossover!r}, "
             f"phase_margin_deg: {crossover.phase_margin_deg!r}\n")
         _write_manifest(args.out.parent, args.argv, inputs,
@@ -363,25 +369,28 @@ def _synth_backdrive(args, act: SyntheticActuator) -> TimeSeriesLog:
 
 
 def cmd_example(args) -> int:
-    """The golden-checked bundle, or with any flag but ``--out`` a line per
-    flag, each scoring one variant of the registered scheme."""
+    """The golden-checked bundle, or with any of ``--delta``, ``--alpha-alt``
+    and ``--gate`` (never with ``--out``) a line per flag, each scoring one
+    variant of the registered scheme."""
     updates = _scheme_updates(args)
     if updates or args.alpha_alt:
         data = example_data_dir()
         scored = score_registration(data / "prereg.yaml", data, **updates)
         registered, pairs = scored.prereg.scheme, scored.pairs
+        # critical tasks change guardrail flags, not scores, so without
+        # ``--delta`` the scored breakdown is that of the registered scheme
         if args.delta is not None:
-            # critical tasks change guardrail flags, not the score
             print(f"HLAS {scored.breakdown.hlas:.3f} (delta {args.delta:g})")
         if args.alpha_alt:
             alt = hlas(pairs, replace(registered, feature_weights=ALPHA_ALT))
             print(f"HLAS {alt.hlas:.3f} (alternative feature weights)")
         if args.gate:
             gate = scored.scheme.critical_tasks
-            gated = gated_hlas(hlas(pairs, registered), gate)
+            gated = gated_hlas(scored.breakdown if args.delta is None
+                               else hlas(pairs, registered), gate)
             print(f"HLAS {gated:.3f} (gated on {', '.join(sorted(gate))})")
         return EXIT_OK
-    out_dir = Path(args.out)
+    out_dir = Path(args.out or "hlas_example_out")
     run, outputs = run_and_check_example(out_dir)
     _write_manifest(out_dir, args.argv, run.scored.measurements.files,
                     outputs)
@@ -424,16 +433,18 @@ def _add_hee(sub) -> None:
     p.add_argument("--delta", type=_non_negative, default=0.0)
     p.add_argument("--out", default=None,
                    help="also write the mask table to a file")
-    p.add_argument("--margins", action="store_true")
-    p.add_argument("--omega-max", type=_non_negative, default=1.0)
-    p.add_argument("--omega-req", type=_positive, default=1.0)
-    p.add_argument("--margin-method", choices=MARGIN_METHODS, default="min")
-    p.set_defaults(func=cmd_hee)
+    p.add_argument("--margins", action="store_true", default=None)
+    # read only with ``--margins``; 1.0, 1.0 and "min" when not given
+    p.add_argument("--omega-max", type=_non_negative)
+    p.add_argument("--omega-req", type=_positive)
+    p.add_argument("--margin-method", choices=MARGIN_METHODS)
+    p.set_defaults(func=cmd_hee, check=_flag_check(
+        p, ("--omega-max", "--omega-req", "--margin-method"), ("--margins",)))
 
 
 def _add_analyze(sub) -> None:
     p = sub.add_parser("analyze", help="run one log analysis")
-    p.set_defaults(func=cmd_analyze, check=lambda args: None)
+    p.set_defaults(func=cmd_analyze)
     kinds = p.add_subparsers(dest="kind", required=True)
 
     def kind(name: str, analysis, help: str) -> argparse.ArgumentParser:
@@ -454,7 +465,8 @@ def _add_analyze(sub) -> None:
     k = kind("qc", _qc, "power balance and loaded-bandwidth checks")
     k.add_argument("--f-loaded", type=_positive)
     k.add_argument("--f-noload", type=_positive)
-    k.set_defaults(check=_together(k, "--f-loaded", "--f-noload"))
+    both = ("--f-loaded", "--f-noload")
+    k.set_defaults(check=_flag_check(k, both, both))
 
 
 def _add_validate_prereg(sub) -> None:
@@ -493,11 +505,13 @@ def _add_synth(sub) -> None:
 def _add_example(sub) -> None:
     p = sub.add_parser("example",
                        help="run the bundled worked example end to end")
-    p.add_argument("--out", default="hlas_example_out")
+    p.add_argument("--out")             # hlas_example_out when not given
     p.add_argument("--delta", type=_non_negative, default=None)
-    p.add_argument("--alpha-alt", action="store_true")
+    p.add_argument("--alpha-alt", action="store_true", default=None)
     p.add_argument("--gate", action="append", default=None)
-    p.set_defaults(func=cmd_example, h_min=None, rate_margin=False)
+    p.set_defaults(func=cmd_example, h_min=None, rate_margin=False,
+                   check=_flag_check(p, ("--delta", "--alpha-alt", "--gate"),
+                                     ("--out",), together=False))
 
 
 def _add_atlas(sub) -> None:
@@ -521,6 +535,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hlas", description="Human-level actuation benchmarking toolkit")
     parser.add_argument("--version", action="version", version=__version__)
+    parser.set_defaults(check=lambda args: None)
     named = argv[:1] if argv[:1] and argv[0] in COMMANDS else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=(
         named and "{" + ",".join(COMMANDS) + "}"))
@@ -534,6 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     ``run_manifest.json`` records as parsed; return its exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
+    args.check(args)        # flags given together or apart, at the parser
     args.argv = argv
     try:
         code = args.func(args)

@@ -50,7 +50,7 @@ from .scoring import (
     WeightScheme,
     hlas,
 )
-from .signals import TimeSeriesLog
+from .signals import CHANNELS, TimeSeriesLog
 
 CANONICAL_SIG_DIGITS = 12
 
@@ -298,7 +298,8 @@ def _cell_columns(
     return meta, columns, lines
 
 
-# bytes of a file read, or characters of a log written, at a time
+# bytes of a file read at a time, and about the characters of a table
+# written at a time (``table_blocks``)
 _BLOCK = 1 << 16
 
 
@@ -605,12 +606,11 @@ def read_capability_map(
 
 
 def write_capability_map(cap: CapabilityMap, path: Path) -> str:
-    """``write_csv`` of ``cap``, its conditions in the comment header."""
-    return write_csv(
-        path, ["joint", "axis", "q_deg", "omega_rad_s", "torque_nm"],
-        [[cap.joint, cap.axis, *point] for point in zip(
-            cap.q.tolist(), cap.omega.tolist(), cap.torque_rob.tolist())],
-        f"# conditions: {cap.conditions}\n")
+    """``write_table`` of ``cap``, its conditions in the comment header."""
+    return write_table(
+        path, ("joint", "axis", "q_deg", "omega_rad_s", "torque_nm"),
+        ([cap.joint] * len(cap.q), [cap.axis] * len(cap.q), cap.q, cap.omega,
+         cap.torque_rob), f"# conditions: {cap.conditions}\n")
 
 
 def read_rom_file(
@@ -678,33 +678,13 @@ def read_thermal_file(
 
 
 def write_log(log: TimeSeriesLog, path: Path) -> str:
-    """Write ``log`` to ``path``, each value as its ``repr``, and return the
-    sha256 of the bytes written.  The rows are formatted, encoded, written
-    and hashed a block of about ``_BLOCK`` characters at a time."""
+    """``write_table`` of ``log``'s channels under ``LOG_COLUMNS``, its
+    sample rate, conditions and seed in the comment header."""
     seed = "" if log.seed is None else f"# seed: {log.seed}\n"
-    cols = (log.t, log.q, log.omega, log.torque, log.torque_cmd,
-            log.v_bus, log.i_bus, log.temp_motor, log.temp_gear)
-    rows = (",".join(repr(float(v)) for v in values) + "\n"
-            for values in zip(*cols))
-    head = (f"# sample_rate_hz: {fmt(float(log.sample_rate))}\n"
-            f"# conditions: {log.conditions}\n{seed}{','.join(LOG_COLUMNS)}\n")
-    digest = hashlib.sha256()
-    with open(path, "wb") as file:
-
-        def write(block: list[str]) -> None:
-            data = "".join(block).encode()
-            file.write(data)
-            digest.update(data)
-
-        block, size = [head], len(head)
-        for row in rows:
-            block.append(row)
-            size += len(row)
-            if size >= _BLOCK:
-                write(block)
-                block, size = [], 0
-        write(block)
-    return digest.hexdigest()
+    return write_table(
+        path, LOG_COLUMNS, [getattr(log, name) for name in CHANNELS],
+        f"# sample_rate_hz: {fmt(float(log.sample_rate))}\n"
+        f"# conditions: {log.conditions}\n{seed}")
 
 
 def read_log(path: Path,
@@ -978,12 +958,6 @@ def load_preregistration_file(path: Path) -> Preregistration:
     return load_preregistration(Path(path).read_bytes())
 
 
-def serialize_preregistration(prereg: Preregistration) -> str:
-    """Canonical serialization: JSON, keys sorted, floats at 12 significant
-    digits.  load(serialize(load(x))) is a fixed point."""
-    return canonical_json(prereg.content)
-
-
 @dataclass(frozen=True)
 class BindingReport:
     passed: bool
@@ -1235,27 +1209,45 @@ def write_file(path: Path, text: str) -> str:
     return sha256_hex(data)
 
 
-def write_csv(path: Path, header, rows, preamble: str = "") -> str:
-    """``write_file`` of ``preamble`` then a line per row of cells."""
-    return write_file(path, preamble + "".join(
-        ",".join(fmt(v) for v in row) + "\n" for row in (header, *rows)))
+def table_blocks(header: Sequence[str], columns: Sequence[Sequence],
+                 preamble: str = "") -> Iterator[str]:
+    """The text of a delimited table as blocks of whole lines: ``preamble``
+    and the header line, then a line per row of ``columns`` (a list or an
+    array of cells per header column; none for a table of no rows), each
+    cell as ``fmt`` formats it.  A block holds the rows of about ``_BLOCK``
+    characters, some 16 a cell, formatted from one slice of each column,
+    an array's slice turned into Python values by one ``tolist``."""
+    yield preamble + ",".join(header) + "\n"
+    rows = max(1, _BLOCK // (16 * len(header)))
+    for start in range(0, len(columns[0]) if columns else 0, rows):
+        parts = (c[start:start + rows] for c in columns)
+        cells = [map(fmt, p.tolist() if isinstance(p, np.ndarray) else p)
+                 for p in parts]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def write_table(path: Path, header: Sequence[str],
+                columns: Sequence[Sequence], preamble: str = "") -> str:
+    """Write the ``table_blocks`` of a table to ``path``, encoding, writing
+    and hashing one block at a time; the sha256 of the bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as file:
+        for block in table_blocks(header, columns, preamble):
+            data = block.encode()
+            file.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def mask_name(task: str, joint: str) -> str:
     return f"{task}__{joint}.csv"
 
 
-def mask_csv(result: HeeResult) -> str:
-    """One pair's envelope mask as CSV text, a row per band sample; each
-    column is formatted at once, as ``fmt`` formats its cells."""
-    words = ("false", "true")
-    columns = [
-        *(map(repr, c.tolist()) for c in (result.q, result.omega,
-                                           result.weight)),
-        *([words[ok] for ok in c.tolist()]
-          for c in (result.torque_ok, result.power_ok, result.passed)),
-    ]
-    return "\n".join(map(",".join, (MASK_COLUMNS, *zip(*columns)))) + "\n"
+def mask_table(result: HeeResult) -> tuple[tuple[str, ...], tuple]:
+    """``(MASK_COLUMNS, columns)``: one pair's envelope mask as a table for
+    ``write_table``, a row per band sample."""
+    return MASK_COLUMNS, (result.q, result.omega, result.weight,
+                          result.torque_ok, result.power_ok, result.passed)
 
 
 def emit_report(
@@ -1284,77 +1276,66 @@ def emit_report(
     (out_dir / "hee_masks").mkdir(parents=True, exist_ok=True)
     files: dict[Path, str] = {}     # each file written, with its sha256
 
+    tasks = list(scheme.task_weights)
     summary = out_dir / "summary.csv"
-    rows = [["hlas", breakdown.hlas]]
-    for task in scheme.task_weights:
-        rows.append([f"task_score:{task}", breakdown.task_scores[task]])
-    rows.append(["guardrail_flag_count", len(breakdown.guardrail_flags)])
-    files[summary] = write_csv(summary, ["metric", "value"], rows)
+    files[summary] = write_table(summary, ("metric", "value"), (
+        ["hlas", *(f"task_score:{t}" for t in tasks), "guardrail_flag_count"],
+        [breakdown.hlas, *(breakdown.task_scores[t] for t in tasks),
+         len(breakdown.guardrail_flags)]))
 
     task_table = out_dir / "task_table.csv"
-    files[task_table] = write_csv(
-        task_table,
-        ["task", "task_weight", "score"],
-        [[t, scheme.task_weights[t], breakdown.task_scores[t]]
-         for t in scheme.task_weights],
-    )
+    files[task_table] = write_table(
+        task_table, ("task", "task_weight", "score"),
+        (tasks, [scheme.task_weights[t] for t in tasks],
+         [breakdown.task_scores[t] for t in tasks]))
 
+    pair_tasks, pair_joints = [t for t, _ in scored], [j for _, j in scored]
+    pair_scores = [breakdown.joint_task_scores[key] for key in scored]
     feature_table = out_dir / "feature_table.csv"
-    files[feature_table] = write_csv(
-        feature_table,
-        ["task", "joint", *FEATURE_NAMES, "score"],
-        [
-            [task, joint,
-             *[getattr(breakdown.feature_vectors[(task, joint)], n)
-               for n in FEATURE_NAMES],
-             breakdown.joint_task_scores[(task, joint)]]
-            for task, joint in scored
-        ],
-    )
+    files[feature_table] = write_table(
+        feature_table, ("task", "joint", *FEATURE_NAMES, "score"),
+        (pair_tasks, pair_joints,
+         *([getattr(breakdown.feature_vectors[key], n) for key in scored]
+           for n in FEATURE_NAMES), pair_scores))
 
     contributions = out_dir / "contributions.csv"
-    files[contributions] = write_csv(
-        contributions,
-        ["task", "joint", "score", "joint_weight", "task_weight",
-         "contribution"],
-        [
-            [task, joint, breakdown.joint_task_scores[(task, joint)],
-             scheme.joint_weights[task][joint], scheme.task_weights[task],
-             breakdown.contributions[(task, joint)]]
-            for task, joint in scored
-        ],
-    )
+    files[contributions] = write_table(
+        contributions, ("task", "joint", "score", "joint_weight",
+                        "task_weight", "contribution"),
+        (pair_tasks, pair_joints, pair_scores,
+         [scheme.joint_weights[t][j] for t, j in scored],
+         [scheme.task_weights[t] for t in pair_tasks],
+         [breakdown.contributions[key] for key in scored]))
 
     flags_path = out_dir / "guardrail_flags.txt"
     files[flags_path] = write_file(
         flags_path, "".join(flag + "\n" for flag in breakdown.guardrail_flags))
 
     rom_path = out_dir / "rom_overlays.csv"
-    files[rom_path] = write_csv(
+    files[rom_path] = write_table(
         rom_path,
-        ["task", "joint", "axis", "functional_lo_deg", "functional_hi_deg",
-         "robot_lo_deg", "robot_hi_deg"],
+        ("task", "joint", "axis", "functional_lo_deg", "functional_hi_deg",
+         "robot_lo_deg", "robot_hi_deg"),
         # an axis with no robot ROM row has empty robot cells (coverage 0)
-        [[p.task, p.joint, axis,
-          p.functional_rom[axis].lo, p.functional_rom[axis].hi,
-          *([p.robot_rom[axis].lo, p.robot_rom[axis].hi]
-            if axis in p.robot_rom else ["", ""])]
-         for p in pairs for axis in sorted(p.required_axes)],
-    )
+        [*zip(*([p.task, p.joint, axis,
+                 p.functional_rom[axis].lo, p.functional_rom[axis].hi,
+                 *([p.robot_rom[axis].lo, p.robot_rom[axis].hi]
+                   if axis in p.robot_rom else ["", ""])]
+                for p in pairs for axis in sorted(p.required_axes)))])
 
     hee_paths = {}
     for p in pairs:
         path = out_dir / "hee_masks" / mask_name(p.task, p.joint)
         result = hee_coverage(p.band, p.capability, scheme.headroom_delta)
-        files[path] = write_file(path, mask_csv(result))
+        files[path] = write_table(path, *mask_table(result))
         hee_paths[(p.task, p.joint)] = path
 
     (out_dir / "task_trials").mkdir(exist_ok=True)
     for name, columns in TASK_TRIAL_COLUMNS.items():
         path = out_dir / "task_trials" / f"{name}.csv"
-        files[path] = write_csv(path, columns, [], "# whole-robot trial "
-                                "results; requires an integrated robot and "
-                                "is not computed by this toolkit\n")
+        files[path] = write_table(path, columns, (), "# whole-robot trial "
+                                  "results; requires an integrated robot "
+                                  "and is not computed by this toolkit\n")
 
     manifest = out_dir / "manifest.json"
     manifest_content = {

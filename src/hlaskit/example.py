@@ -19,7 +19,7 @@ from .config_io import (
     emit_report,
     read_table,
     score_registration,
-    write_csv,
+    write_table,
 )
 from .errors import GoldenMismatch
 from .scoring import hlas
@@ -100,11 +100,10 @@ def run_and_check_example(out_dir: Path) -> tuple[ExampleRun,
     files = emit_report(scored.breakdown, scored.pairs, out_dir,
                         scored.scheme).files
     sensitivity = Path(out_dir) / "sensitivity.csv"
-    files[sensitivity] = write_csv(sensitivity, ["variant", "hlas"], [
-        ["baseline", scored.breakdown.hlas],
-        [f"headroom_delta_{HEADROOM_SENSITIVITY_DELTA:g}", run.hlas_headroom],
-        ["alpha_alt", run.hlas_alpha_alt],
-    ])
+    files[sensitivity] = write_table(sensitivity, ("variant", "hlas"), (
+        ["baseline", f"headroom_delta_{HEADROOM_SENSITIVITY_DELTA:g}",
+         "alpha_alt"],
+        [scored.breakdown.hlas, run.hlas_headroom, run.hlas_alpha_alt]))
     divergent = compare_to_golden(out_dir)
     if divergent:
         raise GoldenMismatch(

@@ -38,8 +38,8 @@ from hlaskit.example import (
     run_example,
 )
 from hlaskit.config_io import (
+    canonical_json,
     load_preregistration,
-    serialize_preregistration,
     verify_prereg_binding,
 )
 from hlaskit.scoring import (
@@ -558,8 +558,8 @@ def test_criterion_7_round_trip_and_binding(tmp_path):
     text = (example_data_dir() / "prereg.yaml").read_text()
     prereg = load_preregistration(text)
 
-    once = serialize_preregistration(prereg)
-    twice = serialize_preregistration(load_preregistration(once))
+    once = canonical_json(prereg.content)
+    twice = canonical_json(load_preregistration(once).content)
     idempotent = once == twice
     stable = load_preregistration(once).digest == prereg.digest
 

@@ -17,12 +17,13 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from hlaskit import cli, config_io
 from hlaskit.cli import main
 from hlaskit.config_io import (
     build_pairs,
     load_measurements,
     load_preregistration_file,
-    mask_csv,
+    mask_table,
     read_bandwidth_file,
     read_bands,
     read_capability_map,
@@ -32,6 +33,7 @@ from hlaskit.config_io import (
     read_rom_file,
     read_table,
     read_thermal_file,
+    table_blocks,
     write_log,
 )
 from hlaskit.envelope import hee_coverage
@@ -215,7 +217,8 @@ class TestHee:
         assert stdout.read_bytes() == b""
         band = read_bands(data_dir / "bands.csv")[("Walk", "ankle")]
         cap = read_capability_map(data_dir / "capability_ankle.csv")
-        assert out.read_text() == mask_csv(hee_coverage(band, cap))
+        assert out.read_text() == "".join(table_blocks(*mask_table(
+            hee_coverage(band, cap))))
 
 
 def _backdrive_log(directory):
@@ -744,6 +747,38 @@ def test_qc_refuses_one_bandwidth_flag_without_the_other(
     assert file_reads == {}
 
 
+@pytest.mark.parametrize("flag, value", [("--omega-max", "0"),
+                                         ("--omega-req", "2"),
+                                         ("--margin-method", "quantile10")])
+def test_hee_refuses_a_margin_flag_without_margins(flag, value, data_dir,
+                                                   tmp_path, capsys,
+                                                   file_reads):
+    """The margin flags are read only with ``--margins``; without it they
+    exit 2 at the parser, where they used to be ignored."""
+    out = tmp_path / "mask.csv"
+    argv = _hlas_argv("hee", data_dir, None, None) + [flag, value]
+    with pytest.raises(SystemExit) as raised:
+        main(argv + ["--out", str(out)])
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"hlas hee: error: argument --margins: required with {flag}" \
+        in captured.err
+    assert not out.exists() and file_reads == {}
+    assert main(argv + ["--margins"]) == 0
+    margins = capsys.readouterr().out.splitlines()[-1]
+    assert margins.startswith("torque_margin ")
+
+
+def test_hee_margin_flags_keep_their_defaults(data_dir, capsys):
+    argv = _hlas_argv("hee", data_dir, None, None) + ["--margins"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--omega-max", "1", "--omega-req", "1",
+                        "--margin-method", "min"]) == 0
+    assert capsys.readouterr().out == default
+
+
 # argvs whose text the parser writes: the help of each of the 18 parsers,
 # and each way ``hlas`` exits at the parser (an unrecognized flag prints
 # the usage of ``hlas``, which names every command); none reads a file
@@ -960,13 +995,13 @@ class TestSharedPipeline:
 
     @pytest.mark.parametrize("command", ["score", "example"])
     def test_undeclared_gate_is_refused_alike(self, command, tmp_path,
-                                              capsys):
+                                              monkeypatch, capsys):
         """``example --gate Nope`` exited 3 (``MissingJoint``) where
         ``score --gate Nope`` exits 2; both now validate the gated scheme
         before writing anything."""
         data, out = example_data_dir(), tmp_path / "out"
-        argv = (_score_argv(data, out) if command == "score"
-                else ["example", "--out", str(out)])
+        monkeypatch.chdir(tmp_path)     # where ``example`` would write
+        argv = _score_argv(data, out) if command == "score" else ["example"]
         assert main([*argv, "--gate", "Walk", "--gate", "Nope"]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", (
@@ -1359,12 +1394,10 @@ class TestExample:
         assert "HLAS 0.636" in result.stdout
         assert "golden tables match" in result.stdout
 
-    def test_variants(self, tmp_path):
-        result = run_cli("example", "--out", str(tmp_path / "x"),
-                         "--delta", "0.10")
+    def test_variants(self):
+        result = run_cli("example", "--delta", "0.10")
         assert "HLAS 0.515" in result.stdout
-        result = run_cli("example", "--out", str(tmp_path / "x"),
-                         "--gate", "Stairs")
+        result = run_cli("example", "--gate", "Stairs")
         assert "HLAS 0.343" in result.stdout
 
     @pytest.mark.parametrize("flags, lines", [
@@ -1377,14 +1410,41 @@ class TestExample:
           "HLAS 0.343 (gated on Stairs)"]),
     ], ids=lambda case: " ".join(case) if case[0].startswith("--") else None)
     def test_quick_mode_prints_its_lines_and_writes_nothing(
-            self, flags, lines, tmp_path, capsys):
+            self, flags, lines, tmp_path, monkeypatch, capsys, file_reads):
         """Each quick-mode line scores one variant of the registered
-        scheme; nothing is written, not even ``--out``."""
-        out = tmp_path / "out"
-        assert main(["example", "--out", str(out), *flags]) == 0
+        scheme; nothing is written, not even the default ``--out``.  With
+        ``--out``, which it used to ignore, quick mode exits 2 at the
+        parser, naming ``--out`` and the first of its flags."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["example", *flags]) == 0
         assert capsys.readouterr().out == "".join(f"{line}\n"
                                                   for line in lines)
+        file_reads.clear()
+        with pytest.raises(SystemExit) as raised:
+            main(["example", "--out", "out", *flags])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and file_reads == {}
+        assert f"hlas example: error: argument --out: not allowed with " \
+            f"{flags[0]}" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, passes", [
+        (["--gate", "Stairs"], 1), (["--delta", "0.10", "--gate", "Stairs"], 2)])
+    def test_quick_mode_scores_each_distinct_scheme_once(
+            self, flags, passes, monkeypatch, capsys):
+        """A gate changes guardrail flags, not scores, so ``--gate`` alone
+        prints its line from the one scoring pass of the gated scheme."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return hlas(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "hlas", counted)
+        monkeypatch.setattr(config_io, "hlas", counted)
+        assert main(["example", *flags]) == 0
+        assert len(calls) == passes
 
     def test_runs_in_process(self, tmp_path, capsys):
         assert main(["example", "--out", str(tmp_path / "out")]) == 0

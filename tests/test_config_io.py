@@ -19,7 +19,9 @@ from hlaskit.config_io import (
     _read_columns,
     _file_blocks,
     _regular_columns,
+    canonical_json,
     emit_report,
+    fmt,
     load_measurements,
     load_preregistration,
     load_preregistration_file,
@@ -30,12 +32,13 @@ from hlaskit.config_io import (
     read_log,
     read_table,
     read_thermal_file,
-    serialize_preregistration,
     sha256_file,
     sha256_hex,
+    table_blocks,
     verify_prereg_binding,
     write_capability_map,
     write_log,
+    write_table,
 )
 from hlaskit.errors import (
     DataError,
@@ -68,17 +71,17 @@ class TestPreregistration:
         prereg = load_preregistration(prereg_text)
         assert prereg.digest == ("02f66d72ec08c71605b7a717ab9666f5"
                                  "17bc148a6342c78b06609bf0671e55b9")
-        assert sha256_hex(serialize_preregistration(prereg).encode()) == \
+        assert sha256_hex(canonical_json(prereg.content).encode()) == \
             prereg.digest
 
     def test_digest_stable_across_reserialization(self, prereg_text):
         first = load_preregistration(prereg_text)
-        second = load_preregistration(serialize_preregistration(first))
+        second = load_preregistration(canonical_json(first.content))
         assert first.digest == second.digest
 
     def test_canonical_form_is_fixed_point(self, prereg_text):
-        once = serialize_preregistration(load_preregistration(prereg_text))
-        twice = serialize_preregistration(load_preregistration(once))
+        once = canonical_json(load_preregistration(prereg_text).content)
+        twice = canonical_json(load_preregistration(once).content)
         assert once == twice
 
     def test_digest_sensitive_to_any_value_change(self, prereg_text):
@@ -828,29 +831,61 @@ class TestStreamedLog:
                 == f"{path}: line {line}: byte 0xff is not UTF-8 text"
             assert files == {}
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 40), st.data(), st.integers(1, 300))
-    def test_write_log_bytes_are_those_of_the_whole_text(self, count, data,
-                                                          block):
-        value = st.floats(allow_nan=False, allow_infinity=False)
-        log = TimeSeriesLog(
-            np.arange(count) / 1000.0,
-            *(data.draw(st.lists(value, min_size=count, max_size=count))
-              for _ in LOG_COLUMNS[1:]),
-            sample_rate=data.draw(st.sampled_from([1000.0, 2500.0])),
-            conditions=data.draw(st.sampled_from(["", "rig", "r\u00e9glage"])),
-            seed=data.draw(st.sampled_from([None, 0, 7])))
-        seed = "" if log.seed is None else f"# seed: {log.seed}\n"
-        text = (f"# sample_rate_hz: {log.sample_rate!r}\n"
-                f"# conditions: {log.conditions}\n{seed}"
-                + ",".join(LOG_COLUMNS) + "\n" + "".join(
-                    ",".join(repr(float(v)) for v in values) + "\n"
-                    for values in zip(*(getattr(log, c) for c in CHANNELS))))
+
+# cells of a drawn column: (Python values, NumPy dtype or None for a list)
+COLUMN_KINDS = {
+    "float": (st.floats() | st.sampled_from([-0.0, 0.0]), float),
+    "bool": (st.booleans(), bool),
+    "int": (st.integers(-2**63, 2**63 - 1), np.int64),
+    "text": (st.text(), None),
+    "mixed": (st.floats() | st.booleans() | st.integers() | st.text(), None),
+}
+
+
+@st.composite
+def tables(draw):
+    """``(header, columns, preamble, rows)``: the columns as the writer
+    takes them (lists, and arrays for the kinds that have a dtype; none
+    at all for some tables of no rows) and the rows of their Python
+    values."""
+    width, count = draw(st.integers(1, 6)), draw(st.integers(0, 40))
+    header = draw(st.lists(st.text(min_size=1), min_size=width,
+                           max_size=width))
+    values, columns = [], []
+    for kind in draw(st.lists(st.sampled_from(list(COLUMN_KINDS)),
+                              min_size=width, max_size=width)):
+        cells, dtype = COLUMN_KINDS[kind]
+        column = draw(st.lists(cells, min_size=count, max_size=count))
+        values.append(column)
+        columns.append(np.array(column, dtype=dtype)
+                       if dtype and draw(st.booleans()) else column)
+    if not count and draw(st.booleans()):
+        columns = ()
+    preamble = draw(st.sampled_from(["", "# seed: 7\n",
+                                     "# conditions: r\u00e9glage\n"])
+                    | st.text())
+    return header, columns, preamble, list(zip(*values))
+
+
+class TestTableWriter:
+    """``write_table``, through which every table, mask and log is
+    written, formats a block of rows at a time; the oracle is the whole
+    text, a line of ``fmt`` cells per row, at blocks of 1 to 300."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables(), st.integers(1, 300))
+    def test_bytes_are_those_of_the_fmt_joined_rows(self, table, block):
+        header, columns, preamble, rows = table
+        text = preamble + "".join(",".join(map(fmt, row)) + "\n"
+                                  for row in (header, *rows))
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(config_io, "_BLOCK", block):
-            path = Path(tmp) / "log.csv"
-            digest = write_log(log, path)
+            blocks = list(table_blocks(header, columns, preamble))
+            path = Path(tmp) / "table.csv"
+            digest = write_table(path, header, columns, preamble)
             assert path.read_bytes() == text.encode()
+        assert "".join(blocks) == text
+        assert all(b.endswith("\n") for b in blocks)
         assert digest == sha256_hex(text.encode())
 
 
