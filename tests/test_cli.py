@@ -1430,7 +1430,8 @@ class TestExample:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags, passes", [
-        (["--gate", "Stairs"], 1), (["--delta", "0.10", "--gate", "Stairs"], 2)])
+        (["--gate", "Stairs"], 1),
+        (["--delta", "0.10", "--gate", "Stairs"], 2)])
     def test_quick_mode_scores_each_distinct_scheme_once(
             self, flags, passes, monkeypatch, capsys):
         """A gate changes guardrail flags, not scores, so ``--gate`` alone

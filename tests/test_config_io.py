@@ -888,6 +888,23 @@ class TestTableWriter:
         assert all(b.endswith("\n") for b in blocks)
         assert digest == sha256_hex(text.encode())
 
+    @pytest.mark.parametrize("seed, conditions",
+                             [(None, ""), (0, "r\u00e9glage"), (7, "rig")])
+    def test_write_log_is_the_table_of_its_channels(self, seed, conditions,
+                                                    tmp_path):
+        log = replace(generate_backdrive_log(SyntheticActuator(),
+                                             duration=0.01),
+                      seed=seed, conditions=conditions)
+        text = (f"# sample_rate_hz: {log.sample_rate!r}\n"
+                f"# conditions: {conditions}\n"
+                + ("" if seed is None else f"# seed: {seed}\n")
+                + ",".join(LOG_COLUMNS) + "\n" + "".join(
+                    ",".join(repr(float(v)) for v in values) + "\n"
+                    for values in zip(*(getattr(log, c) for c in CHANNELS))))
+        path = tmp_path / "log.csv"
+        assert write_log(log, path) == sha256_hex(text.encode())
+        assert path.read_bytes() == text.encode()
+
 
 class TestEmitReport:
     @pytest.fixture
