@@ -1210,10 +1210,11 @@ class TestOneParserPerCommand:
 
 class TestOneCopyOfTheLog:
     """Traced peaks of writing and parsing a 12 s, 1 kHz thermal log, as
-    multiples of the log's size.  ``write_log`` formats, encodes, writes
-    and hashes one block of rows at a time, and ``hlas analyze`` reads and
-    parses the file one block at a time, so neither holds the log's text:
-    ``synth thermal`` peaks at 0.95x (3.29x when the whole text was built,
+    multiples of the log's size.  ``write_log`` (``write_table``) formats,
+    encodes, writes and hashes one block of rows at a time, and ``hlas
+    analyze`` reads and parses the file one block at a time, so neither
+    holds the log's text: ``synth thermal`` peaks at 0.99x (0.90x when
+    each row was formatted on its own; 3.29x when the whole text was built,
     then encoded) and ``analyze qc`` at 1.27x (2.12x when the bytes were
     read whole and the text decoded; 7.84x when the whole body was split at
     once).  ``read_log`` itself holds one block's bytes, text and cells and
