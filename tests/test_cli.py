@@ -324,6 +324,60 @@ def test_malformed_cell_is_a_data_error_naming_the_line(kind, defect,
     assert f"line {number}" in capsys.readouterr().err
 
 
+EXAMPLE_OMEGA_MAX = {"ankle": 14.0, "knee": 8.0, "hip": 6.0,
+                     "shoulder": 8.0, "elbow": 8.0, "wrist": 9.0}
+# an edit of the example's bandwidth.csv (knee is on line 5, wrist on line
+# 9) -> the omega_max_rad_s read per joint, or the error's text after the
+# file's path
+BANDWIDTH_CASES = {
+    "column absent": (
+        lambda text: "".join(line.rsplit(",", 1)[0] + "\n"
+                             if line.count(",") == 2 else line + "\n"
+                             for line in text.splitlines()),
+        dict.fromkeys(EXAMPLE_OMEGA_MAX)),
+    "empty cells": (
+        lambda text: text.replace("knee,7,8", "knee,7,").replace(
+            "wrist,12,9", "wrist,12,"),
+        {**EXAMPLE_OMEGA_MAX, "knee": None, "wrist": None}),
+    "crlf": (lambda text: text.replace("\n", "\r\n"), EXAMPLE_OMEGA_MAX),
+    "quoted cell": (lambda text: text.replace("knee,7,8", 'knee,7,"8"'),
+                    EXAMPLE_OMEGA_MAX),
+    "text cell": (lambda text: text.replace("knee,7,8", "knee,7,abc"),
+                  "line 5: omega_max_rad_s 'abc' is not a number"),
+    "nan cell": (lambda text: text.replace("knee,7,8", "knee,7,nan"),
+                 "line 5: omega_max_rad_s 'nan' is not finite"),
+    "space cell": (lambda text: text.replace("knee,7,8", "knee,7, "),
+                   "line 5: omega_max_rad_s ' ' is not a number"),
+    # every cell is converted before a repeated joint is refused
+    "text cell on a repeated joint": (
+        lambda text: text.replace("wrist,12,9", "knee,12,abc"),
+        "line 9: omega_max_rad_s 'abc' is not a number"),
+}
+
+
+@pytest.mark.parametrize("case", list(BANDWIDTH_CASES))
+def test_bandwidth_omega_max_is_optional_per_cell(case, data_dir, tmp_path,
+                                                  capsys):
+    edit, expected = BANDWIDTH_CASES[case]
+    path = data_dir / "bandwidth.csv"
+    text = path.read_text()
+    path.write_bytes(edit(text).encode())
+    assert path.read_bytes() != text.encode()
+    code = main(_hlas_argv("score", data_dir, None, tmp_path / "r"))
+    err = capsys.readouterr().err
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as raised:
+            read_bandwidth_file(path)
+        assert str(raised.value) == f"{path}: {expected}"
+        assert (code, err) == (3, f"error: DataError: {path}: {expected}\n")
+        return
+    read = read_bandwidth_file(path)
+    assert read == {joint: (read[joint][0], omega)
+                    for joint, omega in expected.items()}
+    assert [f for f, _ in read.values()] == [12.0, 7.0, 6.0, 9.0, 10.0, 12.0]
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("kind", list(MALFORMED_FILES))
 def test_header_naming_a_column_twice_is_a_data_error(kind, data_dir,
                                                       tmp_path, capsys):
