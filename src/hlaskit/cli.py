@@ -181,18 +181,21 @@ def cmd_score(args) -> int:
 
 
 def cmd_hee(args) -> int:
-    bands = read_bands(Path(args.band))
+    """One pair's mask; ``--out`` also writes it and a run manifest."""
+    inputs = {} if args.out else None
+    bands = read_bands(Path(args.band), inputs)
     key = (args.task, args.joint)
     if key not in bands:
         raise DataError(
             f"band file has no ({args.task}, {args.joint}) pair; "
             f"available: {sorted(bands)}"
         )
-    cap = read_capability_map(Path(args.map))
+    cap = read_capability_map(Path(args.map), inputs)
     result = hee_coverage(bands[key], cap, args.delta)
     mask = mask_table(result)
     if args.out:
-        write_table(args.out, *mask)
+        _write_manifest(args.out.parent, args.argv, inputs,
+                        {args.out: write_table(args.out, *mask)})
     print(f"coverage {result.coverage:.3f} (delta {args.delta:g})")
     sys.stdout.writelines(table_blocks(*mask))
     if args.margins:
@@ -431,7 +434,7 @@ def _add_hee(sub) -> None:
     p.add_argument("--joint", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--delta", type=_non_negative, default=0.0)
-    p.add_argument("--out", default=None,
+    p.add_argument("--out", type=Path,
                    help="also write the mask table to a file")
     p.add_argument("--margins", action="store_true", default=None)
     # read only with ``--margins``; 1.0, 1.0 and "min" when not given

@@ -201,14 +201,17 @@ def read_table(
 ) -> tuple[dict[str, str], list[str], list[list[str]]]:
     """``(meta, header, rows)`` of the file at ``path``; see ``_table``.
 
-    The file is opened once.  With ``header_only`` a plain text is read a
-    block at a time (``_file_blocks``), keeping its lines up to the header
-    line and each ``#`` line after it, which is all ``_table`` reads of it;
-    any other text, or a whole table, is parsed from one full read of the
-    same open file (``_utf8``, with no newline translation).
+    A whole table is read by ``_read_columns``, every column as text.  With
+    ``header_only`` a plain text is read a block at a time
+    (``_file_blocks``), keeping its lines up to the header line and each
+    ``#`` line after it, which is all ``_table`` reads of it; any other
+    text is parsed from one full read of the same open file (``_utf8``).
     """
+    if not header_only:
+        meta, columns, _ = _read_columns(path, required_columns, (), ())
+        return meta, list(columns), list(map(list, zip(*columns.values())))
     with open(path, "rb") as file:
-        text = _header_text(_file_blocks(file, None)) if header_only else None
+        text = _header_text(_file_blocks(file, None))
         if text is None:
             file.seek(0)
             text = _utf8(file.read(), path)
@@ -264,8 +267,7 @@ _Columns = tuple[dict[str, str], dict[str, list | np.ndarray], Sequence[int]]
 
 def _cell_columns(
     path: Path, text: str, text_columns: tuple[str, ...],
-    float_columns: tuple[str, ...], optional: tuple[str, ...],
-    all_float: bool = False,
+    float_columns: tuple[str, ...], all_float: bool = False,
 ) -> _Columns:
     """``_read_columns`` before its key check, parsed a cell at a time: the
     first non-numeric or non-finite float cell, in row order, raises
@@ -273,7 +275,6 @@ def _cell_columns(
     meta, header, rows, lines = _table(path, text,
                                        (*text_columns, *float_columns))
     index = {name: i for i, name in enumerate(header)}
-    columns: dict = {c: [row[index[c]] for row in rows] for c in text_columns}
     names = tuple(header) if all_float else float_columns
     cells = rows if all_float else [[row[index[c]] for c in names]
                                     for row in rows]
@@ -288,14 +289,9 @@ def _cell_columns(
              for c, cell in zip(names, row)]
             for i, row in enumerate(cells)
         ]).reshape(len(rows), len(names))
-    numbers = np.ascontiguousarray(numbers.T)
-    # a name given twice in the header reads its first column
-    columns.update((c, numbers[names.index(c)]) for c in names)
-    for c in optional:
-        cells = [row[index[c]] if c in index else "" for row in rows]
-        columns[c] = [_cell_float(path, lines, i, c, cell) if cell else None
-                      for i, cell in enumerate(cells)]
-    return meta, columns, lines
+    floats = dict(zip(names, np.ascontiguousarray(numbers.T)))
+    return meta, {c: floats[c] if c in floats else [row[i] for row in rows]
+                  for i, c in enumerate(header)}, lines
 
 
 # bytes of a file read at a time, and about the characters of a table
@@ -342,9 +338,8 @@ def _regular_columns(
     accepts, no ``#`` and no blank line after its header line, and the
     header's field count on every data line.  Its float cells convert as
     ``_cell_columns`` converts them; a cell that does not convert to a
-    finite float, or with ``all_float`` a header that names a column twice,
-    makes the text irregular, so its error or its value comes from the
-    per-cell path.
+    finite float makes the text irregular, so its error or its value comes
+    from the per-cell path.
 
     The header is parsed once, from the blocks up to the header line; each
     block is then checked, split and converted before the next is taken,
@@ -369,26 +364,28 @@ def _regular_columns(
         return None
     width = len(header)
     names = tuple(header) if all_float else float_columns
-    if len(set(names)) < len(names):
-        return None
-    index = {name: i for i, name in enumerate(header)}
-    columns: dict = {c: [] for c in text_columns}
+    columns: dict = {c: [] for c in header}
     pieces: dict = {c: [] for c in names}
+    texts = [(i, c) for i, c in enumerate(header) if c not in pieces]
     rows = 0
     first = head.count("\n", 0, end - 1) + 2      # the first data line
     # the lines after the header line in its block, then the other blocks
     blocks = chain([head[end:-1]] if end < len(head) else [], blocks)
     del head
     for block in blocks:
+        lines = block.split("\n")
+        # a blank line has the field count of a header of one column
         if not _plain(block) or "#" in block or set(map(
-                str.count, block.split("\n"), repeat(","))) != {width - 1}:
+                str.count, lines, repeat(","))) != {width - 1} \
+                or width == 1 and not all(map(str.strip, lines)):
             return None
+        del lines
         cells = block.replace("\n", ",").split(",")
         del block
-        for c in text_columns:
-            columns[c] += cells[index[c]::width]
+        for i, c in texts:
+            columns[c] += cells[i::width]
         try:
-            values = [np.array(cells[index[c]::width], dtype=float)
+            values = [np.array(cells[header.index(c)::width], dtype=float)
                       for c in names]
         except ValueError:
             return None
@@ -408,15 +405,14 @@ def _regular_columns(
 def _read_columns(
     path: Path, text_columns: tuple[str, ...],
     float_columns: tuple[str, ...], key: tuple[str, ...],
-    optional: tuple[str, ...] = (), all_float: bool = False,
-    codes: dict[str, np.ndarray] | None = None,
+    all_float: bool = False, codes: dict[str, np.ndarray] | None = None,
     files: dict[Path, str] | None = None, sha256: str | None = None,
 ) -> _Columns:
-    """Metadata, each column's cells in file order, and each row's line: a
-    list of strings per text column, a float64 array per float column and a
-    list of floats or None per ``optional`` column, which may be absent.
-    With ``all_float`` every header column is a float column, and
-    ``float_columns`` names those that must be there.
+    """Metadata, every header column's cells in file order, in header
+    order, and each row's line: a float64 array per float column and a list
+    of strings per other column.  ``text_columns`` and ``float_columns``
+    name the columns that must be there; the float columns are
+    ``float_columns``, or with ``all_float`` every header column.
 
     The file is opened once and a regular text (``_regular_columns``) is
     read and parsed a block at a time (``_file_blocks``); any other text is
@@ -432,9 +428,8 @@ def _read_columns(
     """
     digest = None if files is None and sha256 is None else hashlib.sha256()
     with open(path, "rb") as file:
-        parsed = None if optional else _regular_columns(
-            path, _file_blocks(file, digest), text_columns, float_columns,
-            all_float)
+        parsed = _regular_columns(path, _file_blocks(file, digest),
+                                  text_columns, float_columns, all_float)
         if parsed is None:
             file.seek(0)
             data = file.read()
@@ -447,7 +442,7 @@ def _read_columns(
         text = _utf8(data, path)
         del data
         parsed = _cell_columns(path, text, text_columns, float_columns,
-                               optional, all_float)
+                               all_float)
         del text
     if files is not None:
         files[path] = digest.hexdigest()
@@ -503,45 +498,21 @@ def _groups(columns: dict, codes: dict, names: tuple[str, ...]) -> dict:
             for rows in sorted(groups, key=lambda rows: rows[0])}
 
 
-def _read_records(
-    path: Path, files: dict[Path, str] | None,
-    text_columns: tuple[str, ...], float_columns: tuple[str, ...],
-    key: tuple[str, ...], make, optional: tuple[str, ...] = (),
-) -> list:
-    """``make(*text cells, *floats, *optional floats)`` for each data row
-    of ``_read_columns``; a ``DataError`` from ``make`` is raised again
-    naming the row's line."""
-    _, columns, lines = _read_columns(path, text_columns, float_columns, key,
-                                      optional, files=files)
+def _records(path: Path, columns: dict, lines: Sequence[int],
+             names: tuple[str, ...], make) -> list:
+    """``make(*cells)`` for each data row, in file order, of its cells in
+    the ``names`` columns, a float cell as a Python float (a NumPy scalar
+    would reach ``fmt`` as ``np.float64(...)``); a ``DataError`` from
+    ``make`` is raised again naming the row's line."""
+    cells = (columns[c].tolist() if isinstance(columns[c], np.ndarray)
+             else columns[c] for c in names)
     records: list = []
     try:
-        for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                         for c in columns.values())):
+        for row in zip(*cells):
             records.append(make(*row))
     except DataError as exc:
         raise _located(path, exc, lines, len(records)) from None
     return records
-
-
-def _first_repeat(keys: list) -> tuple[int, int] | None:
-    """``(earlier, i)``: the first index whose key repeats an earlier one,
-    and that earlier index; None when every key is distinct."""
-    if len(set(keys)) == len(keys):
-        return None
-    first: dict = {}
-    for i, k in enumerate(keys):
-        earlier = first.setdefault(k, i)
-        if earlier != i:
-            return earlier, i
-    return None
-
-
-def _grouped(items) -> dict:
-    """``(group, value)`` items as ``group -> [values]``, in file order."""
-    out: dict = {}
-    for group, value in items:
-        out.setdefault(group, []).append(value)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -617,33 +588,48 @@ def read_rom_file(
     path: Path, files: dict[Path, str] | None = None,
 ) -> dict[str, dict[str, RomInterval]]:
     """Robot ROM per joint and axis: ``joint,axis,lo_deg,hi_deg``."""
-    rows = _read_records(
-        path, files, ("joint", "axis"), ("lo_deg", "hi_deg"),
-        ("joint", "axis"),
-        lambda joint, axis, lo, hi: (joint, (axis, RomInterval(lo, hi))))
-    return {joint: dict(axes) for joint, axes in _grouped(rows).items()}
+    codes: dict = {}
+    _, columns, lines = _read_columns(
+        path, ("joint", "axis"), ("lo_deg", "hi_deg"), ("joint", "axis"),
+        codes=codes, files=files)
+    rom = _records(path, columns, lines, ("lo_deg", "hi_deg"), RomInterval)
+    return {joint: {columns["axis"][i]: rom[i] for i in rows}
+            for (joint,), rows in _groups(columns, codes, ("joint",)).items()}
 
 
 def read_dof_file(
     path: Path, files: dict[Path, str] | None = None,
 ) -> dict[str, list[AxisActuationReport]]:
     """DoF report: ``joint,axis,implemented,coupling_rms_fraction``."""
-    rows = _read_records(
-        path, files, ("joint", "axis", "implemented"),
-        ("coupling_rms_fraction",), ("joint", "axis"),
-        lambda joint, axis, implemented, coupling: (joint, AxisActuationReport(
+    codes: dict = {}
+    _, columns, lines = _read_columns(
+        path, ("joint", "axis", "implemented"), ("coupling_rms_fraction",),
+        ("joint", "axis"), codes=codes, files=files)
+    reports = _records(
+        path, columns, lines,
+        ("joint", "axis", "implemented", "coupling_rms_fraction"),
+        lambda joint, axis, implemented, coupling: AxisActuationReport(
             AxisSpec(joint, axis),
-            implemented.strip().lower() in ("true", "1", "yes"), coupling)))
-    return _grouped(rows)
+            implemented.strip().lower() in ("true", "1", "yes"), coupling))
+    return {joint: [reports[i] for i in rows]
+            for (joint,), rows in _groups(columns, codes, ("joint",)).items()}
 
 
 def read_bandwidth_file(
     path: Path, files: dict[Path, str] | None = None,
 ) -> dict[str, tuple[float, float | None]]:
-    """Per joint: ``f_crossover_hz`` and the optional ``omega_max_rad_s``."""
-    return dict(_read_records(path, files, ("joint",), ("f_crossover_hz",),
-                              ("joint",), lambda joint, *rates: (joint, rates),
-                              optional=("omega_max_rad_s",)))
+    """Per joint: ``f_crossover_hz`` and the optional ``omega_max_rad_s``,
+    None where that column is absent or its cell empty.  Every cell is
+    converted before a repeated joint is refused."""
+    _, columns, lines = _read_columns(path, ("joint",), ("f_crossover_hz",),
+                                      (), files=files)
+    cells = columns.get("omega_max_rad_s", [""] * len(lines))
+    omega_max = [_cell_float(path, lines, i, "omega_max_rad_s", cell)
+                 if cell else None for i, cell in enumerate(cells)]
+    _refuse_repeats(path, columns, {"joint": _codes(columns["joint"])},
+                    ("joint",), lines)
+    return dict(zip(columns["joint"],
+                    zip(columns["f_crossover_hz"].tolist(), omega_max)))
 
 
 def read_efficiency_file(
@@ -672,9 +658,10 @@ def read_thermal_file(
     path: Path, files: dict[Path, str] | None = None,
 ) -> dict[tuple[str, str], float]:
     """Plateau torques: ``task,joint,torque_cont_nm``."""
-    return dict(_read_records(
-        path, files, ("task", "joint"), ("torque_cont_nm",), ("task", "joint"),
-        lambda task, joint, torque: ((task, joint), torque)))
+    _, columns, _ = _read_columns(path, ("task", "joint"), ("torque_cont_nm",),
+                                  ("task", "joint"), files=files)
+    return dict(zip(zip(columns["task"], columns["joint"]),
+                    columns["torque_cont_nm"].tolist()))
 
 
 def write_log(log: TimeSeriesLog, path: Path) -> str:
@@ -760,13 +747,14 @@ class _RegistrationLoader(yaml.SafeLoader):
     def construct_mapping(self, node, deep=False):
         own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
         mapping = super().construct_mapping(node, deep)
-        keys = [self.constructed_objects[k] for k in own]
-        repeat = _first_repeat(keys)
-        if repeat:
-            earlier, i = repeat
-            raise DuplicateDeclaration(
-                f"key {keys[i]!r} on line {own[i].start_mark.line + 1} "
-                f"repeats line {own[earlier].start_mark.line + 1}")
+        first: dict = {}
+        for i, k in enumerate(own):
+            key = self.constructed_objects[k]
+            earlier = first.setdefault(key, i)
+            if earlier != i:
+                raise DuplicateDeclaration(
+                    f"key {key!r} on line {k.start_mark.line + 1} "
+                    f"repeats line {own[earlier].start_mark.line + 1}")
         return mapping
 
 
@@ -975,7 +963,7 @@ def verify_prereg_binding(
     Registered band files are exempt from the ordering check: they are part
     of the declaration (bound by digest instead), so they may predate it.
     Violations are report content, not exceptions: the report is the
-    product.
+    product.  A ``created_utc`` header not in ISO 8601 raises ``DataError``.
     """
     created = parse_timestamp(prereg.created)
     registered = {ref.file for ref in prereg.bands}
@@ -984,7 +972,12 @@ def verify_prereg_binding(
         path = Path(path)
         meta, _, _ = read_table(path, header_only=True)
         if "created_utc" in meta:
-            stamp = parse_timestamp(meta["created_utc"])
+            try:
+                stamp = parse_timestamp(meta["created_utc"])
+            except ValueError:
+                raise DataError(f"{path}: created_utc header "
+                                f"{meta['created_utc']!r} is not an ISO "
+                                f"8601 timestamp") from None
         else:
             stamp = datetime.fromtimestamp(path.stat().st_mtime, timezone.utc)
         if path.name not in registered and stamp < created:

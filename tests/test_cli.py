@@ -197,6 +197,28 @@ class TestHee:
         assert lines[0] == "q_deg,omega_rad_s,weight,torque_ok,power_ok,pass"
         assert sum(l.endswith(",true") for l in lines[1:]) == 1
 
+    def test_mask_file_has_a_run_manifest_and_the_same_stdout(
+            self, data_dir, tmp_path, capsys):
+        argv = _hlas_argv("hee", data_dir, None, None)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert sorted(tmp_path.rglob("*")) == before    # nothing written
+        out = tmp_path / "r" / "mask.csv"
+        out.parent.mkdir()
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == stdout
+        assert sorted(out.parent.iterdir()) \
+            == [out, out.parent / "run_manifest.json"]
+        manifest = json.loads((out.parent / "run_manifest.json").read_text())
+        assert manifest["command"] == [*argv, "--out", str(out)]
+        band, cap = data_dir / "bands.csv", data_dir / "capability_ankle.csv"
+        assert manifest["inputs"] == [
+            {"path": str(band), "sha256": _sha256(band)},
+            {"path": str(cap), "sha256": _sha256(cap)}]
+        assert manifest["outputs"] == [{"path": str(out),
+                                        "sha256": _sha256(out)}]
+
     def test_closed_pipe_ends_quietly_after_the_mask_file(
             self, data_dir, tmp_path, monkeypatch):
         out, stdout = tmp_path / "mask.csv", tmp_path / "stdout"
@@ -1426,6 +1448,18 @@ class TestValidatePrereg:
                          "--data", str(data_dir))
         assert result.returncode == 2
         assert "predates" in result.stdout
+
+    def test_bad_created_utc_is_a_data_error_naming_file_and_value(
+            self, data_dir, capsys):
+        cap = data_dir / "capability_ankle.csv"
+        text = cap.read_text()
+        cap.write_text(text.replace("# created_utc: 2026-08-05T10:00:00Z",
+                                    "# created_utc: not-a-date"))
+        assert cap.read_text() != text
+        assert main(_hlas_argv("validate-prereg", data_dir, None, None)) == 3
+        assert capsys.readouterr() == ("", (
+            f"error: DataError: {cap}: created_utc header 'not-a-date' is "
+            f"not an ISO 8601 timestamp\n"))
 
     def test_holds_no_whole_file(self, tmp_path, capsys):
         """The traced peak of ``validate-prereg`` on the 12 x 3 grid-16

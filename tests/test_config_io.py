@@ -420,6 +420,21 @@ def measurement_texts(draw):
     return kind, irregularity, newline.join(lines) + end
 
 
+@st.composite
+def one_column_texts(draw):
+    """``("column", irregularity, text)``: a table of one column, with
+    blank lines among its data lines ("blank") or none (None)."""
+    lines = ["name", *draw(st.lists(st.sampled_from(
+        ["x", "1.5", "-0.0", " y ", "a b"]), max_size=6))]
+    blanks = draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=3))
+    for blank in blanks:
+        lines.insert(draw(st.integers(1, len(lines))), blank)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    # a blank last line needs the line break that ends it
+    end = newline if blanks else draw(st.sampled_from(["", newline]))
+    return "column", "blank" if blanks else None, newline.join(lines) + end
+
+
 def _refuse_repeated_header(path):
     """Raise the ``DataError`` of a header line that names a column twice,
     naming that line and the first name repeated."""
@@ -434,11 +449,18 @@ def _refuse_repeated_header(path):
                         f"{twice[0]!r} twice")
 
 
+def _whole_table(path, required_columns=()):
+    """``(meta, header, rows)`` of ``path`` parsed by ``csv`` from its whole
+    text (``config_io._table``), not a block or a column at a time."""
+    return config_io._table(path, path.read_bytes().decode(),
+                            required_columns)[:3]
+
+
 def _oracle(path, text_columns, float_columns, key):
-    """``_read_columns`` of ``path`` rebuilt from ``read_table`` rows and
+    """``_read_columns`` of ``path`` rebuilt from ``_whole_table`` rows and
     ``float``, raising what the per-cell path raises."""
     _refuse_repeated_header(path)
-    meta, header, rows = read_table(path, (*text_columns, *float_columns))
+    meta, header, rows = _whole_table(path, (*text_columns, *float_columns))
     lines = [number for number, line in enumerate(
         path.read_text().splitlines(), 1)
         if line.strip() and not line.strip().startswith("#")][1:]
@@ -542,12 +564,12 @@ def log_texts(draw):
 
 
 def _log_oracle(path):
-    """``read_log`` of ``path`` rebuilt from ``read_table`` rows and
+    """``read_log`` of ``path`` rebuilt from ``_whole_table`` rows and
     ``float``: a header that names a column twice is refused, every header
     column's cells are checked in row order, and then the headers and the
     channels are checked."""
     _refuse_repeated_header(path)
-    meta, header, rows = read_table(path, LOG_COLUMNS)
+    meta, header, rows = _whole_table(path, LOG_COLUMNS)
     lines = [number for number, line in enumerate(
         path.read_text().splitlines(), 1)
         if line.strip() and not line.strip().startswith("#")][1:]
@@ -635,24 +657,30 @@ class TestColumnWiseParse:
     different blocks."""
 
     @settings(max_examples=300, deadline=None)
-    @given(measurement_texts(), st.integers(1, 300))
+    @given(measurement_texts() | one_column_texts(), st.integers(1, 300))
     def test_readers_match_the_per_cell_oracle(self, case, block):
         kind, irregularity, text = case
-        reader, text_columns, float_columns, key = READERS[kind]
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(config_io, "_BLOCK", block):
             path = Path(tmp) / f"{kind}.csv"
             path.write_bytes(text.encode())
-            # the header read, streamed when the text is plain, is the
-            # header read of the whole text
-            try:
-                header_read = config_io._table(path, text, (), True)[:3]
-            except DataError as exc:
-                with pytest.raises(DataError) as raised:
-                    read_table(path, header_only=True)
-                assert str(raised.value) == str(exc)
-            else:
-                assert read_table(path, header_only=True) == header_read
+            # the header read, streamed when the text is plain, and the
+            # table read are those of the whole text
+            for header_only in (True, False):
+                try:
+                    expected = config_io._table(path, text, (),
+                                                header_only)[:3]
+                except DataError as exc:
+                    with pytest.raises(DataError) as raised:
+                        read_table(path, header_only=header_only)
+                    assert str(raised.value) == str(exc)
+                else:
+                    assert read_table(path, header_only=header_only) \
+                        == expected
+            if kind == "column":
+                assert _is_regular(path, (), ()) == (irregularity is None)
+                return
+            reader, text_columns, float_columns, key = READERS[kind]
             if irregularity != "column twice":      # raises, as below
                 assert _is_regular(path, text_columns, float_columns) \
                     == (irregularity in REGULAR_TEXTS)
