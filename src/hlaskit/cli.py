@@ -181,7 +181,6 @@ def cmd_score(args) -> int:
 
 
 def cmd_hee(args) -> int:
-    """One pair's mask; ``--out`` also writes it and a run manifest."""
     inputs = {} if args.out else None
     bands = read_bands(Path(args.band), inputs)
     key = (args.task, args.joint)

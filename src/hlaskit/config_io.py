@@ -196,8 +196,7 @@ def _header_end(text: str) -> int | None:
 
 
 def read_table(
-    path: Path, required_columns: tuple[str, ...] = (),
-    header_only: bool = False,
+    path: Path, header_only: bool = False,
 ) -> tuple[dict[str, str], list[str], list[list[str]]]:
     """``(meta, header, rows)`` of the file at ``path``; see ``_table``.
 
@@ -208,14 +207,14 @@ def read_table(
     text is parsed from one full read of the same open file (``_utf8``).
     """
     if not header_only:
-        meta, columns, _ = _read_columns(path, required_columns, (), ())
+        meta, columns, _ = _read_columns(path, (), (), ())
         return meta, list(columns), list(map(list, zip(*columns.values())))
     with open(path, "rb") as file:
         text = _header_text(_file_blocks(file, None))
         if text is None:
             file.seek(0)
             text = _utf8(file.read(), path)
-    return _table(path, text, required_columns, header_only)[:3]
+    return _table(path, text, (), True)[:3]
 
 
 def _header_text(blocks: Iterable[str]) -> str | None:
@@ -338,8 +337,8 @@ def _regular_columns(
     accepts, no ``#`` and no blank line after its header line, and the
     header's field count on every data line.  Its float cells convert as
     ``_cell_columns`` converts them; a cell that does not convert to a
-    finite float makes the text irregular, so its error or its value comes
-    from the per-cell path.
+    finite float, or any cell over csv's field size limit, makes the text
+    irregular, so its error or its value comes from the per-cell path.
 
     The header is parsed once, from the blocks up to the header line; each
     block is then checked, split and converted before the next is taken,
@@ -381,6 +380,10 @@ def _regular_columns(
             return None
         del lines
         cells = block.replace("\n", ",").split(",")
+        # the per-cell path refuses a cell over csv's field size limit
+        limit = csv.field_size_limit()
+        if len(block) > limit and max(map(len, cells)) > limit:
+            return None
         del block
         for i, c in texts:
             columns[c] += cells[i::width]

@@ -533,24 +533,27 @@ def test_refused_infinity_is_named_not_finite(capsys):
         "finite positive number")
 
 
-# file kind -> an edit of a row that quotes a cell over csv's default field
-# size limit (131,072 characters); the quotes keep it off the column-wise path
+# file kind -> an edit of a row that gives a cell over csv's default field
+# size limit (131,072 characters); quotes keep it off the column-wise path,
+# and an unquoted text cell is refused on it
 OVERSIZED_CELLS = {
     "thermal": lambda cells, *_: [f'"{"T" * 200_000}"', *cells[1:]],
     "log": lambda cells, *_: [*cells[:-1], f'"{"1" * 200_000}"'],
+    "thermal unquoted": lambda cells, *_: ["T" * 200_000, *cells[1:]],
 }
 
 
 @pytest.mark.parametrize("kind", list(OVERSIZED_CELLS))
 def test_cell_over_the_csv_field_limit_is_a_data_error_naming_the_line(
         kind, data_dir, tmp_path, capsys):
-    name, reader, command = MALFORMED_FILES[kind]
+    name, reader, command = MALFORMED_FILES[kind.split()[0]]
     path = data_dir / name if name else _backdrive_log(tmp_path)
     _, number = _rewrite_third_row(path, OVERSIZED_CELLS[kind])
     where = f"{path.name}: line {number}: field larger than field limit"
 
-    with pytest.raises(DataError, match=where):
-        reader(path)
+    for read in (reader, read_table):
+        with pytest.raises(DataError, match=where):
+            read(path)
     assert main(_hlas_argv(command, data_dir, path, tmp_path / "r")) == 3
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
