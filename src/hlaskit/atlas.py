@@ -17,13 +17,13 @@ excluded from scoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, isinf
 
 from .errors import DegenerateInterval, EmptyAxisSet, InvalidRecord
 
 ROM_CATEGORIES = ("active", "passive", "functional")
 
-DEFAULT_COUPLING_THRESHOLD = 0.10  # max cross-axis coupling, fraction RMS
+COUPLING_THRESHOLD = 0.10  # max cross-axis coupling, fraction RMS
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class AxisSpec:
 
     joint: str
     axis: str
-    positive_direction: str = ""
 
 
 @dataclass(frozen=True)
@@ -51,15 +50,22 @@ class RomInterval:
         if self.category not in ROM_CATEGORIES:
             raise ValueError(f"unknown ROM category {self.category!r}")
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
+    def covered_by(self, other: "RomInterval | None") -> float:
+        """Fraction of this interval inside ``other``; 0 for disjoint or
+        missing intervals.
 
-    def overlap(self, other: "RomInterval | None") -> float:
-        """Length of the intersection; 0 for disjoint or missing intervals."""
+        A width past the float range (``[-1e308, 1e308]``, whose width
+        overflowed to inf) is measured on halved bounds, whose width fits; a
+        width that fits is measured on the bounds as given.
+        """
         if other is None:
             return 0.0
-        return max(0.0, min(self.hi, other.hi) - max(self.lo, other.lo))
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        if not lo < hi:
+            return 0.0
+        if isinf(width := self.hi - self.lo):
+            return (hi / 2 - lo / 2) / (self.hi / 2 - self.lo / 2)
+        return (hi - lo) / width
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,9 @@ class AxisActuationReport:
                 f"coupling_rms_fraction {self.coupling_rms_fraction!r} "
                 f"must be >= 0")
 
-    def passes(self, coupling_threshold: float = DEFAULT_COUPLING_THRESHOLD) -> bool:
-        return self.implemented and self.coupling_rms_fraction < coupling_threshold
+    def passes(self) -> bool:
+        return (self.implemented
+                and self.coupling_rms_fraction < COUPLING_THRESHOLD)
 
 
 def rom_coverage(
@@ -117,26 +124,23 @@ def rom_coverage(
             raise DegenerateInterval(
                 f"no functional interval for required axis {axis!r}"
             )
-        fractions.append(func.overlap(robot_intervals.get(axis)) / func.length)
+        fractions.append(func.covered_by(robot_intervals.get(axis)))
     return fsum(fractions) / len(fractions)
 
 
 def dof_sufficiency(
     reports: list[AxisActuationReport],
     required_axes: set[str] | frozenset[str],
-    coupling_threshold: float = DEFAULT_COUPLING_THRESHOLD,
 ) -> float:
     """Fraction of required axes that are implemented and independently
-    actuated (cross-axis coupling below the threshold)."""
+    actuated (cross-axis coupling below ``COUPLING_THRESHOLD``, 10% RMS)."""
     if not required_axes:
         raise EmptyAxisSet("DoF sufficiency needs at least one required axis")
-    if coupling_threshold <= 0:
-        raise ValueError("coupling_threshold must be positive")
     by_axis = {r.axis.axis: r for r in reports}
     passing = 0
     for axis in required_axes:
         report = by_axis.get(axis)
-        if report is not None and report.passes(coupling_threshold):
+        if report is not None and report.passes():
             passing += 1
     return passing / len(required_axes)
 

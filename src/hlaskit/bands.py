@@ -334,46 +334,18 @@ def _nearest_bin(
     return best
 
 
-def _bilinear_split(
-    q: float, omega: float, qs: list[float], omegas: list[float]
-) -> list[tuple[int, int, float]]:
-    """(q-index, omega-index, fraction) of the 4 surrounding grid corners."""
-
-    def _bracket(x: float, axis: list[float]) -> tuple[int, int, float]:
-        if x <= axis[0]:
-            return 0, 0, 0.0
-        if x >= axis[-1]:
-            return len(axis) - 1, len(axis) - 1, 0.0
-        for i in range(len(axis) - 1):
-            if axis[i] <= x <= axis[i + 1]:
-                frac = (x - axis[i]) / (axis[i + 1] - axis[i])
-                return i, i + 1, frac
-        raise AssertionError("unreachable: x inside axis bounds")
-
-    i0, i1, u = _bracket(q, qs)
-    j0, j1, v = _bracket(omega, omegas)
-    return [
-        (i0, j0, (1 - u) * (1 - v)),
-        (i0, j1, (1 - u) * v),
-        (i1, j0, u * (1 - v)),
-        (i1, j1, u * v),
-    ]
-
-
 def phase_to_grid(
     traj: PhaseTrajectory,
     grid: list[tuple[float, float]],
     *,
-    method: str = "nearest",
     joint: str = "",
     task: str = "",
 ) -> OperatingBand:
     """Accumulate a phase trajectory's positive power onto a (q, omega) grid.
 
-    Nearest-bin assignment (the default, reproducible choice) measures
-    distance in grid-span-normalized coordinates so that degrees and rad/s
-    are commensurate.  ``method="bilinear"`` instead splits each sample's
-    power over the four surrounding corners of a rectangular grid.
+    Each sample goes to its nearest grid point, the one reproducible
+    assignment.  Distance is measured in grid-span-normalized coordinates so
+    that degrees and rad/s are commensurate.
 
     Per-bin torque demand is the positive-power-weighted mean of the
     contributing samples' torques (power / omega); total accumulated
@@ -381,42 +353,21 @@ def phase_to_grid(
     """
     if not grid:
         raise EmptyGrid("grid has no points")
-    if method not in ("nearest", "bilinear"):
-        raise ValueError(f"unknown assignment method {method!r}")
 
     power_acc = [0.0] * len(grid)
     torque_acc = [0.0] * len(grid)
-
-    if method == "nearest":
-        qs = [p[0] for p in grid]
-        ws = [p[1] for p in grid]
-        q_span = (max(qs) - min(qs)) or 1.0
-        w_span = (max(ws) - min(ws)) or 1.0
-        for q, omega, power in zip(traj.q, traj.omega, traj.power):
-            p_pos = max(power, 0.0)
-            if p_pos == 0.0:
-                continue
-            i = _nearest_bin(q, omega, grid, q_span, w_span)
-            power_acc[i] += p_pos
-            if omega != 0:
-                torque_acc[i] += p_pos * (power / omega)
-    else:
-        qs = sorted({p[0] for p in grid})
-        omegas = sorted({p[1] for p in grid})
-        if len(qs) * len(omegas) != len(grid):
-            raise InvalidRange("bilinear assignment needs a rectangular grid")
-        index = {(q, w): k for k, (q, w) in enumerate(grid)}
-        for q, omega, power in zip(traj.q, traj.omega, traj.power):
-            p_pos = max(power, 0.0)
-            if p_pos == 0.0:
-                continue
-            for i, j, frac in _bilinear_split(q, omega, qs, omegas):
-                if frac == 0.0:
-                    continue
-                k = index[(qs[i], omegas[j])]
-                power_acc[k] += frac * p_pos
-                if omega != 0:
-                    torque_acc[k] += frac * p_pos * (power / omega)
+    qs = [p[0] for p in grid]
+    ws = [p[1] for p in grid]
+    q_span = (max(qs) - min(qs)) or 1.0
+    w_span = (max(ws) - min(ws)) or 1.0
+    for q, omega, power in zip(traj.q, traj.omega, traj.power):
+        p_pos = max(power, 0.0)
+        if p_pos == 0.0:
+            continue
+        i = _nearest_bin(q, omega, grid, q_span, w_span)
+        power_acc[i] += p_pos
+        if omega != 0:
+            torque_acc[i] += p_pos * (power / omega)
 
     q, omega = zip(*grid)
     torque = [tq / p if p > 0 else 0.0 for p, tq in zip(power_acc, torque_acc)]

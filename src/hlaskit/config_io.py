@@ -17,6 +17,7 @@ interchange with any external standard.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import json
@@ -73,11 +74,12 @@ def sha256_file(path: Path) -> str:
 
 
 def _utf8(data: bytes, where, error: type = DataError) -> str:
-    """``data`` decoded as UTF-8; otherwise ``error`` naming ``where`` and
-    the line, as ``str.splitlines`` numbers lines, of the first byte that
-    does not decode."""
+    """``data`` decoded as UTF-8, without one leading byte-order mark;
+    otherwise ``error`` naming ``where`` and the line, as
+    ``str.splitlines`` numbers lines, of the first byte that does not
+    decode."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # the bytes before it decode; "." stands for the line it starts
         line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
@@ -305,12 +307,16 @@ def _file_blocks(file, digest) -> Iterator[str]:
     its last line.  A CR that ends a line before its "\n" is dropped, so the
     lines are those ``str.splitlines`` gives; a lone CR is kept.  A block is
     decoded as Latin-1 (each byte one character), so a lone CR or a byte
-    outside ASCII keeps it from being plain.  ``digest``, unless None, is
-    updated with each read."""
+    outside ASCII keeps it from being plain.  One leading UTF-8 byte-order
+    mark is dropped.  ``digest``, unless None, is updated with each read,
+    the mark included."""
     pieces: list[bytes] = []        # a line not yet ended
+    first = True
     while data := file.read(_BLOCK):
         if digest is not None:
             digest.update(data)
+        if first:
+            data, first = data.removeprefix(codecs.BOM_UTF8), False
         cut = data.rfind(b"\n")
         if cut < 0:
             pieces.append(data)

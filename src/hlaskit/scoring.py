@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, fields
 from math import fsum, inf, isfinite
 
 from .atlas import (
-    DEFAULT_COUPLING_THRESHOLD,
     AxisActuationReport,
     RomInterval,
     dof_sufficiency,
@@ -249,8 +248,7 @@ def _target(table: dict[str, dict[str, float]], task: str, joint: str,
 def compute_features(pair: PairInputs, scheme: WeightScheme) -> FeatureVector:
     """Evaluate the six factors for one pair under a scheme's targets."""
     rom = rom_coverage(pair.robot_rom, pair.functional_rom, pair.required_axes)
-    dof = dof_sufficiency(pair.dof_reports, pair.required_axes,
-                          DEFAULT_COUPLING_THRESHOLD)
+    dof = dof_sufficiency(pair.dof_reports, pair.required_axes)
     hee = hee_coverage(pair.band, pair.capability,
                        scheme.headroom_delta).coverage
     if scheme.use_rate_margin:

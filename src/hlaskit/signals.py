@@ -38,6 +38,7 @@ IRLS_MAX_ITERATIONS = 10
 IRLS_MAD_MULTIPLE = 3.0
 DEFAULT_SLOPE_LIMIT_C_PER_S = 0.5     # derating onset threshold
 STEADY_SLOPE_LIMIT_C_PER_MIN = 0.1    # end-of-test steady-trend threshold
+STEADY_TREND_WINDOW_S = 60.0          # trailing window of that check
 DEFAULT_PLATEAU_WINDOW_S = 10.0
 POWER_BALANCE_SLACK = 1e-6
 BANDWIDTH_INFLATION_SLACK = 0.01
@@ -253,20 +254,17 @@ def find_crossover(frf: list[FrfPoint]) -> CrossoverResult:
 # Friction identification
 # ---------------------------------------------------------------------------
 
-def estimate_rate_derivative(
-    omega: np.ndarray,
-    sample_rate: float,
-    window: int = DERIVATIVE_SMOOTHING_WINDOW,
-) -> np.ndarray:
-    """Angular acceleration by central differences plus a short moving
-    average, bounding derivative noise amplification at 1 kHz rates."""
+def estimate_rate_derivative(omega: np.ndarray,
+                             sample_rate: float) -> np.ndarray:
+    """Angular acceleration by central differences plus a
+    ``DERIVATIVE_SMOOTHING_WINDOW``-sample moving average, bounding
+    derivative noise amplification at 1 kHz rates."""
     omega = np.asarray(omega, dtype=float)
     domega = np.gradient(omega) * sample_rate
-    if window > 1:
-        kernel = np.ones(window) / window
-        padded = np.pad(domega, window // 2, mode="edge")
-        domega = np.convolve(padded, kernel, mode="valid")[: len(omega)]
-    return domega
+    window = DERIVATIVE_SMOOTHING_WINDOW
+    padded = np.pad(domega, window // 2, mode="edge")
+    return np.convolve(padded, np.ones(window) / window,
+                       mode="valid")[: len(omega)]
 
 
 def fit_friction(log: TimeSeriesLog) -> FrictionFit:
@@ -403,22 +401,19 @@ def detect_plateau(
 # Efficiency and sanity checks
 # ---------------------------------------------------------------------------
 
-def steady_trend(
-    log: TimeSeriesLog,
-    window_s: float = 60.0,
-    limit_c_per_min: float = STEADY_SLOPE_LIMIT_C_PER_MIN,
-) -> tuple[bool, float]:
+def steady_trend(log: TimeSeriesLog) -> tuple[bool, float]:
     """End-of-test steady-state check: motor temperature slope over the
-    trailing window, in degC/min, against the steady-trend limit.
+    trailing 60 s (``STEADY_TREND_WINDOW_S``; the whole log if shorter), in
+    degC/min, against the 0.1 degC/min steady-trend limit.
 
     This is the test-termination criterion; the during-plateau limit used
     by detect_plateau is a separate, much looser threshold in degC/s.
     """
-    w = min(int(round(window_s * log.sample_rate)), len(log.t))
+    w = min(int(round(STEADY_TREND_WINDOW_S * log.sample_rate)), len(log.t))
     t = np.asarray(log.t, float)[-w:]
     y = np.asarray(log.temp_motor, float)[-w:]
     slope_per_min = float(np.polyfit(t, y, 1)[0]) * 60.0
-    return slope_per_min < limit_c_per_min, slope_per_min
+    return slope_per_min < STEADY_SLOPE_LIMIT_C_PER_MIN, slope_per_min
 
 
 def task_weighted_efficiency(band: OperatingBand, table: PointTable) -> float:

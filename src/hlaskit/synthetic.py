@@ -2,9 +2,10 @@
 
 The plants are deliberately minimal (linear torque-speed law, single-pole
 torque tracking, first-order thermal RC) so that every generated log has a
-closed-form answer the analysis code can be checked against.  Generators
-are deterministic given a seed; noise is Gaussian and seed-controlled, and
-seeds are recorded on the logs they produced.
+closed-form answer the analysis code can be checked against.  Every log is
+sampled at 1 kHz (``SAMPLE_RATE_HZ``).  Generators are deterministic given
+a seed; noise is Gaussian and seed-controlled, and seeds are recorded on the
+logs they produced.
 
 Every generated log satisfies the power-balance sanity check by
 construction: bus power is synthesized as positive mechanical power divided
@@ -20,13 +21,11 @@ import numpy as np
 
 from .envelope import CapabilityMap
 from .errors import NoiseLevel, PlantParameter, TemperatureLimit
-from .signals import (
-    DERIVATIVE_SMOOTHING_WINDOW,
-    TimeSeriesLog,
-    estimate_rate_derivative,
-)
+from .signals import TimeSeriesLog, estimate_rate_derivative
 
-DEFAULT_SAMPLE_RATE_HZ = 1000.0
+SAMPLE_RATE_HZ = 1000.0           # every generated log
+BACKDRIVE_FREQ_HZ = 0.2           # slow enough to stay quasi-static
+BACKDRIVE_AMPLITUDE_DEG = 30.0
 DEFAULT_AMBIENT_C = 25.0
 DEFAULT_BUS_VOLTAGE_V = 48.0
 DRIVE_EFFICIENCY = 0.85
@@ -149,8 +148,6 @@ def generate_sweep_log(
     freqs: list[float],
     amplitude: float,
     *,
-    sample_rate: float = DEFAULT_SAMPLE_RATE_HZ,
-    duration: float | None = None,
     noise_std: float = 0.0,
     seed: int | None = None,
 ) -> TimeSeriesLog:
@@ -160,17 +157,17 @@ def generate_sweep_log(
     frequencies; actual torque is each tone scaled and phase-shifted by the
     closed-form pole response, so the analytic magnitude/phase is available
     exactly.  The joint is held stationary (omega = 0) as in a grounded
-    torque-cell test.
+    torque-cell test.  The log is sampled at 1 kHz (``SAMPLE_RATE_HZ``) and
+    lasts five periods of the lowest probe frequency, at least 1 s.
     """
     if amplitude <= 0:
         raise ValueError("sweep amplitude must be positive")
     if not freqs or any(f <= 0 for f in freqs):
         raise ValueError("need at least one positive probe frequency")
     _check_noise(noise_std)
-    if duration is None:
-        duration = max(5.0 / min(freqs), 1.0)
-    n = int(round(duration * sample_rate)) + 1
-    t = np.arange(n) / sample_rate
+    duration = max(5.0 / min(freqs), 1.0)
+    n = int(round(duration * SAMPLE_RATE_HZ)) + 1
+    t = np.arange(n) / SAMPLE_RATE_HZ
     cmd = np.zeros(n)
     actual = np.zeros(n)
     for f in freqs:
@@ -187,7 +184,7 @@ def generate_sweep_log(
     return TimeSeriesLog(
         t=t, q=np.full(n, 10.0), omega=omega, torque=actual, torque_cmd=cmd,
         v_bus=v_bus, i_bus=i_bus, temp_motor=temp, temp_gear=temp.copy(),
-        sample_rate=sample_rate,
+        sample_rate=SAMPLE_RATE_HZ,
         conditions=f"synthetic sweep, pole {act.crossover_true:g} Hz, "
                    f"amplitude {amplitude:g} Nm",
         seed=seed,
@@ -219,22 +216,20 @@ def generate_thermal_duty_log(
     act: SyntheticActuator,
     duty: DutyProfile,
     torque_level: float,
-    *,
-    sample_rate: float = DEFAULT_SAMPLE_RATE_HZ,
 ) -> TimeSeriesLog:
     """Duty-cycle torque hold through the first-order thermal RC plant.
 
     Winding temperature follows dT/dt = (loss * R - (T - T_amb)) / tau_th
-    integrated exactly per sample.  When the winding reaches the duty's
+    integrated exactly per sample of the 1 kHz (``SAMPLE_RATE_HZ``) log.  When the winding reaches the duty's
     temperature limit the commanded torque steps down to the largest
     steadily sustainable level, emulating rig derating; the closed-form
     crossing time is available from thermal_crossing_time.
     """
     if torque_level < 0:
         raise ValueError("torque level must be >= 0")
-    n = int(round(duty.duration_s * sample_rate)) + 1
-    t = np.arange(n) / sample_rate
-    h = 1.0 / sample_rate
+    n = int(round(duty.duration_s * SAMPLE_RATE_HZ)) + 1
+    t = np.arange(n) / SAMPLE_RATE_HZ
+    h = 1.0 / SAMPLE_RATE_HZ
     decay = exp(-h / act.thermal_time_constant)
 
     if duty.burst_s is None:
@@ -263,7 +258,7 @@ def generate_thermal_duty_log(
     return TimeSeriesLog(
         t=t, q=np.full(n, 30.0), omega=omega, torque=cmd.copy(),
         torque_cmd=cmd, v_bus=v_bus, i_bus=i_bus,
-        temp_motor=temp, temp_gear=temp_gear, sample_rate=sample_rate,
+        temp_motor=temp, temp_gear=temp_gear, sample_rate=SAMPLE_RATE_HZ,
         conditions=f"synthetic duty, ambient {duty.ambient_c:g} C still air, "
                    f"limit {duty.temp_limit_c:g} C",
     )
@@ -273,32 +268,28 @@ def generate_backdrive_log(
     act: SyntheticActuator,
     *,
     duration: float = 10.0,
-    freq: float = 0.2,
-    amplitude_deg: float = 30.0,
-    sample_rate: float = DEFAULT_SAMPLE_RATE_HZ,
     noise_std: float = 0.0,
     seed: int | None = None,
 ) -> TimeSeriesLog:
-    """Slow sinusoidal backdrive of a gravity-compensated joint.
+    """Slow sinusoidal backdrive of a gravity-compensated joint: +/-30 deg
+    at 0.2 Hz (``BACKDRIVE_AMPLITUDE_DEG``, ``BACKDRIVE_FREQ_HZ``), sampled
+    at 1 kHz (``SAMPLE_RATE_HZ``).
 
     Torque is synthesized from the friction model using the same discrete
     rate-derivative estimator the identification uses, so a noiseless log
     is exactly consistent with the fitted model (the regression residual is
     numerical rounding only).
     """
-    if freq > 0.5:
-        raise ValueError("backdrive excitation must stay at or below 0.5 Hz")
     _check_noise(noise_std)
-    n = int(round(duration * sample_rate)) + 1
-    t = np.arange(n) / sample_rate
-    q = amplitude_deg * np.sin(2.0 * np.pi * freq * t)
+    n = int(round(duration * SAMPLE_RATE_HZ)) + 1
+    t = np.arange(n) / SAMPLE_RATE_HZ
+    phase = 2.0 * np.pi * BACKDRIVE_FREQ_HZ * t
+    q = BACKDRIVE_AMPLITUDE_DEG * np.sin(phase)
     omega = (
-        np.deg2rad(amplitude_deg) * 2.0 * np.pi * freq
-        * np.cos(2.0 * np.pi * freq * t)
+        np.deg2rad(BACKDRIVE_AMPLITUDE_DEG) * 2.0 * np.pi * BACKDRIVE_FREQ_HZ
+        * np.cos(phase)
     )
-    domega = estimate_rate_derivative(
-        omega, sample_rate, DERIVATIVE_SMOOTHING_WINDOW
-    )
+    domega = estimate_rate_derivative(omega, SAMPLE_RATE_HZ)
     torque = act.j_ref * domega + act.b_visc * omega
     torque = torque + act.f_coulomb * np.sign(omega)
     if noise_std > 0:
@@ -311,8 +302,8 @@ def generate_backdrive_log(
     return TimeSeriesLog(
         t=t, q=q, omega=omega, torque=torque, torque_cmd=np.zeros(n),
         v_bus=v_bus, i_bus=i_bus, temp_motor=temp, temp_gear=temp.copy(),
-        sample_rate=sample_rate,
-        conditions=f"synthetic backdrive, {freq:g} Hz, "
-                   f"+/-{amplitude_deg:g} deg, gravity compensated",
+        sample_rate=SAMPLE_RATE_HZ,
+        conditions=f"synthetic backdrive, {BACKDRIVE_FREQ_HZ:g} Hz, "
+                   f"+/-{BACKDRIVE_AMPLITUDE_DEG:g} deg, gravity compensated",
         seed=seed,
     )

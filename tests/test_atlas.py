@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,13 @@ from hlaskit.errors import DegenerateInterval, EmptyAxisSet
 
 def iv(lo, hi):
     return RomInterval(lo, hi)
+
+
+# [lo, hi] anywhere in the finite float range, the range's ends drawn often
+FINITE_BOUNDS = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-sys.float_info.max, sys.float_info.max]),
+    min_size=2, max_size=2, unique=True).map(sorted)
 
 
 class TestRomCoverage:
@@ -84,6 +93,16 @@ class TestRomCoverage:
         )
         assert shifted == pytest.approx(base, abs=1e-9)
 
+    @given(robot=FINITE_BOUNDS, functional=FINITE_BOUNDS)
+    def test_any_finite_bounds_give_a_finite_fraction(self, robot,
+                                                      functional):
+        """``[-1e308, 1e308]`` is 2e308 wide, past the float range; its
+        coverage of itself was inf / inf = nan."""
+        cov = rom_coverage({"a": iv(*robot)}, {"a": iv(*functional)}, {"a"})
+        assert 0.0 <= cov <= 1.0
+        assert rom_coverage({"a": iv(*functional)}, {"a": iv(*functional)},
+                            {"a"}) == 1.0
+
 
 class TestDofSufficiency:
     def report(self, axis, implemented=True, coupling=0.02):
@@ -108,10 +127,6 @@ class TestDofSufficiency:
     def test_empty_axis_set(self):
         with pytest.raises(EmptyAxisSet):
             dof_sufficiency([], set())
-
-    def test_threshold_is_parameter(self):
-        report = self.report("a", coupling=0.15)
-        assert dof_sufficiency([report], {"a"}, coupling_threshold=0.2) == 1.0
 
     @given(
         n_pass=st.integers(0, 6),

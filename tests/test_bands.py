@@ -230,14 +230,6 @@ class TestPhaseToGrid:
         total_out = math.fsum(s.power_hum for s in band.samples)
         assert total_out == pytest.approx(total_in, rel=1e-9)
 
-    def test_bilinear_conserves_positive_power(self):
-        traj = sinusoidal_gait(n=123)
-        band = phase_to_grid(traj, build_band_grid((0, 25), (8, 12), 5, 5),
-                             method="bilinear")
-        total_in = math.fsum(max(p, 0.0) for p in traj.power)
-        total_out = math.fsum(s.power_hum for s in band.samples)
-        assert total_out == pytest.approx(total_in, rel=1e-9)
-
     def test_bin_torque_is_power_weighted_mean(self):
         # two samples, same nearest bin, torques P/omega = 10 and 30
         traj = PhaseTrajectory((0.0, 0.1), (0.0, 0.0), (10.0, 10.0),

@@ -1,10 +1,12 @@
 import argparse
+import codecs
 import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import pickle
 import runpy
 import shutil
 import subprocess
@@ -160,6 +162,23 @@ class TestScore:
         _, header, rows = read_table(out / "feature_table.csv")
         walk_ankle = next(row for row in rows if row[:2] == ["Walk", "ankle"])
         assert 0 < float(walk_ankle[header.index("rom")]) < 1
+
+    def test_rom_wider_than_the_float_range_scores(self, data_dir, tmp_path):
+        """A functional width of 2e308 overflowed to inf, and ``hlas score``
+        exited 3 with ``feature rom=nan outside [0, 1]``."""
+        prereg = data_dir / "prereg.yaml"
+        prereg.write_text(prereg.read_text().replace(
+            "    ankle: {plantarflexion: [0, 25]}\n",
+            "    ankle: {plantarflexion: [-1e308, 1e308]}\n", 1))
+        rom = data_dir / "rom_robot.csv"
+        rom.write_text(rom.read_text().replace(
+            "ankle,plantarflexion,-5,22", "ankle,plantarflexion,-1e308,1e308"))
+        out = tmp_path / "r"
+        assert main(["score", "--prereg", str(prereg),
+                     "--data", str(data_dir), "--out", str(out)]) == 0
+        _, header, rows = read_table(out / "feature_table.csv")
+        walk_ankle = next(row for row in rows if row[:2] == ["Walk", "ankle"])
+        assert float(walk_ankle[header.index("rom")]) == 1.0
 
     def test_determinism(self, data_dir, tmp_path):
         outs = []
@@ -421,6 +440,71 @@ def test_header_naming_a_column_twice_is_a_data_error(kind, data_dir,
         reader(path)
     assert main(_hlas_argv(command, data_dir, path, tmp_path / "r")) == 3
     assert message in capsys.readouterr().err
+
+
+def _byte_order_marked(path, directory):
+    """A copy of ``path`` in ``directory``, under its own name, with a
+    UTF-8 byte-order mark in front, as Excel saves "CSV UTF-8"."""
+    directory.mkdir(exist_ok=True)
+    copy = directory / path.name
+    copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return copy
+
+
+@pytest.mark.parametrize("regular", [True, False],
+                         ids=["block path", "per-cell path"])
+@pytest.mark.parametrize("kind", list(MALFORMED_FILES))
+def test_byte_order_mark_is_dropped(kind, regular, data_dir, tmp_path,
+                                    monkeypatch):
+    """A byte-order mark was read as part of the first line, so a marked
+    copy of ``thermal.csv`` read its first ``#`` line as the header and
+    ``hlas score`` refused it for missing columns.  A regular file keeps to
+    the block path, mark or not."""
+    per_cell, cell_columns = [], config_io._cell_columns
+    monkeypatch.setattr(config_io, "_cell_columns", lambda *args: (
+        per_cell.append(args[0]) or cell_columns(*args)))
+    name, reader, _ = MALFORMED_FILES[kind]
+    path = data_dir / name if name else _backdrive_log(tmp_path)
+    if not regular:             # a "#" line after the header is irregular
+        path.write_text(path.read_text() + "# end\n")
+    marked = _byte_order_marked(path, tmp_path / "marked")
+    files = {}
+    assert (pickle.dumps(reader(marked, files))
+            == pickle.dumps(reader(path)))
+    assert files == {marked: _sha256(marked)}
+    for header_only in (False, True):
+        assert (read_table(marked, header_only)
+                == read_table(path, header_only))
+    assert bool(per_cell) != regular
+
+
+def test_byte_order_marks_change_no_validation_and_no_score(
+        data_dir, tmp_path, capsys):
+    """Every input marked: ``validate-prereg`` prints the same and ``hlas
+    score`` writes the same bundle, but for the input digests in
+    ``run_manifest.json``, which are those of the marked bytes.  The band
+    file stays unmarked, as its registered digest names its bytes."""
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for path in data_dir.glob("*.*"):
+        if path.name != "bands.csv":
+            _byte_order_marked(path, marked)
+        else:
+            shutil.copy(path, marked / path.name)
+    outputs = []
+    for directory in (data_dir, marked):
+        assert main(_hlas_argv("validate-prereg", directory, None, None)) == 0
+        out = tmp_path / f"{directory.name}_out"
+        assert main(_hlas_argv("score", directory, None, out)) == 0
+        outputs.append((capsys.readouterr().out.replace(str(directory), ""),
+                        {p.relative_to(out): p.read_bytes()
+                         for p in sorted(out.rglob("*.*"))
+                         if p.name != "run_manifest.json"}))
+    assert outputs[0] == outputs[1]
+    run = json.loads((tmp_path / "marked_out" / "run_manifest.json")
+                     .read_text())
+    assert all(item["sha256"] == _sha256(Path(item["path"]))
+               for item in run["inputs"])
 
 
 # header defect -> (file or log, rewrite of the file text, hlas command)

@@ -162,10 +162,6 @@ class TestBackdriveLog:
         assert fit.b_visc == pytest.approx(1.1, rel=1e-6)
         assert fit.f_coulomb == pytest.approx(0.9, rel=1e-6)
 
-    def test_excitation_capped_at_backdrive_rate(self):
-        with pytest.raises(ValueError):
-            generate_backdrive_log(SyntheticActuator(), freq=1.0)
-
 
 def test_every_generator_passes_power_balance():
     act = SyntheticActuator()
@@ -186,7 +182,7 @@ def test_every_generator_passes_power_balance():
 
 NOISY_GENERATORS = {
     "sweep": lambda **noise: generate_sweep_log(
-        SyntheticActuator(), [2, 10], 4.0, duration=1.0, seed=7, **noise),
+        SyntheticActuator(), [5, 10], 4.0, seed=7, **noise),  # 1 s
     "backdrive": lambda **noise: generate_backdrive_log(
         SyntheticActuator(), duration=1.0, seed=7, **noise),
 }
