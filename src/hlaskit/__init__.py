@@ -17,14 +17,9 @@ from .atlas import (
 from .bands import (
     DemandSample,
     OperatingBand,
-    PhaseTrajectory,
     PointTable,
-    ReferenceBody,
     build_band_grid,
     normalize_weights,
-    phase_to_grid,
-    scale_to_absolute,
-    torque_from_power,
 )
 from .envelope import (
     CapabilityMap,

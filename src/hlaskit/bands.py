@@ -15,35 +15,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from math import fsum, hypot, isfinite, nan
+from math import fsum, isfinite, nan
 
 import numpy as np
 
 from .errors import (
     DuplicateKey,
     EmptyBand,
-    EmptyGrid,
-    EmptyTrajectory,
     InvalidRange,
     InvalidRecord,
     SampleMismatch,
-    ZeroRate,
 )
-
-DEFAULT_BODY_MASS_KG = 75.0
-DEFAULT_BODY_HEIGHT_M = 1.75
-
-
-@dataclass(frozen=True)
-class ReferenceBody:
-    """Reference subject used to rescale mass-normalized literature values."""
-
-    mass: float = DEFAULT_BODY_MASS_KG
-    height: float = DEFAULT_BODY_HEIGHT_M
-
-    def __post_init__(self) -> None:
-        if self.mass <= 0 or self.height <= 0:
-            raise ValueError("reference body mass and height must be positive")
 
 
 class SampleView(Sequence):
@@ -219,53 +201,6 @@ def measured_at(
     return table._values[at]
 
 
-@dataclass(frozen=True)
-class PhaseTrajectory:
-    """Phase-resolved task data (e.g. a gait cycle) before gridding: finite
-    channels of one length (checked by ``_finite_columns``)."""
-
-    phase: tuple[float, ...]
-    q: tuple[float, ...]
-    omega: tuple[float, ...]
-    power: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not len(self.phase):
-            raise EmptyTrajectory("trajectory has no samples")
-        _finite_columns(phase=self.phase, q=self.q, omega=self.omega,
-                        power=self.power)
-        if any(b <= a for a, b in zip(self.phase, self.phase[1:])):
-            raise ValueError("phase must be strictly increasing")
-        if self.phase[0] < 0 or self.phase[-1] > 1:
-            raise ValueError("phase values must lie in [0, 1]")
-
-
-def scale_to_absolute(
-    body: ReferenceBody,
-    normalized_torque: float | None = None,
-    normalized_power: float | None = None,
-) -> tuple[float | None, float | None]:
-    """Convert mass-normalized demands (Nm/kg, W/kg) to absolute values.
-
-    Either argument may be None when the literature reports only one of the
-    two; the corresponding output is then None.
-    """
-    torque = None if normalized_torque is None else body.mass * normalized_torque
-    power = None if normalized_power is None else body.mass * normalized_power
-    return torque, power
-
-
-def torque_from_power(power: float, omega: float) -> float:
-    """Torque demand implied by a power demand at a nonzero rate.
-
-    Isometric samples (omega == 0) must carry an explicit torque demand in
-    the input data; deriving one here would divide by zero.
-    """
-    if omega == 0:
-        raise ZeroRate("cannot derive torque from power at omega = 0")
-    return power / omega
-
-
 def normalize_weights(power_hum) -> np.ndarray:
     """The weight column: max(power, 0) / total positive power, in sample
     order.
@@ -320,55 +255,3 @@ def build_band_grid(
     omegas = _axis(omega_range, n_omega, "omega")
     return [(q, w) for q in qs for w in omegas]
 
-
-def _nearest_bin(
-    q: float, omega: float,
-    grid: list[tuple[float, float]],
-    q_span: float, omega_span: float,
-) -> int:
-    best, best_d = 0, float("inf")
-    for i, (gq, gw) in enumerate(grid):
-        d = hypot((q - gq) / q_span, (omega - gw) / omega_span)
-        if d < best_d:
-            best, best_d = i, d
-    return best
-
-
-def phase_to_grid(
-    traj: PhaseTrajectory,
-    grid: list[tuple[float, float]],
-    *,
-    joint: str = "",
-    task: str = "",
-) -> OperatingBand:
-    """Accumulate a phase trajectory's positive power onto a (q, omega) grid.
-
-    Each sample goes to its nearest grid point, the one reproducible
-    assignment.  Distance is measured in grid-span-normalized coordinates so
-    that degrees and rad/s are commensurate.
-
-    Per-bin torque demand is the positive-power-weighted mean of the
-    contributing samples' torques (power / omega); total accumulated
-    positive power equals the trajectory's total positive power.
-    """
-    if not grid:
-        raise EmptyGrid("grid has no points")
-
-    power_acc = [0.0] * len(grid)
-    torque_acc = [0.0] * len(grid)
-    qs = [p[0] for p in grid]
-    ws = [p[1] for p in grid]
-    q_span = (max(qs) - min(qs)) or 1.0
-    w_span = (max(ws) - min(ws)) or 1.0
-    for q, omega, power in zip(traj.q, traj.omega, traj.power):
-        p_pos = max(power, 0.0)
-        if p_pos == 0.0:
-            continue
-        i = _nearest_bin(q, omega, grid, q_span, w_span)
-        power_acc[i] += p_pos
-        if omega != 0:
-            torque_acc[i] += p_pos * (power / omega)
-
-    q, omega = zip(*grid)
-    torque = [tq / p if p > 0 else 0.0 for p, tq in zip(power_acc, torque_acc)]
-    return OperatingBand(joint, task, q, omega, torque, power_acc)

@@ -48,6 +48,8 @@ from .errors import DataError, GoldenMismatch, HlasError, ValidationError
 from .example import ALPHA_ALT, example_data_dir, run_and_check_example
 from .scoring import gated_hlas, hlas
 from .signals import (
+    DEFAULT_PLATEAU_WINDOW_S,
+    DEFAULT_SLOPE_LIMIT_C_PER_S,
     TimeSeriesLog,
     compute_frf,
     detect_plateau,
@@ -72,6 +74,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DATA = 3
 EXIT_GOLDEN = 4
+
+# the probe frequencies (Hz) of ``synth sweep`` and ``analyze frf``
+PROBE_FREQS = "1,2,5,10,20,30"
 
 
 def _write_manifest(out_dir: Path, args_list: list[str],
@@ -320,13 +325,14 @@ SYNTH_FLAGS = {
     "--omega-lo": dict(type=_finite, default=8.0),
     "--omega-hi": dict(type=_finite, default=12.0),
     "--n-omega": dict(type=int, default=5),
-    "--freqs": dict(type=_frequencies(1), default="1,2,5,10,20,30"),
+    "--freqs": dict(type=_frequencies(1), default=PROBE_FREQS),
     "--amplitude": dict(type=_positive, default=4.0),
     "--noise": dict(type=_non_negative, default=0.0),
     "--seed": dict(type=int, default=None),
     "--duration": dict(type=_positive, default=60.0),
     "--torque": dict(type=_non_negative, default=30.0),
-    "--temp-limit": dict(type=_above_ambient, default=100.0),
+    "--temp-limit": dict(type=_above_ambient,
+                         default=DutyProfile.temp_limit_c),
 }
 
 
@@ -456,13 +462,15 @@ def _add_analyze(sub) -> None:
         return k
 
     k = kind("frf", _frf, "frequency response and -3 dB crossover")
-    k.add_argument("--freqs", type=_frequencies(2), default="1,2,5,10,20,30",
+    k.add_argument("--freqs", type=_frequencies(2), default=PROBE_FREQS,
                    help="comma-separated probe frequencies in Hz")
     k.add_argument("--out", type=Path, help="also write the FRF table")
     kind("friction", _friction, "inertia and friction fit of a backdrive log")
     k = kind("thermal", _thermal, "continuous torque plateau and derating")
-    k.add_argument("--slope-limit", type=_positive, default=0.5)
-    k.add_argument("--window", type=_positive, default=10.0)
+    k.add_argument("--slope-limit", type=_positive,
+                   default=DEFAULT_SLOPE_LIMIT_C_PER_S)
+    k.add_argument("--window", type=_positive,
+                   default=DEFAULT_PLATEAU_WINDOW_S)
     kind("efficiency", _efficiency, "overall mechanical / electrical energy")
     k = kind("qc", _qc, "power balance and loaded-bandwidth checks")
     k.add_argument("--f-loaded", type=_positive)

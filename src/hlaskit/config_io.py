@@ -32,7 +32,7 @@ import numpy as np
 import yaml
 
 from .atlas import AxisActuationReport, AxisSpec, RomInterval, functional_interval
-from .bands import OperatingBand, PhaseTrajectory, PointTable
+from .bands import OperatingBand, PointTable
 from .envelope import MARGIN_METHODS, CapabilityMap, HeeResult, hee_coverage
 from .errors import (
     ConfigIncomplete,
@@ -552,16 +552,6 @@ def read_bands(
                                      *(columns[c][rows] for c in demand))
         for (task, joint), rows in groups.items()
     }
-
-
-def read_phase_trajectory(path: Path) -> PhaseTrajectory:
-    """Phase trajectory file: ``phase,q_deg,omega_rad_s,power_w``."""
-    names = ("phase", "q_deg", "omega_rad_s", "power_w")
-    _, columns, _ = _read_columns(path, (), names, ("phase",))
-    if not len(columns["phase"]):
-        raise DataError(f"phase trajectory file {path} has no data rows")
-    phase, q, omega, power = (tuple(columns[c].tolist()) for c in names)
-    return PhaseTrajectory(phase=phase, q=q, omega=omega, power=power)
 
 
 def read_capability_map(

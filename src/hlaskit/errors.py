@@ -97,19 +97,7 @@ class DegenerateBand(DataError):
     pass
 
 
-class ZeroRate(DataError):
-    pass
-
-
 class ZeroDemand(DataError):
-    pass
-
-
-class EmptyGrid(DataError):
-    pass
-
-
-class EmptyTrajectory(DataError):
     pass
 
 

@@ -151,6 +151,13 @@ class WeightScheme:
             raise WeightSumViolation(
                 f"critical tasks {sorted(unknown)} are not declared tasks"
             )
+        undeclared = sorted(self.score_as_zero - set(self.pairs()))
+        if undeclared:
+            task, joint = undeclared[0]
+            raise WeightSumViolation(
+                f"score_as_zero pair [{task}, {joint}] is not a declared "
+                f"(task, joint) pair"
+            )
 
     def pairs(self) -> list[tuple[str, str]]:
         return [

@@ -38,6 +38,19 @@ def _check_positive(name: str, value: float) -> None:
         raise PlantParameter(f"{name} {value!r} must be finite and positive")
 
 
+def _time_column(duration: float) -> np.ndarray:
+    """The sample times of a log ``duration`` seconds long at
+    ``SAMPLE_RATE_HZ``, both ends included; a duration that gives fewer
+    than two samples raises ``PlantParameter``."""
+    _check_positive("duration", duration)
+    n = int(round(duration * SAMPLE_RATE_HZ)) + 1
+    if n < 2:
+        raise PlantParameter(
+            f"duration {duration!r} s gives fewer than two samples at "
+            f"{SAMPLE_RATE_HZ:g} Hz")
+    return np.arange(n) / SAMPLE_RATE_HZ
+
+
 @dataclass(frozen=True)
 class SyntheticActuator:
     """Parameter set for the minimal joint plant."""
@@ -165,9 +178,8 @@ def generate_sweep_log(
     if not freqs or any(f <= 0 for f in freqs):
         raise ValueError("need at least one positive probe frequency")
     _check_noise(noise_std)
-    duration = max(5.0 / min(freqs), 1.0)
-    n = int(round(duration * SAMPLE_RATE_HZ)) + 1
-    t = np.arange(n) / SAMPLE_RATE_HZ
+    t = _time_column(max(5.0 / min(freqs), 1.0))
+    n = len(t)
     cmd = np.zeros(n)
     actual = np.zeros(n)
     for f in freqs:
@@ -227,8 +239,8 @@ def generate_thermal_duty_log(
     """
     if torque_level < 0:
         raise ValueError("torque level must be >= 0")
-    n = int(round(duty.duration_s * SAMPLE_RATE_HZ)) + 1
-    t = np.arange(n) / SAMPLE_RATE_HZ
+    t = _time_column(duty.duration_s)
+    n = len(t)
     h = 1.0 / SAMPLE_RATE_HZ
     decay = exp(-h / act.thermal_time_constant)
 
@@ -281,8 +293,8 @@ def generate_backdrive_log(
     numerical rounding only).
     """
     _check_noise(noise_std)
-    n = int(round(duration * SAMPLE_RATE_HZ)) + 1
-    t = np.arange(n) / SAMPLE_RATE_HZ
+    t = _time_column(duration)
+    n = len(t)
     phase = 2.0 * np.pi * BACKDRIVE_FREQ_HZ * t
     q = BACKDRIVE_AMPLITUDE_DEG * np.sin(phase)
     omega = (

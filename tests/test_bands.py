@@ -6,69 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from hlaskit.bands import (
     OperatingBand,
-    PhaseTrajectory,
     PointTable,
-    ReferenceBody,
     build_band_grid,
     measured_at,
     normalize_weights,
-    phase_to_grid,
-    scale_to_absolute,
-    torque_from_power,
 )
 from hlaskit.errors import (
     DuplicateKey,
     EmptyBand,
-    EmptyGrid,
     InvalidRange,
     InvalidRecord,
     SampleMismatch,
-    ZeroRate,
 )
-
-
-class TestScaleToAbsolute:
-    def test_reference_torque(self):
-        torque, _ = scale_to_absolute(ReferenceBody(75, 1.75), 1.5, None)
-        assert torque == pytest.approx(112.5)
-
-    def test_reference_power(self):
-        _, power = scale_to_absolute(ReferenceBody(75, 1.75), None, 2.5)
-        assert power == pytest.approx(187.5)
-
-    def test_unit_mass_identity(self):
-        assert scale_to_absolute(ReferenceBody(1, 1.75), 3.2, 4.1) == \
-            (pytest.approx(3.2), pytest.approx(4.1))
-
-    @given(mass=st.floats(1, 200), c=st.floats(0.1, 10),
-           tq=st.floats(0, 5), pw=st.floats(0, 10))
-    def test_linear_in_mass(self, mass, c, tq, pw):
-        t1, p1 = scale_to_absolute(ReferenceBody(mass, 1.75), tq, pw)
-        t2, p2 = scale_to_absolute(ReferenceBody(c * mass, 1.75), tq, pw)
-        assert t2 == pytest.approx(c * t1, rel=1e-12)
-        assert p2 == pytest.approx(c * p1, rel=1e-12)
-
-    def test_nonpositive_body_rejected(self):
-        with pytest.raises(ValueError):
-            ReferenceBody(0, 1.75)
-
-
-class TestTorqueFromPower:
-    def test_push_off_row(self):
-        assert torque_from_power(340, 10) == pytest.approx(34)
-        assert torque_from_power(288, 9) == pytest.approx(32)
-
-    def test_zero_power(self):
-        assert torque_from_power(0, 5) == 0
-
-    def test_zero_rate_refused(self):
-        with pytest.raises(ZeroRate):
-            torque_from_power(100, 0)
-
-    @given(power=st.floats(0.1, 1000), omega=st.floats(0.1, 50))
-    def test_round_trip(self, power, omega):
-        torque = torque_from_power(power, omega)
-        assert torque * omega == pytest.approx(power, rel=1e-12)
 
 
 class TestNormalizeWeights:
@@ -173,96 +122,6 @@ class TestBuildBandGrid:
             assert max(qs) == 30
 
 
-def sinusoidal_gait(n=200):
-    phase = [i / n for i in range(n)]
-    q = [12.5 + 12.5 * math.sin(2 * math.pi * p) for p in phase]
-    omega = [10 + 2 * math.cos(2 * math.pi * p) for p in phase]
-    power = [300 * math.sin(2 * math.pi * p) for p in phase]  # half negative
-    return PhaseTrajectory(tuple(phase), tuple(q), tuple(omega), tuple(power))
-
-
-class TestPhaseToGrid:
-    def test_single_sample_lands_in_one_bin(self):
-        traj = PhaseTrajectory((0.0,), (4.0,), (9.0,), (120.0,))
-        grid = build_band_grid((0, 25), (8, 12), 5, 5)
-        band = phase_to_grid(traj, grid)
-        weights = [s.weight for s in band.samples]
-        assert sum(1 for w in weights if w > 0) == 1
-        assert max(weights) == pytest.approx(1.0)
-
-    def test_all_nonpositive_power_is_degenerate(self):
-        traj = PhaseTrajectory((0.0, 0.5), (0.0, 5.0), (8.0, 9.0),
-                               (-10.0, 0.0))
-        band = phase_to_grid(traj, build_band_grid((0, 25), (8, 12), 3, 3))
-        assert band.degenerate
-        assert all(s.weight == 0 for s in band.samples)
-
-    def test_against_histogram_oracle(self):
-        traj = sinusoidal_gait()
-        grid = build_band_grid((0, 25), (8, 12), 5, 5)
-        band = phase_to_grid(traj, grid)
-
-        # independent oracle: per-sample nearest-bin histogram
-        q_span = 25.0
-        w_span = 4.0
-        hist = {point: 0.0 for point in grid}
-        for q, omega, power in zip(traj.q, traj.omega, traj.power):
-            if power <= 0:
-                continue
-            nearest = min(
-                grid,
-                key=lambda p: ((q - p[0]) / q_span) ** 2
-                + ((omega - p[1]) / w_span) ** 2,
-            )
-            hist[nearest] += power
-        total = sum(hist.values())
-
-        for s in band.samples:
-            assert s.weight == pytest.approx(hist[(s.q, s.omega)] / total,
-                                             rel=1e-9, abs=1e-12)
-        assert math.fsum(s.weight for s in band.samples) == pytest.approx(
-            1.0, abs=1e-9)
-
-    def test_conserves_positive_power(self):
-        traj = sinusoidal_gait(n=357)
-        band = phase_to_grid(traj, build_band_grid((0, 25), (8, 12), 4, 6))
-        total_in = math.fsum(max(p, 0.0) for p in traj.power)
-        total_out = math.fsum(s.power_hum for s in band.samples)
-        assert total_out == pytest.approx(total_in, rel=1e-9)
-
-    def test_bin_torque_is_power_weighted_mean(self):
-        # two samples, same nearest bin, torques P/omega = 10 and 30
-        traj = PhaseTrajectory((0.0, 0.1), (0.0, 0.0), (10.0, 10.0),
-                               (100.0, 300.0))
-        band = phase_to_grid(traj, [(0.0, 10.0)])
-        assert band.samples[0].torque_hum == pytest.approx(
-            (100 * 10 + 300 * 30) / 400)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(EmptyGrid):
-            phase_to_grid(sinusoidal_gait(), [])
-
-    def test_strictly_increasing_phase_enforced(self):
-        with pytest.raises(ValueError):
-            PhaseTrajectory((0.0, 0.0), (0, 0), (1, 1), (1, 1))
-
-    @pytest.mark.parametrize("channels, message, row", [
-        (((0.0, 0.5), (0.0, 1.0), (1.0, 1.0), (1.0, math.nan)),
-         "^power nan is not finite$", 1),
-        (((0.0, 0.5), (math.inf, 1.0), (1.0, 1.0), (1.0, 1.0)),
-         "^q inf is not finite$", 0),
-        (((0.0, math.nan), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0)),
-         "^phase nan is not finite$", 1),
-        (((0.0, 0.5), (0.0, 1.0), (1.0,), (1.0, 1.0)),
-         "^column omega has 1 values and phase 2: ", 1),
-    ], ids=["nan power", "inf q", "nan phase", "short omega"])
-    def test_non_finite_or_unequal_channels_refused(self, channels, message,
-                                                   row):
-        with pytest.raises(InvalidRecord, match=message) as raised:
-            PhaseTrajectory(*channels)
-        assert raised.value.row == row
-
-
 # a small grid of coordinates; -0.0 and 0.0 are one point
 GRID = (-0.0, 0.0, 1.5, -2.0, 7.0)
 
@@ -339,6 +198,13 @@ class TestFiniteColumns:
                            "finite$") as raised:
             OperatingBand("j", "t", [0.0, 1.0], [1.0, 1.0], [1.0, 1.0],
                           [math.inf, 1.0])
+        assert raised.value.row == 0
+
+    def test_fault_in_the_first_row_of_the_first_column_is_found(self):
+        with pytest.raises(InvalidRecord, match="^q inf is not finite$") \
+                as raised:
+            OperatingBand("j", "t", [math.inf, 1.0], [1.0, 1.0], [1.0, 1.0],
+                          [1.0, 1.0])
         assert raised.value.row == 0
 
     def test_nan_torque_is_refused_not_scored(self):

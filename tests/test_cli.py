@@ -668,6 +668,13 @@ VALIDATION_DEFECTS = {
          "use_rate_margin: false\nscore_as_zero: [Walk]\n"), [],
         "InvalidDeclaration: score_as_zero: 'Walk' is not a [task, joint] "
         "pair", REGISTRATION),
+    # accepted, the undeclared pairs were ignored and a typo in a declared
+    # deficit scored the intended pair from its data
+    "prereg score_as_zero pair not declared": (
+        ("use_rate_margin: false\n", "use_rate_margin: false\n"
+         "score_as_zero: [[Walk, elbow], [Run, knee]]\n"), [],
+        "WeightSumViolation: score_as_zero pair [Run, knee] is not a "
+        "declared (task, joint) pair", REGISTRATION),
     "prereg required axes not a list": (
         ("  Walk:\n    ankle: [plantarflexion]\n",
          "  Walk:\n    ankle: plantarflexion\n"),
@@ -897,7 +904,25 @@ def test_synth_kind_flags_each_change_what_it_writes(kind, tmp_path):
         assert out.read_bytes() != written, flag
 
 
-@pytest.mark.parametrize("given, missing", [("--f-loaded", "--f-noload"),
+@pytest.mark.parametrize("kind", [kind for kind, flags in SYNTH_FLAGS.items()
+                                  if "--duration" in flags])
+def test_synth_duration_under_two_samples_exits_2(kind, tmp_path, capsys):
+    """``--duration 0.0004`` is one 1 kHz sample: backdrive ended in NumPy's
+    gradient ``ValueError`` and thermal in a log error (exit 3) naming no
+    flag.  ``--duration 0.001`` is two samples and writes a log."""
+    out = tmp_path / f"{kind}.csv"
+    assert main(["synth", kind, "--out", str(out), "--duration",
+                 "0.0004"]) == 2
+    assert capsys.readouterr().err == (
+        "error: PlantParameter: duration 0.0004 s gives fewer than two "
+        "samples at 1000 Hz\n")
+    assert list(tmp_path.iterdir()) == []
+    assert main(["synth", kind, "--out", str(out), "--duration",
+                 "0.001"]) == 0
+    assert read_log(out).t.tolist() == [0.0, 0.001]
+
+
+@pytest.mark.parametrize("given, missing",[("--f-loaded", "--f-noload"),
                                             ("--f-noload", "--f-loaded")])
 def test_qc_refuses_one_bandwidth_flag_without_the_other(
         given, missing, tmp_path, capsys, file_reads):

@@ -256,26 +256,6 @@ class TestMeasurementLoading:
 
 
 class TestFileRoundTrips:
-    def test_phase_trajectory_reader(self, tmp_path):
-        from hlaskit.config_io import read_phase_trajectory
-
-        path = tmp_path / "gait.csv"
-        path.write_text(
-            "# one stride, stance only\n"
-            "phase,q_deg,omega_rad_s,power_w\n"
-            "0.0,2.0,8.5,120.0\n"
-            "0.5,10.0,10.0,340.0\n"
-            "0.9,22.0,11.5,-40.0\n"
-        )
-        traj = read_phase_trajectory(path)
-        assert traj.phase == (0.0, 0.5, 0.9)
-        assert traj.power[-1] == -40.0
-
-        empty = tmp_path / "empty.csv"
-        empty.write_text("phase,q_deg,omega_rad_s,power_w\n")
-        with pytest.raises(DataError):
-            read_phase_trajectory(empty)
-
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.one_of(
         st.floats(allow_nan=False, allow_infinity=False).map(repr),

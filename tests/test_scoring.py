@@ -135,6 +135,13 @@ class TestSchemeValidation:
         with pytest.raises(WeightSumViolation):
             self.scheme(critical_tasks=frozenset({"Stairs"})).validate()
 
+    def test_undeclared_score_as_zero_pair(self):
+        self.scheme(score_as_zero=frozenset({("Walk", "ankle")})).validate()
+        with pytest.raises(WeightSumViolation, match=r"\[Reach, ankle\]"):
+            self.scheme(score_as_zero=frozenset({
+                ("Walk", "ankle"), ("Walk", "wrist"), ("Reach", "ankle"),
+            })).validate()
+
     def test_feature_names_fixed(self):
         with pytest.raises(WeightSumViolation):
             self.scheme(feature_weights={"rom": 1.0}).validate()
