@@ -231,6 +231,17 @@ class TestFiniteColumns:
                           [1.0, 1.0, math.nan], [1.0, math.nan, 1.0])
         assert raised.value.row == 1
 
+    @pytest.mark.parametrize("column", ["q", "omega", "torque_hum",
+                                        "power_hum"])
+    def test_every_band_column_is_checked(self, column):
+        columns = dict(q=[0.0, 1.0], omega=[1.0, 1.0], torque_hum=[1.0, 1.0],
+                       power_hum=[1.0, 1.0])
+        columns[column] = [columns[column][0], math.nan]
+        with pytest.raises(InvalidRecord, match=f"^{column} nan is not "
+                           f"finite$") as raised:
+            OperatingBand("j", "t", **columns)
+        assert raised.value.row == 1
+
     @pytest.mark.parametrize("make, column", [
         (lambda: PointTable([0.0, 1.0], [1.0, 2.0], [0.5]), "value"),
         (lambda: OperatingBand("j", "t", [0.0, 1.0], [1.0], [1.0, 1.0],

@@ -42,8 +42,17 @@ from hlaskit.envelope import hee_coverage
 from hlaskit.errors import DataError, DuplicateKey, InvalidRecord
 from hlaskit.example import GOLDEN_TABLES, example_data_dir
 from hlaskit.scoring import hlas
-from hlaskit.signals import compute_frf, find_crossover
-from hlaskit.synthetic import SyntheticActuator, generate_backdrive_log
+from hlaskit.signals import (
+    DEFAULT_PLATEAU_WINDOW_S,
+    DEFAULT_SLOPE_LIMIT_C_PER_S,
+    compute_frf,
+    find_crossover,
+)
+from hlaskit.synthetic import (
+    DutyProfile,
+    SyntheticActuator,
+    generate_backdrive_log,
+)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -922,7 +931,35 @@ def test_synth_duration_under_two_samples_exits_2(kind, tmp_path, capsys):
     assert read_log(out).t.tolist() == [0.0, 0.001]
 
 
-@pytest.mark.parametrize("given, missing",[("--f-loaded", "--f-noload"),
+# each flag whose default the library defines: (argv, attribute, value)
+LIBRARY_DEFAULTS = [
+    (["analyze", "thermal", "log.csv"], "slope_limit",
+     DEFAULT_SLOPE_LIMIT_C_PER_S),
+    (["analyze", "thermal", "log.csv"], "window", DEFAULT_PLATEAU_WINDOW_S),
+    (["synth", "thermal", "--out", "t.csv"], "temp_limit",
+     DutyProfile.temp_limit_c),
+]
+
+
+@pytest.mark.parametrize("argv, attribute, value", LIBRARY_DEFAULTS,
+                         ids=[f"{argv[1]} {attribute}"
+                              for argv, attribute, _ in LIBRARY_DEFAULTS])
+def test_flag_default_is_the_library_constant(argv, attribute, value):
+    """The parser holds the library's own object, not a copy of its value
+    that a change to the library would leave behind."""
+    args = cli.build_parser(argv).parse_args(argv)
+    assert getattr(args, attribute) is value
+
+
+def test_sweep_and_frf_probe_the_same_frequencies():
+    sweep = cli.build_parser(["synth"]).parse_args(
+        ["synth", "sweep", "--out", "s.csv"])
+    frf = cli.build_parser(["analyze"]).parse_args(
+        ["analyze", "frf", "s.csv"])
+    assert sweep.freqs == frf.freqs == [1.0, 2.0, 5.0, 10.0, 20.0, 30.0]
+
+
+@pytest.mark.parametrize("given, missing", [("--f-loaded", "--f-noload"),
                                             ("--f-noload", "--f-loaded")])
 def test_qc_refuses_one_bandwidth_flag_without_the_other(
         given, missing, tmp_path, capsys, file_reads):

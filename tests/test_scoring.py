@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -141,6 +142,18 @@ class TestSchemeValidation:
             self.scheme(score_as_zero=frozenset({
                 ("Walk", "ankle"), ("Walk", "wrist"), ("Reach", "ankle"),
             })).validate()
+
+    @pytest.mark.parametrize("task, joint", [
+        ("Stairs", "ankle"), ("Walk", "knee"), ("Reach", "ankle"),
+        ("ankle", "Walk"),
+    ], ids=["unknown task", "unknown joint", "joint of another task",
+            "joint and task swapped"])
+    def test_score_as_zero_pair_must_be_declared(self, task, joint):
+        # accepted, the pair was ignored and the declared pairs scored
+        with pytest.raises(WeightSumViolation, match=re.escape(
+                f"score_as_zero pair [{task}, {joint}] is not a declared "
+                f"(task, joint) pair")):
+            self.scheme(score_as_zero=frozenset({(task, joint)})).validate()
 
     def test_feature_names_fixed(self):
         with pytest.raises(WeightSumViolation):

@@ -261,3 +261,43 @@ def test_duty_finite_ambient_and_negative_rate_kept():
 def test_burst_not_inside_its_period_refused(burst, period, message):
     with pytest.raises(PlantParameter, match=re.escape(message)):
         DutyProfile(burst_s=burst, period_s=period)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   0.0, -1.0])
+def test_backdrive_duration_not_finite_and_positive_refused(value):
+    """``generate_backdrive_log(duration=nan)`` ended in Python's float
+    conversion error, ``inf`` in an ``OverflowError`` and ``0`` or ``-1`` in
+    NumPy's gradient error."""
+    with pytest.raises(PlantParameter, match=re.escape(
+            f"duration {value!r} must be finite and positive")):
+        generate_backdrive_log(SyntheticActuator(), duration=value)
+
+
+def _backdrive(duration):
+    return generate_backdrive_log(SyntheticActuator(), duration=duration)
+
+
+def _thermal(duration):
+    return generate_thermal_duty_log(SyntheticActuator(),
+                                     DutyProfile(duration_s=duration), 10.0)
+
+
+# 0.0005 s is half a sample period, which rounds to even: no second sample
+@pytest.mark.parametrize("duration", [0.0004, 0.0005])
+@pytest.mark.parametrize("generate", [_backdrive, _thermal],
+                         ids=["backdrive", "thermal"])
+def test_duration_under_two_samples_refused(generate, duration):
+    with pytest.raises(PlantParameter, match=re.escape(
+            f"duration {duration!r} s gives fewer than two samples at "
+            f"1000 Hz")):
+        generate(duration)
+
+
+@pytest.mark.parametrize("duration, n", [(0.001, 2), (0.002, 3),
+                                         (0.25, 251)])
+def test_log_samples_both_ends_of_its_duration(duration, n):
+    for log in (_backdrive(duration), _thermal(duration)):
+        assert len(log.t) == n
+        assert log.t[0] == 0.0
+        assert log.t[-1] == pytest.approx(duration, rel=1e-12)
