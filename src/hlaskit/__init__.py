@@ -32,11 +32,11 @@ from .envelope import (
     rate_margin,
     torque_margin,
 )
+from .prereg import WeightScheme
 from .scoring import (
     FeatureVector,
     PairInputs,
     ScoreBreakdown,
-    WeightScheme,
     bandwidth_factor,
     efficiency_factor,
     gated_hlas,

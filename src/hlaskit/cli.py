@@ -24,28 +24,20 @@ from pathlib import Path
 from . import __version__
 from .atlas import DOF_INVENTORY, describe_joint
 from .config_io import (
-    canonical_json,
     emit_report,
-    load_preregistration_file,
     mask_table,
     read_bands,
     read_capability_map,
     read_log,
     score_registration,
-    table_blocks,
     verify_prereg_binding,
     write_capability_map,
     write_log,
-    write_table,
 )
-from .envelope import (
-    MARGIN_METHODS,
-    CapabilityMap,
-    hee_coverage,
-    margin_report,
-)
+from .envelope import CapabilityMap, hee_coverage, margin_report
 from .errors import DataError, GoldenMismatch, HlasError, ValidationError
 from .example import ALPHA_ALT, example_data_dir, run_and_check_example
+from .prereg import MARGIN_METHODS, canonical_json, load_preregistration_file
 from .scoring import gated_hlas, hlas
 from .signals import (
     DEFAULT_PLATEAU_WINDOW_S,
@@ -68,6 +60,7 @@ from .synthetic import (
     generate_sweep_log,
     generate_thermal_duty_log,
 )
+from .tables import table_blocks, write_table
 from .bands import build_band_grid
 
 EXIT_OK = 0
@@ -195,6 +188,9 @@ def cmd_hee(args) -> int:
             f"available: {sorted(bands)}"
         )
     cap = read_capability_map(Path(args.map), inputs)
+    if cap.joint != args.joint:
+        raise DataError(f"capability map {args.map} is of joint "
+                        f"{cap.joint!r}, not {args.joint!r}")
     result = hee_coverage(bands[key], cap, args.delta)
     mask = mask_table(result)
     if args.out:
@@ -284,10 +280,13 @@ def _qc(args, log, inputs: dict | None) -> int | None:
 
 def cmd_validate_prereg(args) -> int:
     prereg = load_preregistration_file(Path(args.prereg))
-    files = sorted(
-        p for p in Path(args.data).iterdir()
-        if p.is_file() and p.suffix == ".csv"
-    )
+    data = Path(args.data)
+    # the CSVs of --data, and each registered band file, which may sit in a
+    # directory below it, as ``hlas score`` reads it
+    files = sorted({p for p in data.iterdir()
+                    if p.is_file() and p.suffix == ".csv"}
+                   | {data / ref.file for ref in prereg.bands
+                      if (data / ref.file).is_file()})
     report = verify_prereg_binding(prereg, files)
     print(f"pre-registration digest: {prereg.digest}")
     print(f"binding: {'pass' if report.passed else 'FAIL'}")

@@ -30,8 +30,7 @@ from .errors import (
     ZeroDemandWarning,
     ZeroRequirement,
 )
-
-MARGIN_METHODS = ("min", "quantile10")
+from .prereg import MARGIN_METHODS
 
 
 def clip01(x: float) -> float:

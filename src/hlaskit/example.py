@@ -14,15 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .config_io import (
-    ScoredRegistration,
-    emit_report,
-    read_table,
-    score_registration,
-    write_table,
-)
+from .config_io import ScoredRegistration, emit_report, score_registration
 from .errors import GoldenMismatch
 from .scoring import hlas
+from .tables import read_table, write_table
 
 # 0.10 of feature weight moved from HEE coverage to efficiency
 ALPHA_ALT = {

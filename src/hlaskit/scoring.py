@@ -13,8 +13,8 @@ Each level divides by the actual sum of its weights (validated to be within
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from math import fsum, inf, isfinite
+from dataclasses import dataclass, fields
+from math import fsum, isfinite
 
 from .atlas import (
     AxisActuationReport,
@@ -27,25 +27,14 @@ from .envelope import CapabilityMap, clip01, hee_coverage, rate_margin
 from .errors import (
     ConfigIncomplete,
     EmptyCriticalSet,
-    InvalidDeclaration,
     InvalidFeature,
     InvalidRecord,
     MissingJoint,
-    NegativeWeight,
-    WeightSumViolation,
     ZeroRequirement,
     ZeroTarget,
 )
+from .prereg import FEATURE_NAMES, WeightScheme, _check_weights
 from .signals import task_weighted_efficiency
-
-WEIGHT_SUM_TOL = 1e-9
-
-FEATURE_NAMES = ("rom", "dof", "hee", "bandwidth", "efficiency", "thermal")
-
-DEFAULT_FEATURE_WEIGHTS = {
-    "rom": 0.10, "dof": 0.10, "hee": 0.50,
-    "bandwidth": 0.10, "efficiency": 0.10, "thermal": 0.10,
-}
 
 
 @dataclass(frozen=True)
@@ -69,22 +58,6 @@ class FeatureVector:
         return {name: getattr(self, name) for name in FEATURE_NAMES}
 
 
-def _check_weights(weights: dict[str, float], label: str) -> float:
-    for key, v in weights.items():
-        if v < 0:
-            raise NegativeWeight(f"{label} weight for {key!r} is negative ({v})")
-    try:
-        total = fsum(weights.values())
-    except OverflowError:
-        total = inf
-    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:     # a NaN weight too
-        raise WeightSumViolation(
-            f"{label} weights sum to {total!r}, expected 1 within "
-            f"{WEIGHT_SUM_TOL}"
-        )
-    return total
-
-
 def weighted_mean(values: dict[str, float], weights: dict[str, float],
                   label: str) -> float:
     """Weighted mean normalized by the (validated) weight sum."""
@@ -93,78 +66,6 @@ def weighted_mean(values: dict[str, float], weights: dict[str, float],
     if missing:
         raise MissingJoint(f"{label}: no score for {sorted(missing)}")
     return fsum(weights[k] * values[k] for k in weights) / total
-
-
-@dataclass(frozen=True)
-class WeightScheme:
-    """Pre-registered weights, targets, and guardrail parameters.
-
-    All weights must be declared before measurement; the scheme is the
-    validated in-memory form of that declaration.
-    """
-
-    task_weights: dict[str, float]
-    joint_weights: dict[str, dict[str, float]]
-    feature_weights: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_FEATURE_WEIGHTS))
-    bandwidth_targets: dict[str, dict[str, float]] = field(default_factory=dict)
-    efficiency_targets: dict[str, dict[str, float]] = field(default_factory=dict)
-    headroom_delta: float = 0.0
-    breadth_floor: float | None = None
-    critical_tasks: frozenset[str] = frozenset()
-    task_gate_min: float | None = None
-    margin_method: str = "min"
-    use_rate_margin: bool = False
-    score_as_zero: frozenset[tuple[str, str]] = frozenset()
-
-    def validate(self) -> None:
-        _check_weights(self.task_weights, "task")
-        if set(self.joint_weights) != set(self.task_weights):
-            raise WeightSumViolation(
-                "joint weights must cover exactly the declared tasks"
-            )
-        for task, joints in self.joint_weights.items():
-            _check_weights(joints, f"joint ({task})")
-        if set(self.feature_weights) != set(FEATURE_NAMES):
-            raise WeightSumViolation(
-                f"feature weights must name exactly {FEATURE_NAMES}"
-            )
-        _check_weights(self.feature_weights, "feature")
-        if not self.headroom_delta >= 0:                # NaN too
-            raise NegativeWeight("headroom delta must be >= 0")
-        for name in ("breadth_floor", "task_gate_min"):     # None: off
-            value = getattr(self, name)
-            if value is not None and not isfinite(value):
-                raise InvalidDeclaration(
-                    f"{name} must be finite or None, not {value!r}")
-        for table, label in ((self.bandwidth_targets, "bandwidth"),
-                             (self.efficiency_targets, "efficiency")):
-            for task, joints in table.items():
-                for joint, v in joints.items():
-                    if not 0 < v < inf:
-                        raise ZeroTarget(
-                            f"{label} target for ({task}, {joint}) must be "
-                            f"positive and finite, not {v!r}"
-                        )
-        unknown = self.critical_tasks - set(self.task_weights)
-        if unknown:
-            raise WeightSumViolation(
-                f"critical tasks {sorted(unknown)} are not declared tasks"
-            )
-        undeclared = sorted(self.score_as_zero - set(self.pairs()))
-        if undeclared:
-            task, joint = undeclared[0]
-            raise WeightSumViolation(
-                f"score_as_zero pair [{task}, {joint}] is not a declared "
-                f"(task, joint) pair"
-            )
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return [
-            (task, joint)
-            for task in self.task_weights
-            for joint in self.joint_weights[task]
-        ]
 
 
 @dataclass(frozen=True)

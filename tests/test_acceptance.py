@@ -37,16 +37,16 @@ from hlaskit.example import (
     run_and_check_example,
     run_example,
 )
-from hlaskit.config_io import (
+from hlaskit.config_io import verify_prereg_binding
+from hlaskit.prereg import (
+    FEATURE_NAMES,
+    WeightScheme,
     canonical_json,
     load_preregistration,
-    verify_prereg_binding,
 )
 from hlaskit.scoring import (
-    FEATURE_NAMES,
     FeatureVector,
     PairInputs,
-    WeightScheme,
     gated_hlas,
     hlas,
     joint_task_score,

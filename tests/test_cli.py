@@ -19,12 +19,11 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from hlaskit import cli, config_io
+from hlaskit import cli, config_io, tables
 from hlaskit.cli import main
 from hlaskit.config_io import (
     build_pairs,
     load_measurements,
-    load_preregistration_file,
     mask_table,
     read_bandwidth_file,
     read_bands,
@@ -33,14 +32,13 @@ from hlaskit.config_io import (
     read_efficiency_file,
     read_log,
     read_rom_file,
-    read_table,
     read_thermal_file,
-    table_blocks,
     write_log,
 )
 from hlaskit.envelope import hee_coverage
 from hlaskit.errors import DataError, DuplicateKey, InvalidRecord
 from hlaskit.example import GOLDEN_TABLES, example_data_dir
+from hlaskit.prereg import load_preregistration_file
 from hlaskit.scoring import hlas
 from hlaskit.signals import (
     DEFAULT_PLATEAU_WINDOW_S,
@@ -53,6 +51,7 @@ from hlaskit.synthetic import (
     SyntheticActuator,
     generate_backdrive_log,
 )
+from hlaskit.tables import read_table, table_blocks
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -214,6 +213,22 @@ class TestHee:
                          "--task", "Swim", "--joint", "ankle",
                          "--map", str(data_dir / "capability_ankle.csv"))
         assert result.returncode == 3
+
+    def test_map_of_another_joint_is_refused(self, data_dir, tmp_path,
+                                             capsys):
+        """A map is matched to a band by its (q, omega) points alone, so a
+        map of another joint on the same grid scored as the joint named."""
+        other = data_dir / "capability_knee_on_ankle_grid.csv"
+        other.write_text((data_dir / "capability_ankle.csv").read_text()
+                         .replace("\nankle,", "\nknee,"))
+        argv = _hlas_argv("hee", data_dir, None, None)
+        argv[argv.index("--map") + 1] = str(other)
+        out = tmp_path / "r" / "mask.csv"
+        assert main([*argv, "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", (
+            f"error: DataError: capability map {other} is of joint 'knee', "
+            f"not 'ankle'\n"))
+        assert not out.parent.exists()
 
     def test_mask_file_output(self, data_dir, tmp_path):
         out = tmp_path / "mask.csv"
@@ -469,8 +484,8 @@ def test_byte_order_mark_is_dropped(kind, regular, data_dir, tmp_path,
     copy of ``thermal.csv`` read its first ``#`` line as the header and
     ``hlas score`` refused it for missing columns.  A regular file keeps to
     the block path, mark or not."""
-    per_cell, cell_columns = [], config_io._cell_columns
-    monkeypatch.setattr(config_io, "_cell_columns", lambda *args: (
+    per_cell, cell_columns = [], tables._cell_columns
+    monkeypatch.setattr(tables, "_cell_columns", lambda *args: (
         per_cell.append(args[0]) or cell_columns(*args)))
     name, reader, _ = MALFORMED_FILES[kind]
     path = data_dir / name if name else _backdrive_log(tmp_path)
@@ -1597,6 +1612,43 @@ class TestValidatePrereg:
                          "--data", str(data_dir))
         assert result.returncode == 2
         assert "predates" in result.stdout
+
+    @pytest.mark.parametrize("band_file", ["column added", "missing"])
+    def test_altered_or_missing_band_file_fails(self, band_file, data_dir):
+        bands = data_dir / "bands.csv"
+        if band_file == "missing":
+            bands.unlink()
+        else:
+            bands.write_text("".join(
+                line if line.startswith("#") else line[:-1] + ",1\n"
+                for line in bands.read_text().splitlines(True)))
+        result = run_cli("validate-prereg",
+                         "--prereg", str(data_dir / "prereg.yaml"),
+                         "--data", str(data_dir))
+        assert result.returncode == 2
+        assert "binding: FAIL" in result.stdout
+        assert ("  bands.csv: registered band file not found"
+                if band_file == "missing" else
+                f"  bands.csv: digest {_sha256(bands)} does not match "
+                f"registered ") in result.stdout
+
+    def test_band_file_below_the_data_directory_is_bound_too(
+            self, data_dir, tmp_path, capsys):
+        """A registered band file may sit below ``--data``, where ``hlas
+        score`` reads it; ``validate-prereg`` checks it there."""
+        (data_dir / "sub").mkdir()
+        bands = (data_dir / "bands.csv").rename(data_dir / "sub" / "bands.csv")
+        prereg = data_dir / "prereg.yaml"
+        prereg.write_text(prereg.read_text().replace("- file: bands.csv",
+                                                     "- file: sub/bands.csv"))
+        argv = _hlas_argv("validate-prereg", data_dir, None, None)
+        assert main(argv) == 0
+        assert main(_hlas_argv("score", data_dir, None, tmp_path / "r")) == 0
+        capsys.readouterr()
+        bands.write_text(bands.read_text() + "Walk,ankle,99,99,1,1\n")
+        assert main(argv) == 2
+        assert f"  sub/bands.csv: digest {_sha256(bands)} does not match " \
+            f"registered " in capsys.readouterr().out
 
     def test_bad_created_utc_is_a_data_error_naming_file_and_value(
             self, data_dir, capsys):

@@ -11,34 +11,22 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlaskit import config_io
+from hlaskit import tables
 from hlaskit.bands import OperatingBand, measured_at
 from hlaskit.config_io import (
     LOG_COLUMNS,
-    BandRef,
-    _read_columns,
-    _file_blocks,
-    _regular_columns,
-    canonical_json,
     emit_report,
-    fmt,
     load_measurements,
-    load_preregistration,
-    load_preregistration_file,
     mask_name,
     read_bands,
     read_capability_map,
     read_efficiency_file,
     read_log,
-    read_table,
     read_thermal_file,
     sha256_file,
-    sha256_hex,
-    table_blocks,
     verify_prereg_binding,
     write_capability_map,
     write_log,
-    write_table,
 )
 from hlaskit.errors import (
     DataError,
@@ -49,9 +37,25 @@ from hlaskit.errors import (
     WeightSumViolation,
 )
 from hlaskit.example import example_data_dir
+from hlaskit.prereg import (
+    BandRef,
+    canonical_json,
+    load_preregistration,
+    load_preregistration_file,
+)
 from hlaskit.scoring import hlas
 from hlaskit.signals import TimeSeriesLog
 from hlaskit.synthetic import SyntheticActuator, generate_backdrive_log
+from hlaskit.tables import (
+    _file_blocks,
+    _read_columns,
+    _regular_columns,
+    fmt,
+    read_table,
+    sha256_hex,
+    table_blocks,
+    write_table,
+)
 
 
 @pytest.fixture
@@ -170,7 +174,43 @@ class TestBinding:
             f"# prereg_sha256: {prereg.digest}\n"
             + (example_dir / "bandwidth.csv").read_text()
         )
-        assert verify_prereg_binding(prereg, [tagged]).passed
+        assert verify_prereg_binding(
+            prereg, [example_dir / "bands.csv", tagged]).passed
+
+    @pytest.mark.parametrize("band_file", ["matching", "column added",
+                                           "missing", "not ASCII, matching"])
+    def test_registered_band_file_is_bound_by_its_digest(
+            self, band_file, example_dir, tmp_path, monkeypatch):
+        """A registered band file may predate the registration, as its
+        sha256 binds it instead; one that is altered or absent fails the
+        binding, as ``hlas score`` refuses it.  A file that is not ASCII
+        is hashed from the one full read of its header's fallback path,
+        not from the blocks read before its first block that is not."""
+        prereg = load_preregistration_file(example_dir / "prereg.yaml")
+        for f in example_dir.glob("*.csv"):
+            shutil.copy(f, tmp_path / f.name)
+        bands = tmp_path / "bands.csv"
+        if band_file == "column added":
+            bands.write_text("".join(
+                line if line.startswith("#") else line[:-1] + ",1\n"
+                for line in bands.read_text().splitlines(True)))
+        elif band_file == "missing":
+            bands.unlink()
+        elif band_file == "not ASCII, matching":
+            bands.write_text("# note: r\u00e9glage\n" + bands.read_text())
+            monkeypatch.setattr(tables, "_BLOCK", 64)
+            prereg = replace(prereg, bands=(
+                BandRef("bands.csv", sha256_file(bands)),))
+        report = verify_prereg_binding(prereg, sorted(tmp_path.glob("*.csv")))
+        digest = sha256_file(bands) if bands.exists() else None
+        assert report.findings == {
+            "matching": (),
+            "not ASCII, matching": (),
+            "column added": (f"bands.csv: digest {digest} does not match "
+                             f"registered {prereg.bands[0].sha256}",),
+            "missing": ("bands.csv: registered band file not found",),
+        }[band_file]
+        assert report.passed == band_file.endswith("matching")
 
 
 class TestMeasurementLoading:
@@ -246,6 +286,15 @@ class TestMeasurementLoading:
         )
         with pytest.raises(ValueError, match="conditions"):
             read_capability_map(path)
+
+    @pytest.mark.parametrize("reader, header", [
+        (read_bands, "task,joint,q_deg,omega_rad_s,torque_hum_nm,power_hum_w"),
+        (read_capability_map, "joint,axis,q_deg,omega_rad_s,torque_nm")])
+    def test_file_of_no_data_rows_says_so(self, reader, header, tmp_path):
+        path = tmp_path / "header_only.csv"
+        path.write_text(f"# conditions: rig\n{header}\n")
+        with pytest.raises(DataError, match=f"file {path} has no data rows$"):
+            reader(path)
 
     def test_missing_column_names_file_and_columns(self, tmp_path):
         path = tmp_path / "bands.csv"
@@ -431,9 +480,9 @@ def _refuse_repeated_header(path):
 
 def _whole_table(path, required_columns=()):
     """``(meta, header, rows)`` of ``path`` parsed by ``csv`` from its whole
-    text (``config_io._table``), not a block or a column at a time."""
-    return config_io._table(path, path.read_bytes().decode(),
-                            required_columns)[:3]
+    text (``tables._table``), not a block or a column at a time."""
+    return tables._table(path, path.read_bytes().decode(),
+                         required_columns)[:3]
 
 
 def _oracle(path, text_columns, float_columns, key):
@@ -632,7 +681,7 @@ LATE_IRREGULARITIES = {"ragged": False, "text cell": False, "nan cell": False,
 
 class TestColumnWiseParse:
     """Both parses against a ``float()`` oracle.  A regular text is parsed
-    in blocks of ``config_io._BLOCK`` characters; the oracles draw small
+    in blocks of ``tables._BLOCK`` characters; the oracles draw small
     blocks, so that a text's lines, and its irregular line, fall in
     different blocks."""
 
@@ -641,14 +690,14 @@ class TestColumnWiseParse:
     def test_readers_match_the_per_cell_oracle(self, case, block):
         kind, irregularity, text = case
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(config_io, "_BLOCK", block):
+                mock.patch.object(tables, "_BLOCK", block):
             path = Path(tmp) / f"{kind}.csv"
             path.write_bytes(text.encode())
             # the header read, streamed when the text is plain, and the
             # table read are those of the whole text
             for header_only in (True, False):
                 try:
-                    expected = config_io._table(path, text, (),
+                    expected = tables._table(path, text, (),
                                                 header_only)[:3]
                 except DataError as exc:
                     with pytest.raises(DataError) as raised:
@@ -726,7 +775,7 @@ class TestColumnWiseParse:
     def test_read_log_matches_the_per_cell_oracle(self, case, block):
         irregularity, text = case
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(config_io, "_BLOCK", block):
+                mock.patch.object(tables, "_BLOCK", block):
             path = Path(tmp) / "log.csv"
             path.write_bytes(text.encode())
             _check_log(path, None if irregularity in (
@@ -740,9 +789,9 @@ class TestColumnWiseParse:
         write_log(generate_backdrive_log(SyntheticActuator(), duration=0.05),
                   path)
         lines = path.read_text().splitlines()
-        monkeypatch.setattr(config_io, "_BLOCK", 200)
+        monkeypatch.setattr(tables, "_BLOCK", 200)
         at = 40                 # a data line past the body's tenth block
-        assert sum(map(len, lines[3:at])) > 10 * config_io._BLOCK
+        assert sum(map(len, lines[3:at])) > 10 * tables._BLOCK
         cells = lines[at].split(",")
         if irregularity == "ragged":
             cells.append("1")
@@ -824,7 +873,7 @@ class TestStreamedLog:
     def test_read_log_matches_the_per_cell_oracle(self, case):
         irregularity, data, block = case
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(config_io, "_BLOCK", block):
+                mock.patch.object(tables, "_BLOCK", block):
             path = Path(tmp) / "log.csv"
             path.write_bytes(data)
             if irregularity != "non-UTF-8 byte":
@@ -851,7 +900,7 @@ COLUMN_KINDS = {
 
 
 @st.composite
-def tables(draw):
+def written_tables(draw):
     """``(header, columns, preamble, rows)``: the columns as the writer
     takes them (lists, and arrays for the kinds that have a dtype; none
     at all for some tables of no rows) and the rows of their Python
@@ -881,13 +930,13 @@ class TestTableWriter:
     text, a line of ``fmt`` cells per row, at blocks of 1 to 300."""
 
     @settings(max_examples=300, deadline=None)
-    @given(tables(), st.integers(1, 300))
+    @given(written_tables(), st.integers(1, 300))
     def test_bytes_are_those_of_the_fmt_joined_rows(self, table, block):
         header, columns, preamble, rows = table
         text = preamble + "".join(",".join(map(fmt, row)) + "\n"
                                   for row in (header, *rows))
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(config_io, "_BLOCK", block):
+                mock.patch.object(tables, "_BLOCK", block):
             blocks = list(table_blocks(header, columns, preamble))
             path = Path(tmp) / "table.csv"
             digest = write_table(path, header, columns, preamble)

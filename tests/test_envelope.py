@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlaskit.bands import OperatingBand, measured_at
-from hlaskit.config_io import MASK_COLUMNS, fmt, mask_table, table_blocks
+from hlaskit.config_io import MASK_COLUMNS, mask_table
 from hlaskit.envelope import (
     CapabilityMap,
     hee_coverage,
@@ -24,6 +24,7 @@ from hlaskit.errors import (
     ZeroDemandWarning,
     ZeroRequirement,
 )
+from hlaskit.tables import fmt, table_blocks
 
 # ankle push-off during walking: the fully worked rate sweep
 PUSH_OFF_OMEGA = [8, 9, 10, 11, 12]

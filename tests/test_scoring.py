@@ -17,11 +17,9 @@ from hlaskit.errors import (
     ZeroRequirement,
     ZeroTarget,
 )
+from hlaskit.prereg import DEFAULT_FEATURE_WEIGHTS, FEATURE_NAMES, WeightScheme
 from hlaskit.scoring import (
-    DEFAULT_FEATURE_WEIGHTS,
-    FEATURE_NAMES,
     FeatureVector,
-    WeightScheme,
     bandwidth_factor,
     efficiency_factor,
     gated_hlas,
