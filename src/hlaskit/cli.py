@@ -21,6 +21,8 @@ from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .atlas import DOF_INVENTORY, describe_joint
 from .config_io import (
@@ -342,7 +344,10 @@ def cmd_synth(args) -> int:
                                for f in fields(SyntheticActuator)
                                if hasattr(args, f.name)})
     out = Path(args.out)
-    made = args.generate(args, act)
+    # a parameter that overflows gives inf or NaN samples, which the
+    # writer refuses by name: NumPy's warnings would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        made = args.generate(args, act)
     if isinstance(made, CapabilityMap):
         digest, seed = write_capability_map(made, out), None
     else:

@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from functools import cache
 from math import fsum, inf, isfinite
 from pathlib import Path
-
-import yaml
 
 from .atlas import RomInterval
 from .errors import (
@@ -188,23 +187,41 @@ class Preregistration:
     content: dict               # the canonical form that ``digest`` hashes
 
 
-class _RegistrationLoader(yaml.SafeLoader):
-    """PyYAML's safe loader, refusing a key given twice in one mapping (the
-    plain safe loader keeps the last of them).  A ``<<`` merge key may
-    still be overridden by the mapping's own keys."""
+@cache
+def _yaml_reader():
+    """The function that reads a registration's YAML text into a document.
 
-    def construct_mapping(self, node, deep=False):
-        own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
-        mapping = super().construct_mapping(node, deep)
-        first: dict = {}
-        for i, k in enumerate(own):
-            key = self.constructed_objects[k]
-            earlier = first.setdefault(key, i)
-            if earlier != i:
-                raise DuplicateDeclaration(
-                    f"key {key!r} on line {k.start_mark.line + 1} "
-                    f"repeats line {own[earlier].start_mark.line + 1}")
-        return mapping
+    PyYAML is imported, and its loader built, on the first registration
+    parse, so a command that reads no registration never loads it.  The
+    loader is PyYAML's safe loader, refusing a key given twice in one
+    mapping (the plain safe loader keeps the last of them); a ``<<`` merge
+    key may still be overridden by the mapping's own keys.
+    """
+    import yaml
+
+    class _RegistrationLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            own = [k for k, _ in node.value
+                   if k.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep)
+            first: dict = {}
+            for i, k in enumerate(own):
+                key = self.constructed_objects[k]
+                earlier = first.setdefault(key, i)
+                if earlier != i:
+                    raise DuplicateDeclaration(
+                        f"key {key!r} on line {k.start_mark.line + 1} "
+                        f"repeats line {own[earlier].start_mark.line + 1}")
+            return mapping
+
+    def read(text: str):
+        try:
+            return yaml.load(text, Loader=_RegistrationLoader)
+        except yaml.YAMLError as exc:
+            raise InvalidDeclaration(
+                f"pre-registration is not YAML: {exc}") from None
+
+    return read
 
 
 # Registration shapes: each checker takes a value and the section and entry
@@ -346,11 +363,7 @@ def load_preregistration(text: str | bytes) -> Preregistration:
     """
     if isinstance(text, bytes):
         text = _utf8(text, "pre-registration", InvalidDeclaration)
-    try:
-        doc = yaml.load(text, Loader=_RegistrationLoader)
-    except yaml.YAMLError as exc:
-        raise InvalidDeclaration(f"pre-registration is not YAML: {exc}") \
-            from None
+    doc = _yaml_reader()(text)
     if not isinstance(doc, dict):
         raise MissingSection("pre-registration document is not a mapping")
     content = {}

@@ -41,14 +41,20 @@ def _check_positive(name: str, value: float) -> None:
 def _time_column(duration: float) -> np.ndarray:
     """The sample times of a log ``duration`` seconds long at
     ``SAMPLE_RATE_HZ``, both ends included; a duration that gives fewer
-    than two samples raises ``PlantParameter``."""
+    than two samples, or more than can be allocated, raises
+    ``PlantParameter``."""
     _check_positive("duration", duration)
-    n = int(round(duration * SAMPLE_RATE_HZ)) + 1
-    if n < 2:
+    periods = duration * SAMPLE_RATE_HZ     # inf past about 1.8e305 s
+    if periods <= 0.5:                      # rounds to none
         raise PlantParameter(
             f"duration {duration!r} s gives fewer than two samples at "
             f"{SAMPLE_RATE_HZ:g} Hz")
-    return np.arange(n) / SAMPLE_RATE_HZ
+    try:
+        return np.arange(round(periods) + 1) / SAMPLE_RATE_HZ
+    except (MemoryError, OverflowError, ValueError):
+        raise PlantParameter(
+            f"duration {duration!r} s gives {periods + 1:.6g} samples at "
+            f"{SAMPLE_RATE_HZ:g} Hz, more than can be allocated") from None
 
 
 @dataclass(frozen=True)

@@ -57,14 +57,19 @@ from hlaskit.tables import read_table, table_blocks
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args):
-    """``python -m hlaskit.cli`` in a child process that imports ``hlaskit``
-    from this checkout, as the tests here do (``pyproject.toml``)."""
+def run_python(*args, **kwargs):
+    """``python *args`` in a child process that imports ``hlaskit`` from
+    this checkout, as the tests here do (``pyproject.toml``)."""
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(SRC), *filter(None, [path])])}
-    return subprocess.run([sys.executable, "-m", "hlaskit.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, **kwargs)
+
+
+def run_cli(*args):
+    """``python -m hlaskit.cli`` in a child process (``run_python``)."""
+    return run_python("-m", "hlaskit.cli", *args)
 
 
 @pytest.fixture
@@ -944,6 +949,89 @@ def test_synth_duration_under_two_samples_exits_2(kind, tmp_path, capsys):
     assert main(["synth", kind, "--out", str(out), "--duration",
                  "0.001"]) == 0
     assert read_log(out).t.tolist() == [0.0, 0.001]
+
+
+# each far past 2**47 bytes of float64 samples, which no machine can
+# allocate: (argv, duration, sample count)
+UNALLOCATABLE_SYNTH = [
+    (["thermal", "--duration", "1e13"], "10000000000000.0", "1e+16"),
+    (["backdrive", "--duration", "1e13"], "10000000000000.0", "1e+16"),
+    (["backdrive", "--duration", "1e300"], "1e+300", "1e+303"),
+    (["sweep", "--freqs", "1e-300"], "4.9999999999999997e+300", "5e+303"),
+    (["backdrive", "--duration", "1e306"], "1e+306", "inf"),
+]
+
+
+@pytest.mark.parametrize("argv, duration, samples", UNALLOCATABLE_SYNTH,
+                         ids=[" ".join(argv) for argv, _, _ in
+                              UNALLOCATABLE_SYNTH])
+def test_synth_duration_past_any_allocation_exits_2(argv, duration, samples,
+                                                     tmp_path, capsys):
+    """``--duration 1e13`` ended in NumPy's ``_ArrayMemoryError`` (exit 1),
+    ``1e300`` and ``--freqs 1e-300`` in its ``Maximum allowed size
+    exceeded`` and ``1e306`` in the ``OverflowError`` of ``round(inf)``."""
+    assert main(["synth", *argv, "--out", str(tmp_path / "log.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: PlantParameter: duration {duration} s gives {samples} "
+        f"samples at 1000 Hz, more than can be allocated\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, channel", [
+    (["thermal", "--torque", "1e200", "--duration", "1"], "i_bus inf"),
+    (["sweep", "--amplitude", "1e308"], "torque -inf"),
+])
+def test_synth_overflow_is_one_error_line(argv, channel, tmp_path):
+    """An overflowing parameter printed NumPy's ``RuntimeWarning``s, each
+    with its source line, before the writer's refusal."""
+    result = run_cli("synth", *argv, "--out", str(tmp_path / "log.csv"))
+    assert result.returncode == 3
+    assert result.stderr == \
+        f"error: InvalidRecord: {channel} is not finite\n"
+
+
+# a fresh interpreter runs ``main`` on each argv in turn, then prints the
+# exit codes and which of PyYAML and ``numpy.ma`` it has loaded
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+from hlaskit.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps([codes, sorted({"yaml", "numpy.ma"} & set(sys.modules))]))
+"""
+
+
+def _startup(tmp_path, *argvs):
+    result = run_python("-c", STARTUP_SCRIPT, json.dumps(argvs),
+                        cwd=tmp_path, check=True)
+    return json.loads(result.stdout)
+
+
+def test_log_commands_load_neither_yaml_nor_numpy_ma(tmp_path):
+    """Only a registration parse needs PyYAML, and ``np.median`` and
+    ``np.percentile`` (which ``analyze friction`` used) import
+    ``numpy.ma``: a log command pays for neither."""
+    codes, loaded = _startup(
+        tmp_path,
+        ["synth", "thermal", "--duration", "15", "--out", "thermal.csv"],
+        ["synth", "backdrive", "--duration", "10", "--noise", "0.01",
+         "--seed", "1", "--out", "backdrive.csv"],
+        ["synth", "sweep", "--out", "sweep.csv"],
+        ["analyze", "thermal", "thermal.csv"],
+        ["analyze", "qc", "thermal.csv"],
+        ["analyze", "friction", "backdrive.csv"],
+        ["analyze", "frf", "sweep.csv"])
+    assert codes == [0] * 7
+    assert loaded == []
+
+
+def test_validate_prereg_loads_yaml(tmp_path, data_dir):
+    codes, loaded = _startup(
+        tmp_path, _hlas_argv("validate-prereg", data_dir, None, None))
+    assert codes == [0]
+    assert "yaml" in loaded
 
 
 # each flag whose default the library defines: (argv, attribute, value)

@@ -1,5 +1,6 @@
 """The module layout: the table engine and the registration cannot reach
-the scorer, and no module is compiled as one large unit."""
+the scorer, no module is compiled as one large unit, and only the
+registration reader imports PyYAML."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,36 @@ def test_every_imported_name_is_used(path):
              for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert bound - used == set()
+
+
+def _yaml_imports(tree: ast.Module) -> list[str]:
+    """The function around each import of ``yaml`` in ``tree``, by name;
+    ``""`` for one that runs at import time (module level, or in a class
+    body there)."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            names = ([alias.name for alias in child.names]
+                     if isinstance(child, ast.Import) else
+                     [child.module or ""]
+                     if isinstance(child, ast.ImportFrom) and not child.level
+                     else [])
+            if any(name.split(".")[0] == "yaml" for name in names):
+                found.append(function)
+            visit(child, function)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_registration_reader_imports_yaml():
+    """PyYAML is loaded by the first registration parse, not by importing
+    any module, so the commands that read no registration never load it."""
+    imports = {path.stem: _yaml_imports(_tree(path.stem))
+               for path in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in imports.items() if found} == \
+        {"prereg": ["_yaml_reader"]}

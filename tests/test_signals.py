@@ -1,8 +1,12 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from hlaskit import signals
 from hlaskit.bands import OperatingBand, PointTable
 from hlaskit.errors import (
     AliasedFrequency,
@@ -274,6 +278,65 @@ class TestFitFriction:
         fit = fit_friction(log)
         oracle = np.percentile(np.abs(log.torque), 95)
         assert fit.backdrive_p95 == pytest.approx(oracle, rel=1e-12)
+
+
+# non-negative finite float64, as ``np.abs`` of a log gives them: zeros,
+# subnormals and values near the largest float, drawn often enough to tie
+MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e308,
+                     1.7976931348623157e308]),
+    st.floats(min_value=0.0, max_value=1.7976931348623157e308,
+              allow_subnormal=True).map(abs))
+
+
+@st.composite
+def magnitude_arrays(draw):
+    """``MAGNITUDES`` mixed with seeded uniform draws over five decades,
+    whose mantissas are full enough that rounding differences show."""
+    drawn = draw(hnp.arrays(np.float64, st.integers(0, 100),
+                            elements=MAGNITUDES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-310, 1.0, 1e300, 1.7e306]))
+    n = draw(st.integers(0 if len(drawn) else 1, 200))
+    uniform = rng.random(n) * 10.0 ** rng.integers(-3, 3, n) * scale
+    values = np.concatenate([drawn, uniform])
+    rng.shuffle(values)
+    return values
+
+
+@given(magnitude_arrays())
+# 11 values put the 95th percentile half way between the top two, where
+# NumPy's ``_lerp`` counts down from the larger: ``a + (b - a) / 2`` is
+# one ulp under it here
+@example(np.array([0.0] * 9 + [23.936944299295217, 79.63242702872942]))
+@settings(max_examples=300)
+def test_order_statistics_match_numpy_bit_for_bit(values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        median = float(np.median(values))
+        p95 = float(np.percentile(values, 95))
+    assert signals._median(values).hex() == median.hex()
+    assert signals._percentile95(values).hex() == p95.hex()
+    values[len(values) // 3] = np.nan       # NumPy's median is then NaN
+    assert math.isnan(signals._median(values))
+
+
+@pytest.mark.parametrize("seed, duration, noise", [
+    (0, 10.0, 0.01), (1, 6.001, 0.05), (2, 25.001, 0.2), (3, 10.0, 1.0),
+    (4, 5.001, 0.5)])
+def test_fit_friction_matches_numpy_order_statistics(seed, duration, noise,
+                                                     monkeypatch):
+    """All five fields equal, bit for bit, those of the fit that read the
+    MAD median from ``np.median`` and ``backdrive_p95`` from
+    ``np.percentile``."""
+    log = generate_backdrive_log(SyntheticActuator(), duration=duration,
+                                 noise_std=noise, seed=seed)
+    fit = astuple(fit_friction(log))
+    monkeypatch.setattr(signals, "_median",
+                        lambda values: float(np.median(values)))
+    monkeypatch.setattr(signals, "_percentile95",
+                        lambda values: float(np.percentile(values, 95)))
+    assert [v.hex() for v in fit] == \
+        [v.hex() for v in astuple(fit_friction(log))]
 
 
 class TestDetectPlateau:

@@ -301,3 +301,25 @@ def test_log_samples_both_ends_of_its_duration(duration, n):
         assert len(log.t) == n
         assert log.t[0] == 0.0
         assert log.t[-1] == pytest.approx(duration, rel=1e-12)
+
+
+def _sweep(duration):
+    """A sweep whose lowest probe frequency gives five periods of
+    ``duration``."""
+    return generate_sweep_log(SyntheticActuator(), [5.0 / duration], 4.0)
+
+
+# each far past 2**47 bytes of float64 samples, which no machine can
+# allocate: a duration a machine could allocate is never tried here
+@pytest.mark.parametrize("duration, samples", [
+    (1e13, "1e+16"), (1e300, "1e+303"), (1e306, "inf")])
+@pytest.mark.parametrize("generate", [_backdrive, _thermal, _sweep],
+                         ids=["backdrive", "thermal", "sweep"])
+def test_duration_past_any_allocation_refused(generate, duration, samples):
+    """A duration of ``1e13`` s ended in NumPy's ``_ArrayMemoryError``,
+    ``1e300`` s in its ``Maximum allowed size exceeded`` and ``1e306`` s in
+    the ``OverflowError`` of ``round(inf)``."""
+    with pytest.raises(PlantParameter, match=re.escape(
+            f"duration {duration!r} s gives {samples} samples at 1000 Hz, "
+            f"more than can be allocated")):
+        generate(duration)
