@@ -8,14 +8,12 @@ guardrails, and a fully synthetic known-answer test plant.
 
 from .atlas import (
     AxisActuationReport,
-    AxisSpec,
     JointDofRecord,
     RomInterval,
     dof_sufficiency,
     rom_coverage,
 )
 from .bands import (
-    DemandSample,
     OperatingBand,
     PointTable,
     build_band_grid,
@@ -23,7 +21,6 @@ from .bands import (
 )
 from .envelope import (
     CapabilityMap,
-    CapabilitySample,
     HeeResult,
     MarginReport,
     hee_coverage,

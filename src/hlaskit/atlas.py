@@ -27,28 +27,17 @@ COUPLING_THRESHOLD = 0.10  # max cross-axis coupling, fraction RMS
 
 
 @dataclass(frozen=True)
-class AxisSpec:
-    """One actuated (or anatomical) axis at a joint."""
-
-    joint: str
-    axis: str
-
-
-@dataclass(frozen=True)
 class RomInterval:
     """Closed angular interval [lo, hi] in degrees on a signed axis."""
 
     lo: float
     hi: float
-    category: str = "functional"
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise DegenerateInterval(
                 f"interval [{self.lo}, {self.hi}] must have lo < hi"
             )
-        if self.category not in ROM_CATEGORIES:
-            raise ValueError(f"unknown ROM category {self.category!r}")
 
     def covered_by(self, other: "RomInterval | None") -> float:
         """Fraction of this interval inside ``other``; 0 for disjoint or
@@ -73,7 +62,7 @@ class JointDofRecord:
     """DoF bookkeeping for one joint (one side, or midline)."""
 
     joint: str
-    axes: tuple[AxisSpec, ...]
+    axes: tuple[str, ...]
     rotational_count: int
     translational_count: int
 
@@ -89,7 +78,7 @@ class JointDofRecord:
 class AxisActuationReport:
     """Outcome of the independent-actuation check for one axis."""
 
-    axis: AxisSpec
+    axis: str
     implemented: bool
     coupling_rms_fraction: float = 0.0
 
@@ -136,7 +125,7 @@ def dof_sufficiency(
     actuated (cross-axis coupling below ``COUPLING_THRESHOLD``, 10% RMS)."""
     if not required_axes:
         raise EmptyAxisSet("DoF sufficiency needs at least one required axis")
-    by_axis = {r.axis.axis: r for r in reports}
+    by_axis = {r.axis: r for r in reports}
     passing = 0
     for axis in required_axes:
         report = by_axis.get(axis)
@@ -149,121 +138,74 @@ def dof_sufficiency(
 # Shipped inventory and ROM norms
 # ---------------------------------------------------------------------------
 
-def _axes(joint: str, names: list[str]) -> tuple[AxisSpec, ...]:
-    return tuple(AxisSpec(joint, name) for name in names)
-
-
-def _finger_axes(joint: str, prefix: str, digits: range, parts: list[str]):
-    names = [f"{prefix}{d}_{part}" for d in digits for part in parts]
-    return _axes(joint, names)
+def _finger_axes(prefix: str, digits: range,
+                 parts: list[str]) -> tuple[str, ...]:
+    return tuple(f"{prefix}{d}_{part}" for d in digits for part in parts)
 
 
 def _limb_records(side: str) -> list[JointDofRecord]:
     s = side
-    recs = [
-        JointDofRecord(
-            f"{s}_shoulder",
-            _axes(f"{s}_shoulder", [
-                "flexion_extension", "abduction_adduction",
-                "internal_external_rotation",
-            ]),
-            3, 0,
-        ),
-        JointDofRecord(
-            f"{s}_shoulder_girdle",
-            _axes(f"{s}_shoulder_girdle", [
-                "upward_downward_rotation", "elevation_depression",
-                "protraction_retraction",
-            ]),
-            1, 2,
-        ),
-        JointDofRecord(
-            f"{s}_elbow", _axes(f"{s}_elbow", ["flexion_extension"]), 1, 0
-        ),
-        JointDofRecord(
-            f"{s}_forearm", _axes(f"{s}_forearm", ["pronation_supination"]), 1, 0
-        ),
-        JointDofRecord(
-            f"{s}_wrist",
-            _axes(f"{s}_wrist", [
-                "flexion_extension", "radial_ulnar_deviation", "axial_rotation",
-            ]),
-            3, 0,
-        ),
+    return [
+        JointDofRecord(f"{s}_shoulder", (
+            "flexion_extension", "abduction_adduction",
+            "internal_external_rotation",
+        ), 3, 0),
+        JointDofRecord(f"{s}_shoulder_girdle", (
+            "upward_downward_rotation", "elevation_depression",
+            "protraction_retraction",
+        ), 1, 2),
+        JointDofRecord(f"{s}_elbow", ("flexion_extension",), 1, 0),
+        JointDofRecord(f"{s}_forearm", ("pronation_supination",), 1, 0),
+        JointDofRecord(f"{s}_wrist", (
+            "flexion_extension", "radial_ulnar_deviation", "axial_rotation",
+        ), 3, 0),
         JointDofRecord(
             f"{s}_digits_2_5",
-            _finger_axes(f"{s}_digits_2_5", "finger", range(2, 6),
+            _finger_axes("finger", range(2, 6),
                          ["mcp_flexion", "mcp_abduction", "pip_flexion",
                           "dip_flexion"]),
             16, 0,
         ),
-        JointDofRecord(
-            f"{s}_thumb",
-            _axes(f"{s}_thumb", [
-                "cmc_abduction", "cmc_flexion", "mcp_flexion", "ip_flexion",
-            ]),
-            4, 0,
-        ),
-        JointDofRecord(
-            f"{s}_hip",
-            _axes(f"{s}_hip", [
-                "flexion_extension", "abduction_adduction",
-                "internal_external_rotation",
-            ]),
-            3, 0,
-        ),
-        JointDofRecord(
-            f"{s}_knee", _axes(f"{s}_knee", ["flexion_extension"]), 1, 0
-        ),
-        JointDofRecord(
-            f"{s}_ankle",
-            _axes(f"{s}_ankle", [
-                "dorsiflexion_plantarflexion", "inversion_eversion",
-                "axial_rotation",
-            ]),
-            3, 0,
-        ),
-        JointDofRecord(
-            f"{s}_hallux",
-            _axes(f"{s}_hallux", ["mtp_flexion_extension", "ip_flexion"]), 2, 0
-        ),
+        JointDofRecord(f"{s}_thumb", (
+            "cmc_abduction", "cmc_flexion", "mcp_flexion", "ip_flexion",
+        ), 4, 0),
+        JointDofRecord(f"{s}_hip", (
+            "flexion_extension", "abduction_adduction",
+            "internal_external_rotation",
+        ), 3, 0),
+        JointDofRecord(f"{s}_knee", ("flexion_extension",), 1, 0),
+        JointDofRecord(f"{s}_ankle", (
+            "dorsiflexion_plantarflexion", "inversion_eversion",
+            "axial_rotation",
+        ), 3, 0),
+        JointDofRecord(f"{s}_hallux", ("mtp_flexion_extension", "ip_flexion"),
+                       2, 0),
         JointDofRecord(
             f"{s}_toes_2_5",
-            _finger_axes(f"{s}_toes_2_5", "toe", range(2, 6),
+            _finger_axes("toe", range(2, 6),
                          ["mtp_flexion", "pip_flexion", "dip_flexion"]),
             12, 0,
         ),
     ]
-    return recs
 
 
 DOF_INVENTORY: tuple[JointDofRecord, ...] = tuple(
     [
-        JointDofRecord(
-            "neck",
-            _axes("neck", ["axial_rotation", "lateral_flexion",
-                           "flexion_extension"]),
-            3, 0,
-        ),
-        JointDofRecord(
-            "trunk",
-            _axes("trunk", ["axial_rotation", "lateral_flexion",
-                            "flexion_extension"]),
-            3, 0,
-        ),
+        JointDofRecord("neck", ("axial_rotation", "lateral_flexion",
+                                "flexion_extension"), 3, 0),
+        JointDofRecord("trunk", ("axial_rotation", "lateral_flexion",
+                                 "flexion_extension"), 3, 0),
     ]
     + _limb_records("left")
     + _limb_records("right")
 )
 
 
-def _norm(active, passive, functional):
-    """Build the {category: interval-or-None} map for one motion."""
-    out: dict[str, RomInterval | None] = {}
-    for cat, bounds in (("active", active), ("passive", passive),
-                        ("functional", functional)):
-        out[cat] = None if bounds is None else RomInterval(*bounds, cat)
-    return out
+def _norm(*bounds) -> dict[str, RomInterval | None]:
+    """The active, passive and functional intervals of one motion, keyed by
+    ``ROM_CATEGORIES``; None where the norm is qualitative."""
+    return {kind: None if b is None else RomInterval(*b)
+            for kind, b in zip(ROM_CATEGORIES, bounds, strict=True)}
 
 
 # Keyed by (joint-or-region, motion axis).  Signs: flexion, abduction,
@@ -350,10 +292,10 @@ def describe_joint(joint: str) -> str:
         f"{rec.joint}: {rec.rotational_count}R + {rec.translational_count}T",
     ]
     region = _region_of(rec.joint)
-    for ax in rec.axes:
-        norms = ROM_NORMS.get((region, _motion_of(ax.axis)))
+    for axis in rec.axes:
+        norms = ROM_NORMS.get((region, _motion_of(axis)))
         if norms is None:
-            lines.append(f"  {ax.axis}: no ROM norms")
+            lines.append(f"  {axis}: no ROM norms")
             continue
         parts = []
         for cat in ROM_CATEGORIES:
@@ -362,5 +304,5 @@ def describe_joint(joint: str) -> str:
                 f"{cat} n/a" if iv is None
                 else f"{cat} [{iv.lo:g}, {iv.hi:g}] deg"
             )
-        lines.append(f"  {ax.axis}: " + ", ".join(parts))
+        lines.append(f"  {axis}: " + ", ".join(parts))
     return "\n".join(lines)

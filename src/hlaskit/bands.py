@@ -14,7 +14,7 @@ records are built only when ``.samples`` is read.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from math import fsum, isfinite, nan
 
 import numpy as np
@@ -70,7 +70,7 @@ class Columnar:
     """Base of the frozen dataclasses that hold samples as float64 columns.
 
     ``_store_columns`` keeps each named field as a read-only array from
-    ``_finite_columns``; instances compare by value.
+    ``_finite_columns``.
     """
 
     def _store_columns(self, *names: str) -> int:
@@ -81,19 +81,6 @@ class Columnar:
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         return len(arrays[0])
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        for f in fields(self):
-            if f.compare:
-                a, b = getattr(self, f.name), getattr(other, f.name)
-                if not (np.array_equal(a, b) if isinstance(a, np.ndarray)
-                        else a == b):
-                    return False
-        return True
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -152,9 +139,9 @@ class OperatingBand(Columnar):
     torque_hum: np.ndarray   # Nm
     power_hum: np.ndarray    # W
     weight: np.ndarray = field(init=False, repr=False)
-    points: np.ndarray = field(init=False, repr=False, compare=False)
-    positive: np.ndarray = field(init=False, repr=False, compare=False)
-    total_weight: float = field(init=False, repr=False, compare=False)
+    points: np.ndarray = field(init=False, repr=False)
+    positive: np.ndarray = field(init=False, repr=False)
+    total_weight: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self._store_columns("q", "omega", "torque_hum", "power_hum")

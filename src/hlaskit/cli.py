@@ -17,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,6 +27,7 @@ import numpy as np
 from . import __version__
 from .atlas import DOF_INVENTORY, describe_joint
 from .config_io import (
+    BINDING_NOTE,
     emit_report,
     mask_table,
     read_bands,
@@ -116,6 +118,7 @@ _positive = _arg_type(float, lambda v: 0 < v < math.inf,
 _non_negative = _arg_type(float, lambda v: 0 <= v < math.inf,
                           "a finite non-negative number")
 _finite = _arg_type(float, math.isfinite, "a finite number")
+_count = _arg_type(int, lambda n: n >= 1, "a whole number of 1 or more")
 _above_ambient = _arg_type(
     float, lambda v: DEFAULT_AMBIENT_C < v < math.inf,
     f"a finite temperature above the {DEFAULT_AMBIENT_C:g} C ambient")
@@ -163,7 +166,7 @@ def cmd_score(args) -> int:
     scored = score_registration(Path(args.prereg), Path(args.data),
                                 **_scheme_updates(args))
     breakdown, scheme = scored.breakdown, scored.scheme
-    bundle = emit_report(breakdown, scored.pairs, Path(args.out), scheme)
+    bundle = emit_report(scored, Path(args.out))
     _write_manifest(bundle.out_dir, args.argv, scored.measurements.files,
                     bundle.files)
 
@@ -294,7 +297,7 @@ def cmd_validate_prereg(args) -> int:
     print(f"binding: {'pass' if report.passed else 'FAIL'}")
     for finding in report.findings:
         print(f"  {finding}")
-    print(f"note: {report.note}")
+    print(f"note: {BINDING_NOTE}")
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -322,10 +325,10 @@ SYNTH_FLAGS = {
     "--axis": dict(default="flexion"),
     "--q-lo": dict(type=_finite, default=0.0),
     "--q-hi": dict(type=_finite, default=0.0),
-    "--n-q": dict(type=int, default=1),
+    "--n-q": dict(type=_count, default=1),
     "--omega-lo": dict(type=_finite, default=8.0),
     "--omega-hi": dict(type=_finite, default=12.0),
-    "--n-omega": dict(type=int, default=5),
+    "--n-omega": dict(type=_count, default=5),
     "--freqs": dict(type=_frequencies(1), default=PROBE_FREQS),
     "--amplitude": dict(type=_positive, default=4.0),
     "--noise": dict(type=_non_negative, default=0.0),
@@ -558,6 +561,12 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, *_) -> None:
+    """A library warning as the one line ``warning: <message>`` on stderr,
+    without Python's ``file:line: Category:`` prefix and source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the command ``argv`` (the process's arguments when None), which
     ``run_manifest.json`` records as parsed; return its exit code."""
@@ -566,7 +575,9 @@ def main(argv: list[str] | None = None) -> int:
     args.check(args)        # flags given together or apart, at the parser
     args.argv = argv
     try:
-        code = args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

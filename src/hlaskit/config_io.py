@@ -9,7 +9,7 @@ read and written through ``tables`` and every registration parsed by
 
 Timestamps are advisory: the tool verifies that measurement files do not
 predate the registration, but it cannot prove provenance.  That is stated
-plainly in every binding report.
+plainly, as ``BINDING_NOTE``, with every binding report.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .atlas import AxisActuationReport, AxisSpec, RomInterval, functional_interval
+from .atlas import AxisActuationReport, RomInterval, functional_interval
 from .bands import OperatingBand, PointTable
 from .envelope import CapabilityMap, HeeResult, hee_coverage
 from .errors import (
     ConfigIncomplete,
     DataError,
     DuplicateKey,
-    IncompleteAnalyses,
     InvalidRecord,
 )
 from .prereg import (
@@ -149,11 +148,10 @@ def read_dof_file(
         path, ("joint", "axis", "implemented"), ("coupling_rms_fraction",),
         ("joint", "axis"), codes=codes, files=files)
     reports = _records(
-        path, columns, lines,
-        ("joint", "axis", "implemented", "coupling_rms_fraction"),
-        lambda joint, axis, implemented, coupling: AxisActuationReport(
-            AxisSpec(joint, axis),
-            implemented.strip().lower() in ("true", "1", "yes"), coupling))
+        path, columns, lines, ("axis", "implemented", "coupling_rms_fraction"),
+        lambda axis, implemented, coupling: AxisActuationReport(
+            axis, implemented.strip().lower() in ("true", "1", "yes"),
+            coupling))
     return {joint: [reports[i] for i in rows]
             for (joint,), rows in _groups(columns, codes, ("joint",)).items()}
 
@@ -253,12 +251,15 @@ def _header_number(meta: dict[str, str], name: str, kind: type) -> float:
 # registration binding
 # ---------------------------------------------------------------------------
 
+# printed with every binding report
+BINDING_NOTE = ("timestamps are advisory: ordering is verified, "
+                "provenance cannot be proven")
+
+
 @dataclass(frozen=True)
 class BindingReport:
     passed: bool
     findings: tuple[str, ...]
-    note: str = ("timestamps are advisory: ordering is verified, "
-                 "provenance cannot be proven")
 
 
 def verify_prereg_binding(
@@ -507,13 +508,6 @@ TASK_TRIAL_COLUMNS: dict[str, tuple[str, ...]] = {
 @dataclass(frozen=True)
 class ReportBundle:
     out_dir: Path
-    summary: Path
-    task_table: Path
-    feature_table: Path
-    contributions: Path
-    guardrail_flags: Path
-    rom_overlays: Path
-    hee_masks: dict[tuple[str, str], Path]
     manifest: Path
     files: dict[Path, str]      # path -> sha256 of the bytes written, in order
 
@@ -540,92 +534,71 @@ def mask_table(result: HeeResult) -> tuple[tuple[str, ...], tuple]:
                           result.torque_ok, result.power_ok, result.passed)
 
 
-def emit_report(
-    breakdown: ScoreBreakdown,
-    pairs: list[PairInputs],
-    out_dir: Path,
-    scheme: WeightScheme,
-) -> ReportBundle:
-    """Write the full artifact bundle with a digest manifest; the bundle's
-    ``files`` holds the sha256 of each file as written, manifest last.
+def emit_report(scored: ScoredRegistration, out_dir: Path) -> ReportBundle:
+    """Write the full artifact bundle of ``scored`` with a digest manifest;
+    the bundle's ``files`` holds the sha256 of each file as written,
+    manifest last.
 
-    The envelope masks (at the scheme's headroom) and the ROM overlays are
-    built from ``pairs``, which must hold every scored pair that the scheme
-    does not declare in ``score_as_zero``.
+    The envelope masks (at the scored scheme's headroom) and the ROM
+    overlays are built from its pairs, every scored pair but those of
+    ``score_as_zero``.
     """
-    scored = list(breakdown.feature_vectors)
-    given = {(p.task, p.joint) for p in pairs}
-    missing = [key for key in scored
-               if key not in given and key not in scheme.score_as_zero]
-    if missing:
-        raise IncompleteAnalyses(
-            f"no envelope mask for scored pair(s) {missing}"
-        )
-
+    breakdown, pairs, scheme = scored.breakdown, scored.pairs, scored.scheme
     out_dir = Path(out_dir)
     (out_dir / "hee_masks").mkdir(parents=True, exist_ok=True)
+    (out_dir / "task_trials").mkdir(exist_ok=True)
     files: dict[Path, str] = {}     # each file written, with its sha256
 
+    def table(name: str, *content) -> None:
+        files[out_dir / name] = write_table(out_dir / name, *content)
+
     tasks = list(scheme.task_weights)
-    summary = out_dir / "summary.csv"
-    files[summary] = write_table(summary, ("metric", "value"), (
+    table("summary.csv", ("metric", "value"), (
         ["hlas", *(f"task_score:{t}" for t in tasks), "guardrail_flag_count"],
         [breakdown.hlas, *(breakdown.task_scores[t] for t in tasks),
          len(breakdown.guardrail_flags)]))
 
-    task_table = out_dir / "task_table.csv"
-    files[task_table] = write_table(
-        task_table, ("task", "task_weight", "score"),
-        (tasks, [scheme.task_weights[t] for t in tasks],
-         [breakdown.task_scores[t] for t in tasks]))
+    table("task_table.csv", ("task", "task_weight", "score"),
+          (tasks, [scheme.task_weights[t] for t in tasks],
+           [breakdown.task_scores[t] for t in tasks]))
 
-    pair_tasks, pair_joints = [t for t, _ in scored], [j for _, j in scored]
-    pair_scores = [breakdown.joint_task_scores[key] for key in scored]
-    feature_table = out_dir / "feature_table.csv"
-    files[feature_table] = write_table(
-        feature_table, ("task", "joint", *FEATURE_NAMES, "score"),
-        (pair_tasks, pair_joints,
-         *([getattr(breakdown.feature_vectors[key], n) for key in scored]
-           for n in FEATURE_NAMES), pair_scores))
+    keys = list(breakdown.feature_vectors)
+    pair_tasks, pair_joints = [t for t, _ in keys], [j for _, j in keys]
+    pair_scores = [breakdown.joint_task_scores[key] for key in keys]
+    table("feature_table.csv", ("task", "joint", *FEATURE_NAMES, "score"),
+          (pair_tasks, pair_joints,
+           *([getattr(breakdown.feature_vectors[key], n) for key in keys]
+             for n in FEATURE_NAMES), pair_scores))
 
-    contributions = out_dir / "contributions.csv"
-    files[contributions] = write_table(
-        contributions, ("task", "joint", "score", "joint_weight",
-                        "task_weight", "contribution"),
-        (pair_tasks, pair_joints, pair_scores,
-         [scheme.joint_weights[t][j] for t, j in scored],
-         [scheme.task_weights[t] for t in pair_tasks],
-         [breakdown.contributions[key] for key in scored]))
+    table("contributions.csv", ("task", "joint", "score", "joint_weight",
+                                "task_weight", "contribution"),
+          (pair_tasks, pair_joints, pair_scores,
+           [scheme.joint_weights[t][j] for t, j in keys],
+           [scheme.task_weights[t] for t in pair_tasks],
+           [breakdown.contributions[key] for key in keys]))
 
     flags_path = out_dir / "guardrail_flags.txt"
     files[flags_path] = write_file(
         flags_path, "".join(flag + "\n" for flag in breakdown.guardrail_flags))
 
-    rom_path = out_dir / "rom_overlays.csv"
-    files[rom_path] = write_table(
-        rom_path,
-        ("task", "joint", "axis", "functional_lo_deg", "functional_hi_deg",
-         "robot_lo_deg", "robot_hi_deg"),
-        # an axis with no robot ROM row has empty robot cells (coverage 0)
-        [*zip(*([p.task, p.joint, axis,
-                 p.functional_rom[axis].lo, p.functional_rom[axis].hi,
-                 *([p.robot_rom[axis].lo, p.robot_rom[axis].hi]
-                   if axis in p.robot_rom else ["", ""])]
-                for p in pairs for axis in sorted(p.required_axes)))])
+    table("rom_overlays.csv",
+          ("task", "joint", "axis", "functional_lo_deg", "functional_hi_deg",
+           "robot_lo_deg", "robot_hi_deg"),
+          # an axis with no robot ROM row has empty robot cells (coverage 0)
+          [*zip(*([p.task, p.joint, axis,
+                   p.functional_rom[axis].lo, p.functional_rom[axis].hi,
+                   *([p.robot_rom[axis].lo, p.robot_rom[axis].hi]
+                     if axis in p.robot_rom else ["", ""])]
+                  for p in pairs for axis in sorted(p.required_axes)))])
 
-    hee_paths = {}
     for p in pairs:
-        path = out_dir / "hee_masks" / mask_name(p.task, p.joint)
         result = hee_coverage(p.band, p.capability, scheme.headroom_delta)
-        files[path] = write_table(path, *mask_table(result))
-        hee_paths[(p.task, p.joint)] = path
+        table(f"hee_masks/{mask_name(p.task, p.joint)}", *mask_table(result))
 
-    (out_dir / "task_trials").mkdir(exist_ok=True)
     for name, columns in TASK_TRIAL_COLUMNS.items():
-        path = out_dir / "task_trials" / f"{name}.csv"
-        files[path] = write_table(path, columns, (), "# whole-robot trial "
-                                  "results; requires an integrated robot "
-                                  "and is not computed by this toolkit\n")
+        table(f"task_trials/{name}.csv", columns, (), "# whole-robot trial "
+              "results; requires an integrated robot and is not computed by "
+              "this toolkit\n")
 
     manifest = out_dir / "manifest.json"
     manifest_content = {
@@ -643,9 +616,4 @@ def emit_report(
         ],
     }
     files[manifest] = write_file(manifest, canonical_json(manifest_content))
-    return ReportBundle(
-        out_dir=out_dir, summary=summary, task_table=task_table,
-        feature_table=feature_table, contributions=contributions,
-        guardrail_flags=flags_path, rom_overlays=rom_path,
-        hee_masks=hee_paths, manifest=manifest, files=files,
-    )
+    return ReportBundle(out_dir, manifest, files)

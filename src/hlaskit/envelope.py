@@ -63,7 +63,7 @@ class CapabilityMap(Columnar):
     omega: np.ndarray        # rad/s
     torque_rob: np.ndarray   # Nm, magnitude on the task-signed axis
     conditions: str
-    table: PointTable = field(init=False, repr=False, compare=False)
+    table: PointTable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._store_columns("q", "omega", "torque_rob")

@@ -79,6 +79,11 @@ class PlantParameter(ValidationError, ValueError):
     its period.  Also a ``ValueError`` for direct callers."""
 
 
+class InvalidRange(ValidationError, ValueError):
+    """A grid range that is not finite or has lo > hi, or a grid count
+    below 1.  Also a ``ValueError`` for direct callers."""
+
+
 # --- data ---------------------------------------------------------------
 
 class EmptyAxisSet(DataError):
@@ -98,10 +103,6 @@ class DegenerateBand(DataError):
 
 
 class ZeroDemand(DataError):
-    pass
-
-
-class InvalidRange(DataError):
     pass
 
 
@@ -130,10 +131,6 @@ class RankDeficient(DataError):
 
 
 class WindowTooLong(DataError):
-    pass
-
-
-class IncompleteAnalyses(DataError):
     pass
 
 

@@ -92,8 +92,7 @@ def run_and_check_example(out_dir: Path) -> tuple[ExampleRun,
     sha256 of each file written."""
     run = run_example()
     scored = run.scored
-    files = emit_report(scored.breakdown, scored.pairs, out_dir,
-                        scored.scheme).files
+    files = emit_report(scored, out_dir).files
     sensitivity = Path(out_dir) / "sensitivity.csv"
     files[sensitivity] = write_table(sensitivity, ("variant", "hlas"), (
         ["baseline", f"headroom_delta_{HEADROOM_SENSITIVITY_DELTA:g}",

@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hlaskit.atlas import AxisActuationReport, AxisSpec, RomInterval
+from hlaskit.atlas import AxisActuationReport, RomInterval
 from hlaskit.bands import OperatingBand, PointTable
 from hlaskit.envelope import (
     CapabilityMap,
@@ -320,7 +320,7 @@ def _random_evaluation(rng):
                 functional_rom={"flexion": RomInterval(0.0, 30.0)},
                 required_axes=frozenset({"flexion"}),
                 dof_reports=[AxisActuationReport(
-                    AxisSpec(j, "flexion"), bool(rng.integers(0, 2)),
+                    "flexion", bool(rng.integers(0, 2)),
                     float(rng.uniform(0.0, 0.2)))],
                 f_crossover_hz=float(rng.uniform(1.0, 20.0)),
                 efficiency_samples=eff,

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from hlaskit.atlas import (
     DOF_INVENTORY,
     AxisActuationReport,
-    AxisSpec,
     RomInterval,
     describe_joint,
     dof_sufficiency,
@@ -106,7 +105,7 @@ class TestRomCoverage:
 
 class TestDofSufficiency:
     def report(self, axis, implemented=True, coupling=0.02):
-        return AxisActuationReport(AxisSpec("j", axis), implemented, coupling)
+        return AxisActuationReport(axis, implemented, coupling)
 
     def test_single_passing_axis(self):
         assert dof_sufficiency([self.report("a")], {"a"}) == 1.0
@@ -137,7 +136,7 @@ class TestDofSufficiency:
             return
         reports = [self.report(f"p{i}") for i in range(n_pass)]
         reports += [self.report(f"f{i}", coupling=0.5) for i in range(n_fail)]
-        axes = {r.axis.axis for r in reports}
+        axes = {r.axis for r in reports}
         got = dof_sufficiency(reports, axes)
         assert got == pytest.approx(n_pass / (n_pass + n_fail))
         assert (got == 1.0) == (n_fail == 0)
@@ -155,8 +154,8 @@ class TestShippedInventory:
             assert rec.rotational_count + rec.translational_count == len(rec.axes)
 
     def test_joint_axis_pairs_unique(self):
-        pairs = [(rec.joint, ax.axis) for rec in DOF_INVENTORY
-                 for ax in rec.axes]
+        pairs = [(rec.joint, axis) for rec in DOF_INVENTORY
+                 for axis in rec.axes]
         assert len(pairs) == len(set(pairs))
 
     def test_functional_lookup(self):

@@ -816,6 +816,9 @@ REFUSED_FLAGS = [
     *((["synth", "map", "--out", "m.csv", flag, "nan"], flag)
       for flag in ("--q-lo", "--q-hi", "--omega-lo", "--omega-hi")),
     (["synth", "map", "--out", "m.csv", "--omega-hi", "inf"], "--omega-hi"),
+    # a grid count below 1 (it exited 3 with ``InvalidRange``)
+    (["synth", "map", "--out", "m.csv", "--n-q", "0"], "--n-q"),
+    (["synth", "map", "--out", "m.csv", "--n-omega", "-3"], "--n-omega"),
     *((["synth", kind, "--out", "s.csv", "--noise", noise], "--noise")
       for kind in ("backdrive", "sweep") for noise in ("-1", "nan")),
     # a headroom factor must be finite and >= 0 (``--delta inf`` scored
@@ -839,6 +842,21 @@ def test_refused_flag_value_exits_2_at_the_parser(argv, flag, tmp_path,
     assert raised.value.code == 2
     assert f"error: argument {flag}: {argv[-1]!r} is not " \
         in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--q-lo", "5", "--q-hi", "1", "--n-q", "2"],
+     "q range [5.0, 1.0] has lo > hi"),
+    (["--omega-lo", "3", "--omega-hi", "3"],
+     "omega range is degenerate but n = 5"),
+])
+def test_refused_grid_range_exits_2(flags, message, tmp_path, capsys):
+    """A grid range that ``build_band_grid`` refuses exits 2, as a refused
+    flag value does (it exited 3), and writes nothing."""
+    assert main(["synth", "map", "--out", str(tmp_path / "m.csv"),
+                 *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: InvalidRange: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -988,6 +1006,41 @@ def test_synth_overflow_is_one_error_line(argv, channel, tmp_path):
     assert result.returncode == 3
     assert result.stderr == \
         f"error: InvalidRecord: {channel} is not finite\n"
+
+
+def test_library_warning_is_one_line(tmp_path):
+    """A library warning printed Python's ``file:line: Category:`` form and
+    then a line of source code; ``hlas`` prints its message alone."""
+    band, cap = tmp_path / "band.csv", tmp_path / "map.csv"
+    band.write_text("task,joint,q_deg,omega_rad_s,torque_hum_nm,power_hum_w\n"
+                    "T,j,0,1,10,10\nT,j,0,2,5,0\nT,j,0,3,4,-1\n")
+    cap.write_text("# conditions: bench\n"
+                   "joint,axis,q_deg,omega_rad_s,torque_nm\n"
+                   "j,flexion,0,1,20\nj,flexion,0,2,20\nj,flexion,0,3,20\n")
+    result = run_cli("hee", "--band", str(band), "--task", "T", "--joint",
+                     "j", "--map", str(cap), "--margins")
+    assert result.returncode == 0
+    assert result.stderr == (
+        "warning: 2 sample(s) with nonpositive power demand excluded from "
+        "the power margin of T/j\n")
+    assert result.stdout.endswith(
+        "torque_margin 1.0000 power_margin 1.0000 rate_margin 1.0000 (min)\n")
+
+
+def test_frf_warning_is_one_line(tmp_path, capsys, monkeypatch):
+    """``analyze frf``'s ``NotMonotoneWarning`` takes the same one line."""
+    from hlaskit.signals import FrfPoint
+
+    log = tmp_path / "sweep.csv"
+    assert main(["synth", "sweep", "--out", str(log)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "compute_frf", lambda log, freqs: [
+        FrfPoint(f, m, 0.0) for f, m in zip((1, 2, 4, 8), (1, .5, 1, .5))])
+    assert main(["analyze", "frf", str(log)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("f_c = 1.")
+    assert err == ("warning: FRF magnitude crosses -3 dB 2 times at "
+                   "[1.414, 5.657] Hz; reporting the first\n")
 
 
 # a fresh interpreter runs ``main`` on each argv in turn, then prints the
@@ -1834,6 +1887,23 @@ class TestAtlas:
         result = run_cli("atlas", "show", "right_knee")
         assert result.returncode == 0
         assert "flexion_extension" in result.stdout
+
+    def test_every_joint_text_is_pinned(self, capsys):
+        """The stdout of ``hlas atlas show`` for every joint of the
+        inventory, in order, pinned by its sha256: the axis names, their
+        order and every ROM norm."""
+        from hlaskit.atlas import DOF_INVENTORY
+
+        assert len(DOF_INVENTORY) == 26
+        text = ""
+        for rec in DOF_INVENTORY:
+            assert main(["atlas", "show", rec.joint]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            text += out
+        assert text.count("\n") == 136
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2ec2e89ecb5a6cad44b7ebbad35af40451a25f16f56f4b3b57627193a004d09e")
 
     def test_version(self):
         result = run_cli("--version")

@@ -386,7 +386,7 @@ def test_permutation_invariance(data):
 
 def _all_ones_pair_and_scheme():
     """A pair whose subject dominates every demand, and its scheme."""
-    from hlaskit.atlas import AxisActuationReport, AxisSpec, RomInterval
+    from hlaskit.atlas import AxisActuationReport, RomInterval
     from hlaskit.bands import OperatingBand, PointTable
     from hlaskit.envelope import CapabilityMap
     from hlaskit.scoring import PairInputs
@@ -401,8 +401,7 @@ def _all_ones_pair_and_scheme():
         robot_rom={"flexion": RomInterval(-10, 40)},
         functional_rom={"flexion": RomInterval(0, 30)},
         required_axes=frozenset({"flexion"}),
-        dof_reports=[AxisActuationReport(AxisSpec("j", "flexion"), True,
-                                         0.02)],
+        dof_reports=[AxisActuationReport("flexion", True, 0.02)],
         f_crossover_hz=12.0,
         efficiency_samples=PointTable(band.q, band.omega, [0.9] * 3),
         torque_cont_nm=60.0, torque_req_nm=50.0,
@@ -528,7 +527,7 @@ def test_constructors_and_hlas_give_a_finite_score_or_a_typed_error(
     in [0, 1] or raises an ``HlasError``: never a NaN, never another
     exception, and an error whenever a pair's scalar, a target or a weight
     is NaN or infinite."""
-    from hlaskit.atlas import AxisActuationReport, AxisSpec, RomInterval
+    from hlaskit.atlas import AxisActuationReport, RomInterval
     from hlaskit.bands import OperatingBand, PointTable
     from hlaskit.envelope import CapabilityMap
     from hlaskit.scoring import PairInputs
@@ -555,8 +554,7 @@ def test_constructors_and_hlas_give_a_finite_score_or_a_typed_error(
             robot_rom={"flexion": RomInterval(-10, 40)},
             functional_rom={"flexion": RomInterval(0, 30)},
             required_axes=frozenset({"flexion"}),
-            dof_reports=[AxisActuationReport(AxisSpec("j", "flexion"), True,
-                                             0.02)],
+            dof_reports=[AxisActuationReport("flexion", True, 0.02)],
             efficiency_samples=PointTable(q, omega, eta),
             **{name: values[name] for name in list(SCALARS)[:5]},
         )
