@@ -73,6 +73,11 @@ class NoiseLevel(ValidationError, ValueError):
     ``ValueError`` for direct callers."""
 
 
+class NoiseSeed(ValidationError, ValueError):
+    """A synthetic noise seed below zero, which NumPy's generator cannot
+    take.  Also a ``ValueError`` for direct callers."""
+
+
 class PlantParameter(ValidationError, ValueError):
     """A synthetic plant or duty-cycle parameter out of its range: one not
     finite, or not positive where it must be, or a burst that does not fit

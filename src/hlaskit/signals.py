@@ -48,7 +48,7 @@ CHANNELS = ("t", "q", "omega", "torque", "torque_cmd", "v_bus", "i_bus",
             "temp_motor", "temp_gear")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesLog:
     """Synchronized multichannel measurement record sampled at >= 1 kHz.
 

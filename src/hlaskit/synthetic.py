@@ -20,7 +20,7 @@ from math import exp, inf, isfinite, log, sqrt
 import numpy as np
 
 from .envelope import CapabilityMap
-from .errors import NoiseLevel, PlantParameter, TemperatureLimit
+from .errors import NoiseLevel, NoiseSeed, PlantParameter, TemperatureLimit
 from .signals import TimeSeriesLog, estimate_rate_derivative
 
 SAMPLE_RATE_HZ = 1000.0           # every generated log
@@ -133,10 +133,13 @@ def _electrical_channels(
     return v_bus, p_elec / DEFAULT_BUS_VOLTAGE_V
 
 
-def _check_noise(noise_std: float) -> None:
-    """Refuse a noise level that is not a finite number >= 0."""
+def _check_noise(noise_std: float, seed: int | None) -> None:
+    """Refuse a noise level that is not a finite number >= 0, and a seed
+    below 0, which the log would record even without noise."""
     if not 0 <= noise_std < inf:
         raise NoiseLevel(f"noise_std {noise_std} must be finite and >= 0")
+    if seed is not None and seed < 0:
+        raise NoiseSeed(f"seed {seed} must be >= 0")
 
 
 def generate_capability_map(
@@ -183,7 +186,7 @@ def generate_sweep_log(
         raise ValueError("sweep amplitude must be positive")
     if not freqs or any(f <= 0 for f in freqs):
         raise ValueError("need at least one positive probe frequency")
-    _check_noise(noise_std)
+    _check_noise(noise_std, seed)
     t = _time_column(max(5.0 / min(freqs), 1.0))
     n = len(t)
     cmd = np.zeros(n)
@@ -298,7 +301,7 @@ def generate_backdrive_log(
     is exactly consistent with the fitted model (the regression residual is
     numerical rounding only).
     """
-    _check_noise(noise_std)
+    _check_noise(noise_std, seed)
     t = _time_column(duration)
     n = len(t)
     phase = 2.0 * np.pi * BACKDRIVE_FREQ_HZ * t

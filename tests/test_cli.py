@@ -19,26 +19,28 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from hlaskit import cli, config_io, tables
+from hlaskit import cli, commands, config_io, tables
 from hlaskit.cli import main
 from hlaskit.config_io import (
     build_pairs,
     load_measurements,
     mask_table,
-    read_bandwidth_file,
-    read_bands,
-    read_capability_map,
-    read_dof_file,
-    read_efficiency_file,
     read_log,
-    read_rom_file,
-    read_thermal_file,
     write_log,
 )
 from hlaskit.envelope import hee_coverage
 from hlaskit.errors import DataError, DuplicateKey, InvalidRecord
 from hlaskit.example import GOLDEN_TABLES, example_data_dir
 from hlaskit.prereg import load_preregistration_file
+from hlaskit.readers import (
+    read_bandwidth_file,
+    read_bands,
+    read_capability_map,
+    read_dof_file,
+    read_efficiency_file,
+    read_rom_file,
+    read_thermal_file,
+)
 from hlaskit.scoring import hlas
 from hlaskit.signals import (
     DEFAULT_PLATEAU_WINDOW_S,
@@ -821,6 +823,10 @@ REFUSED_FLAGS = [
     (["synth", "map", "--out", "m.csv", "--n-omega", "-3"], "--n-omega"),
     *((["synth", kind, "--out", "s.csv", "--noise", noise], "--noise")
       for kind in ("backdrive", "sweep") for noise in ("-1", "nan")),
+    # a negative seed (with noise it ended in NumPy's traceback, exit 1;
+    # without it was written to the log's ``# seed:`` header)
+    *((["synth", kind, "--out", "s.csv", *noise, "--seed", "-1"], "--seed")
+      for kind in ("backdrive", "sweep") for noise in ([], ["--noise", "1"])),
     # a headroom factor must be finite and >= 0 (``--delta inf`` scored
     # every coverage 0)
     *(([*command, "--delta", delta], "--delta")
@@ -1034,7 +1040,7 @@ def test_frf_warning_is_one_line(tmp_path, capsys, monkeypatch):
     log = tmp_path / "sweep.csv"
     assert main(["synth", "sweep", "--out", str(log)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "compute_frf", lambda log, freqs: [
+    monkeypatch.setattr(commands, "compute_frf", lambda log, freqs: [
         FrfPoint(f, m, 0.0) for f, m in zip((1, 2, 4, 8), (1, .5, 1, .5))])
     assert main(["analyze", "frf", str(log)]) == 0
     out, err = capsys.readouterr()
@@ -1873,7 +1879,7 @@ class TestExample:
             calls.append(args)
             return hlas(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "hlas", counted)
+        monkeypatch.setattr(commands, "hlas", counted)
         monkeypatch.setattr(config_io, "hlas", counted)
         assert main(["example", *flags]) == 0
         assert len(calls) == passes

@@ -18,14 +18,9 @@ from hlaskit.config_io import (
     emit_report,
     load_measurements,
     mask_name,
-    read_bands,
-    read_capability_map,
-    read_efficiency_file,
     read_log,
-    read_thermal_file,
     sha256_file,
     verify_prereg_binding,
-    write_capability_map,
     write_log,
 )
 from hlaskit.errors import (
@@ -41,6 +36,13 @@ from hlaskit.prereg import (
     canonical_json,
     load_preregistration,
     load_preregistration_file,
+)
+from hlaskit.readers import (
+    read_bands,
+    read_capability_map,
+    read_efficiency_file,
+    read_thermal_file,
+    write_capability_map,
 )
 from hlaskit.signals import TimeSeriesLog
 from hlaskit.synthetic import SyntheticActuator, generate_backdrive_log
@@ -348,6 +350,19 @@ class TestFileRoundTrips:
         out2 = tmp_path / "log2.csv"
         write_log(again, out2)
         assert out2.read_bytes() == path.read_bytes()
+
+    def test_two_reads_of_one_log_compare_by_identity(self, tmp_path):
+        """A log compares by identity, as a band or a map does: a generated
+        value ``==`` compared the channel arrays and raised NumPy's "truth
+        value of an array is ambiguous"."""
+        path = tmp_path / "log.csv"
+        write_log(generate_backdrive_log(SyntheticActuator(), duration=1.0),
+                  path)
+        first, second = read_log(path), read_log(path)
+        assert first == first
+        assert first != second
+        assert first != replace(first, t=first.t.copy())
+        assert len({first, second}) == 2
 
 
 # each measurement reader: (reader, text columns, float columns, key)

@@ -6,6 +6,7 @@ import pytest
 
 from hlaskit.errors import (
     NoiseLevel,
+    NoiseSeed,
     PlantParameter,
     TemperatureLimit,
     ValidationError,
@@ -196,6 +197,23 @@ def test_noise_level_not_finite_and_non_negative_refused(kind, noise):
         NOISY_GENERATORS[kind](noise_std=noise)
     assert isinstance(raised.value, ValidationError)
     assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize("make", [
+    lambda **kw: generate_sweep_log(SyntheticActuator(), [5, 10], 4.0, **kw),
+    lambda **kw: generate_backdrive_log(SyntheticActuator(), duration=1.0,
+                                        **kw)], ids=["sweep", "backdrive"])
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+@pytest.mark.parametrize("seed", [-1, -2**70])
+def test_negative_seed_refused(make, noise, seed):
+    """A negative seed ended in NumPy's "expected non-negative integer"
+    with noise, and without it was recorded on the log."""
+    with pytest.raises(NoiseSeed, match=f"^seed {seed} must be >= 0$") \
+            as raised:
+        make(noise_std=noise, seed=seed)
+    assert isinstance(raised.value, ValidationError)
+    assert isinstance(raised.value, ValueError)
+    assert make(noise_std=noise, seed=0).seed == 0
 
 
 @pytest.mark.parametrize("kind", sorted(NOISY_GENERATORS))
