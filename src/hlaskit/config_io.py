@@ -53,7 +53,7 @@ from .tables import (
     _located,
     _read_columns,
     fmt,
-    read_table,
+    read_header,
     sha256_hex,
     write_table,
 )
@@ -147,8 +147,7 @@ def verify_prereg_binding(
     for path in map(Path, measurement_files):
         ref = _registered_as(prereg, path)
         read: dict[Path, str] = {}
-        meta, _, _ = read_table(path, header_only=True,
-                                files=None if ref is None else read)
+        meta, _ = read_header(path, files=None if ref is None else read)
         if ref is not None:
             found.add(ref)
             if read[path] != ref.sha256:

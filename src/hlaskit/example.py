@@ -12,12 +12,13 @@ weights, task gating) are pinned by the acceptance suite.  It is scored by
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
 
 from .config_io import ScoredRegistration, emit_report, score_registration
 from .errors import GoldenMismatch
 from .scoring import hlas
-from .tables import read_table, write_table
+from .tables import sha256_hex, write_table
 
 # 0.10 of feature weight moved from HEE coverage to efficiency
 ALPHA_ALT = {
@@ -27,9 +28,8 @@ ALPHA_ALT = {
 
 HEADROOM_SENSITIVITY_DELTA = 0.10
 
-GOLDEN_TABLES = ("feature_table.csv", "contributions.csv", "task_table.csv",
-                 "sensitivity.csv")
-GOLDEN_RTOL = 1e-9
+GOLDEN_TABLES = ("summary.csv", "feature_table.csv", "contributions.csv",
+                 "task_table.csv", "sensitivity.csv")
 
 
 def example_data_dir() -> Path:
@@ -53,36 +53,29 @@ def run_example() -> ExampleRun:
     return ExampleRun(scored, with_headroom.hlas, with_alpha_alt.hlas)
 
 
-def compare_to_golden(out_dir: Path) -> list[str]:
-    """Cell-by-cell comparison of regenerated tables against the bundled
-    golden copies.  Returns the list of divergent cells (empty = match)."""
+def compare_to_golden(files: dict[Path, str], out_dir: Path) -> list[str]:
+    """Byte-for-byte comparison of the tables written to ``out_dir``, whose
+    sha256 ``files`` holds, against the bundled golden copies.  Returns, for
+    each table that differs, its first differing line (empty = match)."""
     golden_dir = example_data_dir() / "golden"
     divergent = []
     for name in GOLDEN_TABLES:
-        _, got_header, got_rows = read_table(Path(out_dir) / name)
-        _, want_header, want_rows = read_table(golden_dir / name)
-        if got_header != want_header:
-            divergent.append(f"{name}: header {got_header} != {want_header}")
-            continue
-        if len(got_rows) != len(want_rows):
-            divergent.append(
-                f"{name}: {len(got_rows)} rows, golden has {len(want_rows)}"
-            )
-            continue
-        for i, (got, want) in enumerate(zip(got_rows, want_rows)):
-            for col, (g, w) in zip(got_header, zip(got, want)):
-                if g == w:
-                    continue
-                try:
-                    close = abs(float(g) - float(w)) <= GOLDEN_RTOL * max(
-                        1.0, abs(float(w)))
-                except ValueError:
-                    close = False
-                if not close:
-                    divergent.append(
-                        f"{name} row {i} column {col}: {g} != golden {w}"
-                    )
+        want = (golden_dir / name).read_bytes()
+        if sha256_hex(want) != files[Path(out_dir) / name]:
+            got = (Path(out_dir) / name).read_bytes()
+            divergent.append(_first_difference(name, got, want))
     return divergent
+
+
+def _first_difference(name: str, got: bytes, want: bytes) -> str:
+    """The first line, line ends included, at which ``got`` differs from the
+    golden ``want``; a missing line reads as ``b''``."""
+    pairs = zip_longest(got.splitlines(True), want.splitlines(True),
+                        fillvalue=b"")
+    for number, (g, w) in enumerate(pairs, 1):
+        if g != w:
+            return f"{name} line {number}: {g!r} != golden {w!r}"
+    return f"{name}: changed on disk after it was written"
 
 
 def run_and_check_example(out_dir: Path) -> tuple[ExampleRun,
@@ -98,7 +91,7 @@ def run_and_check_example(out_dir: Path) -> tuple[ExampleRun,
         ["baseline", f"headroom_delta_{HEADROOM_SENSITIVITY_DELTA:g}",
          "alpha_alt"],
         [scored.breakdown.hlas, run.hlas_headroom, run.hlas_alpha_alt]))
-    divergent = compare_to_golden(out_dir)
+    divergent = compare_to_golden(files, out_dir)
     if divergent:
         raise GoldenMismatch(
             "worked example diverged from golden tables:\n  "

@@ -4,8 +4,11 @@ digest.
 The pre-registration document declares, before any measurement: the task
 set and weights, joint sets and weights, feature weights, operating-band
 files (with content digests), and the bandwidth/efficiency/thermal targets.
-Its canonical serialization (sorted keys, 12 significant digits) is hashed
-so that any later change to a weight, target, or band is detectable.
+Its canonical serialization is hashed so that any later change to a
+weight, target, or band is detectable: JSON with sorted keys, two-space
+indents and ASCII escapes, each float written as its shortest ``repr``,
+which reads back as the same float.  So the digest names the very values
+that are scored.
 
 This module imports nothing from the scorer (``scoring``, ``envelope``),
 so a registration is read and checked by code that cannot compute a score.
@@ -30,8 +33,6 @@ from .errors import (
     ZeroTarget,
 )
 from .tables import _utf8, sha256_hex
-
-CANONICAL_SIG_DIGITS = 12
 
 MARGIN_METHODS = ("min", "quantile10")
 
@@ -140,21 +141,8 @@ def parse_timestamp(text: str) -> datetime:
     return dt
 
 
-def _quantize(obj):
-    """Recursively round floats to 12 significant digits for canonical form."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.{CANONICAL_SIG_DIGITS}g}")
-    if isinstance(obj, dict):
-        return {str(k): _quantize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_quantize(v) for v in obj]
-    return obj
-
-
 def canonical_json(content) -> str:
-    return json.dumps(_quantize(content), sort_keys=True, indent=2,
+    return json.dumps(content, sort_keys=True, indent=2,
                       ensure_ascii=True) + "\n"
 
 

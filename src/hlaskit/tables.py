@@ -127,23 +127,19 @@ def _header_end(text: str) -> int | None:
     return None
 
 
-def read_table(
-    path: Path, header_only: bool = False,
-    files: dict[Path, str] | None = None,
-) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """``(meta, header, rows)`` of the file at ``path``; see ``_table``.
+def read_header(
+    path: Path, files: dict[Path, str] | None = None,
+) -> tuple[dict[str, str], list[str]]:
+    """``(meta, header)`` of the file at ``path``: the metadata of every
+    ``#`` line and the header cells, as ``_table`` reads them.
 
-    A whole table is read by ``_read_columns``, every column as text.  With
-    ``header_only`` a plain text is read a block at a time
-    (``_file_blocks``), keeping its lines up to the header line and each
-    ``#`` line after it, which is all ``_table`` reads of it; any other
-    text is parsed from one full read of the same open file (``_utf8``).
-    ``files``, when given, receives under ``path`` the sha256 of the bytes
-    read once the file parses, as in ``_read_columns``.
+    A plain text is read a block at a time (``_file_blocks``), keeping its
+    lines up to the header line and each ``#`` line after it, which is all
+    ``_table`` reads of it; any other text is parsed from one full read of
+    the same open file (``_utf8``).  ``files``, when given, receives under
+    ``path`` the sha256 of the bytes read once the file parses, as in
+    ``_read_columns``.
     """
-    if not header_only:
-        meta, columns, _ = _read_columns(path, (), (), (), files=files)
-        return meta, list(columns), list(map(list, zip(*columns.values())))
     digest = None if files is None else hashlib.sha256()
     with open(path, "rb") as file:
         text = _header_text(_file_blocks(file, digest))
@@ -154,10 +150,10 @@ def read_table(
                 digest = hashlib.sha256(data)
             text = _utf8(data, path)
             del data
-    table = _table(path, text, (), True)[:3]
+    meta, header, _, _ = _table(path, text, (), True)
     if files is not None:
         files[path] = digest.hexdigest()
-    return table
+    return meta, header
 
 
 def _header_text(blocks: Iterable[str]) -> str | None:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pickle
+import platform
 import runpy
 import shutil
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from hlaskit import cli, commands, config_io, tables
+from hlaskit import cli, commands, config_io, example, tables
 from hlaskit.cli import main
 from hlaskit.config_io import (
     build_pairs,
@@ -53,17 +54,25 @@ from hlaskit.synthetic import (
     SyntheticActuator,
     generate_backdrive_log,
 )
-from hlaskit.tables import read_table, table_blocks
+from hlaskit.tables import _read_columns, read_header, table_blocks
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(*args, **kwargs):
+def _read_rows(path):
+    """``(meta, header, rows)`` of the table at ``path`` as the library
+    reads it (``_read_columns``), every cell as text."""
+    meta, columns, _ = _read_columns(path, (), (), ())
+    return meta, list(columns), list(map(list, zip(*columns.values())))
+
+
+def run_python(*args, env=(), **kwargs):
     """``python *args`` in a child process that imports ``hlaskit`` from
-    this checkout, as the tests here do (``pyproject.toml``)."""
+    this checkout, as the tests here do (``pyproject.toml``), with the
+    environment variables ``env`` set for the child only."""
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
+    env = {**os.environ, **dict(env),
            "PYTHONPATH": os.pathsep.join([str(SRC), *filter(None, [path])])}
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, **kwargs)
@@ -158,7 +167,7 @@ class TestScore:
         registration = load_preregistration_file(prereg)
         pairs = build_pairs(registration,
                             load_measurements(data_dir, registration))
-        _, _, rows = read_table(out / "summary.csv")
+        _, _, rows = _read_rows(out / "summary.csv")
         assert rows[0][0] == "hlas"
         assert float(rows[0][1]) == hlas(pairs, registration.scheme).hlas
 
@@ -171,10 +180,10 @@ class TestScore:
         out = tmp_path / "r"
         assert main(["score", "--prereg", str(prereg),
                      "--data", str(data_dir), "--out", str(out)]) == 0
-        _, header, rows = read_table(out / "rom_overlays.csv")
+        _, header, rows = _read_rows(out / "rom_overlays.csv")
         overlay = {tuple(row[:3]): row[3:] for row in rows}
         assert overlay[("Walk", "ankle", "axial_rotation")][2:] == ["", ""]
-        _, header, rows = read_table(out / "feature_table.csv")
+        _, header, rows = _read_rows(out / "feature_table.csv")
         walk_ankle = next(row for row in rows if row[:2] == ["Walk", "ankle"])
         assert 0 < float(walk_ankle[header.index("rom")]) < 1
 
@@ -191,7 +200,7 @@ class TestScore:
         out = tmp_path / "r"
         assert main(["score", "--prereg", str(prereg),
                      "--data", str(data_dir), "--out", str(out)]) == 0
-        _, header, rows = read_table(out / "feature_table.csv")
+        _, header, rows = _read_rows(out / "feature_table.csv")
         walk_ankle = next(row for row in rows if row[:2] == ["Walk", "ankle"])
         assert float(walk_ankle[header.index("rom")]) == 1.0
 
@@ -503,9 +512,8 @@ def test_byte_order_mark_is_dropped(kind, regular, data_dir, tmp_path,
     assert (pickle.dumps(reader(marked, files))
             == pickle.dumps(reader(path)))
     assert files == {marked: _sha256(marked)}
-    for header_only in (False, True):
-        assert (read_table(marked, header_only)
-                == read_table(path, header_only))
+    for read in (_read_rows, read_header):
+        assert read(marked) == read(path)
     assert bool(per_cell) != regular
 
 
@@ -666,7 +674,7 @@ def test_cell_over_the_csv_field_limit_is_a_data_error_naming_the_line(
     _, number = _rewrite_third_row(path, OVERSIZED_CELLS[kind])
     where = f"{path.name}: line {number}: field larger than field limit"
 
-    for read in (reader, read_table):
+    for read in (reader, _read_rows):
         with pytest.raises(DataError, match=where):
             read(path)
     assert main(_hlas_argv(command, data_dir, path, tmp_path / "r")) == 3
@@ -1359,7 +1367,7 @@ def test_any_single_file_mutation_scores_or_exits_with_a_documented_code(
                      "--data", str(data_dir), "--out", str(out)])
         assert code in (0, 2, 3, 4)
         if code == 0:
-            _, _, rows = read_table(out / "summary.csv")
+            _, _, rows = _read_rows(out / "summary.csv")
             assert all(math.isfinite(float(value)) for _, value in rows)
 
 
@@ -1414,13 +1422,66 @@ GENERATED_MANIFEST_SHA256 = (
     "d97e88d5b79b5f401ecb746e0834d8ba8f4137e18512f8fb0f053dc0c9d6cd21")
 
 
-def test_generated_registration_bundle_is_pinned(tmp_path, capsys):
-    data = tmp_path / "data"
+# sha256 of the manifest.json of ``hlas example``, which pins the example
+# bundle as the golden tables pin five of its files
+EXAMPLE_MANIFEST_SHA256 = (
+    "5086f97158b825594aac065d930fc33aafa8fd46bdda1fa14f7908b935e1c760")
+
+
+def _generated_registration(data):
     gen = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
     runpy.run_path(str(gen))["write_registration"](
         data, seed=7, n_joints=12, n_tasks=3, grid=8)
+
+
+def test_generated_registration_bundle_is_pinned(tmp_path, capsys):
+    data = tmp_path / "data"
+    _generated_registration(data)
     assert main(_score_argv(data, tmp_path / "out")) == 0
     assert _sha256(tmp_path / "out" / "manifest.json") \
+        == GENERATED_MANIFEST_SHA256
+
+
+def test_example_bundle_is_pinned(tmp_path, capsys):
+    assert main(["example", "--out", str(tmp_path / "out")]) == 0
+    assert _sha256(tmp_path / "out" / "manifest.json") \
+        == EXAMPLE_MANIFEST_SHA256
+
+
+# NumPy's x86-64 dispatch targets above its X86_V3 kernels (NumPy 2.4);
+# NumPy refuses to disable AVX512F or AVX512_SKX by name, with an
+# ImportWarning
+AVX512_TARGETS = "X86_V4 AVX512_ICL AVX512_SPR"
+
+BASELINE_KERNELS_SCRIPT = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from hlaskit.cli import main
+targets, argvs = sys.argv[1].split(), json.loads(sys.argv[2])
+assert not any(__cpu_features__.get(t) for t in targets), targets
+sys.exit(max(map(main, argvs)))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the CPU targets named are those of x86-64")
+def test_pinned_bundles_hold_on_older_kernels(tmp_path):
+    """Both pinned bundles, and so the exact golden check, come out the
+    same with OpenBLAS's Sandybridge kernels and without NumPy's AVX-512
+    loops, set for a child process only."""
+    data, example_out = tmp_path / "data", tmp_path / "example"
+    _generated_registration(data)
+    argvs = [["example", "--out", str(example_out)],
+             _score_argv(data, tmp_path / "generated")]
+    result = run_python(
+        "-W", "error::ImportWarning", "-c", BASELINE_KERNELS_SCRIPT,
+        AVX512_TARGETS, json.dumps(argvs),
+        env={"OPENBLAS_CORETYPE": "Sandybridge",
+             "NPY_DISABLE_CPU_FEATURES": AVX512_TARGETS})
+    assert result.returncode == 0, result.stderr
+    assert "golden tables match" in result.stdout
+    assert _sha256(example_out / "manifest.json") == EXAMPLE_MANIFEST_SHA256
+    assert _sha256(tmp_path / "generated" / "manifest.json") \
         == GENERATED_MANIFEST_SHA256
 
 
@@ -1438,10 +1499,9 @@ class TestOneReadOneHash:
         out, data = tmp_path / "out", example_data_dir()
         assert main(["example", "--out", str(out)]) == 0
         read = [data / name for name in ["prereg.yaml", *EXAMPLE_CSVS]]
-        read += [d / name for d in (out, data / "golden")
-                 for name in GOLDEN_TABLES]
+        read += [data / "golden" / name for name in GOLDEN_TABLES]
         assert file_reads == {path.resolve(): 1 for path in read}
-        assert sum(file_reads.values()) == 21
+        assert sum(file_reads.values()) == 18
 
     def test_registered_band_bytes_are_the_bytes_scored(self, data_dir,
                                                         tmp_path,
@@ -1699,7 +1759,7 @@ class TestAnalyze:
         assert "freq_hz,magnitude,phase_deg" in text
         # plain numbers, not NumPy reprs: the table reads back
         assert "np." not in text
-        meta, header, rows = read_table(out)
+        meta, header, rows = _read_rows(out)
         assert header == ["freq_hz", "magnitude", "phase_deg"]
         assert [float(row[0]) for row in rows] == [2, 5, 10, 20, 40]
         assert all(math.isfinite(float(cell)) for row in rows
@@ -1797,6 +1857,25 @@ class TestValidatePrereg:
         assert f"  sub/bands.csv: digest {_sha256(bands)} does not match " \
             f"registered " in capsys.readouterr().out
 
+    def test_digest_names_every_significant_digit(self, data_dir, capsys):
+        """The two thermal targets are one float rounded to 12 significant
+        digits, which the digest was taken of, so both registrations
+        printed ``02f66d72...`` while their HLAS differed."""
+        prereg, walk = data_dir / "prereg.yaml", "Walk: {ankle: 30, knee: 50,"
+        text = prereg.read_text()
+        assert text.count(walk) == 1
+        argv = _hlas_argv("validate-prereg", data_dir, None, None)
+        digests = []
+        for knee in ("50", "50.000000000004"):
+            prereg.write_text(text.replace(walk, walk.replace("50", knee)))
+            assert main(argv) == 0
+            digests.append(capsys.readouterr().out.splitlines()[0])
+        assert digests == [
+            "pre-registration digest: 02f66d72ec08c71605b7a717ab9666f5"
+            "17bc148a6342c78b06609bf0671e55b9",
+            "pre-registration digest: 18136206289466dac62ba267003151ce"
+            "7f83b7220ade5df7b744a4586dcdf283"]
+
     def test_bad_created_utc_is_a_data_error_naming_file_and_value(
             self, data_dir, capsys):
         cap = data_dir / "capability_ankle.csv"
@@ -1886,6 +1965,55 @@ class TestExample:
 
     def test_runs_in_process(self, tmp_path, capsys):
         assert main(["example", "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.fixture
+    def golden_dir(self, tmp_path, monkeypatch):
+        """The golden tables of a copy of the example data, which ``hlas
+        example`` reads in place of the bundled data."""
+        data = tmp_path / "example_data"
+        shutil.copytree(example_data_dir(), data)
+        monkeypatch.setattr(example, "example_data_dir", lambda: data)
+        return data / "golden"
+
+    def _diverges_at(self, tmp_path, capsys, name, number, got, want):
+        assert main(["example", "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr() == ("", (
+            f"error: worked example diverged from golden tables:\n"
+            f"  {name} line {number}: {got!r} != golden {want!r}\n"))
+
+    @pytest.mark.parametrize("name", GOLDEN_TABLES)
+    def test_one_ulp_in_a_golden_table_exits_4(self, name, golden_dir,
+                                                tmp_path, capsys):
+        """The last cell of the next-to-last line, one ulp up: the 1e-9
+        tolerance of the cell-by-cell check accepted it, and that check
+        never read ``summary.csv``."""
+        golden = golden_dir / name
+        lines = golden.read_bytes().splitlines(True)
+        head, _, cell = lines[-2].rstrip(b"\n").rpartition(b",")
+        value = float(cell)
+        nudged = math.nextafter(value, math.inf)
+        assert 0 < nudged - value <= 1e-9 * max(1.0, abs(value))
+        edited = head + b"," + repr(nudged).encode() + b"\n"
+        golden.write_bytes(b"".join([*lines[:-2], edited, lines[-1]]))
+        self._diverges_at(tmp_path, capsys, name, len(lines) - 1, lines[-2],
+                          edited)
+
+    def test_summary_edit_alone_exits_4(self, golden_dir, tmp_path, capsys):
+        golden = golden_dir / "summary.csv"
+        text = golden.read_bytes()
+        assert text.endswith(b"\nguardrail_flag_count,0\n")
+        golden.write_bytes(text.replace(b"flag_count,0\n", b"flag_count,1\n"))
+        self._diverges_at(tmp_path, capsys, "summary.csv", 6,
+                          b"guardrail_flag_count,0\n",
+                          b"guardrail_flag_count,1\n")
+
+    def test_trailing_newline_alone_exits_4(self, golden_dir, tmp_path,
+                                           capsys):
+        golden = golden_dir / "task_table.csv"
+        lines = golden.read_bytes().splitlines(True)
+        golden.write_bytes(b"".join(lines).removesuffix(b"\n"))
+        self._diverges_at(tmp_path, capsys, "task_table.csv", len(lines),
+                          lines[-1], lines[-1].removesuffix(b"\n"))
 
 
 class TestAtlas:

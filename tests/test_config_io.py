@@ -51,7 +51,7 @@ from hlaskit.tables import (
     _read_columns,
     _regular_columns,
     fmt,
-    read_table,
+    read_header,
     sha256_hex,
     table_blocks,
     write_table,
@@ -95,6 +95,20 @@ class TestPreregistration:
         doc["tasks"]["Stairs"] = 0.29
         changed = load_preregistration(yaml.safe_dump(doc)).digest
         assert changed != base
+
+    @pytest.mark.parametrize("old, new", [
+        ("knee: 50, hip: 75}", "knee: 50.000000000004, hip: 75}"),
+        ("  Walk: 0.4\n", "  Walk: 0.40000000000001\n"),
+    ], ids=["thermal target", "task weight"])
+    def test_digest_sensitive_past_the_12th_significant_digit(
+            self, prereg_text, old, new):
+        """Floats were rounded to 12 significant digits before hashing, so
+        each pair here shared one digest but scored its own values."""
+        assert prereg_text.count(old) == 1
+        registrations = [load_preregistration(text) for text in (
+            prereg_text, prereg_text.replace(old, new))]
+        assert registrations[0].content != registrations[1].content
+        assert registrations[0].digest != registrations[1].digest
 
     def test_digest_sensitive_to_band_digest_change(self, prereg_text):
         doc = yaml.safe_load(prereg_text)
@@ -494,6 +508,13 @@ def _refuse_repeated_header(path):
                         f"{twice[0]!r} twice")
 
 
+def _read_rows(path):
+    """``(meta, header, rows)`` of the table at ``path`` as the library
+    reads it (``_read_columns``), every cell as text."""
+    meta, columns, _ = _read_columns(path, (), (), ())
+    return meta, list(columns), list(map(list, zip(*columns.values())))
+
+
 def _whole_table(path, required_columns=()):
     """``(meta, header, rows)`` of ``path`` parsed by ``csv`` from its whole
     text (``tables._table``), not a block or a column at a time."""
@@ -711,17 +732,16 @@ class TestColumnWiseParse:
             path.write_bytes(text.encode())
             # the header read, streamed when the text is plain, and the
             # table read are those of the whole text
-            for header_only in (True, False):
+            for read, header_only in ((read_header, True),
+                                      (_read_rows, False)):
                 try:
-                    expected = tables._table(path, text, (),
-                                                header_only)[:3]
+                    expected = tables._table(path, text, (), header_only)
                 except DataError as exc:
                     with pytest.raises(DataError) as raised:
-                        read_table(path, header_only=header_only)
+                        read(path)
                     assert str(raised.value) == str(exc)
                 else:
-                    assert read_table(path, header_only=header_only) \
-                        == expected
+                    assert read(path) == expected[:2 if header_only else 3]
             if kind == "column":
                 assert _is_regular(path, (), ()) == (irregularity is None)
                 return
@@ -743,7 +763,7 @@ class TestColumnWiseParse:
                                 files=files)
             assert files == {path: sha256_hex(text.encode())}
             assert got[0] == meta
-            assert read_table(path, header_only=True)[0] == meta
+            assert read_header(path)[0] == meta
             assert list(got[2]) == lines
             for c in text_columns:
                 assert got[1][c] == columns[c]
@@ -987,13 +1007,13 @@ class TestEmitReport:
 
     def test_feature_table_has_all_pairs(self, emitted):
         breakdown, bundle = emitted
-        _, header, rows = read_table(bundle.out_dir / "feature_table.csv")
+        _, header, rows = _read_rows(bundle.out_dir / "feature_table.csv")
         assert len(rows) == 9
         assert header[:2] == ["task", "joint"]
 
     def test_contributions_total_matches(self, emitted):
         breakdown, bundle = emitted
-        _, header, rows = read_table(bundle.out_dir / "contributions.csv")
+        _, header, rows = _read_rows(bundle.out_dir / "contributions.csv")
         total = sum(float(r[header.index("contribution")]) for r in rows)
         assert total == pytest.approx(breakdown.hlas, abs=1e-9)
 
@@ -1002,7 +1022,7 @@ class TestEmitReport:
         masks = bundle.out_dir / "hee_masks"
         assert {path for path in bundle.files if path.parent == masks} \
             == {masks / mask_name(*key) for key in breakdown.feature_vectors}
-        _, header, rows = read_table(masks / mask_name("Walk", "ankle"))
+        _, header, rows = _read_rows(masks / mask_name("Walk", "ankle"))
         assert header == ["q_deg", "omega_rad_s", "weight", "torque_ok",
                           "power_ok", "pass"]
         passes = [r[-1] for r in rows]
@@ -1014,7 +1034,7 @@ class TestEmitReport:
                      "task_table.csv", "summary.csv", "rom_overlays.csv",
                      f"hee_masks/{mask_name('Stairs', 'knee')}"):
             path = bundle.out_dir / name
-            _, header, rows = read_table(path)
+            _, header, rows = _read_rows(path)
             rewritten = tmp_path / ("rt_" + path.name)
             with rewritten.open("w", newline="") as fh:
                 fh.write(",".join(header) + "\n")
@@ -1042,6 +1062,6 @@ class TestEmitReport:
         _, bundle = emitted
         for name, columns in TASK_TRIAL_COLUMNS.items():
             stub = bundle.out_dir / "task_trials" / f"{name}.csv"
-            _, header, rows = read_table(stub)
+            _, header, rows = _read_rows(stub)
             assert header == list(columns)
             assert rows == []  # whole-robot trials are never computed here
