@@ -221,13 +221,8 @@ def _qc(args, log, inputs: dict | None) -> int | None:
 def cmd_validate_prereg(args) -> int:
     prereg = load_preregistration_file(Path(args.prereg))
     data = Path(args.data)
-    # the CSVs of --data, and each registered band file, which may sit in a
-    # directory below it, as ``hlas score`` reads it
-    files = sorted({p for p in data.iterdir()
-                    if p.is_file() and p.suffix == ".csv"}
-                   | {data / ref.file for ref in prereg.bands
-                      if (data / ref.file).is_file()})
-    report = verify_prereg_binding(prereg, files)
+    report = verify_prereg_binding(prereg, sorted(
+        p for p in data.iterdir() if p.is_file() and p.suffix == ".csv"), data)
     print(f"pre-registration digest: {prereg.digest}")
     print(f"binding: {'pass' if report.passed else 'FAIL'}")
     for finding in report.findings:

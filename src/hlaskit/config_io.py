@@ -130,11 +130,13 @@ class BindingReport:
 
 
 def verify_prereg_binding(
-    prereg: Preregistration, measurement_files: list[Path]
+    prereg: Preregistration, measurement_files: list[Path], data_dir: Path
 ) -> BindingReport:
     """Check that measurements postdate the registration, that any
     embedded registration digests match, and that each registered band
-    file is among ``measurement_files`` with its registered sha256.
+    file is at ``data_dir / file``, where ``load_measurements`` reads it,
+    with its registered sha256.  The files checked are
+    ``measurement_files`` and the registered band files, in sorted order.
 
     Registered band files are exempt from the ordering check: they are part
     of the declaration (bound by digest instead), so they may predate it.
@@ -142,17 +144,20 @@ def verify_prereg_binding(
     product.  A ``created_utc`` header not in ISO 8601 raises ``DataError``.
     """
     created = parse_timestamp(prereg.created)
+    data_dir = Path(data_dir)
+    # a band file listed twice is read twice, so both digests are checked
+    registered: dict[Path, list[BandRef]] = {}
+    for ref in prereg.bands:
+        registered.setdefault(data_dir / ref.file, []).append(ref)
     findings = []
-    found = set()                   # the registered band files read
-    for path in map(Path, measurement_files):
-        ref = _registered_as(prereg, path)
+    for path in sorted({*map(Path, measurement_files),
+                        *filter(Path.is_file, registered)}):
+        refs = registered.get(path, [])
         read: dict[Path, str] = {}
-        meta, _ = read_header(path, files=None if ref is None else read)
-        if ref is not None:
-            found.add(ref)
-            if read[path] != ref.sha256:
-                findings.append(f"{ref.file}: digest {read[path]} does not "
-                                f"match registered {ref.sha256}")
+        meta, _ = read_header(path, files=read if refs else None)
+        findings += (f"{ref.file}: digest {read[path]} does not match "
+                     f"registered {ref.sha256}"
+                     for ref in refs if read[path] != ref.sha256)
         if "created_utc" in meta:
             try:
                 stamp = parse_timestamp(meta["created_utc"])
@@ -162,7 +167,7 @@ def verify_prereg_binding(
                                 f"8601 timestamp") from None
         else:
             stamp = datetime.fromtimestamp(path.stat().st_mtime, timezone.utc)
-        if ref is None and stamp < created:
+        if not refs and stamp < created:
             findings.append(
                 f"{path.name}: measurement timestamp {stamp.isoformat()} "
                 f"predates pre-registration {created.isoformat()}"
@@ -174,18 +179,9 @@ def verify_prereg_binding(
                 f"not match {prereg.digest}"
             )
     findings += (f"{ref.file}: registered band file not found"
-                 for ref in prereg.bands if ref not in found)
+                 for ref in prereg.bands
+                 if not (data_dir / ref.file).is_file())
     return BindingReport(passed=not findings, findings=tuple(findings))
-
-
-def _registered_as(prereg: Preregistration, path: Path) -> BandRef | None:
-    """The registered band file that ``path`` is, the one whose ``file``
-    names the last parts of ``path``; None for any other file."""
-    for ref in prereg.bands:
-        parts = Path(ref.file).parts
-        if path.parts[-len(parts):] == parts:
-            return ref
-    return None
 
 
 # ---------------------------------------------------------------------------

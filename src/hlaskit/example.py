@@ -82,10 +82,12 @@ def run_and_check_example(out_dir: Path) -> tuple[ExampleRun,
                                                   dict[Path, str]]:
     """Run the example, write its report bundle and sensitivity table to
     ``out_dir`` and check them against the golden tables; the run, and the
-    sha256 of each file written."""
+    sha256 of each file written.  On a mismatch the bundle's
+    ``manifest.json`` is removed, so no manifest names a failed run."""
     run = run_example()
     scored = run.scored
-    files = emit_report(scored, out_dir).files
+    bundle = emit_report(scored, out_dir)
+    files = bundle.files
     sensitivity = Path(out_dir) / "sensitivity.csv"
     files[sensitivity] = write_table(sensitivity, ("variant", "hlas"), (
         ["baseline", f"headroom_delta_{HEADROOM_SENSITIVITY_DELTA:g}",
@@ -93,6 +95,7 @@ def run_and_check_example(out_dir: Path) -> tuple[ExampleRun,
         [scored.breakdown.hlas, run.hlas_headroom, run.hlas_alpha_alt]))
     divergent = compare_to_golden(files, out_dir)
     if divergent:
+        bundle.manifest.unlink()
         raise GoldenMismatch(
             "worked example diverged from golden tables:\n  "
             + "\n  ".join(divergent)

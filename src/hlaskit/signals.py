@@ -168,12 +168,12 @@ def single_frequency_response(
     sel = t < t_end + 1e-12
     phase = 2.0 * np.pi * freq * (t[sel] - t[0])
     basis = np.cos(phase) - 1j * np.sin(phase)
-    x_cmd = np.dot(cmd[sel].astype(float), basis)
+    x_cmd = np.dot(cmd[sel], basis)
     if abs(x_cmd) < 1e-12:
         raise InsufficientExcitation(
             f"commanded torque has no content at {freq} Hz"
         )
-    x_act = np.dot(act[sel].astype(float), basis)
+    x_act = np.dot(act[sel], basis)
     return x_act / x_cmd
 
 
@@ -312,8 +312,7 @@ def fit_friction(log: TimeSeriesLog) -> FrictionFit:
     glitches from biasing the fit.  Assumes gravity was already compensated
     when the log was recorded.
     """
-    omega = np.asarray(log.omega, dtype=float)
-    tau = np.asarray(log.torque, dtype=float)
+    omega, tau = log.omega, log.torque
 
     if not (np.any(omega > 0) and np.any(omega < 0)):
         raise RankDeficient(
@@ -417,17 +416,16 @@ def detect_plateau(
             f"{plateau_window} s window exceeds the {log.duration:.3f} s log"
         )
     w = max(w, 2)
-    t = np.asarray(log.t, dtype=float)
-    slope_motor = _windowed_slopes(t, np.asarray(log.temp_motor, float), w)
-    slope_gear = _windowed_slopes(t, np.asarray(log.temp_gear, float), w)
+    slope_motor = _windowed_slopes(log.t, log.temp_motor, w)
+    slope_gear = _windowed_slopes(log.t, log.temp_gear, w)
     ok = (slope_motor < slope_limit) & (slope_gear < slope_limit)
     torque_cont = 0.0
     if np.any(ok):
-        means = _windowed_means(np.asarray(log.torque, float), w)
+        means = _windowed_means(log.torque, w)
         torque_cont = float(np.max(means[ok]))
     return PlateauResult(
         torque_cont=torque_cont,
-        time_to_derate=_time_to_derate(t, np.asarray(log.torque_cmd, float)),
+        time_to_derate=_time_to_derate(log.t, log.torque_cmd),
         final_temp_motor=float(log.temp_motor[-1]),
         final_temp_gear=float(log.temp_gear[-1]),
     )
@@ -446,9 +444,8 @@ def steady_trend(log: TimeSeriesLog) -> tuple[bool, float]:
     by detect_plateau is a separate, much looser threshold in degC/s.
     """
     w = min(int(round(STEADY_TREND_WINDOW_S * log.sample_rate)), len(log.t))
-    t = np.asarray(log.t, float)[-w:]
-    y = np.asarray(log.temp_motor, float)[-w:]
-    slope_per_min = float(np.polyfit(t, y, 1)[0]) * 60.0
+    slope_per_min = float(
+        np.polyfit(log.t[-w:], log.temp_motor[-w:], 1)[0]) * 60.0
     return slope_per_min < STEADY_SLOPE_LIMIT_C_PER_MIN, slope_per_min
 
 
@@ -474,10 +471,8 @@ def power_balance_check(log: TimeSeriesLog) -> PowerBalanceResult:
     Integrates positive shaft power and bus power with the trapezoid rule;
     a small relative slack absorbs integration rounding.
     """
-    p_mech = np.maximum(
-        np.asarray(log.torque, float) * np.asarray(log.omega, float), 0.0
-    )
-    p_elec = np.asarray(log.v_bus, float) * np.asarray(log.i_bus, float)
+    p_mech = np.maximum(log.torque * log.omega, 0.0)
+    p_elec = log.v_bus * log.i_bus
     mech = float(np.trapezoid(p_mech, log.t))
     elec = float(np.trapezoid(p_elec, log.t))
     passed = mech <= elec * (1.0 + POWER_BALANCE_SLACK) + 1e-12

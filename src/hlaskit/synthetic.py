@@ -15,7 +15,7 @@ by a drive efficiency, plus copper and idle losses.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import exp, inf, isfinite, log, sqrt
+from math import exp, inf, log, sqrt
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from .signals import TimeSeriesLog, estimate_rate_derivative
 SAMPLE_RATE_HZ = 1000.0           # every generated log
 BACKDRIVE_FREQ_HZ = 0.2           # slow enough to stay quasi-static
 BACKDRIVE_AMPLITUDE_DEG = 30.0
-DEFAULT_AMBIENT_C = 25.0
+DEFAULT_AMBIENT_C = 25.0          # every plant
+DUTY_OMEGA_RAD_S = 1.0            # joint rate while a duty cycle loads it
 DEFAULT_BUS_VOLTAGE_V = 48.0
 DRIVE_EFFICIENCY = 0.85
 IDLE_POWER_W = 2.0
@@ -94,30 +95,26 @@ class DutyProfile:
     """Duty-cycle description for thermal tests.
 
     ``burst_s``/``period_s`` of None means a constant hold.  ``temp_limit_c``
-    is the winding limit at which the rig derates the command to the largest
-    torque sustainable at that temperature.
+    is the winding limit, above the 25 C ``DEFAULT_AMBIENT_C``, at which the
+    rig derates the command to the largest torque sustainable at that
+    temperature.  The loaded joint turns at 1 rad/s (``DUTY_OMEGA_RAD_S``).
     """
 
     duration_s: float = 120.0
     burst_s: float | None = None
     period_s: float | None = None
-    ambient_c: float = DEFAULT_AMBIENT_C
     temp_limit_c: float = 100.0
-    omega_active: float = 1.0   # rad/s while the joint is loaded
 
     def __post_init__(self) -> None:
         _check_positive("duty duration_s", self.duration_s)
-        for name in ("ambient_c", "omega_active"):   # omega may be negative
-            if not isfinite(value := getattr(self, name)):
-                raise PlantParameter(f"duty {name} {value!r} must be finite")
         if (self.burst_s is None) != (self.period_s is None):
             raise PlantParameter("burst_s and period_s must be given together")
         if self.burst_s is not None and not 0 < self.burst_s < self.period_s:
             raise PlantParameter("need 0 < burst_s < period_s")
-        if not self.ambient_c < self.temp_limit_c < inf:
+        if not DEFAULT_AMBIENT_C < self.temp_limit_c < inf:
             raise TemperatureLimit(
                 f"temperature limit {self.temp_limit_c} C must be finite and "
-                f"above the ambient {self.ambient_c} C")
+                f"above the ambient {DEFAULT_AMBIENT_C} C")
 
 
 def _electrical_channels(
@@ -214,7 +211,7 @@ def generate_sweep_log(
 
 def derate_torque(act: SyntheticActuator, duty: DutyProfile) -> float:
     """Largest torque whose steady temperature stays at the duty limit."""
-    rise = duty.temp_limit_c - duty.ambient_c
+    rise = duty.temp_limit_c - DEFAULT_AMBIENT_C
     return sqrt(rise / (act.copper_loss_coeff * act.thermal_resistance))
 
 
@@ -227,7 +224,7 @@ def thermal_crossing_time(
     is the oracle for the generator's derate instant.
     """
     rise_ss = act.steady_temp_rise(torque)
-    rise_lim = duty.temp_limit_c - duty.ambient_c
+    rise_lim = duty.temp_limit_c - DEFAULT_AMBIENT_C
     if rise_ss <= rise_lim:
         return None
     return -act.thermal_time_constant * log(1.0 - rise_lim / rise_ss)
@@ -262,26 +259,26 @@ def generate_thermal_duty_log(
     cmd = np.empty(n)
     temp = np.empty(n)
     level = torque_level
-    temp_now = duty.ambient_c
+    temp_now = DEFAULT_AMBIENT_C
     for k in range(n):
         cmd[k] = level if active[k] else 0.0
         temp[k] = temp_now
-        t_ss = duty.ambient_c + act.steady_temp_rise(cmd[k])
+        t_ss = DEFAULT_AMBIENT_C + act.steady_temp_rise(cmd[k])
         temp_now = t_ss + (temp_now - t_ss) * decay
         if temp_now >= duty.temp_limit_c and level > tau_derated:
             # rig catches the limit: subsequent samples command the largest
             # steadily sustainable torque, temperature settles to the limit
             level = tau_derated
 
-    omega = np.where(active, duty.omega_active, 0.0)
+    omega = np.where(active, DUTY_OMEGA_RAD_S, 0.0)
     v_bus, i_bus = _electrical_channels(cmd, omega, act)
-    temp_gear = duty.ambient_c + 0.3 * (temp - duty.ambient_c)
+    temp_gear = DEFAULT_AMBIENT_C + 0.3 * (temp - DEFAULT_AMBIENT_C)
     return TimeSeriesLog(
         t=t, q=np.full(n, 30.0), omega=omega, torque=cmd.copy(),
         torque_cmd=cmd, v_bus=v_bus, i_bus=i_bus,
         temp_motor=temp, temp_gear=temp_gear, sample_rate=SAMPLE_RATE_HZ,
-        conditions=f"synthetic duty, ambient {duty.ambient_c:g} C still air, "
-                   f"limit {duty.temp_limit_c:g} C",
+        conditions=f"synthetic duty, ambient {DEFAULT_AMBIENT_C:g} C still "
+                   f"air, limit {duty.temp_limit_c:g} C",
     )
 
 

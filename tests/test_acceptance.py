@@ -572,7 +572,7 @@ def test_criterion_7_round_trip_and_binding(tmp_path):
     src = (example_data_dir() / "capability_ankle.csv").read_text()
     stale.write_text(src.replace("2026-08-05T10:00:00Z",
                                  "2026-07-01T00:00:00Z"))
-    report = verify_prereg_binding(prereg, [stale])
+    report = verify_prereg_binding(prereg, [stale], tmp_path)
     flagged = not report.passed and any(
         "predates" in f for f in report.findings)
 

@@ -14,8 +14,10 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -53,6 +55,7 @@ from hlaskit.synthetic import (
     DutyProfile,
     SyntheticActuator,
     generate_backdrive_log,
+    generate_sweep_log,
 )
 from hlaskit.tables import _read_columns, read_header, table_blocks
 
@@ -1428,6 +1431,24 @@ EXAMPLE_MANIFEST_SHA256 = (
     "5086f97158b825594aac065d930fc33aafa8fd46bdda1fa14f7908b935e1c760")
 
 
+# the flags and the sha256 of the output of each ``hlas synth`` kind
+SYNTH_PINS = {
+    "map": ([], "e7f6fb76e14711672f4f986cee437e33"
+                "ea8cba11fa3fde04687802bbefd64cca"),
+    "thermal": ([], "f1f1222c26c2402b3afa9668d2b0a722"
+                    "29518ea500614a28a02f7ed0161230c7"),
+    "backdrive": (["--noise", "0.01", "--seed", "3"],
+                  "48097330c42023ac5a650224a242eba0"
+                  "f3092cb47e350c5bf6b46515bfb6ad30"),
+    "sweep": ([], "6047e335014506d564fb37cde3ea082e"
+                  "57f2202771de2fa687106e382b81a323"),
+}
+
+
+def _synth_argv(kind, out):
+    return ["synth", kind, *SYNTH_PINS[kind][0], "--out", str(out)]
+
+
 def _generated_registration(data):
     gen = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
     runpy.run_path(str(gen))["write_registration"](
@@ -1466,13 +1487,15 @@ sys.exit(max(map(main, argvs)))
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="the CPU targets named are those of x86-64")
 def test_pinned_bundles_hold_on_older_kernels(tmp_path):
-    """Both pinned bundles, and so the exact golden check, come out the
-    same with OpenBLAS's Sandybridge kernels and without NumPy's AVX-512
-    loops, set for a child process only."""
+    """Both pinned bundles, and so the exact golden check, and the pinned
+    ``synth`` outputs come out the same with OpenBLAS's Sandybridge kernels
+    and without NumPy's AVX-512 loops, set for a child process only."""
     data, example_out = tmp_path / "data", tmp_path / "example"
     _generated_registration(data)
     argvs = [["example", "--out", str(example_out)],
-             _score_argv(data, tmp_path / "generated")]
+             _score_argv(data, tmp_path / "generated"),
+             *(_synth_argv(kind, tmp_path / f"{kind}.csv")
+               for kind in SYNTH_PINS)]
     result = run_python(
         "-W", "error::ImportWarning", "-c", BASELINE_KERNELS_SCRIPT,
         AVX512_TARGETS, json.dumps(argvs),
@@ -1483,6 +1506,8 @@ def test_pinned_bundles_hold_on_older_kernels(tmp_path):
     assert _sha256(example_out / "manifest.json") == EXAMPLE_MANIFEST_SHA256
     assert _sha256(tmp_path / "generated" / "manifest.json") \
         == GENERATED_MANIFEST_SHA256
+    for kind, (_, digest) in SYNTH_PINS.items():
+        assert _sha256(tmp_path / f"{kind}.csv") == digest, kind
 
 
 class TestOneReadOneHash:
@@ -1712,22 +1737,14 @@ class TestOneCopyOfTheLog:
 class TestUncoveredWriterBytes:
     def test_synth_map_bytes_are_pinned(self, tmp_path):
         out = tmp_path / "m.csv"
-        assert main(["synth", "map", "--out", str(out)]) == 0
-        assert _sha256(out) == ("e7f6fb76e14711672f4f986cee437e33"
-                                "ea8cba11fa3fde04687802bbefd64cca")
+        assert main(_synth_argv("map", out)) == 0
+        assert _sha256(out) == SYNTH_PINS["map"][1]
 
-    @pytest.mark.parametrize("argv, digest", [
-        (["thermal"], "f1f1222c26c2402b3afa9668d2b0a722"
-                      "29518ea500614a28a02f7ed0161230c7"),
-        (["backdrive", "--noise", "0.01", "--seed", "3"],
-         "48097330c42023ac5a650224a242eba0f3092cb47e350c5bf6b46515bfb6ad30"),
-        (["sweep"], "6047e335014506d564fb37cde3ea082e"
-                    "57f2202771de2fa687106e382b81a323"),
-    ], ids=["thermal", "backdrive", "sweep"])
-    def test_synth_log_bytes_are_pinned(self, argv, digest, tmp_path):
+    @pytest.mark.parametrize("kind", ["thermal", "backdrive", "sweep"])
+    def test_synth_log_bytes_are_pinned(self, kind, tmp_path):
         out = tmp_path / "log.csv"
-        assert main(["synth", *argv, "--out", str(out)]) == 0
-        assert _sha256(out) == digest
+        assert main(_synth_argv(kind, out)) == 0
+        assert _sha256(out) == SYNTH_PINS[kind][1]
 
     def test_frf_table_is_the_header_then_repr_rows(self, tmp_path):
         sweep, out = tmp_path / "sweep.csv", tmp_path / "frf.csv"
@@ -1767,6 +1784,17 @@ class TestAnalyze:
         crossover, margin = meta["crossover_hz"].split(", phase_margin_deg: ")
         assert abs(float(crossover) - 10.0) < 0.05
         assert math.isfinite(float(margin))
+
+    def test_frf_of_a_log_with_no_command_is_one_error_line(self, tmp_path,
+                                                             capsys):
+        """A sweep log whose commanded torque is zero."""
+        sweep = generate_sweep_log(SyntheticActuator(), [2.0], 1.0)
+        log = tmp_path / "idle.csv"
+        write_log(replace(sweep, torque_cmd=np.zeros(len(sweep.t))), log)
+        assert main(["analyze", "frf", str(log), "--freqs", "2,5"]) == 3
+        assert capsys.readouterr() == ("", (
+            "error: InsufficientExcitation: commanded torque has no content "
+            "at 2.0 Hz\n"))
 
     def test_friction_pipeline(self, tmp_path):
         log = tmp_path / "backdrive.csv"
@@ -1856,6 +1884,82 @@ class TestValidatePrereg:
         assert main(argv) == 2
         assert f"  sub/bands.csv: digest {_sha256(bands)} does not match " \
             f"registered " in capsys.readouterr().out
+
+    @staticmethod
+    def _split_bands(data_dir, order):
+        """The example's band rows as ``bands.csv`` (the Walk rows) and
+        ``sub/bands.csv`` (the rest), each registered with its digest, in
+        ``order``."""
+        bands, prereg = data_dir / "bands.csv", data_dir / "prereg.yaml"
+        registered = f"  - file: bands.csv\n    sha256: {_sha256(bands)}\n"
+        lines = bands.read_text().splitlines(True)
+        head, rows = lines[:3], lines[3:]
+        assert head[-1].startswith("task,joint,")
+        (data_dir / "sub").mkdir()
+        bands.write_text("".join(head + [r for r in rows
+                                         if r.startswith("Walk,")]))
+        (data_dir / "sub" / "bands.csv").write_text("".join(
+            head + [r for r in rows if not r.startswith("Walk,")]))
+        text = prereg.read_text()
+        assert text.count(registered) == 1
+        prereg.write_text(text.replace(registered, "".join(
+            f"  - file: {name}\n    sha256: {_sha256(data_dir / name)}\n"
+            for name in order)))
+
+    @pytest.mark.parametrize("order", [("bands.csv", "sub/bands.csv"),
+                                       ("sub/bands.csv", "bands.csv")])
+    def test_band_files_at_and_below_the_data_directory_bind_in_any_order(
+            self, order, data_dir, tmp_path, capsys):
+        """A registered band file is ``--data/<file>``, where ``hlas score``
+        reads it.  It was matched by the end of its path instead, so with
+        ``bands.csv`` listed first, ``sub/bands.csv`` was taken for it: a
+        false digest mismatch and "sub/bands.csv: registered band file not
+        found", exit 2, while ``score`` exited 0."""
+        self._split_bands(data_dir, order)
+        assert main(_hlas_argv("score", data_dir, None, tmp_path / "r")) == 0
+        capsys.readouterr()
+        assert main(_hlas_argv("validate-prereg", data_dir, None, None)) == 0
+        assert "\nbinding: pass\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("band_file", ["column added", "missing"])
+    def test_altered_or_missing_band_file_below_the_data_directory_fails(
+            self, band_file, data_dir, capsys):
+        self._split_bands(data_dir, ("bands.csv", "sub/bands.csv"))
+        bands = data_dir / "sub" / "bands.csv"
+        registered = _sha256(bands)
+        if band_file == "missing":
+            bands.unlink()
+        else:
+            bands.write_text("".join(
+                line if line.startswith("#") else line[:-1] + ",1\n"
+                for line in bands.read_text().splitlines(True)))
+        assert main(_hlas_argv("validate-prereg", data_dir, None, None)) == 2
+        out = capsys.readouterr().out
+        assert "\nbinding: FAIL\n" in out
+        assert ("  sub/bands.csv: registered band file not found\n"
+                if band_file == "missing" else
+                f"  sub/bands.csv: digest {_sha256(bands)} does not match "
+                f"registered {registered}\n") in out
+
+    def test_band_file_registered_twice_is_checked_against_both_digests(
+            self, data_dir, tmp_path, capsys):
+        """``hlas score`` reads a band file listed twice once per entry and
+        refuses it if either digest does not match, so the binding fails
+        too, whichever entry comes last."""
+        prereg = data_dir / "prereg.yaml"
+        digest = _sha256(data_dir / "bands.csv")
+        registered = f"  - file: bands.csv\n    sha256: {digest}\n"
+        text = prereg.read_text()
+        assert text.count(registered) == 1
+        prereg.write_text(text.replace(registered, registered.replace(
+            digest, "f" * 64) + registered))
+        assert main(_hlas_argv("score", data_dir, None, tmp_path / "r")) == 3
+        capsys.readouterr()
+        assert main(_hlas_argv("validate-prereg", data_dir, None, None)) == 2
+        assert capsys.readouterr().out.splitlines()[1:3] == [
+            "binding: FAIL",
+            f"  bands.csv: digest {digest} does not match registered "
+            f"{'f' * 64}"]
 
     def test_digest_names_every_significant_digit(self, data_dir, capsys):
         """The two thermal targets are one float rounded to 12 significant
@@ -1976,10 +2080,14 @@ class TestExample:
         return data / "golden"
 
     def _diverges_at(self, tmp_path, capsys, name, number, got, want):
-        assert main(["example", "--out", str(tmp_path / "out")]) == 4
+        """Exit 4 naming the line, and no ``manifest.json`` left behind to
+        name the failed run's tables."""
+        out = tmp_path / "out"
+        assert main(["example", "--out", str(out)]) == 4
         assert capsys.readouterr() == ("", (
             f"error: worked example diverged from golden tables:\n"
             f"  {name} line {number}: {got!r} != golden {want!r}\n"))
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("name", GOLDEN_TABLES)
     def test_one_ulp_in_a_golden_table_exits_4(self, name, golden_dir,

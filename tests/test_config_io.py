@@ -151,7 +151,7 @@ class TestBinding:
     def test_compliant_set_passes(self, example_dir):
         prereg = load_preregistration_file(example_dir / "prereg.yaml")
         files = sorted(example_dir.glob("*.csv"))
-        report = verify_prereg_binding(prereg, files)
+        report = verify_prereg_binding(prereg, files, example_dir)
         assert report.passed, report.findings
 
     def test_backdated_file_flagged(self, example_dir, tmp_path):
@@ -162,7 +162,7 @@ class TestBinding:
             "# created_utc: 2026-08-05T10:00:00Z",
             "# created_utc: 2026-07-01T00:00:00Z",
         ))
-        report = verify_prereg_binding(prereg, [stale])
+        report = verify_prereg_binding(prereg, [stale], tmp_path)
         assert not report.passed
         assert any("predates" in f and "capability_ankle" in f
                    for f in report.findings)
@@ -175,7 +175,7 @@ class TestBinding:
             f"# prereg_sha256: {'f' * 64}\n"
             + (example_dir / "bandwidth.csv").read_text()
         )
-        report = verify_prereg_binding(prereg, [tagged])
+        report = verify_prereg_binding(prereg, [tagged], tmp_path)
         assert not report.passed
         assert any("f" * 64 in f and prereg.digest in f
                    for f in report.findings)
@@ -189,7 +189,7 @@ class TestBinding:
             + (example_dir / "bandwidth.csv").read_text()
         )
         assert verify_prereg_binding(
-            prereg, [example_dir / "bands.csv", tagged]).passed
+            prereg, [example_dir / "bands.csv", tagged], example_dir).passed
 
     @pytest.mark.parametrize("band_file", ["matching", "column added",
                                            "missing", "not ASCII, matching"])
@@ -215,7 +215,8 @@ class TestBinding:
             monkeypatch.setattr(tables, "_BLOCK", 64)
             prereg = replace(prereg, bands=(
                 BandRef("bands.csv", sha256_file(bands)),))
-        report = verify_prereg_binding(prereg, sorted(tmp_path.glob("*.csv")))
+        report = verify_prereg_binding(prereg, sorted(tmp_path.glob("*.csv")),
+                                       tmp_path)
         digest = sha256_file(bands) if bands.exists() else None
         assert report.findings == {
             "matching": (),

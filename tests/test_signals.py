@@ -12,6 +12,7 @@ from hlaskit.errors import (
     AliasedFrequency,
     DegenerateBand,
     InsufficientCycles,
+    InsufficientExcitation,
     InvalidRecord,
     NotMonotoneWarning,
     RankDeficient,
@@ -151,6 +152,11 @@ class TestComputeFrf:
         with pytest.raises(AliasedFrequency):
             compute_frf(log, [200.0])
 
+    def test_zero_command_is_insufficient_excitation(self):
+        with pytest.raises(InsufficientExcitation, match=(
+                "^commanded torque has no content at 2.0 Hz$")):
+            compute_frf(make_log(duration=3.0), [2.0])
+
 
 class TestFindCrossover:
     def single_pole_points(self, f_c, freqs):
@@ -271,6 +277,13 @@ class TestFitFriction:
                        torque=omega.copy())
         with pytest.raises(RankDeficient):
             fit_friction(log)
+
+    def test_rate_without_acceleration_is_insufficient_excitation(self):
+        # both signs, so the Coulomb regressor is not degenerate
+        omega = 1e-15 * (-1.0) ** np.arange(2001)
+        with pytest.raises(InsufficientExcitation, match=(
+                "^no measurable acceleration in the log$")):
+            fit_friction(make_log(duration=2.0, omega=omega))
 
     def test_backdrive_p95(self):
         act = SyntheticActuator(**self.PARAMS)

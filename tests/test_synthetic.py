@@ -18,6 +18,7 @@ from hlaskit.signals import (
     power_balance_check,
 )
 from hlaskit.synthetic import (
+    DEFAULT_AMBIENT_C,
     DutyProfile,
     SyntheticActuator,
     derate_torque,
@@ -125,7 +126,7 @@ class TestThermalLog:
     def test_zero_torque_stays_at_ambient(self):
         duty = DutyProfile(duration_s=15.0, temp_limit_c=100.0)
         log = generate_thermal_duty_log(self.ACT, duty, 0.0)
-        assert np.all(log.temp_motor == duty.ambient_c)
+        assert np.all(log.temp_motor == DEFAULT_AMBIENT_C)
         result = detect_plateau(log)
         assert result.torque_cont == 0.0
         assert result.time_to_derate is None
@@ -248,25 +249,6 @@ def test_plant_parameter_not_finite_and_positive_refused(make, name, value):
         make(**{name: value})
     assert isinstance(raised.value, ValidationError)
     assert isinstance(raised.value, ValueError)
-
-
-@pytest.mark.parametrize("name", ["ambient_c", "omega_active"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_duty_ambient_and_rate_not_finite_refused(name, value):
-    """``DutyProfile(ambient_c=-inf)`` was accepted, and its log failed late
-    on a ``temp_motor`` cell, after NumPy warnings; a NaN or infinite
-    ``omega_active`` failed on an ``omega`` cell."""
-    with pytest.raises(PlantParameter, match=re.escape(
-            f"duty {name} {value!r} must be finite")):
-        DutyProfile(duration_s=1.0, **{name: value})
-
-
-def test_duty_finite_ambient_and_negative_rate_kept():
-    with pytest.raises(TemperatureLimit, match="above the ambient"):
-        DutyProfile(ambient_c=100.0, temp_limit_c=100.0)
-    duty = DutyProfile(duration_s=1.0, omega_active=-2.0)
-    log = generate_thermal_duty_log(SyntheticActuator(), duty, 10.0)
-    assert np.all(np.asarray(log.omega) == -2.0)
 
 
 @pytest.mark.parametrize("burst, period, message", [
