@@ -284,10 +284,14 @@ def _pair(value, where: str) -> tuple[str, str]:
 
 
 def _band_ref(value, where: str) -> dict[str, str]:
-    """``{file, sha256}``; other keys are not read."""
+    """``{file, sha256}``; other keys are not read.  The digest must be YAML
+    text: one that YAML reads as a number would lose its leading zeros."""
     _checked(isinstance(value, dict) and {"file", "sha256"} <= value.keys(),
              value, where, "a {file, sha256} mapping")
-    return {k: _name(value[k], f"{where}: {k}") for k in ("file", "sha256")}
+    file, digest = _name(value["file"], f"{where}: file"), value["sha256"]
+    _checked(isinstance(digest, str), digest, f"{where}: {file}: sha256",
+             "text; quote the digest")
+    return {"file": file, "sha256": digest}
 
 
 def _margin_method(value, where: str) -> str:

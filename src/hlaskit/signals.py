@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import atan2, degrees, fsum, isnan, log, nan, sqrt
+from math import atan2, degrees, exp, fsum, isnan, log, nan, sqrt
 
 import numpy as np
 
@@ -167,14 +167,20 @@ def single_frequency_response(
     t_end = t[0] + cycles / freq
     sel = t < t_end + 1e-12
     phase = 2.0 * np.pi * freq * (t[sel] - t[0])
-    basis = np.cos(phase) - 1j * np.sin(phase)
-    x_cmd = np.dot(cmd[sel], basis)
+    cos, sin = np.cos(phase), np.sin(phase)
+
+    def project(x: np.ndarray) -> complex:
+        # exactly rounded sums of the per-sample products: the same bits on
+        # every CPU, which a BLAS or SIMD dot product does not promise
+        x = x[sel]
+        return complex(fsum((x * cos).tolist()), -fsum((x * sin).tolist()))
+
+    x_cmd = project(cmd)
     if abs(x_cmd) < 1e-12:
         raise InsufficientExcitation(
             f"commanded torque has no content at {freq} Hz"
         )
-    x_act = np.dot(act[sel], basis)
-    return x_act / x_cmd
+    return project(act) / x_cmd
 
 
 def compute_frf(log: TimeSeriesLog, freqs: list[float]) -> list[FrfPoint]:
@@ -226,7 +232,7 @@ def find_crossover(frf: list[FrfPoint]) -> CrossoverResult:
         if y0 >= 0 > y1:
             x0, x1 = log(freqs[i]), log(freqs[i + 1])
             xc = x0 if y0 == y1 else x0 + (x1 - x0) * y0 / (y0 - y1)
-            f_c = float(np.exp(xc))
+            f_c = exp(xc)
             frac = 0.0 if x1 == x0 else (xc - x0) / (x1 - x0)
             phase_c = frf[i].phase + frac * (frf[i + 1].phase - frf[i].phase)
             crossings.append((f_c, float(phase_c)))

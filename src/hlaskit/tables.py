@@ -5,8 +5,10 @@ text with ``#`` comment headers, designed for diffability and spreadsheet
 import, not interchange with any external standard.  ``_read_columns`` is
 the only place that turns such a file into rows: it reads a regular file a
 block at a time and any other text a cell at a time, with the same values
-and the same errors.  ``write_table`` writes, and hashes, every table a
-block of rows at a time.
+and the same errors.  It and ``read_header`` open and hash a file, and
+read it again when its blocks do not parse, through one function,
+``_parsed``.  ``write_table`` writes, and hashes, every table a block of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import codecs
 import csv
 import hashlib
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -114,67 +116,90 @@ def _plain(text: str) -> bool:
     return text.isascii() and not any(c in text for c in _NOT_PLAIN)
 
 
-def _header_end(text: str) -> int | None:
-    """Where the header line of ``text`` (its first line neither blank nor
-    a ``#`` comment) ends, its "\n" included; None when it has none."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        stripped = text[start:end].strip()
-        if stripped and not stripped.startswith("#"):
-            return end
-        start = end
+def _plain_head(blocks: Iterator[str]) -> tuple[str, Iterator] | None:
+    """The lines of a plain text (``_plain``) given as ``_file_blocks``
+    gives them, up to and with its header line (its first line neither
+    blank nor ``#``), each ended by "\n", and ``_plain_rest`` of the rest,
+    from one scan; None when a block up to it is not plain or it has none."""
+    head, start = "", 0
+    for block in blocks:
+        if not _plain(block):
+            return None
+        head += block + "\n"
+        while start < len(head):
+            end = head.index("\n", start) + 1
+            stripped = head[start:end].strip()
+            if stripped and not stripped.startswith("#"):
+                return head[:end], _plain_rest(
+                    head[end:-1] if end < len(head) else None, blocks)
+            start = end
     return None
+
+
+def _plain_rest(block: str | None, blocks: Iterator[str]) -> Iterator:
+    """``block``, the plain rest of a header line's block, unless None,
+    then each of ``blocks``, or None for one not plain; unlike ``chain``,
+    it lets ``block`` go once the next is asked for."""
+    if block is not None:
+        yield block
+    del block
+    for block in blocks:
+        yield block if _plain(block) else None
+
+
+def _parsed(path: Path, from_blocks, from_text,
+            files: dict[Path, str] | None = None, sha256: str | None = None):
+    """``from_blocks`` of the file at ``path``, opened once and read a block
+    at a time (``_file_blocks``), which reads every block unless it gives
+    None; then ``from_text`` of one full read of the same open file
+    (``_utf8``).  The sha256 of the bytes parsed must be ``sha256`` when
+    that is given, checked before the full text is decoded; ``files``, when
+    given, receives it under ``path`` once the file parses."""
+    digest = None if files is None and sha256 is None else hashlib.sha256()
+    with open(path, "rb") as file:
+        parsed = from_blocks(_file_blocks(file, digest))
+        if parsed is None:
+            file.seek(0)
+            data = file.read()
+            if digest is not None:
+                digest = hashlib.sha256(data)
+    if sha256 is not None and digest.hexdigest() != sha256:
+        raise DataError(f"{path}: digest {digest.hexdigest()} does not match "
+                        f"registered {sha256}")
+    if parsed is None:
+        text = _utf8(data, path)
+        del data                    # before the text is parsed
+        parsed = from_text(text)
+    if files is not None:
+        files[path] = digest.hexdigest()
+    return parsed
 
 
 def read_header(
     path: Path, files: dict[Path, str] | None = None,
 ) -> tuple[dict[str, str], list[str]]:
-    """``(meta, header)`` of the file at ``path``: the metadata of every
-    ``#`` line and the header cells, as ``_table`` reads them.
+    """``(meta, header)`` of the file at ``path`` as ``_table`` reads them,
+    through ``_parsed`` as ``_read_columns`` reads a table, so ``files``
+    receives the same sha256.  A plain text is read a block at a time,
+    keeping its lines up to the header line (``_plain_head``) and each
+    ``#`` line after it, which is all ``_table`` reads of it."""
+    def header(text: str) -> tuple[dict[str, str], list[str]]:
+        return _table(path, text, (), True)[:2]
 
-    A plain text is read a block at a time (``_file_blocks``), keeping its
-    lines up to the header line and each ``#`` line after it, which is all
-    ``_table`` reads of it; any other text is parsed from one full read of
-    the same open file (``_utf8``).  ``files``, when given, receives under
-    ``path`` the sha256 of the bytes read once the file parses, as in
-    ``_read_columns``.
-    """
-    digest = None if files is None else hashlib.sha256()
-    with open(path, "rb") as file:
-        text = _header_text(_file_blocks(file, digest))
-        if text is None:
-            file.seek(0)
-            data = file.read()
-            if digest is not None:
-                digest = hashlib.sha256(data)
-            text = _utf8(data, path)
-            del data
-    meta, header, _, _ = _table(path, text, (), True)
-    if files is not None:
-        files[path] = digest.hexdigest()
-    return meta, header
-
-
-def _header_text(blocks: Iterable[str]) -> str | None:
-    """The lines of a plain text (``_plain``), given as ``_file_blocks``
-    gives them, up to and with its header line (``_header_end``), then its
-    ``#`` lines after it, each ended by "\n"; None as soon as a block is not
-    plain.  It holds one block and the lines it keeps."""
-    head, comments, end = "", [], None
-    for block in blocks:
-        if not _plain(block):
+    def from_blocks(blocks: Iterator[str]):
+        found = _plain_head(blocks)
+        if found is None:
             return None
-        if end is None:             # up to and with the header line
-            head += block + "\n"
-            end = _header_end(head)
-            if end is None:
-                continue
-            head, block = head[:end], head[end:-1]
-        if "#" in block:
-            comments += (line + "\n" for line in block.split("\n")
-                         if line.strip().startswith("#"))
-    return head + "".join(comments)
+        head, comments = found[0], []
+        for block in found[1]:
+            if block is None:
+                return None
+            if "#" in block:        # before the split, which costs more
+                comments += (line + "\n" for line in block.split("\n")
+                             if line.strip().startswith("#"))
+        return header(head + "".join(comments))
+
+    return _parsed(path, from_blocks, header, files)
 
 
 def _located(path: Path, exc: DataError, lines: Sequence[int],
@@ -200,6 +225,22 @@ def _cell_float(path: Path, lines: list[int], row: int, column: str,
                    row)
 
 
+def _columns(header: list[str], names: tuple[str, ...],
+             cells: list) -> dict[str, list | np.ndarray] | None:
+    """Each ``header`` column's cells, from ``cells``, the cells of whole
+    rows one row after another: a float64 array for each column of
+    ``names`` and a list for each other column; None when a cell of
+    ``names`` does not convert to a finite float."""
+    width = len(header)
+    try:
+        columns = {c: np.array(cells[i::width], dtype=float) if c in names
+                   else cells[i::width] for i, c in enumerate(header)}
+    except ValueError:
+        return None
+    return columns if all(np.isfinite(columns[c]).all() for c in names) \
+        else None
+
+
 _Columns = tuple[dict[str, str], dict[str, list | np.ndarray], Sequence[int]]
 
 
@@ -212,24 +253,15 @@ def _cell_columns(
     ``DataError``."""
     meta, header, rows, lines = _table(path, text,
                                        (*text_columns, *float_columns))
-    index = {name: i for i, name in enumerate(header)}
     names = tuple(header) if all_float else float_columns
-    cells = rows if all_float else [[row[index[c]] for c in names]
-                                    for row in rows]
-    try:
-        numbers = np.array(cells, dtype=float).reshape(len(rows), len(names))
-        finite = np.isfinite(numbers).all()
-    except ValueError:
-        finite = False
-    if not finite:      # bad input only: find the offending cell one by one
-        numbers = np.array([
-            [_cell_float(path, lines, i, c, cell)
-             for c, cell in zip(names, row)]
-            for i, row in enumerate(cells)
-        ]).reshape(len(rows), len(names))
-    floats = dict(zip(names, np.ascontiguousarray(numbers.T)))
-    return meta, {c: floats[c] if c in floats else [row[i] for row in rows]
-                  for i, c in enumerate(header)}, lines
+    columns = _columns(header, names, list(chain.from_iterable(rows)))
+    if columns is None:     # bad input only: find the bad cell one by one
+        index = {c: header.index(c) for c in names}
+        for i, row in enumerate(rows):
+            for c, j in index.items():
+                row[j] = _cell_float(path, lines, i, c, row[j])
+        columns = _columns(header, names, list(chain.from_iterable(rows)))
+    return meta, columns, lines
 
 
 # bytes of a file read at a time, and about the characters of a table
@@ -269,7 +301,7 @@ def _file_blocks(file, digest) -> Iterator[str]:
 
 
 def _regular_columns(
-    path: Path, blocks: Iterable[str], text_columns: tuple[str, ...],
+    path: Path, blocks: Iterator[str], text_columns: tuple[str, ...],
     float_columns: tuple[str, ...], all_float: bool = False,
 ) -> _Columns | None:
     """``_cell_columns`` of a regular text, parsed a column at a time from
@@ -278,47 +310,37 @@ def _regular_columns(
 
     Regular text is plain (``_plain``), has a header line that ``_table``
     accepts, no ``#`` and no blank line after its header line, and the
-    header's field count on every data line.  Its float cells convert as
-    ``_cell_columns`` converts them; a cell that does not convert to a
+    header's field count on every data line.  Its cells become columns as
+    in ``_cell_columns`` (``_columns``); a cell that does not convert to a
     finite float, or any cell over csv's field size limit, makes the text
     irregular, so its error or its value comes from the per-cell path.
 
-    The header is parsed once, from the blocks up to the header line; each
-    block is then checked, split and converted before the next is taken,
-    so the parse holds one block's cells and the float columns; a float
-    column of more than one block is concatenated once at the end.
+    The header is parsed once (``_plain_head``); each block is then
+    checked, split and converted before the next is taken, so the parse
+    holds one block's cells and the float columns, each joined once at the
+    end.
     """
-    blocks = iter(blocks)
-    head = ""
-    for block in blocks:            # up to and with the header line
-        if not _plain(block):
-            return None
-        head += block + "\n"
-        end = _header_end(head)
-        if end is not None:
-            break
-    else:
+    found = _plain_head(blocks)
+    if found is None:
         return None
+    head, blocks = found
     try:
-        meta, header, _, _ = _table(path, head[:end],
-                                    (*text_columns, *float_columns))
+        meta, header = _table(path, head, (*text_columns, *float_columns))[:2]
     except DataError:       # raised again, in file order, by the per-cell path
         return None
     width = len(header)
     names = tuple(header) if all_float else float_columns
     columns: dict = {c: [] for c in header}
     pieces: dict = {c: [] for c in names}
-    texts = [(i, c) for i, c in enumerate(header) if c not in pieces]
     rows = 0
-    first = head.count("\n", 0, end - 1) + 2      # the first data line
-    # the lines after the header line in its block, then the other blocks
-    blocks = chain([head[end:-1]] if end < len(head) else [], blocks)
+    first = head.count("\n") + 1        # the first data line
     del head
     for block in blocks:
+        if block is None or "#" in block:
+            return None
         lines = block.split("\n")
         # a blank line has the field count of a header of one column
-        if not _plain(block) or "#" in block or set(map(
-                str.count, lines, repeat(","))) != {width - 1} \
+        if set(map(str.count, lines, repeat(","))) != {width - 1} \
                 or width == 1 and not all(map(str.strip, lines)):
             return None
         del lines
@@ -328,19 +350,16 @@ def _regular_columns(
         if len(block) > limit and max(map(len, cells)) > limit:
             return None
         del block
-        for i, c in texts:
-            columns[c] += cells[i::width]
-        try:
-            values = [np.array(cells[header.index(c)::width], dtype=float)
-                      for c in names]
-        except ValueError:
+        part = _columns(header, names, cells)
+        if part is None:
             return None
-        if not all(np.isfinite(v).all() for v in values):
-            return None
-        for c, v in zip(names, values):
-            pieces[c].append(v)
         rows += len(cells) // width
-        del cells           # before the next block is taken
+        for c, column in part.items():
+            if c in pieces:
+                pieces[c].append(column)
+            else:
+                columns[c] += column
+        del cells, part, column     # before the next block is taken
     for c in names:     # each column's pieces are freed once it is joined
         parts = pieces.pop(c)
         columns[c] = parts[0] if len(parts) == 1 else np.concatenate(
@@ -360,39 +379,20 @@ def _read_columns(
     name the columns that must be there; the float columns are
     ``float_columns``, or with ``all_float`` every header column.
 
-    The file is opened once and a regular text (``_regular_columns``) is
-    read and parsed a block at a time (``_file_blocks``); any other text is
-    parsed a cell at a time from one full read of the same open file, with
-    the same values and the same errors.  The sha256 of the bytes parsed
-    must be ``sha256`` when that is given; it is checked before the per-cell
-    parse and before any key or value check.  ``files``, when given,
-    receives it under ``path`` once the file parses.
+    A regular text (``_regular_columns``) is parsed a block at a time, any
+    other a cell at a time (``_cell_columns``), with the same values and
+    errors, through ``_parsed`` as ``read_header`` reads: the sha256 of the
+    bytes parsed must be ``sha256`` when that is given, checked before any
+    key or value check, and ``files``, when given, receives it.
     ``key`` names the columns that identify a measurement: a repeated key
     raises ``DuplicateKey`` naming both lines, comparing numeric cells as
     floats (``10`` and ``10.0`` are one point).  ``codes``, when given,
     receives the ``_codes`` of the text columns of ``key``, for ``_groups``.
     """
-    digest = None if files is None and sha256 is None else hashlib.sha256()
-    with open(path, "rb") as file:
-        parsed = _regular_columns(path, _file_blocks(file, digest),
-                                  text_columns, float_columns, all_float)
-        if parsed is None:
-            file.seek(0)
-            data = file.read()
-            if digest is not None:
-                digest = hashlib.sha256(data)
-    if sha256 is not None and digest.hexdigest() != sha256:
-        raise DataError(f"{path}: digest {digest.hexdigest()} does not match "
-                        f"registered {sha256}")
-    if parsed is None:
-        text = _utf8(data, path)
-        del data
-        parsed = _cell_columns(path, text, text_columns, float_columns,
-                               all_float)
-        del text
-    if files is not None:
-        files[path] = digest.hexdigest()
-    meta, columns, lines = parsed
+    wanted = (text_columns, float_columns, all_float)
+    meta, columns, lines = _parsed(
+        path, lambda blocks: _regular_columns(path, blocks, *wanted),
+        lambda text: _cell_columns(path, text, *wanted), files, sha256)
     codes = {} if codes is None else codes
     codes.update((c, _codes(columns[c])) for c in key if c in text_columns)
     _refuse_repeats(path, columns, codes, key, lines)
@@ -459,7 +459,6 @@ def _records(path: Path, columns: dict, lines: Sequence[int],
     except DataError as exc:
         raise _located(path, exc, lines, len(records)) from None
     return records
-
 
 
 def table_blocks(header: Sequence[str], columns: Sequence[Sequence],

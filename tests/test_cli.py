@@ -1486,16 +1486,20 @@ sys.exit(max(map(main, argvs)))
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="the CPU targets named are those of x86-64")
-def test_pinned_bundles_hold_on_older_kernels(tmp_path):
-    """Both pinned bundles, and so the exact golden check, and the pinned
-    ``synth`` outputs come out the same with OpenBLAS's Sandybridge kernels
-    and without NumPy's AVX-512 loops, set for a child process only."""
+def test_pinned_bundles_hold_on_older_kernels(tmp_path, capsys):
+    """Both pinned bundles, and so the exact golden check, the pinned
+    ``synth`` outputs and the ``analyze frf`` table of the pinned sweep come
+    out the same with OpenBLAS's Sandybridge kernels and without NumPy's
+    AVX-512 loops, set for a child process only.  The FRF table differed in
+    its last digits while its projections were BLAS dot products."""
     data, example_out = tmp_path / "data", tmp_path / "example"
     _generated_registration(data)
+    sweep = str(tmp_path / "sweep.csv")
     argvs = [["example", "--out", str(example_out)],
              _score_argv(data, tmp_path / "generated"),
              *(_synth_argv(kind, tmp_path / f"{kind}.csv")
-               for kind in SYNTH_PINS)]
+               for kind in SYNTH_PINS),
+             ["analyze", "frf", sweep, "--out", str(tmp_path / "frf.csv")]]
     result = run_python(
         "-W", "error::ImportWarning", "-c", BASELINE_KERNELS_SCRIPT,
         AVX512_TARGETS, json.dumps(argvs),
@@ -1508,6 +1512,10 @@ def test_pinned_bundles_hold_on_older_kernels(tmp_path):
         == GENERATED_MANIFEST_SHA256
     for kind, (_, digest) in SYNTH_PINS.items():
         assert _sha256(tmp_path / f"{kind}.csv") == digest, kind
+    assert main(["analyze", "frf", sweep, "--out", str(tmp_path / "own.csv")]
+                ) == 0
+    assert (tmp_path / "frf.csv").read_bytes() \
+        == (tmp_path / "own.csv").read_bytes()
 
 
 class TestOneReadOneHash:
@@ -1960,6 +1968,34 @@ class TestValidatePrereg:
             "binding: FAIL",
             f"  bands.csv: digest {digest} does not match registered "
             f"{'f' * 64}"]
+
+    def test_band_digest_must_be_yaml_text(self, data_dir, tmp_path, capsys):
+        """A ``sha256:`` that YAML reads as a number was registered as the
+        number's text (64 zeros as ``0``), so it could never bind; both
+        commands now refuse it at parse, and a quoted digest still binds
+        with the registration digest of the unquoted one."""
+        prereg = data_dir / "prereg.yaml"
+        digest = _sha256(data_dir / "bands.csv")
+        registered = f"    sha256: {digest}\n"
+        text = prereg.read_text()
+        assert text.count(registered) == 1
+        validate = _hlas_argv("validate-prereg", data_dir, None, None)
+        assert main(validate) == 0
+        plain = capsys.readouterr().out
+        prereg.write_text(text.replace(registered,
+                                       f"    sha256: {'0' * 64}\n"))
+        for command in ("validate-prereg", "score"):
+            out = tmp_path / command
+            assert main(_hlas_argv(command, data_dir, None, out)) == 2
+            assert capsys.readouterr() == ("", (
+                "error: InvalidDeclaration: bands: bands.csv: sha256: 0 is "
+                "not text; quote the digest\n"))
+            assert not out.exists()
+        prereg.write_text(text.replace(registered,
+                                       f'    sha256: "{digest}"\n'))
+        assert main(validate) == 0
+        assert capsys.readouterr().out == plain
+        assert main(_hlas_argv("score", data_dir, None, tmp_path / "r")) == 0
 
     def test_digest_names_every_significant_digit(self, data_dir, capsys):
         """The two thermal targets are one float rounded to 12 significant

@@ -764,7 +764,11 @@ class TestColumnWiseParse:
                                 files=files)
             assert files == {path: sha256_hex(text.encode())}
             assert got[0] == meta
-            assert read_header(path)[0] == meta
+            # the header read records the digest the table read records,
+            # whichever of the two paths each takes
+            read = {}
+            assert read_header(path, read)[0] == meta
+            assert read == files
             assert list(got[2]) == lines
             for c in text_columns:
                 assert got[1][c] == columns[c]
@@ -918,12 +922,13 @@ class TestStreamedLog:
                 return
             assert not _is_regular(path, (), LOG_COLUMNS, all_float=True)
             line = data[:data.index(b"\xff")].count(b"\n") + 1
-            files = {}
-            with pytest.raises(DataError) as raised:
-                read_log(path, files=files)
-            assert str(raised.value) \
-                == f"{path}: line {line}: byte 0xff is not UTF-8 text"
-            assert files == {}
+            for read in (read_log, read_header):
+                files = {}
+                with pytest.raises(DataError) as raised:
+                    read(path, files=files)
+                assert str(raised.value) \
+                    == f"{path}: line {line}: byte 0xff is not UTF-8 text"
+                assert files == {}
 
 
 # cells of a drawn column: (Python values, NumPy dtype or None for a list)

@@ -102,3 +102,15 @@ def test_only_the_registration_reader_imports_yaml():
                for path in PACKAGE.glob("*.py")}
     assert {name: found for name, found in imports.items() if found} == \
         {"prereg": ["_yaml_reader"]}
+
+
+def test_tables_opens_a_file_for_reading_in_one_place():
+    """``read_header`` and ``_read_columns`` share one open, hash and
+    full-read fallback (``tables._parsed``), so no reader can bind or
+    record a digest by a second copy of it."""
+    reads = [node.lineno for node in ast.walk(_tree("tables"))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "open" and any(
+                 isinstance(arg, ast.Constant) and arg.value == "rb"
+                 for arg in node.args[1:2])]
+    assert len(reads) == 1, reads

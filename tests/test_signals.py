@@ -140,6 +140,24 @@ class TestComputeFrf:
             want_phase = math.degrees(np.angle(response[p.freq]))
             assert p.phase == pytest.approx(want_phase, abs=1.0)
 
+    def test_projection_matches_the_dot_product_reference(self):
+        """The exactly rounded ``fsum`` projection against the ``np.dot``
+        projection it replaced, whose summation order is the BLAS
+        kernel's: within a few float64 roundings of the sum's size."""
+        act = SyntheticActuator(crossover_true=7.0)
+        freqs = [1.0, 2.0, 5.0, 10.0, 20.0, 30.0]
+        log = generate_sweep_log(act, freqs, 4.0, noise_std=0.02, seed=5)
+        for f in freqs:
+            cycles = int(float(log.t[-1] - log.t[0]) * f)
+            sel = log.t < log.t[0] + cycles / f + 1e-12
+            phase = 2.0 * np.pi * f * (log.t[sel] - log.t[0])
+            basis = np.cos(phase) - 1j * np.sin(phase)
+            want = (np.dot(log.torque[sel], basis)
+                    / np.dot(log.torque_cmd[sel], basis))
+            got = signals.single_frequency_response(
+                log.t, log.torque_cmd, log.torque, f)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_insufficient_cycles(self):
         log = make_log(duration=2.0,
                        torque_cmd=np.sin(np.arange(2001) / FS),
