@@ -16,17 +16,17 @@ excluded from scoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, isinf
 
 from .errors import DegenerateInterval, EmptyAxisSet, InvalidRecord
+from .record import record
 
 ROM_CATEGORIES = ("active", "passive", "functional")
 
 COUPLING_THRESHOLD = 0.10  # max cross-axis coupling, fraction RMS
 
 
-@dataclass(frozen=True)
+@record
 class RomInterval:
     """Closed angular interval [lo, hi] in degrees on a signed axis."""
 
@@ -57,7 +57,7 @@ class RomInterval:
         return (hi - lo) / width
 
 
-@dataclass(frozen=True)
+@record
 class JointDofRecord:
     """DoF bookkeeping for one joint (one side, or midline)."""
 
@@ -74,7 +74,7 @@ class JointDofRecord:
             )
 
 
-@dataclass(frozen=True)
+@record
 class AxisActuationReport:
     """Outcome of the independent-actuation check for one axis."""
 

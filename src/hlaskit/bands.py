@@ -14,7 +14,6 @@ records are built only when ``.samples`` is read.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from math import fsum, isfinite, nan
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import (
     InvalidRecord,
     SampleMismatch,
 )
+from .record import field, record
 
 
 class SampleView(Sequence):
@@ -67,7 +67,7 @@ def _finite_columns(copy: bool = True, **columns) -> list[np.ndarray]:
 
 
 class Columnar:
-    """Base of the frozen dataclasses that hold samples as float64 columns.
+    """Base of the frozen records that hold samples as float64 columns.
 
     ``_store_columns`` keeps each named field as a read-only array from
     ``_finite_columns``.
@@ -83,7 +83,7 @@ class Columnar:
         return len(arrays[0])
 
 
-@dataclass(frozen=True)
+@record
 class DemandSample:
     """Human demand at one (q, omega) point of a band: a record of
     ``OperatingBand.samples``."""
@@ -125,7 +125,7 @@ class PointTable:
         return len(self._keys) - 1
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class OperatingBand(Columnar):
     """Discretized demand field for one joint-task pair, one column per
     quantity.  ``weight`` (by ``normalize_weights``), ``points`` (each
@@ -138,10 +138,10 @@ class OperatingBand(Columnar):
     omega: np.ndarray        # joint rate, rad/s
     torque_hum: np.ndarray   # Nm
     power_hum: np.ndarray    # W
-    weight: np.ndarray = field(init=False, repr=False)
-    points: np.ndarray = field(init=False, repr=False)
-    positive: np.ndarray = field(init=False, repr=False)
-    total_weight: float = field(init=False, repr=False)
+    weight: np.ndarray = field(init=False)
+    points: np.ndarray = field(init=False)
+    positive: np.ndarray = field(init=False)
+    total_weight: float = field(init=False)
 
     def __post_init__(self) -> None:
         n = self._store_columns("q", "omega", "torque_hum", "power_hum")

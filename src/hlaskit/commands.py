@@ -11,7 +11,6 @@ beside it.
 from __future__ import annotations
 
 import sys
-from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from .errors import DataError
 from .example import ALPHA_ALT, example_data_dir, run_and_check_example
 from .prereg import canonical_json, load_preregistration_file
 from .readers import read_bands, read_capability_map, write_capability_map
+from .record import fields, replace
 from .scoring import gated_hlas, hlas
 from .signals import (
     TimeSeriesLog,

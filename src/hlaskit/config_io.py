@@ -15,7 +15,6 @@ plainly, as ``BINDING_NOTE``, with every binding report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,6 +46,7 @@ from .readers import (
     read_rom_file,
     read_thermal_file,
 )
+from .record import record, replace
 from .scoring import PairInputs, ScoreBreakdown, hlas
 from .signals import CHANNELS, TimeSeriesLog
 from .tables import (
@@ -123,7 +123,7 @@ BINDING_NOTE = ("timestamps are advisory: ordering is verified, "
                 "provenance cannot be proven")
 
 
-@dataclass(frozen=True)
+@record
 class BindingReport:
     passed: bool
     findings: tuple[str, ...]
@@ -188,7 +188,7 @@ def verify_prereg_binding(
 # measurement-set assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class MeasurementSet:
     bands: dict[tuple[str, str], OperatingBand]
     capabilities: dict[str, CapabilityMap]
@@ -307,7 +307,7 @@ def build_pairs(
     return pairs
 
 
-@dataclass(frozen=True)
+@record
 class ScoredRegistration:
     prereg: Preregistration         # as registered
     scheme: WeightScheme            # as scored, with the updates
@@ -367,7 +367,7 @@ TASK_TRIAL_COLUMNS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class ReportBundle:
     out_dir: Path
     manifest: Path

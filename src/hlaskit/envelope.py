@@ -16,7 +16,6 @@ interpolating would invent capability that was never measured.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from math import fsum
 
 import numpy as np
@@ -31,13 +30,14 @@ from .errors import (
     ZeroRequirement,
 )
 from .prereg import MARGIN_METHODS
+from .record import field, record
 
 
 def clip01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-@dataclass(frozen=True)
+@record
 class CapabilitySample:
     """Continuous-safe robot torque at one (q, omega) point: a record of
     ``CapabilityMap.samples``."""
@@ -47,7 +47,7 @@ class CapabilitySample:
     torque_rob: float   # Nm, magnitude on the task-signed axis
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CapabilityMap(Columnar):
     """Continuous-safe torque for one joint axis, one column per quantity.
 
@@ -63,7 +63,7 @@ class CapabilityMap(Columnar):
     omega: np.ndarray        # rad/s
     torque_rob: np.ndarray   # Nm, magnitude on the task-signed axis
     conditions: str
-    table: PointTable = field(init=False, repr=False)
+    table: PointTable = field(init=False)
 
     def __post_init__(self) -> None:
         self._store_columns("q", "omega", "torque_rob")
@@ -86,7 +86,7 @@ class CapabilityMap(Columnar):
                           [self.q, self.omega, self.torque_rob])
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class HeeResult:
     """Coverage and, per band sample in band order, the point, its weight
     and whether the robot met the torque and the power demand there."""
@@ -207,7 +207,7 @@ def rate_margin(omega_max: float, omega_req: float) -> float:
     return clip01(omega_max / omega_req)
 
 
-@dataclass(frozen=True)
+@record
 class MarginReport:
     torque_margin: float
     power_margin: float

@@ -11,12 +11,12 @@ weights, task gating) are pinned by the acceptance suite.  It is scored by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import zip_longest
 from pathlib import Path
 
 from .config_io import ScoredRegistration, emit_report, score_registration
 from .errors import GoldenMismatch
+from .record import record, replace
 from .scoring import hlas
 from .tables import sha256_hex, write_table
 
@@ -36,7 +36,7 @@ def example_data_dir() -> Path:
     return Path(__file__).with_name("example_data")
 
 
-@dataclass(frozen=True)
+@record
 class ExampleRun:
     scored: ScoredRegistration
     hlas_headroom: float      # with the 0.10 demand headroom

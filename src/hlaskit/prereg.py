@@ -17,7 +17,6 @@ so a registration is read and checked by code that cannot compute a score.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from functools import cache
 from math import fsum, inf, isfinite
@@ -32,6 +31,7 @@ from .errors import (
     WeightSumViolation,
     ZeroTarget,
 )
+from .record import field, record
 from .tables import _utf8, sha256_hex
 
 MARGIN_METHODS = ("min", "quantile10")
@@ -62,7 +62,7 @@ def _check_weights(weights: dict[str, float], label: str) -> float:
     return total
 
 
-@dataclass(frozen=True)
+@record
 class WeightScheme:
     """Pre-registered weights, targets, and guardrail parameters.
 
@@ -156,13 +156,13 @@ def _finite(value, kind: type = float) -> float | None:
     return number if isfinite(number) else None
 
 
-@dataclass(frozen=True)
+@record
 class BandRef:
     file: str
     sha256: str
 
 
-@dataclass(frozen=True)
+@record
 class Preregistration:
     scheme: WeightScheme
     bands: tuple[BandRef, ...]

@@ -13,7 +13,6 @@ Each level divides by the actual sum of its weights (validated to be within
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from math import fsum, isfinite
 
 from .atlas import (
@@ -34,10 +33,11 @@ from .errors import (
     ZeroTarget,
 )
 from .prereg import FEATURE_NAMES, WeightScheme, _check_weights
+from .record import fields, record
 from .signals import task_weighted_efficiency
 
 
-@dataclass(frozen=True)
+@record
 class FeatureVector:
     """The six factors for one joint-task pair, each in [0, 1]."""
 
@@ -68,7 +68,7 @@ def weighted_mean(values: dict[str, float], weights: dict[str, float],
     return fsum(weights[k] * values[k] for k in weights) / total
 
 
-@dataclass(frozen=True)
+@record
 class PairInputs:
     """Everything measured or referenced for one joint-task pair; a scalar
     that is NaN or infinite raises ``InvalidRecord``."""
@@ -97,7 +97,7 @@ class PairInputs:
                                     f"{value!r} is not finite")
 
 
-@dataclass(frozen=True)
+@record
 class ScoreBreakdown:
     hlas: float
     task_scores: dict[str, float]

@@ -12,8 +12,7 @@ global state, so logs may be processed concurrently.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from math import atan2, degrees, exp, fsum, isnan, log, nan, sqrt
+from math import atan2, degrees, exp, fsum, isnan, log, log10, nan, sqrt
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .errors import (
     RankDeficient,
     WindowTooLong,
 )
+from .record import record
 
 MIN_SAMPLE_RATE_HZ = 1000.0   # logs below this rate are rejected at load
 MIN_CYCLES = 5                # excitation cycles needed per probe frequency
@@ -48,7 +48,7 @@ CHANNELS = ("t", "q", "omega", "torque", "torque_cmd", "v_bus", "i_bus",
             "temp_motor", "temp_gear")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TimeSeriesLog:
     """Synchronized multichannel measurement record sampled at >= 1 kHz.
 
@@ -93,7 +93,7 @@ class TimeSeriesLog:
         return float(self.t[-1] - self.t[0])
 
 
-@dataclass(frozen=True)
+@record
 class FrfPoint:
     freq: float        # Hz
     magnitude: float   # dimensionless actual/commanded amplitude ratio
@@ -106,7 +106,7 @@ class FrfPoint:
             raise ValueError("FRF magnitude must be >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class CrossoverResult:
     """-3 dB crossover of a torque-tracking FRF.
 
@@ -121,7 +121,7 @@ class CrossoverResult:
     crossings: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class FrictionFit:
     """Parameters of tau ~ J*domega + b*omega + fc*sign(omega)."""
 
@@ -132,7 +132,7 @@ class FrictionFit:
     residual_rms: float   # Nm
 
 
-@dataclass(frozen=True)
+@record
 class PlateauResult:
     torque_cont: float            # Nm, largest slope-compliant windowed mean
     time_to_derate: float | None  # s, from the command channel; None if never
@@ -140,7 +140,7 @@ class PlateauResult:
     final_temp_gear: float
 
 
-@dataclass(frozen=True)
+@record
 class PowerBalanceResult:
     passed: bool
     mech_energy_j: float
@@ -223,8 +223,8 @@ def find_crossover(frf: list[FrfPoint]) -> CrossoverResult:
     if any(b <= a for a, b in zip(freqs, freqs[1:])):
         raise ValueError("FRF points must be sorted by increasing frequency")
 
-    target_db = 20.0 * np.log10(CROSSOVER_MAGNITUDE)
-    mags_db = [20.0 * np.log10(max(p.magnitude, 1e-12)) for p in frf]
+    target_db = 20.0 * log10(CROSSOVER_MAGNITUDE)
+    mags_db = [20.0 * log10(max(p.magnitude, 1e-12)) for p in frf]
 
     crossings = []
     for i in range(len(frf) - 1):

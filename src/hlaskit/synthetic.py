@@ -14,13 +14,13 @@ by a drive efficiency, plus copper and idle losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from math import exp, inf, log, sqrt
 
 import numpy as np
 
 from .envelope import CapabilityMap
 from .errors import NoiseLevel, NoiseSeed, PlantParameter, TemperatureLimit
+from .record import fields, record
 from .signals import TimeSeriesLog, estimate_rate_derivative
 
 SAMPLE_RATE_HZ = 1000.0           # every generated log
@@ -58,7 +58,7 @@ def _time_column(duration: float) -> np.ndarray:
             f"{SAMPLE_RATE_HZ:g} Hz, more than can be allocated") from None
 
 
-@dataclass(frozen=True)
+@record
 class SyntheticActuator:
     """Parameter set for the minimal joint plant."""
 
@@ -90,7 +90,7 @@ class SyntheticActuator:
         return self.copper_loss_coeff * torque**2 * self.thermal_resistance
 
 
-@dataclass(frozen=True)
+@record
 class DutyProfile:
     """Duty-cycle description for thermal tests.
 

@@ -18,7 +18,6 @@ of reach.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +43,7 @@ from hlaskit.prereg import (
     canonical_json,
     load_preregistration,
 )
+from hlaskit.record import replace
 from hlaskit.scoring import (
     FeatureVector,
     PairInputs,

@@ -14,7 +14,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +43,7 @@ from hlaskit.readers import (
     read_rom_file,
     read_thermal_file,
 )
+from hlaskit.record import replace
 from hlaskit.scoring import hlas
 from hlaskit.signals import (
     DEFAULT_PLATEAU_WINDOW_S,
@@ -1488,18 +1488,22 @@ sys.exit(max(map(main, argvs)))
                     reason="the CPU targets named are those of x86-64")
 def test_pinned_bundles_hold_on_older_kernels(tmp_path, capsys):
     """Both pinned bundles, and so the exact golden check, the pinned
-    ``synth`` outputs and the ``analyze frf`` table of the pinned sweep come
-    out the same with OpenBLAS's Sandybridge kernels and without NumPy's
-    AVX-512 loops, set for a child process only.  The FRF table differed in
-    its last digits while its projections were BLAS dot products."""
+    ``synth`` outputs and the ``analyze frf`` tables of the pinned sweep
+    and of a 25 Hz pole's come out the same with OpenBLAS's Sandybridge
+    kernels and without NumPy's AVX-512 loops, set for a child process
+    only.  The FRF table differed in its last digits while its projections
+    were BLAS dot products, and the 25 Hz pole's crossover while its dB
+    were NumPy's ``log10``."""
     data, example_out = tmp_path / "data", tmp_path / "example"
     _generated_registration(data)
-    sweep = str(tmp_path / "sweep.csv")
+    sweeps = [tmp_path / "sweep.csv", tmp_path / "pole25.csv"]
     argvs = [["example", "--out", str(example_out)],
              _score_argv(data, tmp_path / "generated"),
              *(_synth_argv(kind, tmp_path / f"{kind}.csv")
                for kind in SYNTH_PINS),
-             ["analyze", "frf", sweep, "--out", str(tmp_path / "frf.csv")]]
+             ["synth", "sweep", "--pole", "25", "--out", str(sweeps[1])],
+             *(["analyze", "frf", str(sweep), "--out",
+                str(sweep.with_suffix(".frf"))] for sweep in sweeps)]
     result = run_python(
         "-W", "error::ImportWarning", "-c", BASELINE_KERNELS_SCRIPT,
         AVX512_TARGETS, json.dumps(argvs),
@@ -1512,10 +1516,11 @@ def test_pinned_bundles_hold_on_older_kernels(tmp_path, capsys):
         == GENERATED_MANIFEST_SHA256
     for kind, (_, digest) in SYNTH_PINS.items():
         assert _sha256(tmp_path / f"{kind}.csv") == digest, kind
-    assert main(["analyze", "frf", sweep, "--out", str(tmp_path / "own.csv")]
-                ) == 0
-    assert (tmp_path / "frf.csv").read_bytes() \
-        == (tmp_path / "own.csv").read_bytes()
+    for sweep in sweeps:
+        own = sweep.with_suffix(".own")
+        assert main(["analyze", "frf", str(sweep), "--out", str(own)]) == 0
+        assert sweep.with_suffix(".frf").read_bytes() == own.read_bytes(), \
+            sweep.name
 
 
 class TestOneReadOneHash:

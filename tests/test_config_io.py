@@ -1,7 +1,6 @@
 import math
 import shutil
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -44,6 +43,7 @@ from hlaskit.readers import (
     read_thermal_file,
     write_capability_map,
 )
+from hlaskit.record import replace
 from hlaskit.signals import TimeSeriesLog
 from hlaskit.synthetic import SyntheticActuator, generate_backdrive_log
 from hlaskit.tables import (

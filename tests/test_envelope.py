@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +23,7 @@ from hlaskit.errors import (
     ZeroDemandWarning,
     ZeroRequirement,
 )
+from hlaskit.record import replace
 from hlaskit.tables import fmt, table_blocks
 
 # ankle push-off during walking: the fully worked rate sweep

@@ -1,6 +1,7 @@
 """The module layout: the table engine, the registration and the
 measurement readers cannot reach the scorer, no module is compiled as one
-large unit, and only the registration reader imports PyYAML."""
+large unit, only the registration reader imports PyYAML, and no class is
+built by ``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -102,6 +103,48 @@ def test_only_the_registration_reader_imports_yaml():
                for path in PACKAGE.glob("*.py")}
     assert {name: found for name, found in imports.items() if found} == \
         {"prereg": ["_yaml_reader"]}
+
+
+def _decorator_name(node: ast.expr) -> str:
+    """``dataclass`` for ``@dataclass``, ``@dataclass(...)`` and
+    ``@dataclasses.dataclass``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", ""))
+
+
+def test_no_module_applies_dataclass():
+    """``dataclasses`` compiles each decorated class's methods with ``exec``
+    when the module is imported, which was most of the time and memory of
+    ``import hlaskit.cli``; ``record.record`` builds the records instead."""
+    applied = {path.stem: [node.name for node in ast.walk(_tree(path.stem))
+                           if isinstance(node, ast.ClassDef)
+                           and any(_decorator_name(d) == "dataclass"
+                                   for d in node.decorator_list)]
+               for path in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in applied.items() if found} == {}
+
+
+def _dataclasses_imports(tree: ast.Module) -> list[str]:
+    """The names that ``tree`` imports from ``dataclasses`` (the module's
+    own name for ``import dataclasses``)."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and not node.level \
+                and node.module.split(".")[0] == "dataclasses":
+            names += [alias.name for alias in node.names]
+    return names
+
+
+def test_only_record_imports_from_dataclasses():
+    """``record`` takes ``FrozenInstanceError`` from ``dataclasses``, the
+    error a frozen record raises; no other module imports it."""
+    imports = {path.stem: _dataclasses_imports(_tree(path.stem))
+               for path in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in imports.items() if found} == \
+        {"record": ["FrozenInstanceError"]}
 
 
 def test_tables_opens_a_file_for_reading_in_one_place():

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +17,7 @@ from hlaskit.errors import (
     ZeroTarget,
 )
 from hlaskit.prereg import DEFAULT_FEATURE_WEIGHTS, FEATURE_NAMES, WeightScheme
+from hlaskit.record import replace
 from hlaskit.scoring import (
     FeatureVector,
     bandwidth_factor,

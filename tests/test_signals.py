@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from hlaskit.errors import (
     SampleMismatch,
     WindowTooLong,
 )
+from hlaskit.record import fields
 from hlaskit.signals import (
     FrfPoint,
     TimeSeriesLog,
@@ -351,6 +351,10 @@ def test_order_statistics_match_numpy_bit_for_bit(values):
     assert math.isnan(signals._median(values))
 
 
+def _values(fit) -> list:
+    return [getattr(fit, field.name) for field in fields(fit)]
+
+
 @pytest.mark.parametrize("seed, duration, noise", [
     (0, 10.0, 0.01), (1, 6.001, 0.05), (2, 25.001, 0.2), (3, 10.0, 1.0),
     (4, 5.001, 0.5)])
@@ -361,13 +365,13 @@ def test_fit_friction_matches_numpy_order_statistics(seed, duration, noise,
     ``np.percentile``."""
     log = generate_backdrive_log(SyntheticActuator(), duration=duration,
                                  noise_std=noise, seed=seed)
-    fit = astuple(fit_friction(log))
+    fit = _values(fit_friction(log))
     monkeypatch.setattr(signals, "_median",
                         lambda values: float(np.median(values)))
     monkeypatch.setattr(signals, "_percentile95",
                         lambda values: float(np.percentile(values, 95)))
     assert [v.hex() for v in fit] == \
-        [v.hex() for v in astuple(fit_friction(log))]
+        [v.hex() for v in _values(fit_friction(log))]
 
 
 class TestDetectPlateau:

@@ -1,5 +1,4 @@
 import re
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from hlaskit.errors import (
     TemperatureLimit,
     ValidationError,
 )
+from hlaskit.record import fields
 from hlaskit.signals import (
     compute_frf,
     detect_plateau,
