@@ -12,10 +12,11 @@ global state, so logs may be processed concurrently.
 from __future__ import annotations
 
 import warnings
-from math import atan2, degrees, exp, fsum, isnan, log, log10, nan, sqrt
+from math import atan2, degrees, exp, fsum, isnan, ldexp, log, log10, nan, sqrt
 
 import numpy as np
 
+from . import lsq
 from .bands import OperatingBand, PointTable, _finite_columns, measured_at
 from .errors import (
     AliasedFrequency,
@@ -317,6 +318,11 @@ def fit_friction(log: TimeSeriesLog) -> FrictionFit:
     the median absolute residual), which keeps contact spikes and sensor
     glitches from biasing the fit.  Assumes gravity was already compensated
     when the log was recorded.
+
+    The regressors and the torque are each scaled exactly by a power of
+    two and solved by ``lsq``'s QR: the same bits on every machine, and
+    torque times 2**k scales every field by 2**k.  Regressors whose
+    singular values differ by over 1e12 times are refused as collinear.
     """
     omega, tau = log.omega, log.torque
 
@@ -329,35 +335,31 @@ def fit_friction(log: TimeSeriesLog) -> FrictionFit:
     if float(np.max(np.abs(domega))) < 1e-9:
         raise InsufficientExcitation("no measurable acceleration in the log")
 
-    x = np.column_stack([domega, omega, np.sign(omega)])
-    sv = np.linalg.svd(x, compute_uv=False)
+    x, e_x = lsq.unit_scale(domega, omega, np.sign(omega))
+    (y,), e_y = lsq.unit_scale(tau)
+    r, qty = lsq.factor(x, y)
+    sv = lsq.singular_values(r)
     if sv[-1] < 1e-12 * sv[0]:
         raise RankDeficient("friction regressors are numerically collinear")
 
-    beta, *_ = np.linalg.lstsq(x, tau, rcond=None)
+    beta = lsq.solve(r, qty)
     for _ in range(IRLS_MAX_ITERATIONS):
-        resid = tau - x @ beta
+        resid = y - lsq.combine(x, beta)
         mad = _median(np.abs(resid))
         if mad <= 0:
             break
         thr = IRLS_MAD_MULTIPLE * mad
         w = np.minimum(1.0, thr / np.maximum(np.abs(resid), 1e-300))
         sw = np.sqrt(w)
-        beta_new, *_ = np.linalg.lstsq(x * sw[:, None], tau * sw, rcond=None)
-        if np.max(np.abs(beta_new - beta)) < 1e-12 * max(
-            1.0, float(np.max(np.abs(beta)))
-        ):
-            beta = beta_new
+        beta, prev = lsq.lstsq([column * sw for column in x], y * sw), beta
+        step = max(abs(a - b) for a, b in zip(beta, prev))
+        if step < 1e-12 * max(1.0, *map(abs, prev)):
             break
-        beta = beta_new
 
-    resid = tau - x @ beta
     return FrictionFit(
-        j_ref=float(beta[0]),
-        b_visc=float(beta[1]),
-        f_coulomb=float(beta[2]),
+        *(ldexp(b, e_y - e_x) for b in beta),   # j_ref, b_visc, f_coulomb
         backdrive_p95=_percentile95(np.abs(tau)),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
+        residual_rms=ldexp(lsq.rms(y - lsq.combine(x, beta)), e_y),
     )
 
 
@@ -447,11 +449,15 @@ def steady_trend(log: TimeSeriesLog) -> tuple[bool, float]:
     degC/min, against the 0.1 degC/min steady-trend limit.
 
     This is the test-termination criterion; the during-plateau limit used
-    by detect_plateau is a separate, much looser threshold in degC/s.
+    by detect_plateau is a separate, much looser threshold in degC/s.  The
+    slope is ``lsq``'s QR fit over time since the window starts, each axis
+    scaled exactly by a power of two: the same bits on every machine.
     """
     w = min(int(round(STEADY_TREND_WINDOW_S * log.sample_rate)), len(log.t))
-    slope_per_min = float(
-        np.polyfit(log.t[-w:], log.temp_motor[-w:], 1)[0]) * 60.0
+    t, temp = log.t[-w:], log.temp_motor[-w:]
+    x, e_x = lsq.unit_scale(np.ones(w), t - t[0])
+    (y,), e_y = lsq.unit_scale(temp)
+    slope_per_min = ldexp(lsq.lstsq(x, y)[1], e_y - e_x) * 60.0
     return slope_per_min < STEADY_SLOPE_LIMIT_C_PER_MIN, slope_per_min
 
 

@@ -50,6 +50,7 @@ from hlaskit.signals import (
     DEFAULT_SLOPE_LIMIT_C_PER_S,
     compute_frf,
     find_crossover,
+    fit_friction,
 )
 from hlaskit.synthetic import (
     DutyProfile,
@@ -1523,6 +1524,58 @@ def test_pinned_bundles_hold_on_older_kernels(tmp_path, capsys):
             sweep.name
 
 
+# fit_friction on four backdrive logs, (seed, duration s, noise Nm), and
+# steady_trend on a thermal log, as the hex of every field; a script, so
+# that a child process runs the same code as this one
+KERNEL_FITS_SCRIPT = """
+import json, sys
+from hlaskit.record import fields
+from hlaskit.signals import fit_friction, steady_trend
+from hlaskit.synthetic import (DutyProfile, SyntheticActuator,
+                               generate_backdrive_log,
+                               generate_thermal_duty_log)
+
+def fits():
+    hexes = []
+    for seed, duration, noise in [(0, 10.0, 0.01), (1, 6.001, 0.05),
+                                  (2, 25.001, 0.2), (3, 10.0, 1.0)]:
+        fit = fit_friction(generate_backdrive_log(
+            SyntheticActuator(), duration=duration, noise_std=noise,
+            seed=seed))
+        hexes.append([getattr(fit, f.name).hex() for f in fields(fit)])
+    act = SyntheticActuator(thermal_resistance=0.5, copper_loss_coeff=0.02,
+                            thermal_time_constant=10.0)
+    duty = DutyProfile(duration_s=150.0, temp_limit_c=150.0)
+    hexes.append(steady_trend(
+        generate_thermal_duty_log(act, duty, 40.0))[1].hex())
+    return hexes
+
+if __name__ == "__main__":
+    from numpy._core._multiarray_umath import __cpu_features__
+    targets = sys.argv[1].split()
+    assert not any(__cpu_features__.get(t) for t in targets), targets
+    print(json.dumps(fits()))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the CPU targets named are those of x86-64")
+def test_fits_hold_on_older_kernels():
+    """``fit_friction`` and ``steady_trend`` give the same bits with
+    OpenBLAS's Sandybridge kernels and without NumPy's AVX-512 loops, set
+    for a child process only.  All four fits differed in their last digits
+    while they were LAPACK's ``lstsq``, and the trend while it was
+    ``np.polyfit``."""
+    result = run_python(
+        "-c", KERNEL_FITS_SCRIPT, AVX512_TARGETS,
+        env={"OPENBLAS_CORETYPE": "Sandybridge",
+             "NPY_DISABLE_CPU_FEATURES": AVX512_TARGETS})
+    assert result.returncode == 0, result.stderr
+    namespace = {"__name__": "kernel_fits"}
+    exec(KERNEL_FITS_SCRIPT, namespace)
+    assert json.loads(result.stdout) == namespace["fits"]()
+
+
 class TestOneReadOneHash:
     def test_score_reads_each_input_once_and_no_output(self, data_dir,
                                                        tmp_path, file_reads):
@@ -1822,6 +1875,23 @@ class TestAnalyze:
                         if l.startswith(name))
             got = float(line.split("=")[1].split()[0])
             assert got == pytest.approx(value, rel=0.05)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-300])
+    def test_friction_of_extreme_torques(self, tmp_path, capsys, scale):
+        """Residuals near 1e157 have squares that overflow, and near
+        1e-302 squares that underflow; their RMS is still that of the
+        unscaled log times the scale, with no warning."""
+        log = generate_backdrive_log(SyntheticActuator(), duration=2.0,
+                                     noise_std=0.01, seed=1)
+        path = tmp_path / "scaled.csv"
+        write_log(replace(log, torque=log.torque * scale), path)
+        assert main(["analyze", "friction", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        name, _, value, unit = out.splitlines()[-1].split()
+        assert (name, unit) == ("residual_rms", "Nm")
+        assert float(value) == pytest.approx(
+            fit_friction(log).residual_rms * scale, rel=5e-3, abs=0)
 
     def test_thermal_pipeline(self, tmp_path):
         log = tmp_path / "duty.csv"

@@ -1,7 +1,7 @@
 """The module layout: the table engine, the registration and the
 measurement readers cannot reach the scorer, no module is compiled as one
-large unit, only the registration reader imports PyYAML, and no class is
-built by ``dataclasses``."""
+large unit, only the registration reader imports PyYAML, no class is
+built by ``dataclasses``, and no module calls LAPACK or a BLAS product."""
 
 import ast
 from pathlib import Path
@@ -157,3 +157,48 @@ def test_tables_opens_a_file_for_reading_in_one_place():
                  isinstance(arg, ast.Constant) and arg.value == "rb"
                  for arg in node.args[1:2])]
     assert len(reads) == 1, reads
+
+
+# numpy's LAPACK and BLAS entry points: their sums and fused multiply-adds
+# follow the CPU kernel, so their results differ between machines
+BLAS_NAMES = {"linalg", "polyfit", "dot", "vdot", "einsum", "matmul"}
+
+
+def _names_blas(node: ast.AST) -> bool:
+    """Whether ``node`` names a ``BLAS_NAMES`` attribute (such as
+    ``np.linalg.lstsq`` or ``x.dot``), imports one or ``numpy.linalg``, or
+    applies ``@`` or ``@=``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in BLAS_NAMES
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.linalg")
+                   for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return node.module.startswith("numpy.linalg") or (
+            node.module == "numpy"
+            and any(alias.name in BLAS_NAMES for alias in node.names))
+    return False
+
+
+def _blas_uses(tree: ast.Module) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if _names_blas(node)]
+
+
+def test_no_module_calls_lapack_or_blas():
+    """Least squares go through ``lsq``'s QR of element-wise products and
+    pairwise sums, the same bits on every machine; the first LAPACK call
+    of a process also added about 1.2 MiB to its peak memory."""
+    uses = {path.stem: _blas_uses(_tree(path.stem))
+            for path in PACKAGE.glob("*.py")}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+@pytest.mark.parametrize("source", [
+    "np.linalg.lstsq(x, y)", "np.polyfit(t, y, 1)", "x.dot(y)",
+    "np.einsum('i,i', x, y)", "x @ y", "x @= y",
+    "from numpy.linalg import svd", "import numpy.linalg",
+    "from numpy import dot"])
+def test_the_blas_rule_sees(source):
+    assert _blas_uses(ast.parse(source)) == [1]

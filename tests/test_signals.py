@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hlaskit import signals
+from hlaskit import lsq, signals
 from hlaskit.bands import OperatingBand, PointTable
 from hlaskit.errors import (
     AliasedFrequency,
@@ -18,7 +18,7 @@ from hlaskit.errors import (
     SampleMismatch,
     WindowTooLong,
 )
-from hlaskit.record import fields
+from hlaskit.record import fields, replace
 from hlaskit.signals import (
     FrfPoint,
     TimeSeriesLog,
@@ -28,6 +28,7 @@ from hlaskit.signals import (
     fit_friction,
     loaded_bandwidth_check,
     power_balance_check,
+    steady_trend,
     task_weighted_efficiency,
 )
 from hlaskit.synthetic import (
@@ -374,6 +375,79 @@ def test_fit_friction_matches_numpy_order_statistics(seed, duration, noise,
         [v.hex() for v in _values(fit_friction(log))]
 
 
+@st.composite
+def regressions(draw):
+    """Well-conditioned 2- and 3-column least-squares problems: Gaussian
+    columns over six decades of scale, condition number at most 1e3."""
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(k + 1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3, 3, k)
+    y = x @ rng.standard_normal(k) * draw(st.sampled_from([0.0, 1.0])) \
+        + rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    sv = np.linalg.svd(x, compute_uv=False)
+    assume(sv[-1] * 1e3 >= sv[0])
+    return list(x.T.copy()), y, sv
+
+
+@given(regressions())
+@settings(max_examples=200, deadline=None)
+def test_lstsq_matches_lapack(problem):
+    """Within 1e-10 of ``|y| / sigma_min``, which bounds the solution: a
+    backward stable solve of a problem of condition <= 1e3 is good to a
+    small multiple of 1e3 rounding units (1.1e-13) of it."""
+    columns, y, sv = problem
+    ours = lsq.lstsq(columns, y)
+    lapack = np.linalg.lstsq(np.column_stack(columns), y, rcond=None)[0]
+    scale = float(np.linalg.norm(y)) / sv[-1]
+    assert np.max(np.abs(np.subtract(ours, lapack))) <= 1e-10 * scale
+
+
+@st.composite
+def near_collinear(draw):
+    """Three columns with singular values 1, s and ``ratio`` times the
+    largest, ``ratio`` a decade or more from the 1e-12 refusal threshold."""
+    n = draw(st.integers(3, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ratio = 10.0 ** draw(st.one_of(st.floats(-17, -13), st.floats(-11, -3)))
+    u = np.linalg.qr(rng.standard_normal((n, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    s = np.array([1.0, 10.0 ** rng.uniform(-2, 0), ratio])
+    x = (u * s) @ v.T * 10.0 ** rng.uniform(-3, 3)
+    return list(x.T.copy())
+
+
+@given(near_collinear())
+@settings(max_examples=200, deadline=None)
+def test_singular_values_of_the_factor_match_lapack(columns):
+    """The factor's singular values are within 1e-13 of the largest of
+    LAPACK's, so both refuse the same columns as collinear."""
+    r, _ = lsq.factor(columns, np.zeros(len(columns[0])))
+    ours = lsq.singular_values(r)
+    lapack = np.linalg.svd(np.column_stack(columns), compute_uv=False)
+    assert np.max(np.abs(np.subtract(ours, lapack))) <= 1e-13 * lapack[0]
+    assert (ours[-1] < 1e-12 * ours[0]) == (lapack[-1] < 1e-12 * lapack[0])
+
+
+def test_three_rows_with_identical_rate_and_sign_are_collinear():
+    """omega = +1, -1, +1 makes the rate and Coulomb regressors equal."""
+    log = make_log(duration=0.002, omega=np.array([1.0, -1.0, 1.0]))
+    with pytest.raises(RankDeficient, match="numerically collinear"):
+        fit_friction(log)
+
+
+@pytest.mark.parametrize("k", [-531, -300, -1, 1, 64, 531])
+def test_fit_friction_scales_with_torque_bit_for_bit(k):
+    """Torque times 2**k gives every field times 2**k, exactly, up to
+    torques near 1e160 and down to near 1e-160, where the squared residuals
+    of an unscaled fit overflow or lose their digits."""
+    log = generate_backdrive_log(SyntheticActuator(), duration=4.0,
+                                 noise_std=0.05, seed=2)
+    scaled = replace(log, torque=np.ldexp(log.torque, k))
+    assert [v.hex() for v in _values(fit_friction(scaled))] == \
+        [math.ldexp(v, k).hex() for v in _values(fit_friction(log))]
+
+
 class TestDetectPlateau:
     def test_constant_hold_below_limit(self):
         act = SyntheticActuator(thermal_resistance=0.5, copper_loss_coeff=0.02,
@@ -416,8 +490,6 @@ class TestDetectPlateau:
         assert result.torque_cont == pytest.approx(best, rel=0.01)
 
     def test_steady_trend_criterion(self):
-        from hlaskit.signals import steady_trend
-
         act = SyntheticActuator(thermal_resistance=0.5,
                                 copper_loss_coeff=0.02,
                                 thermal_time_constant=10.0)
@@ -431,6 +503,19 @@ class TestDetectPlateau:
         rising = generate_thermal_duty_log(act, early, 40.0)
         ok, slope = steady_trend(rising)
         assert not ok and slope > 0.1
+
+    def test_steady_trend_does_not_depend_on_the_time_origin(self):
+        """Shifting time by 1e6 s moves each sample by at most half an ulp
+        of 1e6 (5.8e-11 s); the slope moves by under 1e-9 of itself."""
+        act = SyntheticActuator(thermal_resistance=0.5,
+                                copper_loss_coeff=0.02,
+                                thermal_time_constant=10.0)
+        for duration in (12.0, 150.0):
+            duty = DutyProfile(duration_s=duration, temp_limit_c=150.0)
+            log = generate_thermal_duty_log(act, duty, 40.0)
+            shifted = replace(log, t=log.t + 1e6)
+            assert steady_trend(shifted)[1] == pytest.approx(
+                steady_trend(log)[1], rel=1e-9, abs=0)
 
     def test_hotter_samples_never_increase_plateau(self):
         act = SyntheticActuator(thermal_time_constant=30.0)
